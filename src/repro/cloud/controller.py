@@ -31,9 +31,8 @@ class CloudController:
         self.sim = sim
         self.params = params or CloudParams()
         if self.params.express and sim.express is None:
-            # Must exist before any Link/stack is built: elements
-            # snapshot ``sim.express`` at construction to create their
-            # wire-occupancy commitment states.
+            # Must exist before the SDN controller and the sockets
+            # below read ``sim.express`` for their demotion hooks.
             from repro.net.express import ExpressManager
 
             ExpressManager(sim)  # registers itself as sim.express

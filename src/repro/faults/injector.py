@@ -31,7 +31,8 @@ from repro.sim.rng import SeededRNG
 
 
 class LinkFaults:
-    """Per-link fault state consulted by ``Link._pump`` per packet.
+    """Per-link fault state consulted by ``Link`` once per packet, at its
+    serialization start.
 
     :meth:`judge` returns a non-negative extra delay to deliver the
     packet, or a negative value to drop it.  Corruption is modeled as
@@ -235,7 +236,7 @@ class FaultInjector:
     def _faults_for(self, link: Link) -> LinkFaults:
         if link.faults is None:
             name = self._link_name(link)
-            link.faults = LinkFaults(self.rng.child(f"link:{name}"), name)
+            link.install_faults(LinkFaults(self.rng.child(f"link:{name}"), name))
         return link.faults
 
     def lossy_link(

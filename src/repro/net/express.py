@@ -6,23 +6,22 @@ payload-inspecting hooks on the path), per-packet simulation of that
 flow is pure mechanical replay: every segment traverses the same
 elements, pays the same serialization/latency arithmetic, and hits the
 same cached decisions.  The express path promotes such a flow to a
-*compiled conduit* and replays the arithmetic directly — one scheduled
-event per FIFO element instead of the whole store/process/timeout
-machinery — while producing **bit-identical timing**.
+*compiled conduit* and replays the arithmetic directly: one scheduled
+call per FIFO element, skipping the switch pipelines, table lookups and
+NAT hooks in between, while producing **bit-identical timing**.
 
 Exactness argument (DESIGN.md §12 has the long form):
 
 - Every FIFO element (a link direction, a stack's software-forward
-  queue) carries an :class:`_ElemState` with a ``busy`` horizon.  Real
-  packets *commit* their serialization slot at true arrival time
-  (``Link.transmit`` / ``NetworkStack.handle_receive``); the pump pops
-  the committed start and aligns to it.  Express segments commit at the
-  same point in virtual time via a scheduled :class:`_WalkEvent`.
-  Because both kinds commit in arrival order, FIFO interleaving of
-  express and packet-mode traffic is exact.
-- The per-element arithmetic is float-op-for-float-op the same as the
-  pump's (``size / bandwidth + overhead``, then ``+ latency``), and the
-  chained event times are pushed as *absolute* times
+  path) is one :class:`~repro.net.link.Horizon`.  A packet commits its
+  slot on it in ``Link.transmit`` / ``NetworkStack.handle_receive``, an
+  express segment in :meth:`ExpressManager._hop`; both run inside the
+  kernel occurrence that delivers the packet to the element, so both
+  commit in the order those occurrences fire.  There is no second
+  mechanism to align with: the commit *is* the schedule.
+- The per-element arithmetic is float-op-for-float-op the same
+  (``start + (size / bandwidth + overhead)``, then ``+ latency``), and
+  the chained times are pushed as *absolute* times
   (:meth:`Simulator.schedule_abs`), so no extra rounding is introduced.
 - Promotion is guarded by a read-only probe that walks the flow's
   headers hop-by-hop through the real tables; anything it cannot
@@ -31,8 +30,8 @@ Exactness argument (DESIGN.md §12 has the long form):
 - Demotion is mandatory and lossless: any flow-table or NAT install /
   removal on a probed table, a route change on a probed stack, or any
   fault-injector action demotes every flow back to packet mode; the
-  next segments take the packet path and the commitment discipline
-  keeps their timing seamless.
+  next segments take the packet path and read the same horizons, so
+  their timing is seamless.
 
 Side effects that packet mode applies per hop (interface counters,
 ``packets_switched``, rule hit counts, ``packet.trace``, per-hop obs
@@ -43,10 +42,9 @@ contents, same causal span tree; only the intermediate timestamps of
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Optional
 
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Call, Event, Simulator
 from repro.net.packet import HEADER_BYTES, Packet
 from repro.net.stack import BROADCAST_MAC
 from repro.net.switch import Drop, ModDstMac, Normal, Output, Switch, ToController
@@ -59,22 +57,6 @@ RETRY_EVERY = 16
 MAX_HOPS = 48
 
 _MISS = object()
-
-
-class _ElemState:
-    """Wire-occupancy horizon of one FIFO element.
-
-    ``busy`` is the absolute time the element finishes its last
-    committed slot; ``pending`` holds the committed start times of
-    *real* (packet-mode) packets currently queued, popped 1:1 by the
-    element's pump for alignment.
-    """
-
-    __slots__ = ("busy", "pending")
-
-    def __init__(self) -> None:
-        self.busy: float = 0.0
-        self.pending: deque[float] = deque()
 
 
 class CompiledPath:
@@ -128,10 +110,12 @@ class _Plan:
         self.steers: list[tuple] = []
 
 
-class _WalkEvent(Event):
+class _WalkEvent(Call):
     """One express step: fires at the commit time of element ``i`` of
-    ``path`` (or at delivery when ``i < 0``).  Allocation-light: the
-    event is its own callback."""
+    ``path`` (or at delivery when ``i < 0``).  The kernel's
+    :class:`~repro.sim.core.Call` with its target and arguments in
+    fixed slots instead of ``fn(*args)``: the walk is the one caller
+    whose product is the event's own host cost."""
 
     __slots__ = ("mgr", "path", "packet", "i", "t")
 
@@ -159,9 +143,8 @@ class _WalkEvent(Event):
 class ExpressManager:
     """Owns promotion, the compiled walks, and demotion for one sim.
 
-    Install **before** building the topology (links snapshot
-    ``sim.express`` at construction to create their element states):
-    ``ExpressManager(sim)`` registers itself as ``sim.express``.
+    ``ExpressManager(sim)`` registers itself as ``sim.express``; the
+    elements it walks need no preparation (their horizons always exist).
     """
 
     def __init__(
@@ -180,12 +163,6 @@ class ExpressManager:
         self.demotions = 0
         self.probes_failed = 0
         sim.express = self
-
-    # -- element states ------------------------------------------------
-
-    def elem_state(self) -> _ElemState:
-        """Factory used by Link/NetworkStack so they need no import."""
-        return _ElemState()
 
     # -- promotion -----------------------------------------------------
 
@@ -232,8 +209,8 @@ class ExpressManager:
             )
 
     def demote_all(self, reason: str = "") -> None:
-        """Mandatory lossless fallback: flows revert to packet mode;
-        the commitment discipline keeps subsequent timing exact."""
+        """Mandatory lossless fallback: flows revert to packet mode,
+        which reads the same horizons, so timing stays exact."""
         for socket in list(self._active):
             self.demote(socket, reason)
 
@@ -387,10 +364,7 @@ class ExpressManager:
                 return CompiledPath(tuple(steps), final, stack, key, plan)
             if not stack.ip_forward or stack.forward_hook is not None:
                 return None
-            st = stack._xfwd
-            if st is None or stack._forward_queue is None:
-                return None
-            steps.append((tuple(pre), st, 0.0, stack.forward_delay, 0.0))
+            steps.append((tuple(pre), stack._fwd, 0.0, stack.forward_delay, 0.0))
             del pre[:]
             # loop: route_and_send again from the forwarding stack
 
@@ -417,12 +391,7 @@ class ExpressManager:
                 elif faults.drop_prob or faults.corrupt_prob or faults.delay_prob:
                     return None
                 plan.faults.append(faults)
-            xstates = link._xstates
-            if xstates is None:
-                return None
-            st = xstates.get(iface)
-            if st is None:
-                return None
+            st, other = link._directions[iface]
             plan.tx.append(iface)
             if link.obs is not None:
                 metrics = link.obs.metrics
@@ -434,7 +403,6 @@ class ExpressManager:
                 (tuple(pre), st, link.bandwidth, link.per_packet_overhead, link.latency)
             )
             del pre[:]
-            other = link.other_end(iface)
             plan.rx.append(other)
             owner = other.owner
             if owner is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:
@@ -55,6 +55,21 @@ class Interface:
         return f"Interface({self.name}, mac={self.mac}, ip={self.ip})"
 
 
+class Horizon:
+    """Occupancy horizon of one FIFO element (a link direction, a
+    stack's software-forward path): ``busy`` is the absolute time its
+    last committed slot ends.  Packets and express segments alike commit
+    ``start = max(busy, now)`` in the order their delivering events
+    fire, so the element never overlaps two slots and never reorders,
+    and schedule the delivery at once: one kernel occurrence per packet
+    (DESIGN.md §7)."""
+
+    __slots__ = ("busy",)
+
+    def __init__(self) -> None:
+        self.busy: float = 0.0
+
+
 class Link:
     """Full-duplex link: independent serialization per direction."""
 
@@ -77,8 +92,8 @@ class Link:
         self.per_packet_overhead = per_packet_overhead
         #: installed by :class:`repro.faults.FaultInjector` — when
         #: non-None, every packet is judged (drop / corrupt / delay /
-        #: link-down) before delivery.  ``None`` keeps the fast path
-        #: branch-free beyond one identity check.
+        #: link-down) at its serialization start.  ``None`` keeps the
+        #: fast path branch-free beyond one identity check.
         self.faults = None
         #: observability bus hook (same zero-cost-off pattern): when
         #: non-None, per-packet transmit/drop counters are recorded.
@@ -86,83 +101,62 @@ class Link:
         self.obs_name = f"{a.name}<->{b.name}"
         a.link = self
         b.link = self
-        self._queues = {a: Store(sim), b: Store(sim)}
-        #: express-path commitment states, one per direction (see
-        #: :mod:`repro.net.express`); ``None`` when express mode is off,
-        #: keeping ``transmit``/``_pump`` branch-free beyond one check.
-        express = sim.express
-        self._xstates = (
-            {a: express.elem_state(), b: express.elem_state()}
-            if express is not None
-            else None
-        )
-        sim.process(self._pump(a, b), name=f"link:{a.name}->{b.name}")
-        sim.process(self._pump(b, a), name=f"link:{b.name}->{a.name}")
+        #: sending interface -> (that direction's horizon, far interface);
+        #: express walks commit on the same horizons (repro.net.express).
+        self._directions = {a: (Horizon(), b), b: (Horizon(), a)}
 
     def transmit(self, from_iface: Interface, packet: Packet) -> None:
-        if from_iface not in self._queues:
+        direction = self._directions.get(from_iface)
+        if direction is None:
             raise ValueError("interface not on this link")
-        xstates = self._xstates
-        if xstates is not None:
-            # Commit this direction's wire occupancy at true arrival
-            # time so express flows sharing the link interleave exactly;
-            # the pump aligns to the committed start (same float ops as
-            # its own serialization arithmetic).
-            state = xstates[from_iface]
-            now = self.sim.now
-            busy = state.busy
-            start = busy if busy > now else now
-            state.busy = start + (
-                packet.size / self.bandwidth + self.per_packet_overhead
-            )
-            state.pending.append(start)
-        self._queues[from_iface].put(packet)
+        horizon, dst = direction
+        now = self.sim.now
+        busy = horizon.busy
+        start = busy if busy > now else now
+        done = start + (packet.size / self.bandwidth + self.per_packet_overhead)
+        horizon.busy = done
+        obs = self.obs
+        if obs is not None:
+            metrics = obs.metrics
+            metrics.counter("link.tx", self.obs_name).inc()
+            metrics.counter("link.tx_bytes", self.obs_name).inc(packet.size)
+        if start > now and self.faults is not None:
+            # Queued behind a backlog with an injector installed: the
+            # verdict belongs to the instant serialization starts (a
+            # link that goes down meanwhile drops the backlog).
+            self.sim.call_at(start, self._serialize, dst, packet, start, done)
+        else:
+            self._serialize(dst, packet, start, done)
 
-    def other_end(self, iface: Interface) -> Interface:
-        return self.b if iface is self.a else self.a
+    def _serialize(self, dst: Interface, packet: Packet, start: float, done: float) -> None:
+        """Serialization start of the slot ``start..done``: judge the
+        packet and schedule its arrival at the far end."""
+        extra = 0.0
+        faults = self.faults
+        if faults is not None:
+            extra = faults.judge(packet)
+            if extra < 0.0:
+                # dropped — but the sender still paid the wire time (the
+                # loss happens at the far end of the pipe)
+                if self.obs is not None:
+                    self.obs.metrics.counter("link.drop", self.obs_name).inc()
+                return
+        self.sim.call_at(done + (self.latency + extra), self._arrive, dst, packet, start, done)
 
-    def _pump(self, src: Interface, dst: Interface):
-        """Serialize queued packets one at a time, then deliver after latency."""
-        queue = self._queues[src]
-        deliver = dst.deliver
-        timeout = self.sim.timeout
-        xstate = None if self._xstates is None else self._xstates[src]
-        while True:
-            packet: Packet = yield queue.get()
-            if xstate is not None:
-                # Align to the start committed in transmit().  With no
-                # express claims interposed the committed start equals
-                # the pickup time exactly and this never fires; behind
-                # an express claim it waits out the claimed occupancy.
-                start = xstate.pending.popleft()
-                if start > self.sim.now:
-                    yield timeout(start - self.sim.now)
-            obs = self.obs
-            if obs is not None:
-                metrics = obs.metrics
-                metrics.counter("link.tx", self.obs_name).inc()
-                metrics.counter("link.tx_bytes", self.obs_name).inc(packet.size)
-            faults = self.faults
-            if faults is not None:
-                extra = faults.judge(packet)
-                if extra < 0.0:
-                    if obs is not None:
-                        obs.metrics.counter("link.drop", self.obs_name).inc()
-                    # dropped — but the sender still pays the wire time
-                    # (the loss happens at the far end of the pipe)
-                    yield timeout(
-                        packet.size / self.bandwidth + self.per_packet_overhead
-                    )
-                    continue
-                yield timeout(packet.size / self.bandwidth + self.per_packet_overhead)
-                timeout(self.latency + extra).callbacks.append(
-                    lambda _event, packet=packet: deliver(packet)
-                )
-                continue
-            serialize = packet.size / self.bandwidth + self.per_packet_overhead
-            yield timeout(serialize)
-            # Propagation happens in parallel with the next serialization:
-            # one timeout callback per packet, no per-packet Process.
-            timeout(self.latency).callbacks.append(
-                lambda _event, packet=packet: deliver(packet)
-            )
+    def _arrive(self, dst: Interface, packet: Packet, start: float, done: float) -> None:
+        """Far end of the wire.  The slot rides along so that
+        :meth:`install_faults` can find the ones that have not begun."""
+        dst.deliver(packet)
+
+    def install_faults(self, faults) -> None:
+        """Install an injector, possibly mid-transfer.  Packets committed
+        unjudged whose serialization has not begun are judged when it
+        does, exactly as if the injector had been there when they were
+        sent: going down with a backlog queued drops the backlog."""
+        sim = self.sim
+        for call in sim.pending_calls(self._arrive):
+            start = call.args[2]
+            if start > sim.now:
+                call.callbacks.clear()  # the unjudged arrival never fires
+                sim.call_at(start, self._serialize, *call.args)
+        self.faults = faults

@@ -14,8 +14,8 @@ import ipaddress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.sim import Simulator
-from repro.net.link import Interface
+from repro.sim import Simulator, Store
+from repro.net.link import Horizon, Interface
 from repro.net.nat import NatTable
 from repro.net.packet import Packet
 
@@ -113,12 +113,14 @@ class NetworkStack:
         #: netfilter-style attachment point: it can delay (kernel→user
         #: copies, service processing) and mutate the packet in place.
         self.forward_hook: Optional[Callable[[Packet], object]] = None
-        self._forward_queue = None
-        #: Express-path hooks (:mod:`repro.net.express`): commitment
-        #: state for the forward pump (created with the queue), and a
-        #: change notification fired when routes change so compiled
-        #: flows demote.  Both stay None when express mode is off.
-        self._xfwd = None
+        #: FIFO software-forwarding path (single kernel thread, like the
+        #: virtio/netfilter path the paper measures): its occupancy
+        #: horizon, shared with express walks, and the queue feeding the
+        #: hook process (created with the first hooked packet).
+        self._fwd = Horizon()
+        self._hook_queue = None
+        #: Express-path change notification (:mod:`repro.net.express`),
+        #: fired when routes change so compiled flows demote.
         self._x_on_change: Optional[Callable[[], None]] = None
         #: Obs bus (wired by ``repro.obs.instrument``) — lets the TCP
         #: hot path gate per-packet context copies on ``bus.enabled``.
@@ -183,42 +185,40 @@ class NetworkStack:
             self._deliver_local(packet)
             return
         if self.ip_forward:
-            queue = self._forward_queue
-            if queue is None:
-                from repro.sim import Store
-
-                queue = self._forward_queue = Store(self.sim)
-                express = self.sim.express
-                if express is not None:
-                    self._xfwd = express.elem_state()
-                self.sim.process(self._forward_pump(), name=f"fwd:{self.node.name}")
-            state = self._xfwd
-            if state is not None:
-                # Commit the forward pump's occupancy at arrival time
-                # (see Link.transmit for the discipline).
-                now = self.sim.now
-                busy = state.busy
-                start = busy if busy > now else now
-                state.busy = start + self.forward_delay
-                state.pending.append(start)
-            queue.put(packet)
+            if self.forward_hook is not None:
+                queue = self._hook_queue
+                if queue is None:
+                    queue = self._hook_queue = Store(self.sim)
+                    self.sim.process(self._hook_pump(), name=f"fwd:{self.node.name}")
+                queue.put(packet)
+                return
+            # One slot of forward_delay on the horizon, one scheduled
+            # occurrence: the re-route at the slot's end.
+            horizon = self._fwd
+            now = self.sim.now
+            busy = horizon.busy
+            done = (busy if busy > now else now) + self.forward_delay
+            horizon.busy = done
+            self.sim.call_at(done, self.route_and_send, packet)
             return
         self.dropped_packets += 1
 
-    def _forward_pump(self):
-        """FIFO software-forwarding path (single kernel thread, like the
-        virtio/netfilter path the paper measures)."""
-        state = self._xfwd
+    def _hook_pump(self):
+        """FORWARD path under a generator ``forward_hook`` (the passive
+        relay): the hook's duration is only known once it has run, so
+        these packets keep a serial process, which starts each one on
+        the shared horizon and moves the horizon to where it finished."""
+        horizon = self._fwd
+        sim = self.sim
         while True:
-            packet = yield self._forward_queue.get()
-            if state is not None:
-                start = state.pending.popleft()
-                if start > self.sim.now:
-                    yield self.sim.timeout(start - self.sim.now)
+            packet = yield self._hook_queue.get()
+            if horizon.busy > sim.now:
+                yield sim.timeout(horizon.busy - sim.now)
             if self.forward_delay:
-                yield self.sim.timeout(self.forward_delay)
+                yield sim.timeout(self.forward_delay)
             if self.forward_hook is not None:
                 yield from self.forward_hook(packet)
+            horizon.busy = sim.now
             self.route_and_send(packet)
 
     def send_ip(self, packet: Packet) -> None:

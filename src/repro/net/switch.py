@@ -283,18 +283,10 @@ class Switch:
         self._mac_table[packet.src_mac] = in_port
         self.packets_switched += 1
         packet.record_hop(self.name)
-        # Schedule the pipeline directly off a timeout callback — one
-        # heap entry per packet instead of a whole Process + bootstrap.
-        delay = self.forwarding_delay
-        if delay:
-            self.sim.timeout(delay).callbacks.append(
-                lambda _event: self._apply_pipeline(packet, in_port)
-            )
-        else:
-            # keep the one-tick deferral a zero-delay process used to give
-            self.sim.event().succeed().callbacks.append(
-                lambda _event: self._apply_pipeline(packet, in_port)
-            )
+        # The pipeline is a pure delay, not a FIFO: one scheduled
+        # occurrence per packet (zero delay keeps its one-tick deferral).
+        sim = self.sim
+        sim.call_at(sim.now + self.forwarding_delay, self._apply_pipeline, packet, in_port)
 
     def _apply_pipeline(self, packet: Packet, in_port: str) -> None:
         rule = self.flow_table.lookup(packet, in_port)

@@ -13,6 +13,7 @@ whole reproduction deterministic and laptop-scale.
 from repro.sim.core import (
     AllOf,
     AnyOf,
+    Call,
     Event,
     Interrupt,
     Process,
@@ -27,6 +28,7 @@ from repro.sim.shard import ShardedKernel, ShardSimulator
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Call",
     "Event",
     "Interrupt",
     "Process",

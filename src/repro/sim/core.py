@@ -110,6 +110,31 @@ class Timeout(Event):
         sim._schedule(self, delay)
 
 
+class Call(Event):
+    """A scheduled call ``fn(*args)``: the event is its own (only)
+    callback, so one occurrence costs one slotted object and one heap
+    entry: no closure, no ``Timeout``, no process resume.  Every element
+    of :mod:`repro.net` pays exactly one per packet
+    (:meth:`Simulator.call_at`).  A subclass may keep its target in fixed
+    slots and override ``__call__`` instead of filling ``fn``/``args``."""
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, sim: "Simulator", fn: Callable[..., Any], args: tuple[Any, ...]) -> None:
+        # Field-for-field Event.__init__ (triggered, valued None) plus
+        # the self-callback, without the super() call on the hot path.
+        self.sim = sim
+        self.callbacks = [self]  # type: ignore[list-item]
+        self._value = None
+        self.ok = True
+        self._processed = False
+        self.fn = fn
+        self.args = args
+
+    def __call__(self, _event: Event) -> None:
+        self.fn(*self.args)
+
+
 class _ConditionBase(Event):
     """Shared machinery for AllOf/AnyOf."""
 
@@ -274,8 +299,8 @@ class Simulator:
         self._deferred: deque[tuple[Any, ...]] = deque()
         self._sequence = 0
         #: flow-level fast path (:class:`repro.net.express.ExpressManager`)
-        #: — installed before topology construction when express mode is
-        #: on; ``None`` keeps every hook in the packet path branch-free.
+        #: — installed by the cloud controller when express mode is on;
+        #: ``None`` keeps every hook in the packet path branch-free.
         self.express: Any = None
 
     # -- scheduling --------------------------------------------------
@@ -301,16 +326,34 @@ class Simulator:
     def schedule_abs(self, when: float, event: Event) -> None:
         """Schedule an already-valued event at the absolute time ``when``.
 
-        Used by the express fast path, which computes future occurrence
-        times analytically: pushing the absolute time directly avoids
-        the ``now + (when - now)`` float round-trip that a relative
-        timeout would introduce.  ``when`` must not precede ``now``.
+        Used by the network elements, which compute occurrence times
+        analytically: pushing the absolute time directly avoids the
+        ``now + (when - now)`` float round-trip of a relative timeout.
+        ``when`` must not precede ``now``; an entry at ``now`` keeps its
+        sequence order among deferred entries, like a zero-delay timeout.
         """
         if when < self.now:
             raise SimulationError("schedule_abs into the past")
         seq = self._sequence
         self._sequence = seq + 1
         heapq.heappush(self._heap, (when, seq, event))
+
+    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Call:
+        """Run ``fn(*args)`` at the absolute time ``when``: the one
+        scheduled occurrence a packet pays per network element."""
+        call = Call(self, fn, args)
+        self.schedule_abs(when, call)
+        return call
+
+    def pending_calls(self, fn: Callable[..., Any]) -> list[Call]:
+        """The scheduled ``call_at`` calls of ``fn`` that still hold their
+        callback, in firing order.  A heap scan: for rare reconfiguration
+        (a fault injector arriving mid-transfer), never per packet."""
+        mine: list[tuple[float, int, Call]] = []
+        for when, seq, event in self._heap:
+            if type(event) is Call and event.callbacks and event.fn == fn:
+                mine.append((when, seq, event))
+        return [call for _when, _seq, call in sorted(mine)]
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)

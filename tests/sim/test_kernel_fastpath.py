@@ -74,6 +74,55 @@ def test_heap_event_at_current_time_beats_younger_deferred():
     assert sim.now == 1.0
 
 
+def test_call_at_is_one_occurrence_in_sequence_order():
+    """``call_at`` costs one sequence number; a call landing on the
+    current instant keeps its place among deferred entries, exactly
+    like the zero-delay timeout it replaces in the switch pipeline."""
+    sim = Simulator()
+    fired = []
+
+    def proc():
+        yield sim.timeout(1.0)
+        sim.event().succeed().callbacks.append(lambda _e: fired.append("deferred-1"))
+        before = sim._sequence
+        sim.call_at(sim.now, fired.append, "call-now")
+        assert sim._sequence == before + 1
+        sim.event().succeed().callbacks.append(lambda _e: fired.append("deferred-2"))
+        sim.call_at(1.5, fired.append, "call-later")
+
+    sim.process(proc())
+    sim.run()
+    assert fired == ["deferred-1", "call-now", "deferred-2", "call-later"]
+    assert sim.now == 1.5
+    with pytest.raises(SimulationError):
+        sim.call_at(1.0, fired.append, "past")
+
+
+def test_call_is_a_waitable_event_and_can_be_disarmed():
+    sim = Simulator()
+    fired = []
+    woke = []
+
+    def waiter(call):
+        yield call
+        woke.append(sim.now)
+
+    sim.process(waiter(sim.call_at(2.0, fired.append, "a")))
+    doomed = sim.call_at(3.0, fired.append, "b")
+    kept = sim.call_at(3.0, fired.append, "c")
+    early = sim.call_at(1.0, fired.append, "c")
+    assert sim.pending_calls(fired.append)[0] is early  # firing order
+    assert len(sim.pending_calls(fired.append)) == 4
+    doomed.callbacks.clear()
+    assert doomed not in sim.pending_calls(fired.append)
+    assert kept in sim.pending_calls(fired.append)
+    assert sim.pending_calls(woke.append) == []
+    sim.run()
+    assert fired == ["c", "a", "c"] and woke == [2.0]
+    assert sim.now == 3.0  # the disarmed entry still advanced the clock
+    assert sim.pending_calls(fired.append) == []
+
+
 def test_yield_already_processed_event_resumes_fifo():
     """Resuming off a processed event queues at the back of the current
     tick, not synchronously and not at the front."""

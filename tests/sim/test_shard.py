@@ -8,7 +8,8 @@ from repro.sim.shard import ShardSimulator
 
 def _busy_scenario(sim, log, tag=""):
     """A workload touching every seq-allocating path: immediate and
-    delayed timeouts, event succeed (deferred resume), interrupts."""
+    delayed timeouts, event succeed (deferred resume), interrupts, and
+    scheduled calls (one landing on a worker's wake-up instant)."""
 
     def worker(name, delay):
         yield sim.timeout(delay)
@@ -41,6 +42,8 @@ def _busy_scenario(sim, log, tag=""):
     sim.process(opener(gate))
     for i, delay in enumerate((3.0, 1.0, 1.0, 0.5)):
         sim.process(worker(f"w{i}", delay))
+    sim.call_at(1.0, log.append, (1.0, f"{tag}call"))
+    sim.call_at(0.0, log.append, (0.0, f"{tag}call-now"))
 
 
 def test_one_shard_is_bit_identical_to_plain_simulator():
