@@ -97,7 +97,7 @@ def bench_saga_takeover(step_name: str = "narrow", phase: str = "after") -> dict
         fired["at"] = env.sim.now
         env.injector.crash_leader(cluster, restart_after=1.0)
 
-    storm.saga_probe = probe
+    storm.engine.probe = probe
 
     def do_attach():
         yield env.sim.process(

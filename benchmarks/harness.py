@@ -232,3 +232,36 @@ def processing_thread_sweep():
         return rows
 
     return memo("processing_thread_sweep", compute)
+
+
+# -- plain-text tables shaped like the paper's figures/tables ------------
+
+
+def normalize(baseline: float, value: float) -> float:
+    """Value relative to baseline (the paper's normalized plots)."""
+    if baseline == 0:
+        raise ValueError("cannot normalize against a zero baseline")
+    return value / baseline
+
+
+def format_table(headers: list[str], rows: list[list], title: str = "") -> str:
+    """Fixed-width table; floats rendered to 3 decimals."""
+
+    def render(cell) -> str:
+        if isinstance(cell, float):
+            return f"{cell:.3f}"
+        return str(cell)
+
+    rendered = [[render(c) for c in row] for row in rows]
+    widths = [
+        max(len(headers[i]), *(len(r[i]) for r in rendered)) if rendered else len(headers[i])
+        for i in range(len(headers))
+    ]
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rendered:
+        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
+    return "\n".join(lines)

@@ -7,8 +7,7 @@ fixed single box is compared against an autoscaled pool (max 3),
 rebalanced purely by SDN reprogramming.
 """
 
-from harness import LEGACY, build_testbed, memo, run
-from repro.analysis import format_table
+from harness import LEGACY, build_testbed, format_table, memo, run
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.core.policy import ServiceSpec
 from repro.core.scaling import MiddleboxAutoscaler

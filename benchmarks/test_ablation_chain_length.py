@@ -6,8 +6,7 @@ of chains of 0, 1, and 2 forwarding middle-boxes against the same
 volume, plus the gateways-only floor.
 """
 
-from harness import LEGACY, VOLUME_SIZE, build_testbed, fio, memo, run
-from repro.analysis import format_table
+from harness import LEGACY, VOLUME_SIZE, build_testbed, fio, format_table, memo, run
 from repro.core.policy import ServiceSpec
 
 IO_SIZE = 16 * 1024

@@ -7,8 +7,7 @@ cutting overall CPU by ~20%.  Both configurations move data at close
 to the storage path's maximum bandwidth (~88 vs ~84 MB/s).
 """
 
-from harness import LEGACY, MB_ACTIVE, build_testbed, memo, run
-from repro.analysis import format_table
+from harness import LEGACY, MB_ACTIVE, build_testbed, format_table, memo, run
 from repro.services import TenantSideEncryption
 from repro.workloads import FtpTransfer
 

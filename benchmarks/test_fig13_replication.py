@@ -12,9 +12,8 @@ Simulation scale: 12 s run with the failure at 6 s (time-compressed;
 rates are stationary within each phase), 2 client VMs × 4 threads.
 """
 
-from harness import MB_ACTIVE, build_testbed, memo, run
-from repro.analysis import Timeline, format_table
-from repro.workloads import MySqlServer, OltpClient, OltpConfig
+from harness import MB_ACTIVE, build_testbed, format_table, memo, run
+from repro.workloads import MySqlServer, OltpClient, OltpConfig, Timeline
 
 VOLUME = 32 * 1024 * 1024
 DURATION = 12.0

@@ -7,8 +7,7 @@ the data path); the active relay matches MB-FWD at small sizes and
 the split connection shortens the ACK path from four hops to one.
 """
 
-from harness import IO_SIZES, processing_size_sweep
-from repro.analysis import format_table, normalize
+from harness import IO_SIZES, format_table, normalize, processing_size_sweep
 
 PAPER_ACTIVE = {4096: 1.01, 16384: 1.00, 65536: 1.06, 262144: 1.14}
 

@@ -10,8 +10,7 @@ cache), the storage node runs cache-warm — the substitution is
 recorded in DESIGN.md/EXPERIMENTS.md.
 """
 
-from harness import THREAD_COUNTS, processing_thread_sweep
-from repro.analysis import format_table, normalize
+from harness import THREAD_COUNTS, format_table, normalize, processing_thread_sweep
 
 PAPER_ACTIVE = {4: 1.06, 8: 1.10, 16: 1.27, 32: 1.39}
 

@@ -5,8 +5,7 @@ Paper: MB-FWD latency is 1.08× LEGACY at 4 KB, growing to 1.30× at
 aggregates the routing delays of all of them).
 """
 
-from harness import IO_SIZES, routing_sweep
-from repro.analysis import format_table, normalize
+from harness import IO_SIZES, format_table, normalize, routing_sweep
 
 PAPER_RATIOS = {4096: 1.08, 16384: 1.22, 65536: 1.25, 262144: 1.30}
 

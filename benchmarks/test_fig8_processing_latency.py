@@ -5,8 +5,7 @@ Paper: active-relay latency ≈ MB-FWD at 4–16 KB and 6–11% *lower* at
 acknowledgment path.
 """
 
-from harness import IO_SIZES, processing_size_sweep
-from repro.analysis import format_table, normalize
+from harness import IO_SIZES, format_table, normalize, processing_size_sweep
 
 PAPER_ACTIVE = {4096: 0.98, 16384: 1.01, 65536: 0.94, 262144: 0.89}
 

@@ -4,8 +4,7 @@ Paper: average I/O latency under the active relay drops to 0.70× of
 MB-FWD at 32 threads (0.95/0.91/0.79/0.70 across 4/8/16/32).
 """
 
-from harness import THREAD_COUNTS, processing_thread_sweep
-from repro.analysis import format_table, normalize
+from harness import THREAD_COUNTS, format_table, normalize, processing_thread_sweep
 
 PAPER_ACTIVE = {4: 0.95, 8: 0.91, 16: 0.79, 32: 0.70}
 

@@ -6,8 +6,8 @@ dead box within one probe interval and — under the tenant's
 *fail-open* policy — bypasses it by re-steering the flow onto the
 surviving box (make-before-break, SDN rules only).  When the box
 restarts, the watchdog reinstates the original chain.  A background
-reconciler audits SDN/NAT state throughout, and the transactional
-platform journals every control operation in its intent log.
+reconciler audits SDN/NAT state throughout, and the platform
+journals every control operation in its intent log.
 
 The whole run is traced through :mod:`repro.obs`: the fault timeline
 rides the same bus as the request spans, and the report ends with a
@@ -67,7 +67,7 @@ def main(argv=None):
 
     bus = ObsBus(sim)
     log = make_event_log(bus)  # fault timeline rides the trace bus
-    storm = StorM(sim, cloud, transactional=True, event_log=log)
+    storm = StorM(sim, cloud, event_log=log)
     install_default_services(storm)
     instrument(bus, storm=storm)  # late-created gateways/boxes self-wire
     injector = FaultInjector(sim, seed=42, log=log)

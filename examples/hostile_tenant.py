@@ -162,7 +162,7 @@ def main():
         f"monitor_garbage={mon.service.garbage_accesses}"
     )
     print()
-    print("-- attack & recovery timeline (repro.analysis) --")
+    print("-- attack & recovery timeline (repro.obs.EventLog) --")
     print(log.format())
 
     # -- invariants: exactness ---------------------------------------------

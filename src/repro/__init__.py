@@ -14,7 +14,7 @@ Layering (bottom to top):
 - :mod:`repro.core` — StorM itself (splicing, steering, relays,
   semantics reconstruction, policies, platform).
 - :mod:`repro.services` — the three case-study middle-box services.
-- :mod:`repro.workloads` / :mod:`repro.analysis` — evaluation drivers.
+- :mod:`repro.workloads` — evaluation drivers and their statistics.
 """
 
 __version__ = "1.0.0"

@@ -12,8 +12,9 @@ The paper's three mechanisms, each in its own module:
 - **semantic reconstruction** — :mod:`repro.core.semantics` (block→file
   mapping kept live from intercepted metadata writes).
 
-:mod:`repro.core.policy` defines the tenant policy schema and
-:mod:`repro.core.platform` orchestrates deployment end to end.
+:mod:`repro.core.policy` defines the tenant policy schema,
+:mod:`repro.core.platform` declares the control operations end to end,
+and :mod:`repro.core.saga` journals and runs them.
 """
 
 from repro.core.attribution import AttributionRecord, ConnectionAttributor
@@ -31,6 +32,7 @@ from repro.core.saga import (
     IntentLog,
     QuorumLost,
     Saga,
+    SagaEngine,
     SagaStep,
 )
 from repro.core.scaling import MiddleboxAutoscaler, ScalingEvent, resteer_flow
@@ -56,6 +58,7 @@ __all__ = [
     "Reconciler",
     "ReplicaLog",
     "Saga",
+    "SagaEngine",
     "SagaStep",
     "ScalingEvent",
     "MiddleBox",

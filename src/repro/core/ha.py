@@ -37,8 +37,9 @@ rebuild its state from the data plane.
 
 - **Takeover**: on winning an election the new leader adopts every
   in-flight saga in its replicated log — re-stamping it with the new
-  term — and resolves it exactly as single-node recovery does: roll
-  *forward* past the pivot step, compensate before it.  Resolution
+  term — and hands them to the routine single-node recovery uses
+  (:meth:`~repro.core.saga.SagaEngine.resolve`): roll *forward* past
+  the pivot step, compensate before it.  Resolution
   reads the saga's live journal (the shared object models the new
   leader inspecting actual switch/NAT state), which can only exceed
   the quorum-acknowledged journal by the unacknowledged tail; undo
@@ -53,12 +54,13 @@ rebuild its state from the data plane.
   of the lost in-flight sagas are swept and committed flows' rule
   sets are re-completed.
 
-- **Compaction**: resolved sagas are snapshotted out of the logs
-  (:meth:`ReplicaLog.compact`, :meth:`~repro.core.saga.IntentLog.compact`)
-  so crash replay and follower catch-up are O(active sagas).
+- **Compaction**: whenever the engine compacts the intent log
+  (:meth:`~repro.core.saga.IntentLog.compact`) the replica logs drop
+  the same resolved sagas (:meth:`HaCluster.compact`), so crash replay
+  and follower catch-up are O(active sagas).
 
-All of it defaults off: ``StorM(..., ha=False)`` builds none of this
-and stays bit-identical to the single-node platform.
+``StorM(..., ha=False)`` builds none of this: the same engine then
+answers to one :class:`~repro.core.saga.ControlPlaneNode`.
 """
 
 from __future__ import annotations
@@ -111,8 +113,6 @@ class HaConfig:
     link_bandwidth: Optional[float] = None
     #: seed for the per-replica timeout jitter streams
     seed: int = 0
-    #: auto-compact the logs once this many sagas resolve
-    compact_threshold: int = 64
 
 
 @dataclass
@@ -240,7 +240,6 @@ class HaCluster:
         self.term = 1
         self._log_lost = False
         self._global_index = 0
-        self._resolved_since_compact = 0
 
         #: the replicas, in index order (cp-0 boots as leader)
         self.nodes: list[ControlPlaneNode] = []
@@ -604,10 +603,6 @@ class HaCluster:
             self._global_index -= 1
             self._step_down(leader, reason="quorum-lost")
             raise QuorumLost(saga.op, entry)
-        if entry in ("commit", "abort"):
-            self._resolved_since_compact += 1
-            if self._resolved_since_compact >= self.config.compact_threshold:
-                self.compact()
 
     def _catch_up(self, leader: ControlPlaneNode, peer: ControlPlaneNode) -> None:
         skipped = self.logs[peer.name].install_snapshot(self.logs[leader.name])
@@ -624,29 +619,22 @@ class HaCluster:
             if self.logs[peer.name].last_index < leader_log.last_index:
                 self._catch_up(leader, peer)
 
-    def compact(self) -> int:
-        """Snapshot resolved sagas out of the logical intent log and
-        every replica log; returns the count dropped from the leader's
-        copy.  Local-only state surgery — always safe, any time."""
-        dropped = 0
-        log = self.storm.intent_log
-        if log is not None:
+    def compact(self) -> None:
+        """Drop resolved sagas from every replica log.  Called by
+        :meth:`~repro.core.saga.IntentLog.compact`, so the replicas
+        compact exactly when the logical log does.  Local-only state
+        surgery — always safe, any time."""
+        for log in self.logs.values():
             log.compact()
-        for node in self.nodes:
-            count = self.logs[node.name].compact()
-            if node.name == self.leader_name:
-                dropped = count
-        self._resolved_since_compact = 0
-        return dropped
 
     # -- takeover -----------------------------------------------------------
 
     def has_authority(self, saga: Saga) -> bool:
         """Does the cluster still stand behind this saga's executor?
-        The saga executor probes this at every step boundary (via
-        ``StorM._check_controller``); a leadership change, leader
-        crash, or quorum loss revokes authority and the executor
-        raises :class:`~repro.core.saga.ControllerCrashed`."""
+        The engine checks this at every step boundary
+        (:attr:`~repro.core.saga.SagaEngine.authority`); a leadership
+        change, leader crash, or quorum loss revokes authority and the
+        executor raises :class:`~repro.core.saga.ControllerCrashed`."""
         leader = self.leader_node
         return (
             leader is not None
@@ -656,9 +644,9 @@ class HaCluster:
         )
 
     def _takeover(self, node: ControlPlaneNode) -> None:
-        """Adopt and resolve every in-flight saga in the new leader's
-        replicated log: replay past the pivot, compensate before it —
-        the single-node recovery semantics, quorum-shipped."""
+        """Adopt every in-flight saga in the new leader's replicated
+        log and resolve them through the engine — the single-node
+        recovery routine, quorum-shipped."""
         if self._log_lost:
             self.rebuild()
         log = self.logs[node.name]
@@ -672,32 +660,17 @@ class HaCluster:
         if obs is not None:
             span = obs.span("saga.takeover", node=node.name, term=self.term,
                             pending=len(pending))
-        replayed = rolled_back = 0
         for saga in pending:
             # adopt: the new leader commits the old leader's entries
             # under its own term (Raft's rule for inherited entries)
             saga.term = self.term
             saga.origin = node.name
-            try:
-                if saga.pivoted:
-                    self.storm._replay_saga(saga)
-                    replayed += 1
-                    self._record("saga.replay", saga.cookie, op=saga.op, takeover=True)
-                else:
-                    self.storm._rollback_saga(saga)
-                    rolled_back += 1
-            except QuorumLost:
-                # lost leadership mid-takeover; the next leader finishes
-                break
-            if span is not None:
-                span.event("saga.takeover", target=saga.cookie,
-                           resolution="replay" if saga.pivoted else "rollback")
+        # a QuorumLost mid-way (leadership lost again) stops the
+        # resolution; the next leader finishes
+        summary = self.storm.engine.resolve(pending)
         if span is not None:
             span.finish("ok")
-        self._record(
-            "ha.takeover", node.name, term=self.term,
-            replayed=replayed, rolled_back=rolled_back,
-        )
+        self._record("ha.takeover", node.name, term=self.term, **summary)
 
     # -- total log loss ------------------------------------------------------
 
@@ -722,7 +695,7 @@ class HaCluster:
 
         fresh = IntentLog()
         fresh.shipper = self
-        self.storm.intent_log = fresh
+        self.storm.engine.log = fresh
         self._log_lost = False
         reconciler = Reconciler(self.storm, event_log=self.event_log)
         drifts = reconciler.repair()

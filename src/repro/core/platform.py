@@ -14,16 +14,18 @@ volume attach*:
    steering rules to the now-known source port;
 5. remove the transient NAT rules and release the mutex.
 
-Every multi-step control operation runs as a :class:`~repro.core.saga.Saga`
-of idempotent steps with compensating rollbacks.  With
-``transactional=True`` the platform also journals each saga in a
-write-ahead :class:`~repro.core.saga.IntentLog` on a crashable
-:class:`~repro.core.saga.ControlPlaneNode`, so a controller crash
-mid-operation (``FaultInjector.crash``) is recovered on restart by
-:meth:`StorM.recover` — replay past the pivot step, rollback before it
-— never leaving a half-spliced flow, a leaked wildcard rule, or an
-orphaned NAT entry.  The knob defaults off: injector-off runs are
-bit-identical to the non-transactional platform.
+Every multi-step control operation here is declared as a list of
+:class:`~repro.core.saga.SagaStep`\\ s and handed to the platform's
+:class:`~repro.core.saga.SagaEngine`, which journals it in the
+write-ahead intent log and runs it; this module holds the operations,
+not the executor.  The platform owns the controller the engine answers
+to — one crashable :class:`~repro.core.saga.ControlPlaneNode`, or the
+leader of a replicated :class:`~repro.core.ha.HaCluster` — so a
+controller crash mid-operation (``FaultInjector.crash``) is settled on
+restart by :meth:`StorM.recover` (or on election by the new leader's
+takeover): replay past the pivot step, rollback before it — never
+leaving a half-spliced flow, a leaked wildcard rule, or an orphaned
+NAT entry.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from types import GeneratorType
 from typing import Callable, Optional
 
-from repro.analysis.events import EventLog
 from repro.cloud.compute import ComputeHost
 from repro.cloud.controller import CloudController
 from repro.cloud.tenant import Tenant
@@ -43,14 +44,10 @@ from repro.core.middlebox import MiddleBox, NoopService, StorageService
 from repro.core.policy import PolicyError, ServiceSpec, TenantPolicy
 from repro.core.relay import ActiveRelay, PassiveRelay, RelayMode
 from repro.core.saga import (
-    ABORTED,
-    COMMITTED,
-    IN_FLIGHT,
     ControllerCrashed,
     ControlPlaneNode,
     IntentLog,
-    Saga,
-    SagaError,
+    SagaEngine,
     SagaStep,
 )
 from repro.core.splicing import (
@@ -62,7 +59,8 @@ from repro.core.splicing import (
     remove_attach_nat,
 )
 from repro.core.steering import SteeringChain
-from repro.sim import Resource, Simulator
+from repro.obs.eventlog import EventLog
+from repro.sim import Simulator
 
 
 @dataclass(eq=False)
@@ -98,7 +96,6 @@ class StorM:
         self,
         sim: Simulator,
         cloud: CloudController,
-        transactional: bool = False,
         event_log: Optional[EventLog] = None,
         ha: bool = False,
         ha_config=None,
@@ -106,7 +103,6 @@ class StorM:
         self.sim = sim
         self.cloud = cloud
         self.attributor = ConnectionAttributor()
-        self._attach_mutex = Resource(sim, capacity=1)
         self.gateway_pairs: dict[str, GatewayPair] = {}
         self.middleboxes: dict[str, MiddleBox] = {}
         self.flows: list[StorMFlow] = []
@@ -124,10 +120,6 @@ class StorM:
         #: on, the detach saga tears down the flow's pinned conntrack
         #: and idle tenants' gateways/metric scopes.
         self.evict_detached = cloud.params.evict_detached
-        #: post-commit hook called as ``on_saga_commit(saga)``; the
-        #: fleet generator uses it to read per-saga shipping RTT for
-        #: attach-latency attribution.  None = zero overhead.
-        self.on_saga_commit: Optional[Callable[[Saga], None]] = None
         self._mb_ids = itertools.count(1)
         self._placement_cycle = None
         self.service_factories: dict[str, Callable[[ServiceSpec, "StorM"], StorageService]] = {
@@ -137,34 +129,43 @@ class StorM:
         #: chaos runs); None keeps the fast path allocation-free.
         self.event_log = event_log
         #: observability bus (set by ``repro.obs.instrument``): when
-        #: non-None every saga runs under a span with step events, and
-        #: gateways/relays/services created later inherit the bus.
+        #: non-None gateways/relays/services created later inherit it.
         self.obs = None
-        self.transactional = transactional
-        self.controller: Optional[ControlPlaneNode] = None
-        self.intent_log: Optional[IntentLog] = None
-        #: test/chaos hook: called as ``probe(saga, step, "before"|"after")``
-        #: around every step — the control-plane chaos matrix uses it to
-        #: crash the controller at exact saga points.
-        self.saga_probe: Optional[Callable[[Saga, SagaStep, str], None]] = None
-        #: replicated control plane (:mod:`repro.core.ha`); None keeps
-        #: the single-node (or non-transactional) platform bit-identical.
+        #: journals and runs every control operation of this platform
+        self.engine = SagaEngine(sim, event_log)
+        #: replicated control plane (:mod:`repro.core.ha`); None = one
+        #: controller node.
         self.ha = None
+        #: the node control operations run on — the one crashable
+        #: controller, which settles its in-flight sagas when the fault
+        #: injector restarts it, or the current HA leader (the cluster
+        #: re-points this on every election).
+        self.controller: Optional[ControlPlaneNode]
         if ha or ha_config is not None:
             from repro.core.ha import HaCluster, HaConfig
 
-            self.transactional = True
-            self.intent_log = IntentLog()
             self.ha = HaCluster(
                 self,
                 ha_config if ha_config is not None else HaConfig(),
             )
             self.intent_log.shipper = self.ha
+            self.engine.authority = self.ha.has_authority
             self.controller = self.ha.leader_node
-        elif transactional:
-            self.controller = ControlPlaneNode(sim)
-            self.controller.on_restart = self.recover
-            self.intent_log = IntentLog()
+        else:
+            node = self.controller = ControlPlaneNode(sim)
+            node.on_restart = self.recover
+            self.engine.authority = lambda saga: not node.crashed
+
+    @property
+    def intent_log(self) -> IntentLog:
+        """The engine's write-ahead journal of control operations."""
+        return self.engine.log
+
+    def recover(self) -> dict[str, int]:
+        """Crash recovery: resolve every in-flight saga in the intent
+        log.  Called by the fault injector's restart of the controller
+        node; safe to call repeatedly."""
+        return self.engine.resolve(self.intent_log.incomplete())
 
     # -- end-to-end integrity ----------------------------------------------
 
@@ -291,204 +292,6 @@ class StorM:
             else:
                 self._mb_refs.pop(mb.name, None)
 
-    # -- the saga executor -------------------------------------------------
-
-    def _record(self, kind: str, target: str, **detail) -> None:
-        if self.event_log is not None:
-            self.event_log.record(self.sim.now, kind, target, **detail)
-
-    def _begin_saga(
-        self,
-        op: str,
-        cookie: str,
-        steps: list[SagaStep],
-        state: Optional[dict] = None,
-        **detail,
-    ) -> Saga:
-        if self.intent_log is not None:
-            saga = self.intent_log.begin(op, cookie, steps, detail)
-            self._record("saga.begin", cookie, op=op)
-        else:
-            # non-transactional: an ephemeral saga gives the same ordered
-            # execution and failure compensation, just without the journal
-            # (and hence without crash recovery).
-            saga = Saga(0, op, cookie, steps, detail)
-        if state is not None:
-            # the step closures were built over this dict; ``store``d
-            # results must land where they read.
-            saga.state = state
-        return saga
-
-    def _check_controller(self, saga: Saga, step_name: str = "") -> None:
-        if self.ha is not None:
-            # HA: an executor may only proceed while the leadership
-            # that began (or adopted) its saga still stands — a leader
-            # crash, step-down, or election revokes it mid-operation.
-            if not self.ha.has_authority(saga):
-                raise ControllerCrashed(saga.op, step_name)
-            return
-        if self.controller is not None and self.controller.crashed:
-            raise ControllerCrashed(saga.op, step_name)
-
-    def _probe(self, saga: Saga, step: SagaStep, when: str) -> None:
-        if self.saga_probe is not None:
-            self.saga_probe(saga, step, when)
-        self._check_controller(saga, step.name)
-
-    def _finish_step(self, saga: Saga, step: SagaStep, result) -> None:
-        saga.results[step.name] = result
-        if step.store is not None:
-            saga.state[step.store] = result
-        if saga.status == ABORTED:
-            # a concurrent recovery (controller restarted while this
-            # step's child process was still in flight) already rolled
-            # the saga back — compensate this straggler result too.
-            if step.undo is not None:
-                step.undo()
-            raise ControllerCrashed(saga.op, step.name)
-        saga.mark(f"done:{step.name}")
-        if step.pivot:
-            saga.pivoted = True
-            saga.mark("pivot")
-
-    def _execute_saga(self, saga: Saga):
-        """Process: run a saga that may contain yielding steps.
-
-        Holds the attach mutex across the ``locked`` step prefix.  On
-        an ordinary exception the started steps are compensated
-        immediately; on :class:`ControllerCrashed` the saga is left
-        in-flight in the intent log for :meth:`recover`.
-        """
-        grant = None
-        span = self._saga_span(saga)
-        if any(step.locked for step in saga.steps):
-            grant = self._attach_mutex.request()
-            yield grant
-        try:
-            for step in saga.steps:
-                if grant is not None and not step.locked:
-                    self._attach_mutex.release(grant)
-                    grant = None
-                self._probe(saga, step, "before")
-                saga.mark(f"start:{step.name}")
-                result = step.do()
-                if isinstance(result, GeneratorType):
-                    result = yield self.sim.process(result)
-                self._finish_step(saga, step, result)
-                if span is not None:
-                    span.event("saga.step", target=step.name)
-                self._probe(saga, step, "after")
-            self._commit_saga(saga)
-            if span is not None:
-                span.finish("committed")
-            return saga.results.get(saga.steps[-1].name) if saga.steps else None
-        except ControllerCrashed:
-            if span is not None:
-                span.finish("crashed")
-            raise
-        except BaseException:
-            self._rollback_saga(saga)
-            if span is not None:
-                span.finish("aborted")
-            raise
-        finally:
-            if grant is not None:
-                self._attach_mutex.release(grant)
-
-    def _saga_span(self, saga: Saga):
-        """Control-plane op as a span (None when uninstrumented)."""
-        if self.obs is None:
-            return None
-        return self.obs.span(f"saga.{saga.op}", cookie=saga.cookie)
-
-    def _execute_saga_sync(self, saga: Saga):
-        """Synchronous executor for sagas whose steps never yield
-        (detach, reconfigure, provisioning)."""
-        span = self._saga_span(saga)
-        try:
-            for step in saga.steps:
-                self._probe(saga, step, "before")
-                saga.mark(f"start:{step.name}")
-                result = step.do()
-                if isinstance(result, GeneratorType):
-                    raise SagaError(
-                        f"step {step.name!r} of {saga.op!r} yields; use the process executor"
-                    )
-                self._finish_step(saga, step, result)
-                if span is not None:
-                    span.event("saga.step", target=step.name)
-                self._probe(saga, step, "after")
-            self._commit_saga(saga)
-            if span is not None:
-                span.finish("committed")
-            return saga.results.get(saga.steps[-1].name) if saga.steps else None
-        except ControllerCrashed:
-            if span is not None:
-                span.finish("crashed")
-            raise
-        except BaseException:
-            self._rollback_saga(saga)
-            if span is not None:
-                span.finish("aborted")
-            raise
-
-    def _commit_saga(self, saga: Saga) -> None:
-        saga.status = COMMITTED
-        saga.mark("commit")
-        if self.intent_log is not None:
-            self._record("saga.commit", saga.cookie, op=saga.op)
-        if self.on_saga_commit is not None:
-            self.on_saga_commit(saga)
-
-    def _rollback_saga(self, saga: Saga) -> None:
-        """Run compensations, newest started step first.  Undo closures
-        are idempotent and tolerate partially-applied steps."""
-        if saga.status != IN_FLIGHT:
-            return
-        for step in reversed(saga.steps):
-            if not saga.started(step.name) or step.undo is None:
-                continue
-            step.undo()
-            self._record("saga.undo", saga.cookie, op=saga.op, step=step.name)
-        saga.status = ABORTED
-        saga.mark("abort")
-        if self.intent_log is not None:
-            self._record("saga.rollback", saga.cookie, op=saga.op)
-
-    def _replay_saga(self, saga: Saga) -> None:
-        """Roll a pivoted saga forward: re-run every step not yet
-        journaled as done.  Post-pivot steps are synchronous and
-        idempotent by construction."""
-        for step in saga.steps:
-            if saga.done(step.name):
-                continue
-            saga.mark(f"start:{step.name}")
-            result = step.do()
-            if isinstance(result, GeneratorType):
-                raise SagaError(
-                    f"cannot replay yielding step {step.name!r} of {saga.op!r}"
-                )
-            self._finish_step(saga, step, result)
-        self._commit_saga(saga)
-
-    def recover(self) -> dict[str, int]:
-        """Crash recovery: resolve every in-flight saga in the intent
-        log — replay it forward if its pivot step was journaled,
-        compensate it otherwise.  Called by the fault injector's
-        restart of the controller node; safe to call repeatedly."""
-        summary = {"replayed": 0, "rolled_back": 0}
-        if self.intent_log is None:
-            return summary
-        for saga in self.intent_log.incomplete():
-            if saga.pivoted:
-                self._replay_saga(saga)
-                summary["replayed"] += 1
-                self._record("saga.replay", saga.cookie, op=saga.op)
-            else:
-                self._rollback_saga(saga)
-                summary["rolled_back"] += 1
-        return summary
-
     # -- middle-box provisioning -----------------------------------------------
 
     def _next_host(self) -> ComputeHost:
@@ -515,14 +318,14 @@ class StorM:
             if mb is not None:
                 self._deprovision_middlebox_impl(mb)
 
-        saga = self._begin_saga(
+        saga = self.engine.begin(
             "provision_middlebox",
             f"storm-mb:{tenant.name}:{spec.name}",
             [SagaStep("provision", do=do_provision, undo=undo_provision, locked=False)],
             tenant=tenant.name,
             kind=spec.kind,
         )
-        return self._execute_saga_sync(saga)
+        return self.engine.run_now(saga)
 
     def _provision_middlebox_impl(self, tenant: Tenant, spec: ServiceSpec) -> MiddleBox:
         host = (
@@ -571,7 +374,7 @@ class StorM:
                         f"middle-box {mb.name} is still in the chain of "
                         f"{flow.vm_name}:{flow.volume_name}; detach first"
                     )
-        saga = self._begin_saga(
+        saga = self.engine.begin(
             "deprovision_middlebox",
             f"storm-mb:{mb.tenant.name}:{mb.name}",
             [
@@ -587,7 +390,7 @@ class StorM:
             ],
             mb=mb.name,
         )
-        self._execute_saga_sync(saga)
+        self.engine.run_now(saga)
 
     def _deprovision_middlebox_impl(self, mb: MiddleBox) -> None:
         if self.middleboxes.pop(mb.name, None) is None:
@@ -760,11 +563,11 @@ class StorM:
             narrow=narrow,
             register=register,
         )
-        saga = self._begin_saga(op, cookie, steps, state=state, **(detail or {}))
+        saga = self.engine.begin(op, cookie, steps, state=state, **(detail or {}))
         pending = self._tenant_pending
         pending[tenant.name] = pending.get(tenant.name, 0) + 1
         try:
-            flow = yield from self._execute_saga(saga)
+            flow = yield from self.engine.run(saga)
         finally:
             left = pending.get(tenant.name, 0) - 1
             if left > 0:
@@ -870,29 +673,40 @@ class StorM:
         ingress_host: Optional[ComputeHost] = None,
         egress_host: Optional[ComputeHost] = None,
     ):
-        """Process: provision everything a tenant policy asks for."""
+        """Process: provision everything a tenant policy asks for —
+        all of it or none: if any box or chain fails, the flows this
+        call attached are detached and the boxes it provisioned are
+        returned to their hosts before the error propagates."""
         policy.validate()
         tenant = self.cloud.tenants.get(policy.tenant)
         if tenant is None:
             raise PolicyError(f"unknown tenant {policy.tenant!r}")
+        vms = [self._find_vm(chain_policy.vm) for chain_policy in policy.chains]
         provisioned: dict[str, MiddleBox] = {}
-        for spec in policy.services:
-            provisioned[spec.name] = self.provision_middlebox(tenant, spec)
-        flows = []
-        for chain_policy in policy.chains:
-            vm = self._find_vm(chain_policy.vm)
-            chain_mbs = [provisioned[name] for name in chain_policy.chain]
-            flow = yield self.sim.process(
-                self.attach_with_services(
-                    tenant,
-                    vm,
-                    chain_policy.volume,
-                    chain_mbs,
-                    ingress_host=ingress_host,
-                    egress_host=egress_host,
+        flows: list[StorMFlow] = []
+        try:
+            for spec in policy.services:
+                provisioned[spec.name] = self.provision_middlebox(tenant, spec)
+            for chain_policy, vm in zip(policy.chains, vms):
+                flow = yield self.sim.process(
+                    self.attach_with_services(
+                        tenant,
+                        vm,
+                        chain_policy.volume,
+                        [provisioned[name] for name in chain_policy.chain],
+                        ingress_host=ingress_host,
+                        egress_host=egress_host,
+                    )
                 )
-            )
-            flows.append(flow)
+                flows.append(flow)
+        except ControllerCrashed:
+            raise  # the controller is down; recovery settles the saga
+        except Exception:
+            for flow in reversed(flows):
+                self.detach(flow)
+            for mb in provisioned.values():
+                self.deprovision_middlebox(mb)
+            raise
         return flows
 
     def _find_vm(self, vm_name: str) -> VirtualMachine:
@@ -939,7 +753,7 @@ class StorM:
             self._track_flow(flow)
             self._register_flow_chain(flow)
 
-        saga = self._begin_saga(
+        saga = self.engine.begin(
             "reconfigure_chain",
             flow.cookie,
             [
@@ -951,7 +765,7 @@ class StorM:
             state=state,
             chain=[mb.name for mb in middleboxes],
         )
-        self._execute_saga_sync(saga)
+        self.engine.run_now(saga)
 
     def detach(self, flow: StorMFlow) -> None:
         """Tear down a flow: close the session, remove its rules, and
@@ -1019,11 +833,11 @@ class StorM:
                 SagaStep("evict-state", do=do_evict, locked=False,
                          forward_only=True)
             )
-        saga = self._begin_saga(
+        saga = self.engine.begin(
             "detach",
             flow.cookie,
             steps,
             vm=flow.vm_name,
             volume=flow.volume_name,
         )
-        self._execute_saga_sync(saga)
+        self.engine.run_now(saga)

@@ -2,9 +2,9 @@
 
 The saga machinery (:mod:`repro.core.saga`) keeps *individual*
 operations atomic; the :class:`Reconciler` closes the remaining gap —
-drift that no single operation owns: rules left behind by a crashed
-non-transactional controller, a switch that lost rules the control
-plane believes installed, stale shadowed generations from an
+drift that no single operation owns: rules left behind when the whole
+intent log is lost, a switch that lost rules the control plane
+believes installed, stale shadowed generations from an
 interrupted make-before-break swap, middle-box VMs whose flows are
 long gone.
 
@@ -102,10 +102,6 @@ class Reconciler:
     def _live_flows(self):
         return [f for f in self.storm.flows if not f.detached]
 
-    def _in_flight_cookies(self) -> set[str]:
-        log = self.storm.intent_log
-        return log.in_flight_cookies() if log is not None else set()
-
     def _iter_nat_tables(self):
         yield from self.storm.cloud.iter_nat_tables()
         for pair in self.storm.gateway_pairs.values():
@@ -120,7 +116,7 @@ class Reconciler:
             self.obs.metrics.counter("reconcile.audits").inc()
         drifts: list[Drift] = []
         flows_by_cookie = {f.cookie: f for f in self._live_flows()}
-        in_flight = self._in_flight_cookies()
+        in_flight = self.storm.intent_log.in_flight_cookies()
 
         # actual rule state, grouped by base cookie
         actual: dict[str, list[tuple[str, object]]] = {}

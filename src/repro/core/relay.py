@@ -172,7 +172,7 @@ class ActiveRelay:
         self.recover_downstream = recover_downstream
         self.max_reconnects = max_reconnects
         self.reconnect_delay = reconnect_delay
-        #: optional :class:`repro.analysis.EventLog` for recovery timelines
+        #: optional :class:`repro.obs.EventLog` for recovery timelines
         self.event_log = None
         #: observability bus hook: when set, relayed PDUs run under
         #: spans and NVM journal transitions emit events.  None = off.

@@ -84,7 +84,7 @@ class MiddleboxAutoscaler:
         #: for full-strength chain healing (:meth:`borrow` / :meth:`restore`);
         #: they count against ``max_size`` but carry none of the pool's flows.
         self.lent: list[MiddleBox] = []
-        #: optional :class:`repro.analysis.EventLog` for healing timelines
+        #: optional :class:`repro.obs.EventLog` for healing timelines
         self.event_log = None
 
     # -- pool management ---------------------------------------------------

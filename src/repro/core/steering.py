@@ -16,8 +16,8 @@ Rule swaps (narrowing, chain reconfiguration) are **make-before-break**
 via *generations*: the replacement rule set is installed first, under a
 generation-suffixed cookie (``<cookie>#g<n>``) and at a generation-
 bumped priority so it shadows its predecessor, and only then is the old
-generation retired.  At every step boundary of a transactional control
-operation the flow therefore has a complete rule set installed — a
+generation retired.  At every step boundary of a control operation's
+saga the flow therefore has a complete rule set installed — a
 controller crash between ``stage`` and ``retire`` leaves two shadowed
 generations (repaired by recovery or the reconciler), never a window
 where traffic bypasses the chain or blackholes.

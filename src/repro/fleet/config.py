@@ -58,10 +58,6 @@ class FleetConfig:
     #: replicate every domain's control plane (3-way quorum shipping);
     #: attach latency then includes the journal-shipping round trips
     ha: bool = False
-    #: non-HA intent-log compaction cadence (sessions resolved per
-    #: domain between ``IntentLog.compact()`` calls); HA clusters
-    #: auto-compact on their own threshold
-    compact_every: int = 64
 
     def validate(self) -> None:
         if self.shards < 1:
@@ -96,5 +92,3 @@ class FleetConfig:
             raise ValueError("ios_per_session must be non-negative")
         if self.connect_latency < 0:
             raise ValueError("connect_latency must be non-negative")
-        if self.compact_every < 1:
-            raise ValueError("compact_every must be >= 1")

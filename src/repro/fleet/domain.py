@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.cloud import CloudController, CloudParams
 from repro.core import StorM
+from repro.core.ha import HaConfig
 from repro.core.policy import ServiceSpec
 from repro.core.saga import Saga
 from repro.fleet.arrivals import SessionPlan
@@ -104,17 +105,9 @@ class FleetDomain:
         self.host = self.cloud.add_compute_host(f"d{domain_id}-c1")
         self.aux = self.cloud.add_compute_host(f"d{domain_id}-c2")
         self.storage = self.cloud.add_storage_host(f"d{domain_id}-st")
-        if config.ha:
-            from repro.core.ha import HaConfig
-
-            self.storm = StorM(
-                sim,
-                self.cloud,
-                ha_config=HaConfig(seed=config.seed * 1009 + domain_id),
-            )
-        else:
-            self.storm = StorM(sim, self.cloud, transactional=True)
-        self.storm.on_saga_commit = self._on_commit
+        ha_config = HaConfig(seed=config.seed * 1009 + domain_id) if config.ha else None
+        self.storm = StorM(sim, self.cloud, ha_config=ha_config)
+        self.storm.engine.on_commit = self._on_commit
 
         #: per-attach HA shipping RTT, keyed by saga cookie until the
         #: session process charges it into ``fleet.attach.latency``
@@ -122,7 +115,6 @@ class FleetDomain:
         self._tenants: dict[int, _TenantState] = {}
         self._next_port = _PORT_BASE
         self._free_ports: list[int] = []
-        self._resolved = 0
 
     # -- deterministic ephemeral ports -------------------------------------
 
@@ -180,13 +172,6 @@ class FleetDomain:
     def _after_detach(self, state: _TenantState) -> None:
         if state.busy == 0 and self.storm.tenant_flow_count(state.tenant.name) == 0:
             self._tenant_idle(state)
-        self._resolved += 1
-        if (
-            self.storm.ha is None
-            and self.storm.intent_log is not None
-            and self._resolved % self.config.compact_every == 0
-        ):
-            self.storm.intent_log.compact()
 
     # -- the session processes ----------------------------------------------
 

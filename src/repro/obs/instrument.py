@@ -107,6 +107,7 @@ def instrument(
 
     if storm is not None:
         storm.obs = bus
+        storm.engine.obs = bus
         ha = getattr(storm, "ha", None)
         if ha is not None:
             # replication mesh links + the election/term/quorum gauges

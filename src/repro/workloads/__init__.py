@@ -10,7 +10,9 @@
 - :mod:`repro.workloads.malware` — the Ganiw.a backdoor installation
   trace of Table III;
 - :mod:`repro.workloads.hostile` — adversarial bytes aimed at the
-  semantic monitor's reconstruction (fuzz corpus + workload driver).
+  semantic monitor's reconstruction (fuzz corpus + workload driver);
+- :mod:`repro.workloads.stats` — the latency samples and per-second
+  timelines the drivers report into.
 """
 
 from repro.workloads.fio import FioConfig, FioJob, FioResult
@@ -18,6 +20,7 @@ from repro.workloads.ftp import FtpResult, FtpTransfer
 from repro.workloads.hostile import HostileWorkload, hostile_block, hostile_dirent_corpus
 from repro.workloads.postmark import PostmarkConfig, PostmarkJob, PostmarkResult
 from repro.workloads.oltp import MySqlServer, OltpClient, OltpConfig
+from repro.workloads.stats import LatencyStats, Timeline, percentile
 from repro.workloads.malware import GANIW_STEPS, run_ganiw_install, setup_system_image
 
 __all__ = [
@@ -28,14 +31,17 @@ __all__ = [
     "FtpTransfer",
     "GANIW_STEPS",
     "HostileWorkload",
+    "LatencyStats",
     "MySqlServer",
     "OltpClient",
     "OltpConfig",
     "PostmarkConfig",
     "PostmarkJob",
     "PostmarkResult",
+    "Timeline",
     "hostile_block",
     "hostile_dirent_corpus",
+    "percentile",
     "run_ganiw_install",
     "setup_system_image",
 ]

@@ -12,9 +12,9 @@ import inspect
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.metrics import LatencyStats
 from repro.fs.layout import BLOCK_SIZE
 from repro.sim import SeededRNG, Simulator
+from repro.workloads.stats import LatencyStats
 
 
 @dataclass

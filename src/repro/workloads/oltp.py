@@ -5,7 +5,7 @@ volume (attached through the replication middle-box); several client
 VMs run request threads against it over the instance network.  Each
 "complex mode" transaction mixes random page reads and read-modify-
 write updates.  Completions land in a per-second
-:class:`~repro.analysis.metrics.Timeline` — the Figure 13 plot.
+:class:`~repro.workloads.stats.Timeline` — the Figure 13 plot.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.analysis.metrics import Timeline
 from repro.fs.layout import BLOCK_SIZE
 from repro.net.tcp import EOF, RESET, TcpListener, TcpSocket
 from repro.sim import SeededRNG, Simulator
+from repro.workloads.stats import Timeline
 
 
 @dataclass

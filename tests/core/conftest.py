@@ -4,7 +4,7 @@ import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.cloud import CloudController, CloudParams
-from repro.core import StorM, StorageService
+from repro.core import Reconciler, StorM, StorageService
 from repro.core.policy import ServiceSpec
 from repro.iscsi.pdu import DataInPdu, ScsiCommandPdu
 from repro.sim import Simulator
@@ -34,8 +34,8 @@ class XorService(StorageService):
 class StormEnv:
     """A 4-compute/1-storage cloud with one tenant VM and volume."""
 
-    def __init__(self, volume_size=1024 * BLOCK_SIZE, transactional=False,
-                 express=False, sim=None, params=None):
+    def __init__(self, volume_size=1024 * BLOCK_SIZE, express=False, sim=None,
+                 params=None):
         self.sim = Simulator() if sim is None else sim
         if params is None:
             params = CloudParams(express=True) if express else None
@@ -48,7 +48,7 @@ class StormEnv:
             self.tenant, "vm1", self.cloud.compute_hosts["compute1"]
         )
         self.volume = self.cloud.create_volume(self.tenant, "vol1", volume_size)
-        self.storm = StorM(self.sim, self.cloud, transactional=transactional)
+        self.storm = StorM(self.sim, self.cloud)
         self.storm.register_service("xor", lambda spec, storm: XorService())
 
     def run(self, gen):
@@ -80,6 +80,15 @@ class StormEnv:
         return flow, mbs
 
 
+def assert_at_rest(storm):
+    """The invariant every scenario must end in: no saga left in
+    flight, no drift between intent and the switch/NAT tables."""
+    assert storm.intent_log.incomplete() == []
+    assert Reconciler(storm).audit() == []
+
+
 @pytest.fixture
 def env():
-    return StormEnv()
+    env = StormEnv()
+    yield env
+    assert_at_rest(env.storm)

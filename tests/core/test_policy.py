@@ -4,6 +4,7 @@ import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.core.policy import (
+    ChainPolicy,
     PolicyError,
     ServiceSpec,
     TenantPolicy,
@@ -101,6 +102,46 @@ def test_deploy_policy_unknown_tenant():
 
     with pytest.raises(PolicyError, match="unknown tenant"):
         env.run(deploy())
+
+
+def committed(env):
+    return {
+        name: (host.committed_vcpus, host.committed_memory_mb)
+        for name, host in env.cloud.compute_hosts.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "chains, error",
+    [
+        # the chain names a VM that does not exist
+        ([ChainPolicy("no-such-vm", "vol1", ["a", "b"])], PolicyError),
+        # the first chain attaches, the second one's volume is missing
+        (
+            [ChainPolicy("vm1", "vol1", ["a"]), ChainPolicy("vm1", "no-such-vol", ["b"])],
+            KeyError,
+        ),
+    ],
+    ids=["unknown-vm", "second-attach-fails"],
+)
+def test_failed_deploy_leaves_nothing_behind(env, chains, error):
+    """A deploy that fails part-way returns every box it provisioned
+    (and detaches every flow it attached) before raising."""
+    before = committed(env)
+    policy = TenantPolicy(
+        tenant="acme",
+        services=[ServiceSpec("a", "noop", relay="fwd"), ServiceSpec("b", "noop", relay="fwd")],
+        chains=chains,
+    )
+
+    def deploy():
+        yield env.sim.process(env.storm.deploy_policy(policy))
+
+    with pytest.raises(error):
+        env.run(deploy())
+    assert env.storm.middleboxes == {}
+    assert env.storm.flows == []
+    assert committed(env) == before
 
 
 def test_deploy_policy_unknown_kind():

@@ -13,7 +13,6 @@ fails would pass equivalence vacuously).
 
 import pytest
 
-from repro.analysis import Timeline
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.fs import ExtFilesystem, SessionDevice
 from repro.workloads import (
@@ -22,6 +21,7 @@ from repro.workloads import (
     OltpConfig,
     PostmarkConfig,
     PostmarkJob,
+    Timeline,
 )
 
 from benchmarks.harness import LEGACY, MB_ACTIVE, build_testbed, fio

@@ -4,15 +4,17 @@ recovery knob on (reliable TCP, iSCSI session recovery) plus a seeded
 
 import pytest
 
-from repro.analysis import EventLog
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.cloud import CloudController
 from repro.cloud.params import CloudParams
 from repro.core import StorM
 from repro.core.policy import ServiceSpec
 from repro.faults import FaultInjector
+from repro.obs import EventLog
 from repro.services import install_default_services
 from repro.sim import Simulator
+
+from tests.core.conftest import assert_at_rest
 
 
 def recovery_params(**overrides) -> CloudParams:
@@ -26,7 +28,7 @@ class FaultEnv:
     """A 4-compute/1-storage recoverable cloud with vm1/vol1 + injector."""
 
     def __init__(self, seed=7, volume_size=1024 * BLOCK_SIZE, params=None,
-                 transactional=False, ha=False, ha_config=None):
+                 ha=False, ha_config=None):
         self.sim = Simulator()
         self.params = params or recovery_params()
         self.cloud = CloudController(self.sim, self.params)
@@ -39,11 +41,8 @@ class FaultEnv:
         )
         self.volume = self.cloud.create_volume(self.tenant, "vol1", volume_size)
         self.log = EventLog()
-        journaled = transactional or ha or ha_config is not None
         self.storm = StorM(
-            self.sim, self.cloud, transactional=transactional,
-            event_log=self.log if journaled else None,
-            ha=ha, ha_config=ha_config,
+            self.sim, self.cloud, event_log=self.log, ha=ha, ha_config=ha_config
         )
         install_default_services(self.storm)
         self.injector = FaultInjector(self.sim, seed=seed, log=self.log)
@@ -89,4 +88,6 @@ class FaultEnv:
 
 @pytest.fixture
 def env():
-    return FaultEnv()
+    env = FaultEnv()
+    yield env
+    assert_at_rest(env.storm)

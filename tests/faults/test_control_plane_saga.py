@@ -23,10 +23,6 @@ ATTACH_STEPS = [
 COOKIE = "storm:vm1:vol1"
 
 
-def tx_env(**kwargs):
-    return FaultEnv(transactional=True, **kwargs)
-
-
 def switch_rules(env, cookie=COOKIE):
     return [
         (name, rule)
@@ -55,14 +51,14 @@ def crash_probe(env, op, step_name, phase):
         fired["at"] = env.sim.now
         env.injector.crash(env.storm.controller, restart_after=0.5)
 
-    env.storm.saga_probe = probe
+    env.storm.engine.probe = probe
     return fired
 
 
 @pytest.mark.parametrize("phase", ["before", "after"])
 @pytest.mark.parametrize("step_name", ATTACH_STEPS)
 def test_attach_crash_matrix(step_name, phase):
-    env = tx_env()
+    env = FaultEnv()
     storm = env.storm
     mb = storm.provision_middlebox(env.tenant, env.spec(name="svc", relay="fwd"))
     fired = crash_probe(env, "attach_with_services", step_name, phase)
@@ -109,7 +105,7 @@ def test_attach_crash_matrix(step_name, phase):
 def test_detach_crash_rolls_forward():
     """Detach's first step is the pivot: any crash mid-detach completes
     the teardown on recovery, never resurrects the flow."""
-    env = tx_env()
+    env = FaultEnv()
     storm = env.storm
     flow, _mbs = env.attach([env.spec(name="svc", relay="fwd")])
     fired = crash_probe(env, "detach", "remove-rules", "before")
@@ -130,7 +126,7 @@ def test_detach_crash_rolls_forward():
 def test_reconfigure_crash_keeps_a_complete_rule_set():
     """A crash between stage and retire leaves two shadowed rule
     generations; recovery retires the stale one."""
-    env = tx_env()
+    env = FaultEnv()
     storm = env.storm
     flow, _mbs = env.attach([env.spec(name="a", relay="fwd")])
     mb2 = storm.provision_middlebox(env.tenant, env.spec(name="b", relay="fwd"))
@@ -153,24 +149,3 @@ def test_reconfigure_crash_keeps_a_complete_rule_set():
 
 def saga_committed(storm, op):
     return storm.intent_log.by_op(op)[0].status == COMMITTED
-
-
-def test_transactional_attach_equivalent_to_plain():
-    """With no faults injected, the transactional platform produces the
-    same attach outcome as the plain one."""
-    from repro.net.stack import NetworkStack
-
-    flows = {}
-    plain, tx = {}, {}
-    for name, env_kwargs in (("plain", {}), ("tx", {"transactional": True})):
-        # ephemeral ports come from a process-wide counter; reset it so
-        # both runs see identical port sequences
-        NetworkStack._ephemeral_port_counter = 49152
-        env = FaultEnv(**env_kwargs)
-        flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
-        flows[name] = flow
-        (plain if name == "plain" else tx)["env"] = env
-    plain, tx = plain["env"], tx["env"]
-    assert flows["plain"].src_port == flows["tx"].src_port
-    assert flows["plain"].cookie == flows["tx"].cookie
-    assert plain.sim.now == tx.sim.now

@@ -7,10 +7,6 @@ from repro.net.switch import cookie_in_family
 from tests.faults.conftest import FaultEnv
 
 
-def tx_env():
-    return FaultEnv(transactional=True)
-
-
 def switch_rules(env, cookie):
     return [
         (name, rule)
@@ -20,15 +16,15 @@ def switch_rules(env, cookie):
 
 
 def test_clean_platform_audits_clean():
-    env = tx_env()
+    env = FaultEnv()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     assert Reconciler(env.storm).audit() == []
 
 
 def test_orphan_rules_are_garbage_collected():
-    """Rules whose flow no longer exists (e.g. leaked by a dead
-    non-transactional controller) are swept."""
-    env = tx_env()
+    """Rules whose flow no longer exists (e.g. leaked when the whole
+    intent log was lost) are swept."""
+    env = FaultEnv()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     # simulate a leak: forget the flow without removing its rules
     env.storm.flows.clear()
@@ -43,7 +39,7 @@ def test_orphan_rules_are_garbage_collected():
 
 
 def test_stale_generation_is_retired():
-    env = tx_env()
+    env = FaultEnv()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     # leave a shadowed generation behind, as a crash between stage and
     # retire would
@@ -62,7 +58,7 @@ def test_stale_generation_is_retired():
 def test_missing_rules_are_reinstalled():
     """A switch that lost rules the control plane believes installed
     (e.g. a switch restart) gets them re-pushed."""
-    env = tx_env()
+    env = FaultEnv()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     active = flow.chain.active_cookie
     # knock the rules out of the switch tables behind the SDN
@@ -81,7 +77,7 @@ def test_missing_rules_are_reinstalled():
 
 
 def test_orphan_nat_rules_are_removed():
-    env = tx_env()
+    env = FaultEnv()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     from repro.net.nat import NatRule
 
@@ -96,7 +92,7 @@ def test_orphan_nat_rules_are_removed():
 
 
 def test_crashed_flowless_middlebox_reported_and_gced():
-    env = tx_env()
+    env = FaultEnv()
     mb = env.storm.provision_middlebox(env.tenant, env.spec(name="idle", relay="fwd"))
     env.injector.crash(mb)
 
@@ -113,7 +109,7 @@ def test_crashed_flowless_middlebox_reported_and_gced():
 
 
 def test_reconcile_loop_repairs_periodically():
-    env = tx_env()
+    env = FaultEnv()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     rec = Reconciler(env.storm)
     env.sim.process(rec.run(interval=0.1, duration=1.0))

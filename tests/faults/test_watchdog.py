@@ -8,10 +8,6 @@ from repro.net.switch import Drop
 from tests.faults.conftest import FaultEnv
 
 
-def tx_env():
-    return FaultEnv(transactional=True)
-
-
 def quiesce_rules(env, flow):
     return [
         (name, rule)
@@ -21,7 +17,7 @@ def quiesce_rules(env, flow):
 
 
 def test_fail_open_bypasses_dead_middlebox_and_reinstates():
-    env = tx_env()
+    env = FaultEnv()
     flow, (mb1, mb2) = env.attach(
         [env.spec(name="a", relay="fwd"), env.spec(name="b", relay="fwd")]
     )
@@ -42,7 +38,7 @@ def test_fail_open_bypasses_dead_middlebox_and_reinstates():
 
 
 def test_fail_closed_quiesces_and_unquiesces():
-    env = tx_env()
+    env = FaultEnv()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])
     dog = ChainWatchdog(
         env.storm, tenant_policies={"acme": FAIL_CLOSED}, event_log=env.log
@@ -61,7 +57,7 @@ def test_fail_closed_quiesces_and_unquiesces():
 
 
 def test_quiesce_installs_drop_rules_while_down():
-    env = tx_env()
+    env = FaultEnv()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])
     dog = ChainWatchdog(env.storm, tenant_policies={"acme": FAIL_CLOSED})
     env.injector.crash(mb)  # no restart
@@ -77,7 +73,7 @@ def test_quiesce_installs_drop_rules_while_down():
 def test_active_relay_chain_is_always_fail_closed():
     """Bypassing an active relay would corrupt its per-flow TCP state,
     so even a fail-open tenant gets quiesced."""
-    env = tx_env()
+    env = FaultEnv()
     flow, (mb,) = env.attach([env.spec(name="a", relay="active")])
     dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN, event_log=env.log)
     env.injector.crash(mb)
@@ -88,7 +84,7 @@ def test_active_relay_chain_is_always_fail_closed():
 
 
 def test_fail_open_quiesces_when_no_survivors():
-    env = tx_env()
+    env = FaultEnv()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])
     dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN, event_log=env.log)
     env.injector.crash(mb)

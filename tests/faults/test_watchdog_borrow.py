@@ -10,7 +10,7 @@ from tests.faults.conftest import FaultEnv
 
 
 def pool_env(chain_specs, pool_names=("pool-1", "pool-2"), min_size=1, max_size=4):
-    env = FaultEnv(transactional=True)
+    env = FaultEnv()
     flow, mbs = env.attach([env.spec(name=n, relay="fwd") for n in chain_specs])
     spares = [
         env.storm.provision_middlebox(env.tenant, env.spec(name=n, relay="fwd"))

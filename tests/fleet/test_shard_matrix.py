@@ -9,7 +9,6 @@ only interleaves queues, it never reorders anything a workload can
 observe.
 """
 
-from repro.analysis import Timeline
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.sim import ShardedKernel, Simulator
 from repro.fs import ExtFilesystem, SessionDevice
@@ -21,6 +20,7 @@ from repro.workloads import (
     OltpConfig,
     PostmarkConfig,
     PostmarkJob,
+    Timeline,
 )
 
 from benchmarks.harness import MB_FWD, VOLUME_SIZE, build_testbed

@@ -35,7 +35,7 @@ def leader_kill_probe(env, op, step_name, phase, restart_after=1.0):
         fired["at"] = env.sim.now
         env.injector.crash_leader(env.storm.ha, restart_after=restart_after)
 
-    env.storm.saga_probe = probe
+    env.storm.engine.probe = probe
     return fired
 
 
@@ -213,7 +213,7 @@ def test_log_loss_with_in_flight_saga_sweeps_transients():
             env.injector.crash_leader(cluster)
             env.injector.lose_intent_log(cluster)  # leaderless: deferred
 
-    storm.saga_probe = probe
+    storm.engine.probe = probe
 
     def do_attach():
         yield env.sim.process(

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core import ControllerCrashed, Reconciler
-from repro.core.ha import HaConfig
-from repro.core.saga import QuorumLost
+from repro.core.saga import COMPACT_EVERY, QuorumLost
 from repro.obs import ObsBus, instrument
 
 from tests.ha.conftest import ha_env
@@ -113,7 +112,7 @@ def test_compaction_drops_only_resolved_sagas():
     log = env.storm.intent_log
     total = len(log)
     assert total >= 2  # provision + attach, all committed
-    dropped = cluster.compact()
+    dropped = log.compact()  # the replica logs compact with it
     assert dropped == total
     assert len(log) == 0 and log.compacted == total
     assert all(not rl.records for rl in cluster.logs.values())
@@ -133,7 +132,7 @@ def test_replay_after_compaction_equals_replay_without():
         # history: two committed sagas (provision + attach)
         env.attach([env.spec(name="svc", relay="fwd")])
         if compact:
-            cluster.compact()
+            env.storm.intent_log.compact()
         # one in-flight saga: crash the leader mid-attach of a second
         # volume, after its chain is installed but before the pivot
         env.cloud.create_volume(env.tenant, "vol2", env.volume.size)
@@ -148,7 +147,7 @@ def test_replay_after_compaction_equals_replay_without():
                 fired["at"] = env.sim.now
                 env.injector.crash(env.storm.controller)
 
-        env.storm.saga_probe = probe
+        env.storm.engine.probe = probe
         cluster.start()
 
         def do_attach():
@@ -180,11 +179,19 @@ def test_replay_after_compaction_equals_replay_without():
     assert plain["takeover"] == compacted["takeover"]
 
 
-def test_auto_compaction_at_threshold():
-    env = ha_env(ha_config=HaConfig(compact_threshold=4))
+def test_auto_compaction_every_64_resolved_sagas():
+    """The engine's one trigger compacts the logical log and, through
+    the shipper hook, every replica log."""
+    env = ha_env()
     log = env.storm.intent_log
-    # each provision saga resolves with a commit -> counts to threshold
-    for i in range(4):
-        env.storm.provision_middlebox(env.tenant, env.spec(name=f"s{i}", relay="fwd"))
-    assert log.compacted >= 4
-    assert len(log) == 0
+
+    def two_sagas(i):
+        mb = env.storm.provision_middlebox(env.tenant, env.spec(name=f"s{i}", relay="fwd"))
+        env.storm.deprovision_middlebox(mb)
+
+    for i in range(COMPACT_EVERY // 2 - 1):
+        two_sagas(i)
+    assert log.compacted == 0 and len(log) == COMPACT_EVERY - 2
+    two_sagas(-1)
+    assert log.compacted == COMPACT_EVERY and len(log) == 0
+    assert all(not rl.records for rl in env.storm.ha.logs.values())

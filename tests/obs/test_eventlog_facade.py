@@ -3,10 +3,8 @@ while (optionally) mirroring every record onto the observability bus."""
 
 from __future__ import annotations
 
-from repro.analysis import EventLog, EventRecord
-from repro.analysis.events import make_event_log
 from repro.faults import FaultInjector
-from repro.obs import ObsBus
+from repro.obs import EventLog, EventRecord, ObsBus, make_event_log
 from repro.sim import Simulator
 
 

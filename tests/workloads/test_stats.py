@@ -1,8 +1,10 @@
-"""Metrics and reporting helpers."""
+"""Workload statistics and the figure benchmarks' table helpers."""
 
 import pytest
 
-from repro.analysis import LatencyStats, Timeline, format_table, normalize, percentile
+from repro.workloads import LatencyStats, Timeline, percentile
+
+from benchmarks.harness import format_table, normalize
 
 
 def test_percentile_nearest_rank():
