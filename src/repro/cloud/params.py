@@ -88,7 +88,7 @@ class CloudParams:
     #: stamp every data PDU with a keyed MAC + traversal proof and
     #: verify at the endpoints.  Off by default: none of the machinery
     #: is constructed and runs are bit-identical to an integrity-less
-    #: build (BENCH_kernel.json).
+    #: build (tests/determinism/pinned.json).
     integrity: bool = False
     #: SCSI-level retries of a verified-corrupt command before the
     #: session fails it with IntegrityError
@@ -109,7 +109,7 @@ class CloudParams:
     #: flow is gone — releases its gateway pair and drops its
     #: per-tenant obs metrics scope.  Off by default: conntrack and
     #: gateways then outlive detach (the pre-fleet behavior), keeping
-    #: knob-off runs bit-identical to ``BENCH_kernel.json``.
+    #: knob-off runs bit-identical to ``tests/determinism/pinned.json``.
     evict_detached: bool = False
 
     # -- express fast path ------------------------------------------------

@@ -56,7 +56,7 @@ class ObsPassiveRule(Rule):
     Failure scenario: a sink "helpfully" schedules a flush with
     ``sim.timeout(...)`` or salts a sampling decision with ``sim.rng``.
     Attaching the bus now perturbs the event stream, and the
-    obs-off-equals-``BENCH_kernel.json`` guarantee (DESIGN.md §11)
+    obs-off-equals-``pinned.json`` guarantee (DESIGN.md §11)
     breaks only in instrumented runs — the worst place to debug.
     Nothing reachable from a function defined in an ``obs`` package
     may schedule kernel events or draw from ``sim.rng``.
@@ -222,8 +222,8 @@ class BoundedTenantRegistryRule(Rule):
     never cleaned.  Nothing breaks in tests (a few tenants, short
     runs), but at fleet scale the process holds an entry for every
     session *ever attached*: memory is O(ever-attached) instead of
-    O(active), and the peak-RSS budget in ``BENCH_fleet.json`` blows
-    through (DESIGN.md §15).  Any module that stores into a container
+    O(active), and the ``peak_rss_mb`` gate on ``fleet_churn`` trips
+    (``benchmarks/e2e``, DESIGN.md §15).  Any module that stores into a container
     whose name or key mentions a session identifier (tenant / flow /
     iqn / conn / sess) must also contain an eviction for that same
     container (``pop`` / ``del`` / ``clear`` / ``discard`` /

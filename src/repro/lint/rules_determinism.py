@@ -3,9 +3,9 @@
 Every experiment claim in this repo — the kernel speedup, zero-overhead
 fault machinery, the chaos matrix's two-outcome guarantees — is checked
 by *bit-identical replay*: run the simulation twice (or against
-``BENCH_kernel.json``) and require the exact same event stream.  Each
-rule here bans one way real PRs have historically smuggled
-run-to-run variance into such simulations.
+``tests/determinism/pinned.json``) and require the exact same event
+stream.  Each rule here bans one way real PRs have historically
+smuggled run-to-run variance into such simulations.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class WallClockRule(Rule):
     Failure scenario: a middle-box stamps a journal entry with
     ``time.time()``; two replays of the same seed produce different
     timestamps, event payloads diverge, and the run-twice identity test
-    (and ``BENCH_kernel.json`` comparison) fails only on the machine
+    (and ``pinned.json`` comparison) fails only on the machine
     where scheduling jitter changed the interleaving.  Simulated code
     must read ``sim.now`` — the virtual clock — never the host's.
     """

@@ -113,8 +113,8 @@ class TransitiveWallClockRule(_FlowRule):
     Failure scenario: the kernel calls a formatting helper that calls
     ``time.time()`` three modules away.  The per-file rule sees only
     one file at a time and the helper's module looks like plumbing —
-    but every replay stamps different values, and
-    ``BENCH_kernel.json`` comparisons fail on exactly one machine.
+    but every replay stamps different values, and the
+    ``pinned.json`` comparison fails on exactly one machine.
     The call chain in the finding shows how the kernel reaches it.
     """
 

@@ -85,8 +85,15 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over retained samples (0 when the
-        histogram is empty or was created without ``keep_samples``)."""
+        """Nearest-rank percentile over retained samples (0 while a
+        sample-keeping histogram is still empty).  Without
+        ``keep_samples`` there is nothing to rank, and an answer of 0
+        would read as a measured zero."""
+        if self.samples is None:
+            raise ValueError(
+                f"histogram {self.name!r} keeps no samples; build its "
+                "registry with keep_samples=True to read percentiles"
+            )
         if not self.samples:
             return 0.0
         ordered = sorted(self.samples)

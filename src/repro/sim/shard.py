@@ -23,8 +23,8 @@ Determinism argument (DESIGN.md §15):
 With ``shards=1`` the single shard allocates the same sequence numbers
 a plain :class:`Simulator` would (one counter, starting at zero) and
 the merge loop degenerates to the base run loop, so a one-shard kernel
-is bit-identical to an unsharded run — the property the fleet
-benchmarks pin against ``BENCH_kernel.json``.
+is bit-identical to an unsharded run — the property
+``tests/sim/test_shard.py`` pins.
 
 Partition rule: simulation objects (nodes, links, sockets, platforms)
 must live entirely within one shard; processes only ever schedule onto
