@@ -53,18 +53,15 @@ def build_testbed(
     volume_size: int = VOLUME_SIZE,
     service_kind: str | None = None,
     express: bool = False,
-    sim: Simulator | None = None,
 ) -> Testbed:
     """Stand up the cloud and attach vol1 according to ``mode``.
 
     ``service_kind`` defaults to no processing for MB-FWD and the
     paper's stream cipher for the relay modes.  ``express=True`` turns
     on the flow-level fast path (application-level results must be
-    bit-identical to packet mode).  ``sim`` lets the shard-matrix
-    tests build the bed on one shard of a ``ShardedKernel``.
+    bit-identical to packet mode).
     """
-    if sim is None:
-        sim = Simulator()
+    sim = Simulator()
     cloud = CloudController(sim, CloudParams(express=True) if express else None)
     for i in range(1, 6):
         cloud.add_compute_host(f"compute{i}")

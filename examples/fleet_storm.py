@@ -1,8 +1,8 @@
-"""Fleet scale: churn a thousand sessions through sharded domains.
+"""Fleet scale: churn a thousand sessions through independent domains.
 
 Runs the open-loop fleet generator (DESIGN.md §15) — heavy-tailed
 arrivals, Zipf tenant skew, a diurnal curve, and two churn storms —
-across four sharded simulation domains with HA control planes, then
+across four independent simulation domains with HA control planes, then
 shows the two properties the fleet work pins:
 
 - **determinism**: a second identical run produces a byte-identical

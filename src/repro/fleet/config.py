@@ -17,7 +17,8 @@ class FleetConfig:
 
     #: master seed; every stochastic stream derives from it by name
     seed: int = 0
-    #: simulation shards (per-tenant domains); 1 = unsharded kernel
+    #: independent simulation domains; tenant ``k`` runs in domain
+    #: ``k % shards`` and the domains run one after another
     shards: int = 1
     #: tenant population; sizes are Zipf-skewed (``zipf_s``)
     tenants: int = 20

@@ -1,11 +1,13 @@
-"""One sharded simulation domain: a self-contained mini-cloud driven
-by fleet session plans.
+"""One fleet simulation domain: a self-contained mini-cloud driven by
+fleet session plans.
 
-Every domain owns its own :class:`~repro.cloud.CloudController`,
-compute/storage hosts, and (optionally HA-replicated) StorM platform,
-all built on one shard of the :class:`~repro.sim.ShardedKernel` — so
-domains never interact and the kernel's per-shard partition rule holds
-by construction.
+Every domain owns its own :class:`~repro.sim.Simulator`,
+:class:`~repro.cloud.CloudController`, compute/storage hosts, and
+(optionally HA-replicated) StorM platform, so domains never interact:
+what a domain records (its trace, its start/finish marks, its event
+count) is a function of ``(config, domain id)`` alone, and
+:class:`~repro.fleet.generator.FleetRun` folds the domains' records
+after they have all run.
 
 Sessions are *control-plane-faithful, data-plane-synthetic*: each one
 runs the real atomic-attach saga (transient NAT rules, steering-chain
@@ -20,7 +22,7 @@ O(active) under churn.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable
 
 from repro.cloud import CloudController, CloudParams
 from repro.core import StorM
@@ -32,9 +34,6 @@ from repro.fleet.config import FleetConfig
 from repro.iscsi.pdu import ISCSI_PORT
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
-
-if TYPE_CHECKING:
-    from repro.fleet.generator import FleetRun
 
 #: first ephemeral source port handed to fleet sessions
 _PORT_BASE = 40000
@@ -75,7 +74,7 @@ class _TenantState:
 
 
 class FleetDomain:
-    """One shard's mini-cloud plus its session executor."""
+    """One domain's mini-cloud plus its session executor."""
 
     def __init__(
         self,
@@ -83,15 +82,17 @@ class FleetDomain:
         domain_id: int,
         config: FleetConfig,
         metrics: MetricsRegistry,
-        trace: list,
-        run: Optional["FleetRun"] = None,
     ) -> None:
         self.sim = sim
         self.domain_id = domain_id
         self.config = config
         self.metrics = metrics
-        self.trace = trace
-        self.run = run
+        #: ``(attach-completion instant, record)`` per session, in this
+        #: domain's event order (so non-decreasing in the instant)
+        self.trace: list[tuple[float, dict]] = []
+        #: ``(instant, +1 | -1)`` per session start / finish, same order
+        self.marks: list[tuple[float, int]] = []
+        self.completed = 0
 
         params = CloudParams(
             evict_detached=True,
@@ -190,9 +191,8 @@ class FleetDomain:
         config = self.config
         state = self._ensure_tenant(plan.tenant)
         state.busy += 1
-        if self.run is not None:
-            self.run.session_started()
         t0 = self.sim.now
+        self.marks.append((t0, 1))
         port = self._alloc_port()
         cookie = f"fleet:{self.domain_id}:{plan.index}"
 
@@ -223,13 +223,16 @@ class FleetDomain:
         latency = (self.sim.now - t0) + self._ship_rtts.pop(cookie, 0.0)
         self.metrics.histogram("fleet.attach.latency").observe(latency)
         self.trace.append(
-            {
-                "d": self.domain_id,
-                "i": plan.index,
-                "t": state.tenant.name,
-                "at": t0,
-                "lat": latency,
-            }
+            (
+                self.sim.now,
+                {
+                    "d": self.domain_id,
+                    "i": plan.index,
+                    "t": state.tenant.name,
+                    "at": t0,
+                    "lat": latency,
+                },
+            )
         )
 
         gap = plan.hold / (plan.ios + 1)
@@ -243,5 +246,5 @@ class FleetDomain:
         self._release_port(port)
         state.busy -= 1
         self._after_detach(state)
-        if self.run is not None:
-            self.run.session_finished()
+        self.marks.append((self.sim.now, -1))
+        self.completed += 1

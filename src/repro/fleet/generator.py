@@ -1,9 +1,11 @@
-"""The fleet run: sharded kernel + domains + deterministic reporting."""
+"""The fleet run: K independent domains, one fold, deterministic reporting."""
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
+from operator import itemgetter
 from typing import Optional
 
 from repro.fleet.arrivals import SessionPlan, build_plan
@@ -19,12 +21,16 @@ class FleetRunError(RuntimeError):
 
 
 class FleetRun:
-    """Build the sharded kernel, place tenants, dispatch the plan.
+    """Build one simulator and domain per shard, place tenants, run
+    the domains one after another, fold their records.
 
-    Tenant ``k`` lives on shard ``k % shards`` — all of a tenant's
+    Tenant ``k`` lives in domain ``k % shards`` — all of a tenant's
     sessions land in one domain, so no simulation object is ever
-    touched from two shards.  The merged event order, the session
-    trace, and every reported figure are pure functions of the
+    touched from two domains and a domain's records are a function of
+    ``(config, domain id)`` alone.  The fleet's ``trace``,
+    ``peak_concurrent`` and ``completed`` are a stable merge of the
+    per-domain records on simulated time, domain id breaking ties
+    (DESIGN.md §15), so every reported figure is a pure function of the
     :class:`FleetConfig`.
     """
 
@@ -35,50 +41,59 @@ class FleetRun:
         #: shared passive registry (keep_samples: the benchmarks read
         #: attach-latency percentiles out of it)
         self.metrics = MetricsRegistry(keep_samples=True)
-        #: session records appended in merged event order — the
-        #: deterministic byte stream the benchmarks digest
+        #: session records in attach-completion order (filled by
+        #: :meth:`run`) — the deterministic byte stream the tiers digest
         self.trace: list[dict] = []
         self.plan: list[SessionPlan] = build_plan(
             config, SeededRNG(config.seed, name="fleet")
         )
-        self.active = 0
         self.peak_concurrent = 0
         self.completed = 0
+        self._ran = False
 
         per_shard: list[list[SessionPlan]] = [[] for _ in range(config.shards)]
         for plan in self.plan:
             per_shard[plan.tenant % config.shards].append(plan)
         self._per_shard = per_shard
         self.domains = [
-            FleetDomain(
-                self.kernel.shards[i], i, config, self.metrics, self.trace, run=self
-            )
-            for i in range(config.shards)
+            FleetDomain(sim, i, config, self.metrics)
+            for i, sim in enumerate(self.kernel.shards)
         ]
-
-    # -- concurrency accounting (called by the domains) --------------------
-
-    def session_started(self) -> None:
-        self.active += 1
-        if self.active > self.peak_concurrent:
-            self.peak_concurrent = self.active
-
-    def session_finished(self) -> None:
-        self.active -= 1
-        self.completed += 1
 
     # -- execution ----------------------------------------------------------
 
     def run(self) -> dict:
+        if self._ran:
+            raise FleetRunError("already run")
+        self._ran = True
         for domain, plans in zip(self.domains, self._per_shard):
             domain.start(plans)
         self.kernel.run()
-        if self.completed != len(self.plan):
-            raise FleetRunError(
-                f"kernel drained with {self.completed}/{len(self.plan)} "
-                "sessions completed"
-            )
+        self._fold()
+        short = [
+            f"domain {domain.domain_id}: {domain.completed}/{len(plans)} sessions"
+            for domain, plans in zip(self.domains, self._per_shard)
+            if domain.completed != len(plans)
+        ]
+        if short:
+            raise FleetRunError("drained short, " + "; ".join(short))
         return self.report()
+
+    def _fold(self) -> None:
+        """Merge the per-domain records on simulated time.  Each list is
+        already in time order and ``heapq.merge`` is stable across its
+        inputs, so equal instants keep domain-id order."""
+        instant = itemgetter(0)
+        self.trace = [
+            record
+            for _, record in heapq.merge(*(d.trace for d in self.domains), key=instant)
+        ]
+        active = 0
+        for _, step in heapq.merge(*(d.marks for d in self.domains), key=instant):
+            active += step
+            if active > self.peak_concurrent:
+                self.peak_concurrent = active
+        self.completed = sum(domain.completed for domain in self.domains)
 
     # -- reporting -----------------------------------------------------------
 

@@ -16,7 +16,6 @@ import sys
 from typing import Sequence
 
 from repro.lint import baseline as baseline_mod
-from repro.lint import sarif as sarif_mod
 from repro.lint.cache import DEFAULT_CACHE_PATH
 from repro.lint.engine import LintResult, run_lint
 from repro.lint.findings import Finding, all_rules
@@ -51,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
@@ -252,9 +251,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"wrote {len(base)} finding(s) to {baseline_path}")
         return EXIT_CLEAN
 
-    if args.format == "sarif":
-        print(json.dumps(sarif_mod.to_sarif(result), indent=2))
-    elif args.format == "json":
+    if args.format == "json":
         _print_json(result)
     else:
         _print_text(result, args.show_suppressed)

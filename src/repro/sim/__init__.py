@@ -7,7 +7,9 @@ Simulator` owns the virtual clock and the event heap.
 
 Everything in :mod:`repro` that has a notion of time (links, disks,
 CPUs, TCP connections, workloads) runs on this kernel, which keeps the
-whole reproduction deterministic and laptop-scale.
+whole reproduction deterministic and laptop-scale.  Work that never
+interacts (the fleet's per-tenant domains) gets one ``Simulator`` each;
+:class:`~repro.sim.shard.ShardedKernel` is just the list of them.
 """
 
 from repro.sim.core import (
@@ -23,7 +25,7 @@ from repro.sim.core import (
 )
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import SeededRNG
-from repro.sim.shard import ShardedKernel, ShardSimulator
+from repro.sim.shard import ShardedKernel
 
 __all__ = [
     "AllOf",
@@ -34,7 +36,6 @@ __all__ = [
     "Process",
     "Resource",
     "SeededRNG",
-    "ShardSimulator",
     "ShardedKernel",
     "SimulationError",
     "Simulator",

@@ -34,9 +34,8 @@ class XorService(StorageService):
 class StormEnv:
     """A 4-compute/1-storage cloud with one tenant VM and volume."""
 
-    def __init__(self, volume_size=1024 * BLOCK_SIZE, express=False, sim=None,
-                 params=None):
-        self.sim = Simulator() if sim is None else sim
+    def __init__(self, volume_size=1024 * BLOCK_SIZE, express=False, params=None):
+        self.sim = Simulator()
         if params is None:
             params = CloudParams(express=True) if express else None
         self.cloud = CloudController(self.sim, params)

@@ -1,9 +1,14 @@
-"""Fleet generator: determinism, O(active) state, HA latency charging."""
+"""Fleet generator: determinism, domain independence and the fold,
+O(active) state, HA latency charging."""
 
 import pytest
 
+from repro.core.saga import COMMITTED
 from repro.fleet import FleetConfig, FleetRun
 from repro.fleet.generator import FleetRunError, run_fleet
+from repro.sim import ShardedKernel, SimulationError
+
+from tests.core.conftest import assert_at_rest
 
 
 def _config(**overrides):
@@ -31,6 +36,8 @@ def test_run_twice_is_byte_identical_at_1k_sessions():
     second_report = second.run()
     assert first.trace_jsonl() == second.trace_jsonl()
     assert first_report == second_report
+    for domain in first.domains:
+        assert_at_rest(domain.storm)
 
 
 def test_heavy_tail_and_diurnal_run_twice_identical():
@@ -44,14 +51,57 @@ def test_heavy_tail_and_diurnal_run_twice_identical():
     assert run_fleet(_config(**config)) == run_fleet(_config(**config))
 
 
+def _saga_totals(storm):
+    log = storm.intent_log
+    resolved = [saga for saga in log.sagas if not saga.incomplete]
+    committed = sum(saga.status == COMMITTED for saga in resolved)
+    return (
+        log.compacted_committed + committed,
+        log.compacted_aborted + len(resolved) - committed,
+    )
+
+
+def test_a_domain_alone_produces_what_it_produced_among_siblings():
+    """Independence: a domain's records are a function of ``(config,
+    domain id)`` alone, so running it without its siblings changes
+    nothing it produces."""
+    together = FleetRun(_config(sessions=300))
+    together.run()
+    for i, sibling in enumerate(together.domains):
+        fresh = FleetRun(_config(sessions=300))
+        alone = fresh.domains[i]
+        alone.start(p for p in fresh.plan if p.tenant % 3 == i)
+        alone.sim.run()
+        assert alone.trace == sibling.trace != []
+        assert alone.marks == sibling.marks
+        assert alone.sim._sequence == sibling.sim._sequence
+        assert _saga_totals(alone.storm) == _saga_totals(sibling.storm)
+        assert _saga_totals(alone.storm)[0] >= 2 * alone.completed
+
+
 def test_all_sessions_complete_and_trace_covers_them():
     run = FleetRun(_config(sessions=300, churn_storms=0))
     report = run.run()
     assert report["sessions"] == 300 == len(run.trace)
-    assert report["peak_concurrent"] >= 1
     assert report["io_ops"] == sum(p.ios for p in run.plan)
-    # every planned session appears exactly once in the trace
-    assert sorted(r["i"] for r in run.trace) == [p.index for p in run.plan]
+    assert report["events"] == sum(d.sim._sequence for d in run.domains)
+
+    # a session is live over [start, finish); the peak is reached at
+    # some start instant
+    marks = [mark for domain in run.domains for mark in domain.marks]
+    starts = [t for t, step in marks if step > 0]
+    finishes = [t for t, step in marks if step < 0]
+    assert len(starts) == len(finishes) == 300
+    assert report["peak_concurrent"] == max(
+        sum(s <= t for s in starts) - sum(f <= t for f in finishes) for t in starts
+    )
+
+    # the trace is ordered by attach-completion instant, and every
+    # planned session appears in it exactly once
+    done = {rec["i"]: t for domain in run.domains for t, rec in domain.trace}
+    instants = [done[rec["i"]] for rec in run.trace]
+    assert instants == sorted(instants)
+    assert sorted(rec["i"] for rec in run.trace) == [p.index for p in run.plan]
 
 
 def test_detached_fleet_leaves_no_per_session_state():
@@ -63,6 +113,7 @@ def test_detached_fleet_leaves_no_per_session_state():
     run.run()
     for domain in run.domains:
         storm = domain.storm
+        assert_at_rest(storm)
         assert storm.flows == []
         assert storm.gateway_pairs == {}
         assert storm._tenant_flows == {}
@@ -92,16 +143,26 @@ def test_ha_shipping_rtt_lands_in_attach_latency():
 
 def test_incomplete_run_is_an_error(monkeypatch):
     run = FleetRun(_config(sessions=50, churn_storms=0))
-    # a domain that silently drops its plans leaves the kernel drained
-    # with sessions missing — run() must refuse to report
-    monkeypatch.setattr(run.domains[0], "start", lambda plans: None)
-    with pytest.raises(FleetRunError):
+    # a domain that silently drops its plans drains with sessions
+    # missing — run() must refuse to report, and say which domain
+    monkeypatch.setattr(run.domains[1], "start", lambda plans: None)
+    planned = sum(p.tenant % 3 == 1 for p in run.plan)
+    with pytest.raises(FleetRunError, match=rf"^drained short, domain 1: 0/{planned} sessions$"):
         run.run()
+    # the other domains still ran, and the fold still happened
+    assert run.completed == 50 - planned == len(run.trace)
+    # a second run() is refused before it re-dispatches anything
+    events = run.kernel.events
+    with pytest.raises(FleetRunError, match="^already run$"):
+        run.run()
+    assert run.kernel.events == events
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         FleetConfig(shards=0).validate()
+    with pytest.raises(SimulationError):
+        ShardedKernel(0)
     with pytest.raises(ValueError):
         FleetConfig(arrival="burst").validate()
     with pytest.raises(ValueError):
