@@ -31,8 +31,7 @@ class CloudController:
         self.sim = sim
         self.params = params or CloudParams()
         if self.params.express and sim.express is None:
-            # Must exist before the SDN controller and the sockets
-            # below read ``sim.express`` for their demotion hooks.
+            # Must exist before the sockets below read ``sim.express``.
             from repro.net.express import ExpressManager
 
             ExpressManager(sim)  # registers itself as sim.express
@@ -49,8 +48,6 @@ class CloudController:
         self.storage_switch = Switch(sim, "storage-sw", forwarding_delay=self.params.switch_delay)
         self.fabric = Switch(sim, "fabric", forwarding_delay=self.params.switch_delay)
         self.sdn = SdnController()
-        if sim.express is not None:
-            self.sdn.express_notify = sim.express.demote_all
         self.sdn.register_switch(self.fabric)
         self.compute_hosts: dict[str, ComputeHost] = {}
         self.storage_hosts: dict[str, StorageHost] = {}

@@ -174,12 +174,6 @@ class SteeringChain:
         so there is no instant at which the flow has no chain."""
         retired = self.generation
         self.generation += 1
-        # Generation bump: any express-promoted flow must fall back to
-        # packet mode before the shadowing rule set goes live (the SDN
-        # controller also notifies per rule; this marks the semantic
-        # boundary with the flow cookie for the demotion reason).
-        if self.sdn.express_notify is not None:
-            self.sdn.express_notify(f"steer-generation:{self.active_cookie}")
         if middleboxes is not None:
             self.middleboxes = list(middleboxes)
         self.install(self.src_port if src_port is _KEEP else src_port)

@@ -72,6 +72,15 @@ class LinkFaults:
         self.delayed = 0
         self.passed = 0
 
+    def inert_for(self, packet: Packet) -> bool:
+        """True if :meth:`judge` passes every packet of this one's flow
+        untouched whatever the RNG draws (express may skip the call)."""
+        if not self.up or self.drop_next_count > 0:
+            return False
+        if self.match is not None and not self.match(packet):
+            return True
+        return not (self.drop_prob or self.corrupt_prob or self.delay_prob)
+
     def judge(self, packet: Packet) -> float:
         if not self.up:
             self.dropped += 1

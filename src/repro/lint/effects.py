@@ -5,7 +5,7 @@ lattice over the sources that can make two runs of the same seed
 diverge (wall-clock reads, the process-global RNG, OS entropy,
 hash-order escapes) plus the simulation-side effects the subsystem
 contracts reason about (scheduling kernel events, drawing from
-``sim.rng``, emitting observability records, mutating sockets).
+``sim.rng``, emitting observability records).
 
 Each function gets a *leaf* effect set from its own body (computed
 here from the call records :mod:`repro.lint.callgraph` collects), and
@@ -34,7 +34,6 @@ UNORDERED_ITER = "unordered-iteration-escape"
 KERNEL_SCHEDULE = "kernel-schedule"
 SIM_RNG = "sim-rng"
 OBS_EMIT = "obs-emit"
-SOCK_MUTATE = "sock-mutate"
 
 #: every effect, in lattice (display) order
 ALL_EFFECTS: tuple[str, ...] = (
@@ -45,7 +44,6 @@ ALL_EFFECTS: tuple[str, ...] = (
     KERNEL_SCHEDULE,
     SIM_RNG,
     OBS_EMIT,
-    SOCK_MUTATE,
 )
 
 #: the effects that are nondeterminism *sources* (flow rules ban these
@@ -127,10 +125,6 @@ _RNG_RECEIVERS: frozenset[str] = frozenset({"rng", "_rng"})
 _OBS_RECEIVERS: frozenset[str] = frozenset(
     {"obs", "bus", "_bus", "metrics", "_metrics", "span", "_span"}
 )
-_SOCK_RECEIVERS: frozenset[str] = frozenset({"socket", "sock", "_sock"})
-_SOCK_METHODS: frozenset[str] = frozenset(
-    {"send", "sendall", "close", "connect", "shutdown", "abort", "push"}
-)
 
 
 def classify_call(
@@ -170,8 +164,6 @@ def classify_call(
         effects.add(SIM_RNG)
     if chain and (base in _OBS_RECEIVERS or name == "emit"):
         effects.add(OBS_EMIT)
-    if chain and base in _SOCK_RECEIVERS and name in _SOCK_METHODS:
-        effects.add(SOCK_MUTATE)
     return frozenset(effects)
 
 

@@ -1,11 +1,11 @@
 """Contract rules: subsystem invariants DESIGN.md §11–§14 promise.
 
 Until now these contracts were enforced only by prose — obs passivity,
-saga compensation pairing, express plan purity, integrity chain
-registration symmetry.  Each rule here turns one of them into a
-whole-program check over the call graph and effect fixpoint, so a PR
-that silently violates a sibling subsystem's contract fails CI with
-the offending call chain in the finding.
+saga compensation pairing, integrity chain registration symmetry.
+Each rule here turns one of them into a whole-program check over the
+call graph and effect fixpoint, so a PR that silently violates a
+sibling subsystem's contract fails CI with the offending call chain in
+the finding.
 """
 
 from __future__ import annotations
@@ -123,42 +123,6 @@ class SagaCompensatedRule(Rule):
                     ),
                     snippet=site.snippet,
                 )
-
-
-@rule
-class ExpressPlanPureRule(Rule):
-    """Express-path plan compilation must be pure.
-
-    Failure scenario: a ``_probe*`` helper, while *compiling* a flow's
-    side-effect plan, also mutates the world it is describing —
-    schedules a walk event, draws from ``sim.rng``, or pokes the
-    socket.  Probing then stops being idempotent: promoting a flow that
-    fails the probe halfway leaves ghost state, and express/exact mode
-    stop being byte-identical (DESIGN.md §12).  Probe/compile functions
-    in ``*.express`` modules must not reach schedule, rng, or socket
-    mutation; effects may only run at *replay* time.
-    """
-
-    id = "express-plan-pure"
-    summary = "express _probe*/plan compilation must not reach schedule/rng/sockets"
-    family = "contract"
-    needs_program = True
-
-    _BANNED = frozenset({fx.KERNEL_SCHEDULE, fx.SIM_RNG, fx.SOCK_MUTATE})
-    _ROOT_NAMES = ("promote", "compile", "plan")
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        roots = [
-            f.qual
-            for mod in sorted(program.modules)
-            if mod.rsplit(".", 1)[-1] == "express" and not is_harness_module(mod)
-            for f in program.modules[mod].functions
-            if f.name.startswith("_probe") or f.name in self._ROOT_NAMES
-        ]
-        chains = program.reachable_chains(roots)
-        yield from _leaf_findings(
-            program, self, chains, self._BANNED, "express plan purity contract"
-        )
 
 
 @rule

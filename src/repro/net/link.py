@@ -120,6 +120,9 @@ class Link:
             metrics = obs.metrics
             metrics.counter("link.tx", self.obs_name).inc()
             metrics.counter("link.tx_bytes", self.obs_name).inc(packet.size)
+        plan = packet.plan
+        if plan is not None:
+            self._report(plan, from_iface, dst, horizon)
         if start > now and self.faults is not None:
             # Queued behind a backlog with an injector installed: the
             # verdict belongs to the instant serialization starts (a
@@ -128,12 +131,29 @@ class Link:
         else:
             self._serialize(dst, packet, start, done)
 
+    def _report(self, plan, from_iface: Interface, dst: Interface, horizon: Horizon) -> None:
+        """Tell an express learner (:mod:`repro.net.express`) what
+        :meth:`transmit` did with the packet carrying it."""
+        plan.tx.append(from_iface)
+        plan.rx.append(dst)
+        if self.obs is not None:
+            metrics = self.obs.metrics
+            plan.counters.append((metrics.counter("link.tx", self.obs_name), False))
+            plan.counters.append((metrics.counter("link.tx_bytes", self.obs_name), True))
+        plan.step(horizon, self.bandwidth, self.per_packet_overhead, self.latency)
+
     def _serialize(self, dst: Interface, packet: Packet, start: float, done: float) -> None:
         """Serialization start of the slot ``start..done``: judge the
         packet and schedule its arrival at the far end."""
         extra = 0.0
         faults = self.faults
         if faults is not None:
+            plan = packet.plan
+            if plan is not None:
+                if faults.inert_for(packet):
+                    plan.faults.append(faults)
+                else:
+                    plan.refuse()
             extra = faults.judge(packet)
             if extra < 0.0:
                 # dropped — but the sender still paid the wire time (the

@@ -139,9 +139,10 @@ class NatTable:
     def remove_by_cookie(self, cookie: str) -> int:
         before = len(self.rules)
         self.rules = [r for r in self.rules if r.cookie != cookie]
-        if self._x_on_change is not None:
+        removed = before - len(self.rules)
+        if removed and self._x_on_change is not None:
             self._x_on_change()
-        return before - len(self.rules)
+        return removed
 
     def rules_for_cookie(self, cookie: str) -> list[NatRule]:
         """Rules tagged exactly ``cookie`` (reconciler audits)."""
@@ -168,7 +169,10 @@ class NatTable:
             _direction, translation = hit
             self._apply(packet, translation)
             if self.obs is not None:
-                self.obs.metrics.counter("nat.conntrack_hit", self.scope).inc()
+                counter = self.obs.metrics.counter("nat.conntrack_hit", self.scope)
+                counter.inc()
+                if packet.plan is not None:
+                    packet.plan.counters.append((counter, False))
             return True
         flow_key = (hook, five_tuple)
         if flow_key in self._no_match:
@@ -186,20 +190,18 @@ class NatTable:
             )
             self._apply(packet, translation)
             conntrack.record(five_tuple, packet.five_tuple)
+            if packet.plan is not None:
+                # an express learner: the next packet of this flow takes
+                # the conntrack branch instead, so this one is no sample
+                packet.plan.refuse()
             if self.obs is not None:
                 self.obs.metrics.counter("nat.rule_match", self.scope).inc()
             return True
-        self._note_no_match(flow_key)
-        return False
-
-    def _note_no_match(self, flow_key: tuple) -> None:
-        """Cache a negative decision, evicting oldest-first at capacity.
-        Shared with the express path's read-only probe so both modes
-        populate (and bound) the cache identically."""
         no_match = self._no_match
         no_match[flow_key] = None
         if len(no_match) > NO_MATCH_CAP:
-            del no_match[next(iter(no_match))]
+            del no_match[next(iter(no_match))]  # oldest first
+        return False
 
     @staticmethod
     def _apply(packet: Packet, translation: _Translation) -> None:

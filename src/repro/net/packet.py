@@ -53,6 +53,10 @@ class Packet:
     #: the message this packet carries — joins per-hop events to the
     #: request's span tree.  None whenever instrumentation is off.
     ctx: Any = field(default=None, repr=False, compare=False)
+    #: Express learner (:class:`repro.net.express.CompiledPath`) riding
+    #: on the one segment that learns its flow's way: every element the
+    #: packet crosses reports what it did with it.  None otherwise.
+    plan: Any = field(default=None, repr=False, compare=False)
 
     @property
     def five_tuple(self) -> FiveTuple:

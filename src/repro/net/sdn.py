@@ -16,7 +16,7 @@ flow's entire rule state without enumerating generations.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.net.switch import FlowRule, Switch, cookie_in_family, cookie_root
 
@@ -36,11 +36,6 @@ class SdnController:
         #: install journal: family root -> [(seq, switch, rule), ...]
         self._journal: dict[Optional[str], list[tuple[int, str, FlowRule]]] = {}
         self._journal_seq = 0
-        #: express-path demotion hook (wired by the cloud controller
-        #: when express mode is on): called with a reason string on
-        #: every rule change, so promoted flows fall back to packet
-        #: mode before any new steering generation can take effect.
-        self.express_notify: Optional[Callable[[str], None]] = None
 
     @property
     def installed_rules(self) -> list[tuple[str, FlowRule]]:
@@ -61,8 +56,6 @@ class SdnController:
             raise KeyError(f"unknown switch {name!r}; registered: {sorted(self._switches)}")
 
     def install_rule(self, switch_name: str, rule: FlowRule) -> None:
-        if self.express_notify is not None:
-            self.express_notify(f"sdn-install:{switch_name}")
         self.switch(switch_name).flow_table.install(rule)
         seq = self._journal_seq
         self._journal_seq = seq + 1
@@ -79,8 +72,6 @@ class SdnController:
         (``cookie#…``); ``family=False`` matches exactly — used to
         retire a single steering generation.
         """
-        if self.express_notify is not None:
-            self.express_notify(f"sdn-remove:{cookie}")
         removed = 0
         # Sweep every switch table, not just the journaled ones — the
         # journal can drift from table truth (the reconciler's whole

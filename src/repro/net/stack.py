@@ -177,7 +177,12 @@ class NetworkStack:
     # -- data plane ------------------------------------------------------
 
     def handle_receive(self, packet: Packet, iface: Interface) -> None:
+        plan = packet.plan
+        if plan is not None:  # an express learner (repro.net.express)
+            plan.watch(self.nat)
         if self.packet_taps:
+            if plan is not None:
+                plan.refuse()  # a tap sees every packet, not one sample
             for tap in self.packet_taps:
                 tap(packet, iface)
         self.nat.translate(packet, hook="prerouting")
@@ -186,6 +191,8 @@ class NetworkStack:
             return
         if self.ip_forward:
             if self.forward_hook is not None:
+                if plan is not None:
+                    plan.refuse()  # the hook's duration is its own business
                 queue = self._hook_queue
                 if queue is None:
                     queue = self._hook_queue = Store(self.sim)
@@ -199,6 +206,8 @@ class NetworkStack:
             busy = horizon.busy
             done = (busy if busy > now else now) + self.forward_delay
             horizon.busy = done
+            if plan is not None:
+                plan.step(horizon, 0.0, self.forward_delay, 0.0)
             self.sim.call_at(done, self.route_and_send, packet)
             return
         self.dropped_packets += 1
@@ -223,10 +232,14 @@ class NetworkStack:
 
     def send_ip(self, packet: Packet) -> None:
         """Transmit a locally generated packet (OUTPUT NAT, then route)."""
+        if packet.plan is not None:
+            packet.plan.watch(self.nat)
         self.nat.translate(packet, hook="output")
         self.route_and_send(packet)
 
     def route_and_send(self, packet: Packet) -> None:
+        if packet.plan is not None:
+            packet.plan.watch(self)
         route = self._lookup_route(packet.dst_ip)
         if route is None:
             self.dropped_packets += 1
@@ -266,6 +279,8 @@ class NetworkStack:
             return
         key = (packet.dst_ip, packet.dst_port, packet.src_ip, packet.src_port)
         socket = self._sockets.get(key)
+        if packet.plan is not None:
+            packet.plan.arrived(self, packet, socket)
         if socket is not None:
             socket.handle_segment(segment, packet)
             return

@@ -212,19 +212,13 @@ class FlowTable:
                 if candidate.matches(packet, in_port):
                     rule = candidate
                     break
-            self._note_decision(key, rule)
+            cache = self._decision_cache
+            cache[key] = rule
+            if len(cache) > DECISION_CACHE_CAP:
+                del cache[next(iter(cache))]  # oldest first
         if rule is not None:
             rule.hits += 1
         return rule
-
-    def _note_decision(self, key: tuple, rule: Optional[FlowRule]) -> None:
-        """Memoize one flow's decision, evicting oldest-first at
-        capacity.  Shared with the express path's probe so both modes
-        populate (and bound) the cache identically."""
-        cache = self._decision_cache
-        cache[key] = rule
-        if len(cache) > DECISION_CACHE_CAP:
-            del cache[next(iter(cache))]
 
     def __len__(self) -> int:
         return len(self._live)
@@ -291,6 +285,9 @@ class Switch:
     def _apply_pipeline(self, packet: Packet, in_port: str) -> None:
         rule = self.flow_table.lookup(packet, in_port)
         obs = self.obs
+        plan = packet.plan
+        if plan is not None:
+            self._report(plan, packet, in_port, rule)
         if obs is not None:
             if rule is None:
                 obs.metrics.counter("switch.l2", self.name).inc()
@@ -314,6 +311,8 @@ class Switch:
                     obs.metrics.counter("switch.drop", self.name).inc()
                 return
             elif isinstance(action, ToController):
+                if plan is not None:
+                    plan.refuse()  # whatever the controller does with it
                 if self.controller is not None:
                     self.controller(self, packet, in_port)
                 return
@@ -323,6 +322,24 @@ class Switch:
         # Rewrite-only rule (the Fig. 3 style): finish with L2 forwarding
         # toward the (possibly rewritten) destination MAC.
         self._l2_forward(packet, in_port)
+
+    def _report(self, plan, packet: Packet, in_port: str, rule: Optional[FlowRule]) -> None:
+        """Tell an express learner (:mod:`repro.net.express`) what this
+        switch did with the packet carrying it: the per-packet side
+        effects of :meth:`receive` and of the pipeline so far."""
+        plan.watch(self.flow_table)
+        plan.switches.append(self)
+        plan.mac_learns.append((self._mac_table, packet.src_mac, in_port))
+        if self.forwarding_delay:
+            plan.pre.append(self.forwarding_delay)
+        obs = self.obs
+        if rule is not None:
+            plan.rules.append(rule)
+            if obs is not None:
+                plan.counters.append((obs.metrics.counter("switch.flow_hit", self.name), False))
+                plan.steers.append((self.name, rule.cookie))
+        elif obs is not None:
+            plan.counters.append((obs.metrics.counter("switch.l2", self.name), False))
 
     def _l2_forward(self, packet: Packet, in_port: str) -> None:
         known = self._mac_table.get(packet.dst_mac)
@@ -334,6 +351,8 @@ class Switch:
         self._flood(packet, in_port)
 
     def _flood(self, packet: Packet, in_port: str) -> None:
+        if packet.plan is not None:
+            packet.plan.refuse()  # the next packet may find the MAC learnt
         for port_name in self.ports:
             if port_name != in_port:
                 self._output(packet.copy(), port_name)

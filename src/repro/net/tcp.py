@@ -542,9 +542,11 @@ class TcpSocket:
     #: express fast path (:mod:`repro.net.express`): the compiled
     #: conduit while this flow is promoted (data/ack segments bypass
     #: per-packet simulation), the clean-ACK count toward promotion,
-    #: and a human-readable label for flow.promote/demote obs events.
+    #: whether the next data/ack segment is to learn the way, and a
+    #: human-readable label for flow.promote/demote obs events.
     _xpath: Any = None
     _x_acks: int = 0
+    _x_learn: bool = False
     express_label: str = ""
 
     # -- wire output ------------------------------------------------------------
@@ -579,6 +581,8 @@ class TcpSocket:
             # path depends on).
             self.sim.express.send(self, packet)
             return
+        if self._x_learn and segment.kind in ("data", "ack"):
+            packet.plan = self.sim.express.learner(self)
         self.stack.send_ip(packet)
 
 

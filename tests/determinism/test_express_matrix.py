@@ -7,14 +7,16 @@ IOPS, every individual latency sample, transaction counts, filesystem
 operation counts, and final simulated time — is byte-identical to
 packet mode.  This matrix runs fio, OLTP, and Postmark under both
 modes and compares bit-for-bit, and additionally asserts that the
-express runs really did engage the fast path (a probe that always
-fails would pass equivalence vacuously).
+express runs really did engage the fast path (a learner that is always
+refused would pass equivalence vacuously).
 """
 
 import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.core.policy import ServiceSpec
 from repro.fs import ExtFilesystem, SessionDevice
+from repro.obs import ObsBus, instrument
 from repro.workloads import (
     MySqlServer,
     OltpClient,
@@ -24,7 +26,7 @@ from repro.workloads import (
     Timeline,
 )
 
-from benchmarks.harness import LEGACY, MB_ACTIVE, build_testbed, fio
+from benchmarks.harness import LEGACY, MB_ACTIVE, MB_FWD, MB_PASSIVE, build_testbed, fio
 from tests.core.conftest import StormEnv
 from tests.workloads.test_fio import legacy_session
 
@@ -61,6 +63,93 @@ def test_fio_express_stream_identical(mode, io_size, ios):
     packet, _ = _fio_stream(mode, io_size, ios, express=False)
     express, manager = _fio_stream(mode, io_size, ios, express=True)
     assert manager is not None and manager.promotions > 0, "fast path never engaged"
+    assert express == packet
+
+
+@pytest.mark.parametrize(
+    "mode,outcome",
+    [(MB_PASSIVE, (0, 17)), (MB_FWD, (2, 0))],
+    ids=["passive-refused", "fwd-promoted"],
+)
+def test_fio_express_stream_identical_whatever_the_learners_find(mode, outcome):
+    """The passive relay's forward hook refuses every learner (each
+    counted once, none promoted); a forwarding middle-box is one more
+    FIFO step.  Either way the application sees packet mode."""
+    packet, _ = _fio_stream(mode, 16 * 1024, 40, express=False)
+    express, manager = _fio_stream(mode, 16 * 1024, 40, express=True)
+    assert (manager.promotions, manager.probes_failed) == outcome
+    assert express == packet
+
+
+def _side_effect_totals(express):
+    """Everything a packet leaves behind on the elements it crosses,
+    after an instrumented MB-ACTIVE fio run driven to quiescence."""
+    bed = build_testbed(MB_ACTIVE, express=express)
+    bus = ObsBus(bed.sim)
+    instrument(bus, storm=bed.storm)
+    fio(bed, 16 * 1024, ios_per_thread=60)
+    bed.sim.run(until=bed.sim.now + 0.05)  # trailing ACKs land
+    cloud = bed.cloud
+    switches = [cloud.storage_switch, cloud.fabric]
+    switches += [host.ovs for host in cloud.compute_hosts.values()]
+    totals = {
+        "metrics": bus.metrics.snapshot(),
+        "ports": {
+            (switch.name, name): (
+                port.tx_packets, port.rx_packets, port.tx_bytes, port.rx_bytes
+            )
+            for switch in switches
+            for name, port in switch.ports.items()
+        },
+        "switched": {switch.name: switch.packets_switched for switch in switches},
+        "rule_hits": {
+            (switch.name, n): rule.hits
+            for switch in switches
+            for n, rule in enumerate(switch.flow_table.rules)
+        },
+    }
+    return totals, bed.sim.express
+
+
+def test_learned_plan_replays_every_per_hop_side_effect():
+    """Application-level equality cannot see an element that forgets to
+    report a counter to the learner; the totals at quiescence can."""
+    packet, _ = _side_effect_totals(express=False)
+    express, manager = _side_effect_totals(express=True)
+    assert manager.promotions == 4
+    assert len(packet["metrics"]) > 30 and sum(packet["rule_hits"].values()) > 0
+    assert express == packet
+
+
+def _fio_across_reconfigure(express):
+    """MB-FWD fio with the chain swapped to a spare middle-box mid-run."""
+    bed = build_testbed(MB_FWD, express=express)
+    spare = bed.storm.provision_middlebox(
+        bed.tenant, ServiceSpec("spare", "noop", relay="fwd", placement="compute5")
+    )
+    manager = bed.sim.express
+    around = []
+
+    def swap():
+        yield bed.sim.timeout(0.05)
+        around.append(manager and (manager.active_flows, manager.demotions))
+        bed.storm.reconfigure_chain(bed.flow, [spare])
+        around.append(manager and (manager.active_flows, manager.demotions))
+
+    bed.sim.process(swap())
+    result = fio(bed, 16 * 1024, ios_per_thread=40)
+    stream = (tuple(result.latency.samples), result.elapsed, bed.sim.now)
+    assert spare.interfaces[0].rx_packets > 0, "traffic never moved to the spare"
+    return stream, around, manager
+
+
+def test_chain_reconfigure_demotes_through_the_crossed_tables():
+    """No controller-side hook: the steering generation lands on flow
+    tables the learners crossed, and those announce it themselves."""
+    packet, _, _ = _fio_across_reconfigure(express=False)
+    express, around, manager = _fio_across_reconfigure(express=True)
+    assert around == [(2, 0), (0, 2)]
+    assert manager.promotions == 4  # both flows learnt the new way
     assert express == packet
 
 

@@ -55,14 +55,11 @@ def test_kernel_schedule():
     assert classify(("other",), "timeout") == frozenset()
 
 
-def test_sim_rng_and_obs_and_sockets():
+def test_sim_rng_and_obs():
     assert classify(("self", "rng"), "random") == {fx.SIM_RNG}
     assert classify(("_rng",), "randint") == {fx.SIM_RNG}
     assert classify(("bus",), "event") == {fx.OBS_EMIT}
     assert classify(("self", "obs"), "span") == {fx.OBS_EMIT}
-    assert classify(("sock",), "send") == {fx.SOCK_MUTATE}
-    assert classify(("socket",), "close") == {fx.SOCK_MUTATE}
-    assert classify(("sock",), "getsockname") == frozenset()
 
 
 def test_unknown_calls_have_no_effects():

@@ -149,69 +149,6 @@ def test_saga_step_suppression(run_tree):
     assert len(suppressed(result, "saga-compensated")) == 1
 
 
-# -- express-plan-pure -------------------------------------------------
-
-
-def test_probe_reaching_schedule_is_flagged(run_tree):
-    result = run_tree(
-        {
-            "src/pkg/__init__.py": "",
-            "src/pkg/net/__init__.py": "",
-            "src/pkg/net/express.py": """\
-                def _probe_wire(sim, flow):
-                    sim.timeout(0)
-                    return True
-                """,
-        },
-        select=["express-plan-pure"],
-    )
-    findings = new(result, "express-plan-pure")
-    assert len(findings) == 1
-    assert "kernel-schedule" in findings[0].message
-
-
-def test_probe_mutating_socket_through_helper_is_flagged(run_tree):
-    result = run_tree(
-        {
-            "src/pkg/__init__.py": "",
-            "src/pkg/net/__init__.py": "",
-            "src/pkg/net/wire.py": """\
-                def poke(sock):
-                    sock.send(b"x")
-                """,
-            "src/pkg/net/express.py": """\
-                from pkg.net.wire import poke
-
-
-                def compile(flow, sock):
-                    poke(sock)
-                    return []
-                """,
-        },
-        select=["express-plan-pure"],
-    )
-    findings = new(result, "express-plan-pure")
-    assert len(findings) == 1
-    assert findings[0].chain == ("pkg.net.express.compile", "pkg.net.wire.poke")
-
-
-def test_replay_side_of_express_may_have_effects(run_tree):
-    """Only probe/compile/plan/promote roots are purity-checked —
-    replay is exactly where the compiled effects are meant to run."""
-    result = run_tree(
-        {
-            "src/pkg/__init__.py": "",
-            "src/pkg/net/__init__.py": "",
-            "src/pkg/net/express.py": """\
-                def replay(sim, plan):
-                    sim.timeout(0)
-                """,
-        },
-        select=["express-plan-pure"],
-    )
-    assert new(result, "express-plan-pure") == []
-
-
 # -- integrity-chain-registered ---------------------------------------
 
 

@@ -23,3 +23,27 @@ def two_hosts_one_switch(sim=None):
     a = make_host(sim, arp, "host-a", "10.0.0.1", "aa:00:00:00:00:01", switch)
     b = make_host(sim, arp, "host-b", "10.0.0.2", "aa:00:00:00:00:02", switch)
     return sim, arp, switch, a, b
+
+
+def routed_pair(sim=None):
+    """host-a <-> sw <-> router <-> host-b: 10.0.0.0/24 behind the
+    switch, 10.0.1.0/24 on the router's private link to host-b.
+    Returns ``(sim, switch, a, router, b, last_link)``."""
+    sim = sim or Simulator()
+    near, far = ArpTable("near"), ArpTable("far")
+    switch = Switch(sim, "sw")
+    a = make_host(sim, near, "host-a", "10.0.0.1", "aa:00:00:00:00:01", switch)
+    a.stack.add_route("10.0.1.0/24", a.interfaces[0], via="10.0.0.254")
+    router = Node(sim, "router")
+    router.stack.ip_forward = True
+    router.stack.forward_delay = 6e-6
+    r_in = router.add_interface(Interface("router.in", "aa:00:00:00:00:fe", "10.0.0.254"), near)
+    Link(sim, r_in, switch.add_port("router"))
+    router.stack.add_route("10.0.0.0/24", r_in)
+    r_out = router.add_interface(Interface("router.out", "aa:00:00:00:01:fe", "10.0.1.254"), far)
+    router.stack.add_route("10.0.1.0/24", r_out)
+    b = Node(sim, "host-b")
+    b_if = b.add_interface(Interface("host-b.eth0", "aa:00:00:00:01:02", "10.0.1.2"), far)
+    b.stack.add_route("0.0.0.0/0", b_if, via="10.0.1.254")
+    last_link = Link(sim, r_out, b_if)
+    return sim, switch, a, router, b, last_link

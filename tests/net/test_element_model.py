@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import ArpTable, Interface, Link, Node, Packet
-from repro.net.express import CompiledPath, ExpressManager, _Plan
+from repro.net.express import CompiledPath, ExpressManager
 from repro.sim import Simulator
 
 from tests.net.helpers import two_hosts_one_switch
@@ -97,9 +97,10 @@ def test_link_delivery_times_equal_the_reference_pump(arrivals, with_claims):
     paths = {}
     for iface in (a, b):
         horizon, _dst = link._directions[iface]
-        step = ((), horizon, BANDWIDTH, OVERHEAD, LATENCY)
-        final = ("m:a", "m:b", "10.0.0.1", "10.0.0.2", 1, 2)
-        paths[iface] = CompiledPath((step,), final, StubStack(recorder), "flow", _Plan())
+        path = paths[iface] = CompiledPath(manager, None)
+        path.step(horizon, BANDWIDTH, OVERHEAD, LATENCY)
+        path.final = ("m:a", "m:b", "10.0.0.1", "10.0.0.2", 1, 2)
+        path.dst_stack, path.key = StubStack(recorder), "flow"
 
     expected = {}
     per_direction = {a: [], b: []}
