@@ -33,7 +33,12 @@ rebuild its state from the data plane.
   method calls — so the per-follower ack round-trip is charged to the
   ``ha.ship.lag`` histogram rather than the simulation clock, while
   *reachability* (crashes, partitions, downed links) gates acks for
-  real and failover detection is genuinely clock-driven.
+  real and failover detection is genuinely clock-driven.  A ship walks
+  one route per leader, built once (the cabling never changes), reads
+  the three reachability flags live (the fault injector writes them
+  directly; no verdict is cached) and costs one append per acking
+  replica.  A saga whose first entry finds no quorum is settled as
+  aborted through the engine, like any other settlement.
 
 - **Takeover**: on winning an election the new leader adopts every
   in-flight saga in its replicated log — re-stamping it with the new
@@ -252,6 +257,7 @@ class HaCluster:
         self._last_heartbeat: dict[str, float] = {}
         self._timeout: dict[str, float] = {}
         self._timeout_rng: dict[str, SeededRNG] = {}
+        self._by_name: dict[str, ControlPlaneNode] = {}
         #: (owner name, peer name) -> owner's NIC towards the peer
         self._ifaces: dict[tuple[str, str], Interface] = {}
         self._links: dict[tuple[str, str], Link] = {}
@@ -261,6 +267,7 @@ class HaCluster:
             node.on_message = self._make_message_handler(node)
             node.on_restart = self._make_rejoin_handler(node)
             self.nodes.append(node)
+            self._by_name[node.name] = node
             self.logs[node.name] = ReplicaLog(node.name)
             self._roles[node.name] = FOLLOWER
             self._terms[node.name] = 1
@@ -270,6 +277,19 @@ class HaCluster:
             self._timeout_rng[node.name] = rng
             self._timeout[node.name] = self._draw_timeout(node.name)
         self._cable_replicas()
+        #: leader name -> ``(peer, peer's log, leader's NIC towards the
+        #: peer)`` for every other replica.  The cabling and the logs
+        #: never change after this point, so the routes are built once;
+        #: what can change (crashes, unplugged NICs, downed links) is
+        #: read live on every use — see :meth:`_reachable`.
+        self._routes: dict[str, list[tuple[ControlPlaneNode, ReplicaLog, Interface]]] = {
+            node.name: [
+                (peer, self.logs[peer.name], self._ifaces[(node.name, peer.name)])
+                for peer in self.nodes
+                if peer is not node
+            ]
+            for node in self.nodes
+        }
 
         self.leader_name: Optional[str] = self.nodes[0].name
         self._roles[self.leader_name] = LEADER
@@ -305,14 +325,14 @@ class HaCluster:
         )
 
     def node(self, name: str) -> ControlPlaneNode:
-        for candidate in self.nodes:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"no control-plane replica named {name!r}")
+        node = self._by_name.get(name)
+        if node is None:
+            raise KeyError(f"no control-plane replica named {name!r}")
+        return node
 
     @property
     def leader_node(self) -> Optional[ControlPlaneNode]:
-        return None if self.leader_name is None else self.node(self.leader_name)
+        return None if self.leader_name is None else self._by_name[self.leader_name]
 
     def link_between(self, a_name: str, b_name: str) -> Link:
         """The replication link between two replicas (for fault
@@ -328,16 +348,21 @@ class HaCluster:
     def role(self, name: str) -> str:
         return self._roles[name]
 
-    def _reachable(self, a: ControlPlaneNode, b: ControlPlaneNode) -> bool:
-        """Can a message from ``a`` reach ``b`` right now?  Crashed
-        endpoints, unplugged NICs, and downed links all say no — the
-        same conditions that would drop the packet on the wire."""
-        if a.crashed or b.crashed:
+    @staticmethod
+    def _reachable(peer: ControlPlaneNode, iface: Interface) -> bool:
+        """Can a message from a live replica reach ``peer`` through its
+        NIC ``iface`` (one entry of :attr:`_routes`) right now?  A
+        crashed peer, an unplugged NIC and a downed link all say no —
+        the same conditions that would drop the packet on the wire.
+        The fault injector writes these flags directly, so they are
+        read on every call and no verdict is ever cached;
+        :meth:`ship_mark` inlines exactly these three reads."""
+        if peer.crashed:
             return False
-        iface = self._ifaces.get((a.name, b.name))
-        if iface is None or iface.link is None:
+        link = iface.link
+        if link is None:
             return False
-        faults = iface.link.faults
+        faults = link.faults
         return faults is None or faults.up
 
     # -- observability ------------------------------------------------------
@@ -537,12 +562,14 @@ class HaCluster:
 
     def ship_begin(self, saga: Saga) -> None:
         """Replicate a saga's creation before any step runs.  On
-        quorum failure the (side-effect-free) saga is aborted locally
-        so it never masks reconciler audits as 'in flight'."""
+        quorum failure the (side-effect-free) saga is settled as
+        aborted, locally, through the engine like any other settlement,
+        so it never masks reconciler audits as 'in flight' and the next
+        compaction drops it."""
+        engine = self.storm.engine
         leader = self.leader_node
         if leader is None or leader.crashed:
-            saga.status = ABORTED
-            saga.journal.append("abort")
+            engine.settle(saga, ABORTED)
             raise QuorumLost(saga.op, "begin")
         saga.term = self.term
         saga.origin = leader.name
@@ -550,9 +577,8 @@ class HaCluster:
         try:
             self.ship_mark(saga, "begin")
         except QuorumLost:
-            saga.status = ABORTED
-            saga.journal.append("abort")
-            saga.shipper = None
+            saga.shipper = None  # the abort record stays local
+            engine.settle(saga, ABORTED)
             raise
 
     def ship_mark(self, saga: Saga, entry: str) -> None:
@@ -562,30 +588,44 @@ class HaCluster:
         fewer than ``quorum`` replicas (including the leader) are
         reachable, or when the shipping saga no longer belongs to the
         current leadership (a deposed leader's stragglers must not
-        commit through the new leader's log)."""
-        leader = self.leader_node
-        if leader is None or leader.crashed:
+        commit through the new leader's log).
+
+        The hot path of every control operation (each saga journals
+        about a dozen entries): one pass over the leader's route, the
+        reachability flags read live, one append per acking replica."""
+        name = self.leader_name
+        if name is None or saga.origin != name or saga.term != self.term:
             raise QuorumLost(saga.op, entry)
-        if saga.origin != leader.name or saga.term != self.term:
+        leader = self._by_name[name]
+        if leader.crashed:
             raise QuorumLost(saga.op, entry)
         self._global_index += 1
         index = self._global_index
-        leader_log = self.logs[leader.name]
+        leader_log = self.logs[name]
         leader_log.apply(index, saga, entry)
         applied = [leader_log]
         obs = self.obs
         entry_rtt = 0.0
-        for peer in self.nodes:
-            if peer is leader or not self._reachable(leader, peer):
+        saga_id = saga.saga_id
+        for peer, peer_log, iface in self._routes[name]:
+            # _reachable, inlined: the flags are read live on every ship
+            link = iface.link
+            if peer.crashed or link is None:
                 continue
-            peer_log = self.logs[peer.name]
+            faults = link.faults
+            if faults is not None and not faults.up:
+                continue
             if peer_log.last_index < index - 1:
                 self._catch_up(leader, peer)  # snapshot includes this entry
             else:
-                peer_log.apply(index, saga, entry)
+                # ReplicaLog.apply, inlined
+                record = peer_log.records.get(saga_id)
+                if record is None:
+                    record = peer_log.records[saga_id] = ReplicaSagaRecord(saga)
+                record.journal.append(entry)
+                peer_log.last_index = index
             applied.append(peer_log)
-            link = self._ifaces[(leader.name, peer.name)].link
-            rtt = 2.0 * link.latency if link is not None else 0.0
+            rtt = 2.0 * link.latency
             if rtt > entry_rtt:
                 entry_rtt = rtt
             if obs is not None:
@@ -613,10 +653,8 @@ class HaCluster:
 
     def _catch_up_followers(self, leader: ControlPlaneNode) -> None:
         leader_log = self.logs[leader.name]
-        for peer in self.nodes:
-            if peer is leader or not self._reachable(leader, peer):
-                continue
-            if self.logs[peer.name].last_index < leader_log.last_index:
+        for peer, peer_log, iface in self._routes[leader.name]:
+            if self._reachable(peer, iface) and peer_log.last_index < leader_log.last_index:
                 self._catch_up(leader, peer)
 
     def compact(self) -> None:
@@ -635,12 +673,12 @@ class HaCluster:
         (:attr:`~repro.core.saga.SagaEngine.authority`); a leadership
         change, leader crash, or quorum loss revokes authority and the
         executor raises :class:`~repro.core.saga.ControllerCrashed`."""
-        leader = self.leader_node
+        name = self.leader_name
         return (
-            leader is not None
-            and not leader.crashed
-            and saga.origin == leader.name
+            name is not None
+            and saga.origin == name
             and saga.term == self.term
+            and not self._by_name[name].crashed
         )
 
     def _takeover(self, node: ControlPlaneNode) -> None:

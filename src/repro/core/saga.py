@@ -36,9 +36,11 @@ in-flight saga to exactly one of two audited states:
 
 Either way no wildcard steering rule, transient NAT entry, or
 half-spliced flow outlives recovery — the invariant the
-:class:`repro.core.reconcile.Reconciler` audits.  Resolved sagas are
-snapshotted out of the log every :data:`COMPACT_EVERY` resolutions, so
-the journal stays O(active operations).
+:class:`repro.core.reconcile.Reconciler` audits.  A settled saga keeps
+its record and drops its step closures at once
+(:meth:`SagaEngine.settle`); the records are snapshotted out of the
+log every :data:`COMPACT_EVERY` settlements, so the journal stays
+O(active operations).
 """
 
 from __future__ import annotations
@@ -327,13 +329,17 @@ class SagaEngine:
         span = None
         if self.obs is not None:
             span = self.obs.span(f"saga.{saga.op}", cookie=saga.cookie)
+        # a concurrent recovery may settle the saga while this run waits
+        # (for the mutex, or on a yielding step), which rebinds its
+        # steps and state; the run keeps the list and dict it began with
+        steps, state = saga.steps, saga.state
         outcome = "aborted"
         grant = None
-        if may_yield and any(step.locked for step in saga.steps):
+        if may_yield and any(step.locked for step in steps):
             grant = self.mutex.request()
             yield grant
         try:
-            for step in saga.steps:
+            for step in steps:
                 if resume and saga.done(step.name):
                     continue
                 if grant is not None and not step.locked:
@@ -349,13 +355,14 @@ class SagaEngine:
                             "the engine may not wait"
                         )
                     result = yield self.sim.process(result)
-                self._finish_step(saga, step, result)
+                self._finish_step(saga, step, result, state)
                 if span is not None:
                     span.event("saga.step", target=step.name)
                 self._boundary(saga, step, "after")
+            value = saga.results.get(steps[-1].name) if steps else None
             self._commit(saga)
             outcome = "committed"
-            return saga.results.get(saga.steps[-1].name) if saga.steps else None
+            return value
         except ControllerCrashed:
             outcome = "crashed"
             raise
@@ -402,10 +409,11 @@ class SagaEngine:
         if not self.authority(saga):
             raise ControllerCrashed(saga.op, step.name)
 
-    def _finish_step(self, saga: Saga, step: SagaStep, result: Any) -> None:
-        saga.results[step.name] = result
+    def _finish_step(
+        self, saga: Saga, step: SagaStep, result: Any, state: dict[str, Any]
+    ) -> None:
         if step.store is not None:
-            saga.state[step.store] = result
+            state[step.store] = result
         if saga.status == ABORTED:
             # a concurrent recovery (controller restarted while this
             # step's child process was still in flight) already rolled
@@ -413,18 +421,17 @@ class SagaEngine:
             if step.undo is not None:
                 step.undo()
             raise ControllerCrashed(saga.op, step.name)
+        saga.results[step.name] = result
         saga.mark(f"done:{step.name}")
         if step.pivot:
             saga.pivoted = True
             saga.mark("pivot")
 
     def _commit(self, saga: Saga) -> None:
-        saga.status = COMMITTED
-        saga.mark("commit")
+        self.settle(saga, COMMITTED)
         self._record("saga.commit", saga.cookie, op=saga.op)
         if self.on_commit is not None:
             self.on_commit(saga)
-        self._settled()
 
     def _rollback(self, saga: Saga) -> None:
         """Run compensations, newest started step first.  Undo closures
@@ -436,14 +443,27 @@ class SagaEngine:
                 continue
             step.undo()
             self._record("saga.undo", saga.cookie, op=saga.op, step=step.name)
-        saga.status = ABORTED
-        saga.mark("abort")
+        self.settle(saga, ABORTED)
         self._record("saga.rollback", saga.cookie, op=saga.op)
-        self._settled()
 
-    def _settled(self) -> None:
-        """The one compaction trigger: every :data:`COMPACT_EVERY`
-        resolved sagas."""
+    def settle(self, saga: Saga, status: str) -> None:
+        """Resolve ``saga`` for good as :data:`COMMITTED` or
+        :data:`ABORTED`: journal the outcome and count it towards the
+        one compaction trigger (every :data:`COMPACT_EVERY`
+        settlements).
+
+        A settled saga keeps its record — journal, status, op, cookie,
+        detail, HA provenance, ship RTT — and drops its steps, state
+        and results: their closures pin the operation's whole object
+        graph, and nothing runs them again (:meth:`resolve` touches
+        only in-flight sagas).  The three are rebound, not cleared,
+        because a caller's ``state`` dict is the one its closures were
+        built over and may still be read after :meth:`run_now`.
+        The engine's commit and rollback settle here, and so does an
+        HA ``ship_begin`` whose first entry found no quorum."""
+        saga.status = status
+        saga.steps, saga.state, saga.results = [], {}, {}
+        saga.mark("commit" if status == COMMITTED else "abort")
         self._resolved += 1
         if self._resolved >= COMPACT_EVERY:
             self._resolved = 0

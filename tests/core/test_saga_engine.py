@@ -166,6 +166,106 @@ def test_log_compacts_every_64_resolved_sagas():
     assert engine.log.compacted_committed == COMPACT_EVERY
 
 
+# -- a settled saga keeps its record and drops its closures ---------------
+
+
+def holds_no_closures(saga):
+    return saga.steps == [] and saga.state == {} and saga.results == {}
+
+
+def test_settled_sagas_keep_their_record_and_drop_their_closures():
+    engine = SagaEngine(Simulator())
+    steps, _calls = recording_steps(engine.sim, ["a", "b"])
+    committed = engine.begin("op", "ok", steps, who="test")
+    engine.run_now(committed)
+    steps, _calls = recording_steps(engine.sim, ["a", "b"], yielding={"b"})
+    aborted = engine.begin("op", "bad", steps)
+    with pytest.raises(SagaError):
+        engine.run_now(aborted)
+
+    assert committed.status == COMMITTED and committed.detail == {"who": "test"}
+    assert committed.journal == [
+        "begin", "start:a", "done:a", "start:b", "done:b", "commit",
+    ]
+    assert aborted.status == ABORTED
+    assert aborted.journal == ["begin", "start:a", "done:a", "start:b", "abort"]
+    assert holds_no_closures(committed) and holds_no_closures(aborted)
+
+
+def test_run_now_returns_the_result_and_the_callers_state_keeps_its_keys():
+    engine = SagaEngine(Simulator())
+    state = {}
+    saga = engine.begin(
+        "op",
+        "cookie",
+        [
+            SagaStep("make", do=lambda: "made", store="made", forward_only=True),
+            SagaStep("use", do=lambda: state["made"].upper(), locked=False),
+        ],
+        state=state,
+    )
+    assert engine.run_now(saga) == "MADE"
+    # settling rebinds the saga's containers; the closures' dict is kept
+    assert state == {"made": "made"}
+    assert holds_no_closures(saga)
+
+
+def test_a_crashed_saga_keeps_its_steps_until_resolve_settles_it():
+    for pivot, outcome in (("a", COMMITTED), ("c", ABORTED)):
+        engine = SagaEngine(Simulator())
+        steps, _calls = recording_steps(engine.sim, ["a", "b", "c"], pivot=pivot)
+        saga = engine.begin("op", "cookie", steps)
+        engine.authority = lambda saga: not saga.done("a")
+        with pytest.raises(ControllerCrashed):
+            engine.run_now(saga)
+        assert saga.incomplete and saga.steps is steps
+        engine.authority = lambda saga: True
+        engine.resolve(engine.log.incomplete())
+        assert saga.status == outcome and holds_no_closures(saga)
+
+
+def test_a_saga_settled_while_queued_on_the_mutex_stays_settled():
+    """Recovery may abort a journaled saga still waiting for the attach
+    mutex; when the mutex comes free the run must not commit it."""
+    sim = Simulator()
+    engine = SagaEngine(sim)
+    calls = []
+
+    def hold():
+        yield sim.timeout(1.0)
+
+    holder = engine.begin("op", "holder", [SagaStep("hold", do=hold, forward_only=True)])
+    queued = engine.begin(
+        "op",
+        "queued",
+        [
+            SagaStep(
+                "a",
+                do=lambda: calls.append("do:a"),
+                undo=lambda: calls.append("undo:a"),
+            )
+        ],
+    )
+    outcome = []
+
+    def run_queued():
+        try:
+            yield sim.process(engine.run(queued))
+            outcome.append("returned")
+        except ControllerCrashed:
+            outcome.append("crashed")
+
+    sim.process(engine.run(holder))
+    sim.process(run_queued())
+    sim.timeout(0.5).callbacks.append(lambda _event: engine.resolve([queued]))
+    sim.run()
+    assert holder.status == COMMITTED
+    assert outcome == ["crashed"]
+    assert queued.status == ABORTED and "commit" not in queued.journal
+    assert calls.count("do:a") == calls.count("undo:a")
+    assert holds_no_closures(queued)
+
+
 # -- the two callers of resolve() ----------------------------------------
 
 

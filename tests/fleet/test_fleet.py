@@ -122,6 +122,15 @@ def test_detached_fleet_leaves_no_per_session_state():
         for host in domain.cloud.compute_hosts.values():
             assert host.stack.nat.cookies() == set()
             assert len(host.stack.nat.conntrack) == 0
+        # O(active) closures too: every saga the intent log or a replica
+        # log still holds is settled and keeps only its record
+        sagas = list(storm.intent_log.sagas)
+        for log in storm.ha.logs.values():
+            sagas.extend(record.saga for record in log.records.values())
+        assert sagas
+        for saga in sagas:
+            assert not saga.incomplete
+            assert saga.steps == [] and saga.state == {} and saga.results == {}
         for name in list(run.metrics._metrics):
             # only unscoped fleet-wide metrics survive; every tenant
             # scope was evicted when its last session detached

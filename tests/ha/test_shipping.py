@@ -72,6 +72,99 @@ def test_failed_ship_leaves_no_trace():
     assert env.storm.intent_log.incomplete() == []
 
 
+def test_begin_time_quorum_failure_is_a_settlement():
+    """Both begin-time aborts (no quorum for the first entry; no leader
+    at all) settle through the engine: the saga drops its closures and
+    counts towards the next compaction like any other settlement."""
+    env = ha_env()
+    cluster = env.storm.ha
+    log = env.storm.intent_log
+    env.injector.isolate_leader(cluster)
+    for name in ("svc", "leaderless"):
+        with pytest.raises(QuorumLost):
+            env.storm.provision_middlebox(env.tenant, env.spec(name=name, relay="fwd"))
+    failed = list(log.sagas)
+    assert [saga.journal for saga in failed] == [["begin", "abort"]] * 2
+    assert all(not saga.incomplete and saga.steps == [] for saga in failed)
+    assert all(not rl.records for rl in cluster.logs.values())
+
+    env.injector.heal_control_partition(cluster, "storm-cp0")
+    cluster.start()
+    env.sim.run(until=env.sim.now + 1.0)
+    cluster.stop()
+    assert cluster.leader_name is not None
+    # the two failures were settlements 1 and 2 of the next 64
+    mbs = [
+        env.storm.provision_middlebox(env.tenant, env.spec(name=f"s{i}", relay="fwd"))
+        for i in range(COMPACT_EVERY // 2 - 1)
+    ]  # settlements 3 to 33
+    for mb in mbs[:-1]:
+        env.storm.deprovision_middlebox(mb)  # 34 to 63
+    assert log.compacted == 0 and log.sagas[:2] == failed
+    env.storm.deprovision_middlebox(mbs[-1])  # the 64th compacts
+    assert log.compacted_aborted == 2 and len(log) == 0
+
+
+@pytest.mark.parametrize("cut", ["link-down", "unplug", "crash"])
+def test_route_reads_reachability_live(cut):
+    """A follower taken off between two ships of one leadership does not
+    ack the second, and acks again (by snapshot) once it is back: the
+    route is built once, but its verdict is never cached."""
+    env = ha_env()
+    cluster = env.storm.ha
+    bus = ObsBus(env.sim)
+    instrument(bus, storm=env.storm)
+    leader, follower = cluster.node("storm-cp0"), cluster.node("storm-cp2")
+    link = cluster.link_between(leader.name, follower.name)
+    nic = link.a if link.a.owner is leader else link.b  # leader's end
+
+    def index(node):
+        return cluster.logs[node.name].last_index
+
+    def provision(name):
+        return env.storm.provision_middlebox(env.tenant, env.spec(name=name, relay="fwd"))
+
+    if cut == "link-down":
+        take_off, bring_back = (lambda: env.injector.link_down(link),
+                                lambda: env.injector.link_up(link))
+    elif cut == "unplug":
+        take_off, bring_back = (lambda: setattr(nic, "link", None),
+                                lambda: setattr(nic, "link", link))
+    else:
+        take_off, bring_back = (lambda: env.injector.crash(follower),
+                                lambda: env.injector.restart(follower))
+
+    provision("before")
+    assert index(follower) == index(leader) > 0
+    take_off()
+    behind = index(follower)
+    provision("during")  # two of three replicas: the quorum holds
+    assert cluster.leader_name == leader.name
+    assert index(follower) == behind < index(leader)
+    bring_back()
+    catchups = bus.metrics.counter("ha.ship.catchups").value
+    provision("after")
+    assert bus.metrics.counter("ha.ship.catchups").value == catchups + 1
+    assert index(follower) == index(leader)
+
+
+def test_route_follows_the_leader_after_an_election():
+    env = ha_env()
+    cluster = env.storm.ha
+    cluster.start()
+    old = env.injector.crash_leader(cluster)
+    env.sim.run(until=env.sim.now + 1.0)
+    cluster.stop()
+    new = cluster.leader_node
+    assert new is not None and new is not old
+    (peer,) = [n for n in cluster.nodes if n is not old and n is not new]
+    env.storm.provision_middlebox(env.tenant, env.spec(name="svc", relay="fwd"))
+    indexes = {name: log.last_index for name, log in cluster.logs.items()}
+    assert indexes[new.name] == indexes[peer.name] > indexes[old.name]
+    with pytest.raises(KeyError, match="nope"):
+        cluster.node("nope")
+
+
 def test_quorum_loss_is_a_controller_crash_to_callers():
     env = ha_env()
     cluster = env.storm.ha
