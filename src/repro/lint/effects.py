@@ -103,7 +103,7 @@ _ENTROPY_DOTTED: frozenset[str] = frozenset(
 #: on a receiver named ``sim`` / ``_sim``.
 _KERNEL_METHODS: frozenset[str] = frozenset(
     {
-        "schedule_abs",
+        "disarm_calls",
         "call_at",
         "_schedule",
         "timeout",

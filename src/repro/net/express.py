@@ -21,7 +21,7 @@ Exactness argument (DESIGN.md §12 has the long form):
 - The per-element arithmetic is float-op-for-float-op the same
   (``start + (size / bandwidth + overhead)``, then ``+ latency``), and
   the chained times are pushed as *absolute* times
-  (:meth:`Simulator.schedule_abs`), so no extra rounding is introduced.
+  (:meth:`Simulator.call_at`), so no extra rounding is introduced.
 - The conduit is learned, not modelled: after enough clean ACKs one
   ordinary segment carries a :class:`CompiledPath` as ``packet.plan``
   through the packet path, and every element reports what it *did*
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.sim.core import Call, Event, Simulator
+from repro.sim.core import Simulator
 from repro.net.packet import Packet
 
 #: clean data ACKs received before a socket sends a learning segment
@@ -135,36 +135,6 @@ class CompiledPath:
         obs = mgr.obs
         if obs is not None:
             obs.event("flow.promote", target=mgr._label(socket), hops=len(self.hops))
-
-
-class _WalkEvent(Call):
-    """One express step: fires at the commit time of element ``i`` of
-    ``path`` (or at delivery when ``i < 0``).  The kernel's
-    :class:`~repro.sim.core.Call` with its target and arguments in
-    fixed slots instead of ``fn(*args)``: the walk is the one caller
-    whose product is the event's own host cost."""
-
-    __slots__ = ("mgr", "path", "packet", "i", "t")
-
-    def __init__(
-        self, mgr: "ExpressManager", path: CompiledPath, packet: Packet, i: int, t: float
-    ) -> None:
-        # Deliberately no super().__init__: the kernel's step() only
-        # touches ``callbacks`` and ``_processed``.
-        self.sim = mgr.sim
-        self.callbacks = [self]  # type: ignore[list-item]
-        self._processed = False
-        self.mgr = mgr
-        self.path = path
-        self.packet = packet
-        self.i = i
-        self.t = t
-
-    def __call__(self, _event: Event) -> None:
-        if self.i < 0:
-            self.mgr._deliver(self.path, self.packet)
-        else:
-            self.mgr._hop(self.path, self.packet, self.i, self.t)
 
 
 class ExpressManager:
@@ -265,9 +235,9 @@ class ExpressManager:
         if i < len(steps):
             for d in steps[i][0]:
                 out = out + d
+            self.sim.call_at(out, self._hop, path, packet, i, out)
         else:
-            i = -1
-        self.sim.schedule_abs(out, _WalkEvent(self, path, packet, i, out))
+            self.sim.call_at(out, self._deliver, path, packet)
 
     def _deliver(self, path: CompiledPath, packet: Packet) -> None:
         """Arrival at the destination stack: apply the side effects the

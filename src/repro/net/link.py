@@ -174,9 +174,8 @@ class Link:
         does, exactly as if the injector had been there when they were
         sent: going down with a backlog queued drops the backlog."""
         sim = self.sim
-        for call in sim.pending_calls(self._arrive):
-            start = call.args[2]
-            if start > sim.now:
-                call.callbacks.clear()  # the unjudged arrival never fires
-                sim.call_at(start, self._serialize, *call.args)
+        now = sim.now
+        # the unjudged arrivals never fire; their slots are judged instead
+        for args in sim.disarm_calls(self._arrive, lambda args: args[2] > now):
+            sim.call_at(args[2], self._serialize, *args)
         self.faults = faults

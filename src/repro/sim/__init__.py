@@ -15,7 +15,6 @@ interacts (the fleet's per-tenant domains) gets one ``Simulator`` each;
 from repro.sim.core import (
     AllOf,
     AnyOf,
-    Call,
     Event,
     Interrupt,
     Process,
@@ -30,7 +29,6 @@ from repro.sim.shard import ShardedKernel
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Call",
     "Event",
     "Interrupt",
     "Process",

@@ -1,12 +1,18 @@
 """Event loop, events, and generator-based processes.
 
-Time is a float in **seconds**.  Timed events are scheduled onto a
+Time is a float in **seconds**.  Timed occurrences are scheduled onto a
 heap keyed by ``(time, sequence)``; *same-time* occurrences (an event
 ``succeed()``-ed now, a process resume, a zero-delay timeout) go onto
 a deferred FIFO ``deque`` instead, bypassing the heap entirely — only
 true timeouts pay ``heapq`` cost.  One global sequence counter spans
 both queues, so the execution order is the exact FIFO order a pure
 heap would produce and runs stay reproducible.
+
+A heap entry is a plain tuple ``(when, seq, fn, args)``: a scheduled
+call (:meth:`Simulator.call_at`) fires as ``fn(*args)``, and a timeout
+is ``(when, seq, None, event)`` and fires the event's callbacks.  A call
+is therefore no object at all, and the ``seq`` is unique, so heap
+comparisons never reach the third field.
 
 Process bookkeeping is allocation-light: bootstraps, resumes off
 already-processed events, and interrupts are entries on the deferred
@@ -18,6 +24,7 @@ instead of paying ``list.remove`` on the event's callback list.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
@@ -108,31 +115,6 @@ class Timeout(Event):
         self._value = value
         self.ok = True
         sim._schedule(self, delay)
-
-
-class Call(Event):
-    """A scheduled call ``fn(*args)``: the event is its own (only)
-    callback, so one occurrence costs one slotted object and one heap
-    entry: no closure, no ``Timeout``, no process resume.  Every element
-    of :mod:`repro.net` pays exactly one per packet
-    (:meth:`Simulator.call_at`).  A subclass may keep its target in fixed
-    slots and override ``__call__`` instead of filling ``fn``/``args``."""
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, sim: "Simulator", fn: Callable[..., Any], args: tuple[Any, ...]) -> None:
-        # Field-for-field Event.__init__ (triggered, valued None) plus
-        # the self-callback, without the super() call on the hot path.
-        self.sim = sim
-        self.callbacks = [self]  # type: ignore[list-item]
-        self._value = None
-        self.ok = True
-        self._processed = False
-        self.fn = fn
-        self.args = args
-
-    def __call__(self, _event: Event) -> None:
-        self.fn(*self.args)
 
 
 class _ConditionBase(Event):
@@ -287,15 +269,21 @@ class Process(Event):
         target.callbacks.append(self._resume)
 
 
+def _noop() -> None:
+    """What a disarmed call runs (:meth:`Simulator.disarm_calls`)."""
+
+
 class Simulator:
     """The event loop: virtual clock, a deferred FIFO for same-time
-    occurrences, and a time-ordered heap for true timeouts."""
+    occurrences, and a time-ordered heap for true timeouts and calls."""
 
     __slots__ = ("now", "_heap", "_deferred", "_sequence", "express")
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        #: ``(when, seq, fn, args)`` calls and ``(when, seq, None, event)``
+        #: timed events
+        self._heap: list[tuple[float, int, Any, Any]] = []
         self._deferred: deque[tuple[Any, ...]] = deque()
         self._sequence = 0
         #: flow-level fast path (:class:`repro.net.express.ExpressManager`)
@@ -311,7 +299,7 @@ class Simulator:
         if delay == 0.0:
             self._deferred.append((seq, _DEFERRED_EVENT, event))
         else:
-            heapq.heappush(self._heap, (self.now + delay, seq, event))
+            heapq.heappush(self._heap, (self.now + delay, seq, None, event))
 
     def _defer_resume(self, process: Process, value: Any, ok: bool, epoch: int) -> None:
         seq = self._sequence
@@ -323,37 +311,40 @@ class Simulator:
         self._sequence = seq + 1
         self._deferred.append((seq, _DEFERRED_INTERRUPT, process, cause))
 
-    def schedule_abs(self, when: float, event: Event) -> None:
-        """Schedule an already-valued event at the absolute time ``when``.
-
-        Used by the network elements, which compute occurrence times
-        analytically: pushing the absolute time directly avoids the
+    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` at the absolute time ``when``: the one
+        scheduled occurrence a packet pays per network element, one heap
+        tuple and nothing else.  The network elements compute occurrence
+        times analytically, and pushing the absolute time avoids the
         ``now + (when - now)`` float round-trip of a relative timeout.
-        ``when`` must not precede ``now``; an entry at ``now`` keeps its
+        ``when`` must not precede ``now``; a call at ``now`` keeps its
         sequence order among deferred entries, like a zero-delay timeout.
         """
         if when < self.now:
-            raise SimulationError("schedule_abs into the past")
+            raise SimulationError("call_at into the past")
         seq = self._sequence
         self._sequence = seq + 1
-        heapq.heappush(self._heap, (when, seq, event))
+        heapq.heappush(self._heap, (when, seq, fn, args))
 
-    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Call:
-        """Run ``fn(*args)`` at the absolute time ``when``: the one
-        scheduled occurrence a packet pays per network element."""
-        call = Call(self, fn, args)
-        self.schedule_abs(when, call)
-        return call
+    def disarm_calls(
+        self, fn: Callable[..., Any], match: Callable[[tuple[Any, ...]], bool]
+    ) -> list[tuple[Any, ...]]:
+        """Disarm the pending ``call_at`` calls of ``fn`` whose ``args``
+        satisfy ``match`` and return those ``args`` in firing order.
 
-    def pending_calls(self, fn: Callable[..., Any]) -> list[Call]:
-        """The scheduled ``call_at`` calls of ``fn`` that still hold their
-        callback, in firing order.  A heap scan: for rare reconfiguration
-        (a fault injector arriving mid-transfer), never per packet."""
-        mine: list[tuple[float, int, Call]] = []
-        for when, seq, event in self._heap:
-            if type(event) is Call and event.callbacks and event.fn == fn:
-                mine.append((when, seq, event))
-        return [call for _when, _seq, call in sorted(mine)]
+        Each entry is swapped in place for a no-op with the same ``(when,
+        seq)``, so the heap stays valid and a disarmed call still
+        advances the clock when its time comes.  A heap scan: for rare
+        reconfiguration (a fault injector arriving mid-transfer), never
+        per packet."""
+        heap = self._heap
+        hits = []
+        for i, entry in enumerate(heap):
+            if entry[2] == fn and match(entry[3]):
+                heap[i] = (entry[0], entry[1], _noop, ())
+                hits.append(entry)
+        hits.sort()  # (when, seq) is unique: never compares fn
+        return [args for _when, _seq, _fn, args in hits]
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -376,62 +367,92 @@ class Simulator:
 
     def step(self) -> None:
         """Process the single next occurrence (deferred entry or heap
-        event), in global ``sequence`` order for same-time entries."""
+        entry), in global ``sequence`` order for same-time entries.
+        The reference for one iteration of :meth:`run`'s loop."""
         deferred = self._deferred
-        if deferred:
-            heap = self._heap
-            # Deferred entries always sit at the current time; a heap
-            # event only goes first if it fires now with an older seq.
-            if not (heap and heap[0][0] <= self.now and heap[0][1] < deferred[0][0]):
-                entry = deferred.popleft()
-                kind = entry[1]
-                if kind == _DEFERRED_EVENT:
-                    event = entry[2]
-                    event._processed = True
-                    callbacks, event.callbacks = event.callbacks, []
-                    for callback in callbacks:
-                        callback(event)
-                elif kind == _DEFERRED_RESUME:
-                    entry[2]._deferred_resume(entry[3], entry[4], entry[5])
-                else:
-                    entry[2]._deliver_interrupt(entry[3])
-                return
-        when, _seq, event = heapq.heappop(self._heap)
+        heap = self._heap
+        # Deferred entries always sit at the current time; a heap entry
+        # only goes first if it fires now with an older seq.
+        if deferred and not (heap and heap[0][0] <= self.now and heap[0][1] < deferred[0][0]):
+            entry = deferred.popleft()
+            kind = entry[1]
+            if kind == _DEFERRED_EVENT:
+                event = entry[2]
+                event._processed = True
+                callbacks, event.callbacks = event.callbacks, []
+                for callback in callbacks:
+                    callback(event)
+            elif kind == _DEFERRED_RESUME:
+                entry[2]._deferred_resume(entry[3], entry[4], entry[5])
+            else:
+                entry[2]._deliver_interrupt(entry[3])
+            return
+        when, _seq, fn, arg = heapq.heappop(heap)
         if when < self.now:
             raise SimulationError("time went backwards")
         self.now = when
-        event._processed = True
-        callbacks, event.callbacks = event.callbacks, []
+        if fn is not None:
+            fn(*arg)
+            return
+        arg._processed = True
+        callbacks, arg.callbacks = arg.callbacks, []
         for callback in callbacks:
-            callback(event)
+            callback(arg)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until both queues drain, ``until`` seconds, or an event
         fires.  Returns the event's value when ``until`` is an Event.
+
+        One loop serves all three modes: :meth:`step`'s body inlined,
+        stopping when ``stop`` is processed (a fresh, never-triggered
+        event unless ``until`` is one) or the next heap entry lies past
+        ``horizon`` (infinite unless ``until`` is a time).
         """
         if isinstance(until, Event):
-            stop = until
-            while not stop._processed:
-                if not self._heap and not self._deferred:
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited event fired"
-                    )
-                self.step()
+            stop, horizon = until, math.inf
+        else:
+            stop = Event(self)
+            horizon = math.inf if until is None else float(until)
+        heap = self._heap
+        deferred = self._deferred
+        popleft = deferred.popleft
+        heappop = heapq.heappop
+        now = self.now
+        while not stop._processed:
+            if deferred:
+                if not (heap and heap[0][0] <= now and heap[0][1] < deferred[0][0]):
+                    entry = popleft()
+                    kind = entry[1]
+                    if kind == _DEFERRED_EVENT:
+                        event = entry[2]
+                        event._processed = True
+                        callbacks, event.callbacks = event.callbacks, []
+                        for callback in callbacks:
+                            callback(event)
+                    elif kind == _DEFERRED_RESUME:
+                        entry[2]._deferred_resume(entry[3], entry[4], entry[5])
+                    else:
+                        entry[2]._deliver_interrupt(entry[3])
+                    continue
+            elif not heap or heap[0][0] > horizon:
+                break
+            when, _seq, fn, arg = heappop(heap)
+            self.now = now = when
+            if fn is not None:
+                fn(*arg)
+                continue
+            arg._processed = True
+            callbacks, arg.callbacks = arg.callbacks, []
+            for callback in callbacks:
+                callback(arg)
+        if stop is until:
+            if not stop._processed:
+                raise SimulationError(
+                    "simulation ran out of events before the awaited event fired"
+                )
             if not stop.ok:
                 raise stop.value
             return stop.value
-        horizon = float(until) if until is not None else None
-        heap = self._heap
-        deferred = self._deferred
-        while True:
-            if deferred:
-                self.step()
-                continue
-            if not heap:
-                break
-            if horizon is not None and heap[0][0] > horizon:
-                break
-            self.step()
-        if horizon is not None and horizon > self.now:
+        if until is not None and horizon > self.now:
             self.now = horizon
         return None

@@ -45,7 +45,7 @@ def test_os_entropy():
 def test_kernel_schedule():
     assert classify(("sim",), "timeout") == {fx.KERNEL_SCHEDULE}
     assert classify(("self", "sim"), "process") == {fx.KERNEL_SCHEDULE}
-    assert classify(("_sim",), "schedule_abs") == {fx.KERNEL_SCHEDULE}
+    assert classify(("_sim",), "disarm_calls") == {fx.KERNEL_SCHEDULE}
     # the one-occurrence-per-element primitive every net element uses
     assert classify(("self", "sim"), "call_at") == {fx.KERNEL_SCHEDULE}
     # Event.succeed / Process.interrupt schedule regardless of receiver

@@ -98,29 +98,29 @@ def test_call_at_is_one_occurrence_in_sequence_order():
         sim.call_at(1.0, fired.append, "past")
 
 
-def test_call_is_a_waitable_event_and_can_be_disarmed():
+def test_disarmed_calls_never_fire_but_advance_the_clock():
+    """Disarmed calls never fire but still advance the clock, and
+    ``disarm_calls`` hands back their arguments in ``(when, seq)``
+    order, which is also the order the armed ones fire in."""
     sim = Simulator()
     fired = []
-    woke = []
-
-    def waiter(call):
-        yield call
-        woke.append(sim.now)
-
-    sim.process(waiter(sim.call_at(2.0, fired.append, "a")))
-    doomed = sim.call_at(3.0, fired.append, "b")
-    kept = sim.call_at(3.0, fired.append, "c")
-    early = sim.call_at(1.0, fired.append, "c")
-    assert sim.pending_calls(fired.append)[0] is early  # firing order
-    assert len(sim.pending_calls(fired.append)) == 4
-    doomed.callbacks.clear()
-    assert doomed not in sim.pending_calls(fired.append)
-    assert kept in sim.pending_calls(fired.append)
-    assert sim.pending_calls(woke.append) == []
+    other = []
+    sim.call_at(4.0, fired.append, "late-doomed")
+    sim.call_at(2.0, fired.append, "a")
+    sim.call_at(3.0, fired.append, "b")
+    sim.call_at(3.0, fired.append, "doomed")
+    sim.call_at(1.0, fired.append, "early-doomed")
+    sim.call_at(3.0, other.append, "doomed")  # another fn: untouched
+    before = sim._sequence
+    disarmed = sim.disarm_calls(fired.append, lambda args: "doomed" in args[0])
+    assert disarmed == [("early-doomed",), ("doomed",), ("late-doomed",)]
+    assert sim._sequence == before  # disarming costs no sequence number
+    assert sim.disarm_calls(fired.append, lambda args: "doomed" in args[0]) == []
+    sim.run(until=1.0)
+    assert fired == [] and sim.now == 1.0
     sim.run()
-    assert fired == ["c", "a", "c"] and woke == [2.0]
-    assert sim.now == 3.0  # the disarmed entry still advanced the clock
-    assert sim.pending_calls(fired.append) == []
+    assert fired == ["a", "b"] and other == ["doomed"]
+    assert sim.now == 4.0  # the disarmed entry at 4.0 still advanced the clock
 
 
 def test_yield_already_processed_event_resumes_fifo():
