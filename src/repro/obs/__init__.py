@@ -9,7 +9,8 @@ span model and context-propagation story; the short version:
   :class:`TraceContext` stamped on in-flight objects (packets, PDUs)
   so downstream layers join the same trace;
 - metrics live in ``bus.metrics`` keyed by ``(kind, name, scope)``;
-- sinks receive every record; exports are deterministic bytes.
+- sinks receive every record as a flat tuple (``record_dict`` turns one
+  into its schema dict); exports are deterministic bytes.
 
 With no bus attached every instrumented component's ``obs`` hook is
 ``None`` and the simulation is bit-identical to an uninstrumented one.
@@ -25,6 +26,7 @@ from repro.obs.sinks import (
     JsonlSink,
     RingSink,
     Sink,
+    record_dict,
     to_chrome_trace,
     to_jsonl_lines,
 )
@@ -53,6 +55,7 @@ __all__ = [
     "JsonlSink",
     "RingSink",
     "Sink",
+    "record_dict",
     "to_chrome_trace",
     "to_jsonl_lines",
     "events_of",

@@ -16,7 +16,7 @@ Determinism contract:
 - records are sequenced by a bus-level emission counter, so an
   exported stream from two identical runs is byte-identical.
 
-Record schema (what sinks receive, and what the JSONL export writes):
+Record schema (what every ``records`` read and the JSONL export yield):
 
 - ``{"type": "span", "seq", "ts", "trace", "span", "parent", "name",
   "start", "end", "status", "attrs"}`` — emitted when a span finishes;
@@ -24,6 +24,12 @@ Record schema (what sinks receive, and what the JSONL export writes):
   "attrs"}`` — emitted immediately;
 - ``{"type": "counter"|"gauge"|"histogram", ...}`` — appended by the
   exports from the metrics registry snapshot.
+
+Sinks receive spans and events as flat tuples, not dicts: the layouts
+and the tuple-to-dict function :func:`~repro.obs.sinks.record_dict`
+live in :mod:`repro.obs.sinks`.  A ``net.hop`` event has its own
+layout, emitted by :meth:`ObsBus.hop`, that keeps the byte count
+inline instead of an ``attrs`` dict.
 """
 
 from __future__ import annotations
@@ -115,6 +121,8 @@ class ObsBus:
 
     @property
     def records(self) -> list[dict]:
+        """The collector's records as schema dicts, built afresh on
+        every read."""
         return self.collector.records
 
     def release_scope(self, scope: str) -> int:
@@ -157,16 +165,21 @@ class ObsBus:
         if ctx is not None:
             trace_id = ctx.trace_id
             span_id = ctx.span_id
-        record = {
-            "type": "event",
-            "seq": next(self._seq),
-            "ts": self.now if when is None else when,
-            "kind": kind,
-            "target": target,
-            "trace": trace_id,
-            "span": span_id,
-            "attrs": attrs,
-        }
+        # the EVENT_FIELDS layout of repro.obs.sinks
+        record = ("event", next(self._seq), self.now if when is None else when,
+                  kind, target, trace_id, span_id, attrs)
+        self.events_emitted += 1
+        for sink in self.sinks:
+            sink.emit(record)
+
+    def hop(self, node: str, trace_id: int, span_id: int, size: int) -> None:
+        """Emit one ``net.hop`` event: ``size`` bytes crossing ``node``
+        on that trace/span.  Reads back exactly as
+        ``event("net.hop", target=node, bytes=size)`` would, but stores
+        no dict."""
+        if not self.enabled:
+            return
+        record = ("hop", next(self._seq), self.sim.now, node, trace_id, span_id, size)
         self.events_emitted += 1
         for sink in self.sinks:
             sink.emit(record)
@@ -174,19 +187,10 @@ class ObsBus:
     def _emit_span(self, span: Span) -> None:
         if not self.enabled:
             return
-        record = {
-            "type": "span",
-            "seq": next(self._seq),
-            "ts": span.start,
-            "trace": span.trace_id,
-            "span": span.span_id,
-            "parent": span.parent_id,
-            "name": span.name,
-            "start": span.start,
-            "end": span.end,
-            "status": span.status,
-            "attrs": span.attrs,
-        }
+        # the SPAN_FIELDS layout of repro.obs.sinks
+        record = ("span", next(self._seq), span.start, span.trace_id, span.span_id,
+                  span.parent_id, span.name, span.start, span.end, span.status,
+                  span.attrs)
         for sink in self.sinks:
             sink.emit(record)
 
@@ -194,7 +198,7 @@ class ObsBus:
 
     def export_records(self) -> list[dict]:
         """All collected records plus the metrics snapshot."""
-        return list(self.collector.records) + self.metrics.snapshot()
+        return self.collector.records + self.metrics.snapshot()
 
     def export_jsonl(self, path: Optional[str] = None) -> str:
         """Serialize the stream as JSON Lines (deterministic bytes).

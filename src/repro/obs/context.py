@@ -12,7 +12,9 @@ emission to the same trace.
 The token is three words (bus, trace id, span id) and its propagation
 costs one attribute copy per packet — with instrumentation off the
 fields stay ``None`` and every emission site is a single identity
-check.
+check.  A hop is the most frequent emission, so :meth:`hop` passes its
+byte count straight to :meth:`~repro.obs.bus.ObsBus.hop`, which stores
+one flat tuple and no dict.
 """
 
 from __future__ import annotations
@@ -45,10 +47,7 @@ class TraceContext:
     def hop(self, node_name: str, packet: Any) -> None:
         """Record this packet traversing ``node_name`` — the per-hop
         timestamps the latency-breakdown tables are built from."""
-        if not self.bus.enabled:
-            return  # skip the kwargs packing on collection-off buses
-        self.bus.event("net.hop", target=node_name, trace_id=self.trace_id,
-                       span_id=self.span_id, bytes=packet.size)
+        self.bus.hop(node_name, self.trace_id, self.span_id, packet.size)
 
     def __repr__(self) -> str:
         return f"TraceContext(trace={self.trace_id}, span={self.span_id})"

@@ -1,8 +1,24 @@
-"""Pluggable record sinks and the export serializers.
+"""Record layouts, pluggable sinks, and the export serializers.
 
-Every record the bus emits is a plain dict (see
-:mod:`repro.obs.bus` for the schema); a sink is anything with an
-``emit(record)`` method.  Three are provided:
+The bus emits each record as one flat tuple whose first item is a tag
+naming its layout; this module owns the layouts and the one function,
+:func:`record_dict`, that turns a stored tuple back into the record
+dict of the schema in :mod:`repro.obs.bus`:
+
+- ``("span", seq, ts, trace, span, parent, name, start, end, status,
+  attrs)`` — the fields of :data:`SPAN_FIELDS`, in order;
+- ``("event", seq, ts, kind, target, trace, span, attrs)`` — the
+  fields of :data:`EVENT_FIELDS`, in order;
+- ``("hop", seq, ts, node, trace, span, size)`` — one ``net.hop``
+  event, which reads back with ``kind="net.hop"``, ``target=node`` and
+  ``attrs={"bytes": size}``.  Hops are most of a traced run's records,
+  so they keep their byte count inline instead of a kwargs dict.
+
+Tuples are what sinks keep, because a retained tuple costs about a
+third of the dict it stands for; dicts are built only when someone
+reads.  A sink is anything with an ``emit(record)`` method that takes
+such a tuple; a custom sink that wants the dict calls
+:func:`record_dict` on it.  Three are provided:
 
 - :class:`CollectorSink` — unbounded in-memory list (the bus default;
   exports read from it);
@@ -11,21 +27,43 @@ Every record the bus emits is a plain dict (see
 - :class:`JsonlSink` — streams each record to an open file as one JSON
   line (tail-able mid-run).
 
-The serializers are deterministic: ``sort_keys`` + fixed separators,
-so identical runs produce byte-identical exports.
+Every ``records`` read builds a fresh list of dicts, so a caller that
+reads inside a loop hoists the read.  The serializers are
+deterministic: ``sort_keys`` + fixed separators, so identical runs
+produce byte-identical exports.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Optional, Protocol, TextIO
+from typing import Any, Callable, Optional, Protocol, TextIO
+
+#: a stored record: a layout tag followed by that layout's values
+Record = tuple[Any, ...]
+
+#: dict keys of the span and event layouts, in tuple order; the tag in
+#: position 0 is the record's ``type``
+SPAN_FIELDS = ("type", "seq", "ts", "trace", "span", "parent", "name",
+               "start", "end", "status", "attrs")
+EVENT_FIELDS = ("type", "seq", "ts", "kind", "target", "trace", "span", "attrs")
+_FIELDS = {"span": SPAN_FIELDS, "event": EVENT_FIELDS}
+
+
+def record_dict(record: Record) -> dict:
+    """The schema dict a stored record tuple stands for."""
+    if record[0] == "hop":
+        _, seq, ts, node, trace, span, size = record
+        return {"type": "event", "seq": seq, "ts": ts, "kind": "net.hop",
+                "target": node, "trace": trace, "span": span,
+                "attrs": {"bytes": size}}
+    return dict(zip(_FIELDS[record[0]], record))
 
 
 class Sink(Protocol):
-    """Anything the bus can emit records into."""
+    """Anything the bus can emit record tuples into."""
 
-    def emit(self, record: dict) -> None: ...
+    def emit(self, record: Record) -> None: ...
 
 
 def record_to_json(record: dict) -> str:
@@ -78,26 +116,31 @@ def to_chrome_trace(records: list[dict]) -> dict:
 class CollectorSink:
     """Keeps every record, in emission order."""
 
-    def __init__(self) -> None:
-        self.records: list[dict] = []
+    #: the store's own append, bound once: no Python frame per record
+    emit: Callable[[Record], None]
 
-    def emit(self, record: dict) -> None:
-        self.records.append(record)
+    def __init__(self) -> None:
+        self._records: list[Record] = []
+        self.emit = self._records.append
+
+    @property
+    def records(self) -> list[dict]:
+        return [record_dict(r) for r in self._records]
 
 
 class RingSink:
     """Keeps only the most recent ``capacity`` records."""
 
+    emit: Callable[[Record], None]
+
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
-        self._ring: deque[dict] = deque(maxlen=capacity)
-
-    def emit(self, record: dict) -> None:
-        self._ring.append(record)
+        self._ring: deque[Record] = deque(maxlen=capacity)
+        self.emit = self._ring.append
 
     @property
     def records(self) -> list[dict]:
-        return list(self._ring)
+        return [record_dict(r) for r in self._ring]
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -111,9 +154,9 @@ class JsonlSink:
         self._fh: Optional[TextIO] = open(path, "w")
         self.lines_written = 0
 
-    def emit(self, record: dict) -> None:
+    def emit(self, record: Record) -> None:
         if self._fh is not None:
-            self._fh.write(record_to_json(record) + "\n")
+            self._fh.write(record_to_json(record_dict(record)) + "\n")
             self.lines_written += 1
 
     def close(self) -> None:

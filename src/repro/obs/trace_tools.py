@@ -1,8 +1,9 @@
 """Post-processing helpers for exported trace records.
 
-These operate on the plain record dicts the bus emits (see
-:mod:`repro.obs.bus`), turning one request's trace into the per-hop
-latency breakdown the paper's evaluation figures are built from:
+These operate on the record dicts ``bus.records`` and
+``bus.export_records()`` return (see :mod:`repro.obs.bus`), turning
+one request's trace into the per-hop latency breakdown the paper's
+evaluation figures are built from:
 ``examples/chain_failover.py`` uses them to print where each
 microsecond of a write went (initiator → gateway → relay → service →
 target and back).

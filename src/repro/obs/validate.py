@@ -23,13 +23,15 @@ from typing import Any, Optional
 _NUMBER = (int, float)
 
 #: required keys and their accepted value types, per record type.
-#: ``None`` in a type tuple means JSON null is accepted.
+#: ``None`` in a type tuple means JSON null is accepted.  ``seq`` and
+#: the trace/span ids come from integer counters, so a float there means
+#: two fields of a record layout were swapped.
 SCHEMAS: dict = {
     "span": {
-        "seq": _NUMBER,
+        "seq": (int,),
         "ts": _NUMBER,
-        "trace": _NUMBER,
-        "span": _NUMBER,
+        "trace": (int,),
+        "span": (int,),
         "parent": (int, type(None)),
         "name": (str,),
         "start": _NUMBER,
@@ -38,7 +40,7 @@ SCHEMAS: dict = {
         "attrs": (dict,),
     },
     "event": {
-        "seq": _NUMBER,
+        "seq": (int,),
         "ts": _NUMBER,
         "kind": (str,),
         "target": (str,),

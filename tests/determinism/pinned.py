@@ -9,11 +9,12 @@ scheduled event or a one-ULP latency shift is a failure.  Host-side
 numbers (wall-clock, RSS) are never stored; ``benchmarks/e2e`` gates
 those.
 
-Four families:
+Five families:
 
 - kernel — raw event churn, store ping-pong, bulk TCP and end-to-end
   fio, the last two also over the express fast path;
 - HA control plane — election downtime, mid-saga takeover, ship lag;
+- trace export — a traced fio run's JSONL, by record counts and blake2s;
 - fleet tiers — 1k/10k/100k concurrent sessions (``SLOW`` ones run
   only when named on the command line);
 - ``fio_point`` references — ``MODE/size/threads`` keys, values first
@@ -33,6 +34,7 @@ by design re-records only the fields it explains in CHANGES.md.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import resource
 import sys
@@ -68,6 +70,7 @@ from repro.sim import Simulator, Store
 
 from tests.faults.conftest import recovery_params
 from tests.ha.conftest import ha_env
+from tests.obs.test_trace_determinism import traced_fio_export
 
 PINNED_PATH = Path(__file__).with_name("pinned.json")
 KB = 1024
@@ -308,6 +311,20 @@ def ship_lag() -> dict:
     }
 
 
+def trace_export() -> dict:
+    """The traced fio run's JSONL export, pinned byte for byte: a change
+    to how the bus stores or serializes records must leave the export
+    identical, not merely run-twice identical."""
+    text = traced_fio_export()
+    types = [json.loads(line)["type"] for line in text.splitlines()]
+    return {
+        "records": len(types),
+        "spans": types.count("span"),
+        "events": types.count("event"),
+        "jsonl_blake2s": hashlib.blake2s(text.encode("utf-8")).hexdigest(),
+    }
+
+
 # -- fio_point references ------------------------------------------------------
 
 
@@ -337,6 +354,7 @@ SCENARIOS: dict[str, Callable[[], dict]] = {
     "election": election,
     "saga_takeover": saga_takeover,
     "ship_lag": ship_lag,
+    "trace_export": trace_export,
     # fleet tiers, named by target concurrent sessions: rate is
     # concurrency / mean_hold (Little's law), sessions = 2.5x the target
     # so the run holds at the plateau, HA on everywhere (the fleet SLO
