@@ -13,7 +13,7 @@ Exactness argument (DESIGN.md §12 has the long form):
 
 - Every FIFO element (a link direction, a stack's software-forward
   path) is one :class:`~repro.net.link.Horizon`.  A packet commits its
-  slot on it in ``Link.transmit`` / ``NetworkStack.handle_receive``, an
+  slot on it in ``Interface.send`` / ``NetworkStack.handle_receive``, an
   express segment in :meth:`ExpressManager._hop`; both run inside the
   kernel occurrence that delivers the packet to the element, so both
   commit in the order those occurrences fire.  There is no second

@@ -37,19 +37,47 @@ class Interface:
         self.rx_bytes = 0
 
     def send(self, packet: Packet) -> None:
-        """Transmit onto the attached link (drops if unplugged)."""
-        if self.link is None:
+        """Transmit onto the attached link (drops if unplugged): the near
+        half of a link transit.  The packet commits its slot
+        ``start..done`` on this direction's :class:`Horizon`; on a link
+        with no injector its arrival at the far end
+        (:meth:`Link._arrive`) is scheduled at once."""
+        link = self.link
+        if link is None:
             return
+        size = packet.size
         self.tx_packets += 1
-        self.tx_bytes += packet.size
-        self.link.transmit(self, packet)
-
-    def deliver(self, packet: Packet) -> None:
-        """Called by the link when a packet arrives at this interface."""
-        self.rx_packets += 1
-        self.rx_bytes += packet.size
-        if self.owner is not None:
-            self.owner.receive(packet, self)
+        self.tx_bytes += size
+        horizon, dst = link._directions[self]
+        sim = link.sim
+        now = sim.now
+        busy = horizon.busy
+        start = busy if busy > now else now
+        done = start + (size / link.bandwidth + link.per_packet_overhead)
+        horizon.busy = done
+        obs = link._obs
+        if obs is not None:
+            counters = link._counters
+            if counters is None:  # first transmit since a bus was wired
+                metrics = obs.metrics
+                counters = link._counters = (
+                    metrics.counter("link.tx", link.obs_name),
+                    metrics.counter("link.tx_bytes", link.obs_name),
+                )
+            counters[0].inc()
+            counters[1].inc(size)
+        plan = packet.plan
+        if plan is not None:
+            link._report(plan, self, dst, horizon)
+        if link.faults is None:
+            sim.call_at(done + link.latency, link._arrive, dst, packet, start, done)
+        elif start > now:
+            # Queued behind a backlog with an injector installed: the
+            # verdict belongs to the instant serialization starts (a
+            # link that goes down meanwhile drops the backlog).
+            sim.call_at(start, link._serialize, dst, packet, start, done)
+        else:
+            link._serialize(dst, packet, start, done)
 
     def __repr__(self) -> str:
         return f"Interface({self.name}, mac={self.mac}, ip={self.ip})"
@@ -95,9 +123,10 @@ class Link:
         #: link-down) at its serialization start.  ``None`` keeps the
         #: fast path branch-free beyond one identity check.
         self.faults = None
-        #: observability bus hook (same zero-cost-off pattern): when
-        #: non-None, per-packet transmit/drop counters are recorded.
-        self.obs = None
+        self._obs = None
+        #: ``(link.tx, link.tx_bytes)`` of the wired bus, bound by the
+        #: first transmit after wiring (``Interface.send``)
+        self._counters: Optional[tuple] = None
         self.obs_name = f"{a.name}<->{b.name}"
         a.link = self
         b.link = self
@@ -105,35 +134,22 @@ class Link:
         #: express walks commit on the same horizons (repro.net.express).
         self._directions = {a: (Horizon(), b), b: (Horizon(), a)}
 
-    def transmit(self, from_iface: Interface, packet: Packet) -> None:
-        direction = self._directions.get(from_iface)
-        if direction is None:
-            raise ValueError("interface not on this link")
-        horizon, dst = direction
-        now = self.sim.now
-        busy = horizon.busy
-        start = busy if busy > now else now
-        done = start + (packet.size / self.bandwidth + self.per_packet_overhead)
-        horizon.busy = done
-        obs = self.obs
-        if obs is not None:
-            metrics = obs.metrics
-            metrics.counter("link.tx", self.obs_name).inc()
-            metrics.counter("link.tx_bytes", self.obs_name).inc(packet.size)
-        plan = packet.plan
-        if plan is not None:
-            self._report(plan, from_iface, dst, horizon)
-        if start > now and self.faults is not None:
-            # Queued behind a backlog with an injector installed: the
-            # verdict belongs to the instant serialization starts (a
-            # link that goes down meanwhile drops the backlog).
-            self.sim.call_at(start, self._serialize, dst, packet, start, done)
-        else:
-            self._serialize(dst, packet, start, done)
+    @property
+    def obs(self):
+        """Observability bus hook (same zero-cost-off pattern as
+        ``faults``): when non-None, per-packet transmit/drop counters
+        are recorded.  Wiring a bus drops the counter handles bound to
+        the previous one."""
+        return self._obs
+
+    @obs.setter
+    def obs(self, bus) -> None:
+        self._obs = bus
+        self._counters = None
 
     def _report(self, plan, from_iface: Interface, dst: Interface, horizon: Horizon) -> None:
         """Tell an express learner (:mod:`repro.net.express`) what
-        :meth:`transmit` did with the packet carrying it."""
+        :meth:`Interface.send` did with the packet carrying it."""
         plan.tx.append(from_iface)
         plan.rx.append(dst)
         if self.obs is not None:
@@ -143,8 +159,10 @@ class Link:
         plan.step(horizon, self.bandwidth, self.per_packet_overhead, self.latency)
 
     def _serialize(self, dst: Interface, packet: Packet, start: float, done: float) -> None:
-        """Serialization start of the slot ``start..done``: judge the
-        packet and schedule its arrival at the far end."""
+        """Serialization start of the slot ``start..done`` on a link with
+        an injector (see also :meth:`install_faults`): judge the packet,
+        if the injector is still installed, and schedule its arrival at
+        the far end."""
         extra = 0.0
         faults = self.faults
         if faults is not None:
@@ -164,9 +182,14 @@ class Link:
         self.sim.call_at(done + (self.latency + extra), self._arrive, dst, packet, start, done)
 
     def _arrive(self, dst: Interface, packet: Packet, start: float, done: float) -> None:
-        """Far end of the wire.  The slot rides along so that
+        """Far end of the wire: count the packet on ``dst`` and hand it
+        to ``dst``'s owner.  The slot rides along so that
         :meth:`install_faults` can find the ones that have not begun."""
-        dst.deliver(packet)
+        dst.rx_packets += 1
+        dst.rx_bytes += packet.size
+        owner = dst.owner
+        if owner is not None:
+            owner.receive(packet, dst)
 
     def install_faults(self, faults) -> None:
         """Install an injector, possibly mid-transfer.  Packets committed

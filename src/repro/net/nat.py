@@ -57,18 +57,14 @@ class _Translation:
 
 
 class ConnTrack:
-    """Per-connection translation state (both directions)."""
+    """Per-connection translation state (both directions), keyed by
+    five-tuple; :meth:`NatTable.translate` probes the two maps with a
+    plain ``(protocol, src_ip, src_port, dst_ip, dst_port)`` tuple, which
+    hashes and compares equal to the :class:`FiveTuple` recorded."""
 
     def __init__(self):
         self._forward: dict[FiveTuple, _Translation] = {}
         self._reply: dict[FiveTuple, _Translation] = {}
-
-    def lookup(self, five_tuple: FiveTuple) -> Optional[tuple[str, _Translation]]:
-        if five_tuple in self._forward:
-            return "forward", self._forward[five_tuple]
-        if five_tuple in self._reply:
-            return "reply", self._reply[five_tuple]
-        return None
 
     def record(self, original: FiveTuple, translated: FiveTuple) -> None:
         self._forward[original] = _Translation(
@@ -121,14 +117,26 @@ class NatTable:
         self.conntrack = ConnTrack()
         # insertion-ordered for deterministic oldest-first eviction
         self._no_match: dict[tuple, None] = {}
-        #: observability bus hook plus the owning node's name for
-        #: metric attribution; None = uninstrumented (no overhead).
-        self.obs = None
+        self._obs = None
+        #: ``nat.conntrack_hit`` of the wired bus, bound by the first hit
+        self._hit_counter = None
+        #: the owning node's name, for metric attribution
         self.scope = ""
         #: change notification registered by the express path when a
         #: compiled flow depends on this chain (see repro.net.express);
         #: any NAT table change must demote those flows to packet mode.
         self._x_on_change: Optional[Callable[[], None]] = None
+
+    @property
+    def obs(self):
+        """Observability bus hook; None = uninstrumented (no overhead).
+        Wiring a bus drops the counter handle bound to the previous one."""
+        return self._obs
+
+    @obs.setter
+    def obs(self, bus) -> None:
+        self._obs = bus
+        self._hit_counter = None
 
     def install(self, rule: NatRule) -> None:
         self.rules.append(rule)
@@ -161,51 +169,59 @@ class NatTable:
         originating rule is removed; new connections consult the rules.
         """
         conntrack = self.conntrack
-        if not self.rules and not conntrack._forward and not conntrack._reply:
+        forward = conntrack._forward
+        reply = conntrack._reply
+        if not self.rules and not forward and not reply:
             return False  # nothing ever installed on this node
-        five_tuple = packet.five_tuple
-        hit = conntrack.lookup(five_tuple)
-        if hit is not None:
-            _direction, translation = hit
-            self._apply(packet, translation)
-            if self.obs is not None:
-                counter = self.obs.metrics.counter("nat.conntrack_hit", self.scope)
+        key = (packet.protocol, packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port)
+        translation = forward.get(key)
+        if translation is None:
+            translation = reply.get(key)
+        obs = self._obs
+        if translation is not None:
+            if obs is not None:
+                counter = self._hit_counter
+                if counter is None:
+                    counter = self._hit_counter = obs.metrics.counter(
+                        "nat.conntrack_hit", self.scope
+                    )
                 counter.inc()
                 if packet.plan is not None:
                     packet.plan.counters.append((counter, False))
-            return True
-        flow_key = (hook, five_tuple)
-        if flow_key in self._no_match:
-            return False
-        for rule in self.rules:
-            if rule.hook not in ("any", hook) and hook != "any":
-                continue
-            if not rule.matches(packet):
-                continue
+        else:
+            flow_key = (hook, key)
+            if flow_key in self._no_match:
+                return False
+            for rule in self.rules:
+                if rule.hook not in ("any", hook) and hook != "any":
+                    continue
+                if rule.matches(packet):
+                    break
+            else:
+                no_match = self._no_match
+                no_match[flow_key] = None
+                if len(no_match) > NO_MATCH_CAP:
+                    del no_match[next(iter(no_match))]  # oldest first
+                return False
             translation = _Translation(
                 rule.snat_ip if rule.snat_ip is not None else packet.src_ip,
                 rule.snat_port if rule.snat_port is not None else packet.src_port,
                 rule.dnat_ip if rule.dnat_ip is not None else packet.dst_ip,
                 rule.dnat_port if rule.dnat_port is not None else packet.dst_port,
             )
-            self._apply(packet, translation)
-            conntrack.record(five_tuple, packet.five_tuple)
+            translated = FiveTuple(
+                key[0], translation.src_ip, translation.src_port,
+                translation.dst_ip, translation.dst_port,
+            )
+            conntrack.record(FiveTuple(*key), translated)
             if packet.plan is not None:
                 # an express learner: the next packet of this flow takes
                 # the conntrack branch instead, so this one is no sample
                 packet.plan.refuse()
-            if self.obs is not None:
-                self.obs.metrics.counter("nat.rule_match", self.scope).inc()
-            return True
-        no_match = self._no_match
-        no_match[flow_key] = None
-        if len(no_match) > NO_MATCH_CAP:
-            del no_match[next(iter(no_match))]  # oldest first
-        return False
-
-    @staticmethod
-    def _apply(packet: Packet, translation: _Translation) -> None:
+            if obs is not None:
+                obs.metrics.counter("nat.rule_match", self.scope).inc()
         packet.src_ip = translation.src_ip
         packet.src_port = translation.src_port
         packet.dst_ip = translation.dst_ip
         packet.dst_port = translation.dst_port
+        return True

@@ -41,9 +41,6 @@ class ArpTable:
     def unregister(self, ip: str) -> None:
         self._entries.pop(ip, None)
 
-    def resolve(self, ip: str) -> Optional[str]:
-        return self._entries.get(ip)
-
 
 @dataclass
 class Route:
@@ -77,7 +74,8 @@ class Node:
         return iface
 
     def receive(self, packet: Packet, iface: Interface) -> None:
-        if packet.dst_mac not in (iface.mac, BROADCAST_MAC):
+        dst_mac = packet.dst_mac
+        if dst_mac != iface.mac and dst_mac != BROADCAST_MAC:
             return  # not addressed to this NIC at L2
         packet.record_hop(self.name)
         self.stack.handle_receive(packet, iface)
@@ -240,25 +238,27 @@ class NetworkStack:
     def route_and_send(self, packet: Packet) -> None:
         if packet.plan is not None:
             packet.plan.watch(self)
-        route = self._lookup_route(packet.dst_ip)
+        dst_ip = packet.dst_ip
+        try:
+            route = self._route_cache[dst_ip]
+        except KeyError:
+            route = self._lookup_route(dst_ip)
         if route is None:
             self.dropped_packets += 1
             return
-        next_hop_ip = route.via or packet.dst_ip
-        arp = self._arp_by_iface.get(route.iface.name)
-        dst_mac = arp.resolve(next_hop_ip) if arp is not None else None
+        iface = route.iface
+        arp = self._arp_by_iface.get(iface.name)
+        dst_mac = arp._entries.get(route.via or dst_ip) if arp is not None else None
         if dst_mac is None:
             self.dropped_packets += 1
             return
-        packet.src_mac = route.iface.mac
+        packet.src_mac = iface.mac
         packet.dst_mac = dst_mac
-        route.iface.send(packet)
+        iface.send(packet)
 
     def _lookup_route(self, dst_ip: str) -> Optional[Route]:
-        try:
-            return self._route_cache[dst_ip]
-        except KeyError:
-            pass
+        """Longest-prefix match for a destination the route cache has
+        not seen; memoizes the answer (None included)."""
         address = ipaddress.ip_address(dst_ip)
         found = None
         for route in self.routes:  # sorted by prefix length, longest first

@@ -194,30 +194,19 @@ class FlowTable:
             self._changed()
         return removed
 
-    def lookup(self, packet: Packet, in_port: str) -> Optional[FlowRule]:
-        key = (
-            in_port,
-            packet.src_mac,
-            packet.dst_mac,
-            packet.src_ip,
-            packet.dst_ip,
-            packet.src_port,
-            packet.dst_port,
-            packet.protocol,
-        )
-        rule = self._decision_cache.get(key, _MISS)
-        if rule is _MISS:
-            rule = None
-            for candidate in self.rules:
-                if candidate.matches(packet, in_port):
-                    rule = candidate
-                    break
-            cache = self._decision_cache
-            cache[key] = rule
-            if len(cache) > DECISION_CACHE_CAP:
-                del cache[next(iter(cache))]  # oldest first
-        if rule is not None:
-            rule.hits += 1
+    def decide(self, key: tuple, packet: Packet, in_port: str) -> Optional[FlowRule]:
+        """The rule for a flow whose ``key`` missed the decision cache
+        (every header a rule can match, as :meth:`Switch._apply_pipeline`
+        builds it): scan in priority order and memoize the answer."""
+        rule = None
+        for candidate in self.rules:
+            if candidate.matches(packet, in_port):
+                rule = candidate
+                break
+        cache = self._decision_cache
+        cache[key] = rule
+        if len(cache) > DECISION_CACHE_CAP:
+            del cache[next(iter(cache))]  # oldest first
         return rule
 
     def __len__(self) -> int:
@@ -237,9 +226,23 @@ class Switch:
         self._port_names: dict[Interface, str] = {}  # reverse of ports
         self.controller: Optional[Callable[["Switch", Packet, str], None]] = None
         self.packets_switched = 0
-        #: observability bus hook; None keeps the pipeline branch-free
-        #: beyond one identity check per forwarding decision.
-        self.obs = None
+        self._obs = None
+        #: ``switch.l2`` / ``switch.flow_hit`` of the wired bus, each
+        #: bound by the first decision that counts it
+        self._l2_counter = None
+        self._hit_counter = None
+
+    @property
+    def obs(self):
+        """Observability bus hook; None keeps the pipeline branch-free
+        beyond one identity check per forwarding decision.  Wiring a
+        bus drops the counter handles bound to the previous one."""
+        return self._obs
+
+    @obs.setter
+    def obs(self, bus) -> None:
+        self._obs = bus
+        self._l2_counter = self._hit_counter = None
 
     # -- wiring ------------------------------------------------------
 
@@ -254,74 +257,108 @@ class Switch:
 
     def remove_port(self, name: str) -> Optional[Interface]:
         """Detach a port (service-VM deprovisioning); returns its
-        interface, or None if no such port exists."""
+        interface, or None if no such port exists.  Forgetting the MACs
+        learnt behind it is a forwarding change: the table is edited in
+        place (express plans hold it) and the flow table's change hook
+        fires, which demotes every flow whose way crossed this switch."""
         iface = self.ports.pop(name, None)
         if iface is None:
             return None
         self._port_names.pop(iface, None)
-        self._mac_table = {
-            mac: port for mac, port in self._mac_table.items() if port != name
-        }
+        mac_table = self._mac_table
+        for mac in [mac for mac, port in mac_table.items() if port == name]:
+            del mac_table[mac]
+        self.flow_table._changed()
         return iface
-
-    def port_of(self, iface: Interface) -> str:
-        name = self._port_names.get(iface)
-        if name is None:
-            raise ValueError(f"interface {iface.name} is not a port of {self.name}")
-        return name
 
     # -- data plane ----------------------------------------------------
 
     def receive(self, packet: Packet, iface: Interface) -> None:
-        in_port = self.port_of(iface)
+        in_port = self._port_names.get(iface)
+        if in_port is None:
+            raise ValueError(f"interface {iface.name} is not a port of {self.name}")
         self._mac_table[packet.src_mac] = in_port
         self.packets_switched += 1
-        packet.record_hop(self.name)
+        name = self.name
+        packet.trace.append(name)
+        ctx = packet.ctx
+        if ctx is not None:
+            ctx.hop(name, packet)
         # The pipeline is a pure delay, not a FIFO: one scheduled
         # occurrence per packet (zero delay keeps its one-tick deferral).
         sim = self.sim
         sim.call_at(sim.now + self.forwarding_delay, self._apply_pipeline, packet, in_port)
 
     def _apply_pipeline(self, packet: Packet, in_port: str) -> None:
-        rule = self.flow_table.lookup(packet, in_port)
-        obs = self.obs
+        """Flow table, then the actions of the matching rule, then L2
+        forwarding: out of one port, flooded, or dropped."""
+        table = self.flow_table
+        key = (
+            in_port,
+            packet.src_mac,
+            packet.dst_mac,
+            packet.src_ip,
+            packet.dst_ip,
+            packet.src_port,
+            packet.dst_port,
+            packet.protocol,
+        )
+        rule = table._decision_cache.get(key, _MISS)
+        if rule is _MISS:
+            rule = table.decide(key, packet, in_port)
+        obs = self._obs
         plan = packet.plan
         if plan is not None:
             self._report(plan, packet, in_port, rule)
-        if obs is not None:
-            if rule is None:
-                obs.metrics.counter("switch.l2", self.name).inc()
-            else:
-                obs.metrics.counter("switch.flow_hit", self.name).inc()
+        if rule is None:
+            if obs is not None:
+                counter = self._l2_counter
+                if counter is None:
+                    counter = self._l2_counter = obs.metrics.counter("switch.l2", self.name)
+                counter.inc()
+        else:
+            rule.hits += 1
+            if obs is not None:
+                counter = self._hit_counter
+                if counter is None:
+                    counter = self._hit_counter = obs.metrics.counter(
+                        "switch.flow_hit", self.name
+                    )
+                counter.inc()
                 if packet.ctx is not None:
                     packet.ctx.event(
                         "switch.steer", target=self.name, cookie=rule.cookie
                     )
-        if rule is None:
-            self._l2_forward(packet, in_port)
-            return
-        for action in rule.actions:
-            if isinstance(action, ModDstMac):
-                packet.dst_mac = action.new_mac
-            elif isinstance(action, Output):
-                self._output(packet, action.port)
-                return
-            elif isinstance(action, Drop):
-                if obs is not None:
-                    obs.metrics.counter("switch.drop", self.name).inc()
-                return
-            elif isinstance(action, ToController):
-                if plan is not None:
-                    plan.refuse()  # whatever the controller does with it
-                if self.controller is not None:
-                    self.controller(self, packet, in_port)
-                return
-            elif isinstance(action, Normal):
-                self._l2_forward(packet, in_port)
-                return
-        # Rewrite-only rule (the Fig. 3 style): finish with L2 forwarding
-        # toward the (possibly rewritten) destination MAC.
-        self._l2_forward(packet, in_port)
+            for action in rule.actions:
+                if isinstance(action, ModDstMac):
+                    packet.dst_mac = action.new_mac
+                elif isinstance(action, Output):
+                    port = self.ports.get(action.port)
+                    if port is not None:
+                        port.send(packet)
+                    return
+                elif isinstance(action, Drop):
+                    if obs is not None:
+                        obs.metrics.counter("switch.drop", self.name).inc()
+                    return
+                elif isinstance(action, ToController):
+                    if plan is not None:
+                        plan.refuse()  # whatever the controller does with it
+                    if self.controller is not None:
+                        self.controller(self, packet, in_port)
+                    return
+                elif isinstance(action, Normal):
+                    break
+            # else a rewrite-only rule (the Fig. 3 style): L2 forwarding
+            # toward the (possibly rewritten) destination MAC
+        known = self._mac_table.get(packet.dst_mac)
+        if known is None:
+            self._flood(packet, in_port)
+        elif known != in_port:
+            port = self.ports.get(known)
+            if port is not None:
+                port.send(packet)
+        # else the destination is behind the ingress port: drop
 
     def _report(self, plan, packet: Packet, in_port: str, rule: Optional[FlowRule]) -> None:
         """Tell an express learner (:mod:`repro.net.express`) what this
@@ -341,23 +378,9 @@ class Switch:
         elif obs is not None:
             plan.counters.append((obs.metrics.counter("switch.l2", self.name), False))
 
-    def _l2_forward(self, packet: Packet, in_port: str) -> None:
-        known = self._mac_table.get(packet.dst_mac)
-        if known is not None and known != in_port:
-            self._output(packet, known)
-            return
-        if known == in_port:
-            return  # destination is behind the ingress port: drop
-        self._flood(packet, in_port)
-
     def _flood(self, packet: Packet, in_port: str) -> None:
         if packet.plan is not None:
             packet.plan.refuse()  # the next packet may find the MAC learnt
-        for port_name in self.ports:
+        for port_name, port in self.ports.items():
             if port_name != in_port:
-                self._output(packet.copy(), port_name)
-
-    def _output(self, packet: Packet, port_name: str) -> None:
-        port = self.ports.get(port_name)
-        if port is not None:
-            port.send(packet)
+                port.send(packet.copy())

@@ -8,6 +8,15 @@ points every hook at the bus.  Objects created *after* instrumentation
 creators — the platform and initiator propagate their own ``obs``
 reference — so late provisioning does not escape the trace.
 
+The per-packet elements (``Link``, ``Switch``, ``NatTable``) look their
+hot counters (``link.tx`` / ``link.tx_bytes``, ``switch.l2`` /
+``switch.flow_hit``, ``nat.conntrack_hit``) up in the registry once, on
+the first increment after wiring, and keep the handles; assigning their
+``obs`` drops those handles, so instrumenting a plant again moves every
+counter to the new bus.  A counter is still created only when it first
+counts, so the registry holds the same records as with a lookup per
+packet.
+
 Walking is duck-typed on the repo's own structure (switch ports,
 node interfaces, host initiator/target/disk), so the function works on
 a bare :class:`~repro.cloud.controller.CloudController` or a full

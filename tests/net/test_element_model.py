@@ -5,17 +5,23 @@ forwarder) is an occupancy horizon on which packets and express
 segments commit ``start = max(busy, now)``; each costs one scheduled
 kernel occurrence.  These tests pin the three properties the model
 rests on: delivery times equal to the old per-direction pump's to the
-last bit, the tie rule, and the event budget.
+last bit, the tie rule, and the event budget; and the Python-call
+budget of the packet path beside it.
 """
+
+import sys
+from collections import Counter
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.net
 from repro.net import ArpTable, Interface, Link, Node, Packet
 from repro.net.express import CompiledPath, ExpressManager
 from repro.sim import Simulator
 
-from tests.net.helpers import two_hosts_one_switch
+from tests.net.helpers import routed_pair, two_hosts_one_switch
 
 BANDWIDTH = 125_000_000
 OVERHEAD = 3e-6
@@ -194,3 +200,58 @@ def test_event_budget_one_occurrence_per_software_forward():
     sim.run()
     assert len(recorder.times) == packets
     assert sim._sequence - before <= packets * 3  # link, forwarder, link
+
+
+NET_DIR = str(Path(repro.net.__file__).parent)
+#: the IP stack's side of an element: node, stack, NAT, packet helpers
+STACK_FILES = ("stack.py", "nat.py", "packet.py")
+
+
+def net_calls(sim, stack, packet):
+    """Python-level calls into ``repro.net``, by file name, while
+    ``stack`` sends ``packet`` and the simulator runs to quiescence."""
+    calls = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(NET_DIR):
+            calls[Path(frame.f_code.co_filename).name] += 1
+
+    sys.setprofile(profile)
+    try:
+        stack.send_ip(packet)
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def one_warm_packet(sim, a, b, dst_ip):
+    """Calls for one packet from ``a`` to ``dst_ip`` once one packet each
+    way has taught the switch both MACs and filled every decision cache."""
+    for src, dst, ip in ((a, b, dst_ip), (b, a, "10.0.0.1")):
+        src.stack.send_ip(raw_packet(100, src_ip=src.interfaces[0].ip, dst_ip=ip))
+        sim.run()
+    before = b.interfaces[0].rx_packets
+    calls = net_calls(sim, a.stack, raw_packet(1500, dst_ip=dst_ip))
+    assert b.interfaces[0].rx_packets == before + 1
+    return calls
+
+
+def test_call_budget_per_link_switch_and_forward():
+    """A link transit is two calls (``Interface.send``, ``Link._arrive``),
+    a switch pass two (``receive``, ``_apply_pipeline``: a decision-cache
+    hit is a dict probe) and a software forward five (``Node.receive``,
+    ``Packet.record_hop``, ``handle_receive``, ``NatTable.translate``,
+    ``route_and_send``: route cache and ARP are dict probes)."""
+    sim, _arp, _switch, a, b = two_hosts_one_switch()
+    direct = one_warm_packet(sim, a, b, "10.0.0.2")
+    assert direct["link.py"] <= 2 * 2
+    assert direct["switch.py"] <= 2 * 1
+    sim, _switch, a, _router, b, _last = routed_pair()
+    routed = one_warm_packet(sim, a, b, "10.0.1.2")
+    assert routed["link.py"] <= 2 * 3
+    assert routed["switch.py"] <= 2 * 1
+    # both paths start and end in the same stack code; the difference is
+    # the router's forward
+    forward = sum(routed[f] for f in STACK_FILES) - sum(direct[f] for f in STACK_FILES)
+    assert forward <= 5

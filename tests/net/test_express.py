@@ -381,6 +381,27 @@ def test_sdn_changes_demote_only_through_a_crossed_table():
     assert client._xpath is None and manager.demotions == 2
 
 
+def test_removing_a_switch_port_demotes_the_flows_that_crossed_it():
+    """Unplugging a host the way ``CloudController.unplug_instance_iface``
+    does forgets the MACs learnt behind its switch port.  A promoted flow
+    must hear that, or it keeps delivering to the unplugged host."""
+    outcomes = {}
+    for express in (False, True):
+        sim, manager, switch, _a, b, listener, client = build(express)
+        received = transfer(sim, listener, client)
+        sim.run()
+        assert (client._xpath is not None) == express
+        port = switch.remove_port("host-b")
+        b.interfaces[0].link = None
+        port.link = None
+        if express:
+            assert client._xpath is None and manager.demotions == 1
+        burst(sim, client, 8, 4)
+        outcomes[express] = ([m["n"] for m in received], sim.now)
+    assert outcomes[True] == outcomes[False]
+    assert outcomes[True][0] == list(range(8))
+
+
 def test_nat_removal_that_removes_nothing_is_not_a_change():
     sim, manager, _switch, _a, b, listener, client = build()
     _promote(sim, manager, listener, client)
