@@ -2,9 +2,10 @@
 
 - :mod:`repro.crypto.aes` — AES-128/192/256 block cipher (FIPS-197),
   the algorithm the paper's dm-crypt deployment uses with 256-bit keys;
+  table-driven rounds, no Python call per byte;
 - :mod:`repro.crypto.modes` — ECB/CBC/CTR modes; CTR with an
   offset-derived counter gives the random-access property a block
-  device needs;
+  device needs, and XORs one keystream for the whole buffer;
 - :mod:`repro.crypto.stream` — the light-weight keystream cipher used
   for the measurable-overhead service in the paper's §V-A experiments.
 

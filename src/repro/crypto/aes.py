@@ -1,8 +1,12 @@
 """AES (FIPS-197) implemented from scratch.
 
-Supports 128/192/256-bit keys.  Byte-oriented, table-free except for
-the S-boxes; clarity over speed (the simulator charges CPU time via
-the cloud's CPU model, not via wall-clock).
+Supports 128/192/256-bit keys.  Byte-oriented and table-driven: besides
+the S-boxes, one 256-entry product table per MixColumns coefficient
+(2 and 3 forward; 9, 11, 13 and 14 inverse) is built at import, so a
+round is list indexing and XOR, with no Python call per byte or per
+column.  The state stays 16 separate bytes (no T-tables, no numpy).
+The simulator charges cipher CPU time via the cloud's CPU model, not
+via wall-clock.
 """
 
 from __future__ import annotations
@@ -33,21 +37,35 @@ for _i, _v in enumerate(_SBOX):
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D]
 
 
-def _xtime(a: int) -> int:
-    a <<= 1
-    if a & 0x100:
-        a ^= 0x11B
-    return a & 0xFF
-
-
 def _gmul(a: int, b: int) -> int:
+    """GF(2^8) product modulo x^8 + x^4 + x^3 + x + 1 (builds the tables)."""
     result = 0
     while b:
         if b & 1:
             result ^= a
-        a = _xtime(a)
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
         b >>= 1
     return result
+
+
+_MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14 = (
+    [_gmul(x, c) for x in range(256)] for c in (2, 3, 9, 11, 13, 14)
+)
+
+# The state is column-major, state[row + 4*col].  ShiftRows rotates row
+# r left by r columns; these are the source index of each output byte.
+_SHIFT = tuple(r + 4 * ((c + r) % 4) for c in range(4) for r in range(4))
+_INV_SHIFT = tuple(r + 4 * ((c - r) % 4) for c in range(4) for r in range(4))
+
+# InvMixColumns coefficient tables, one row of the matrix per output byte
+_INV_MIX_ROWS = (
+    (_MUL14, _MUL11, _MUL13, _MUL9),
+    (_MUL9, _MUL14, _MUL11, _MUL13),
+    (_MUL13, _MUL9, _MUL14, _MUL11),
+    (_MUL11, _MUL13, _MUL9, _MUL14),
+)
 
 
 class AES:
@@ -59,6 +77,18 @@ class AES:
         self.key = bytes(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key()
+        self._inner_keys = self._round_keys[1:-1]
+        # Equivalent inverse cipher (FIPS-197 5.3.5): InvMixColumns is
+        # linear, so applying it to the inner round keys lets decryption
+        # add the key after the mix, folded into the same expression.
+        self._inv_inner_keys = [
+            [
+                m0[k[c]] ^ m1[k[c + 1]] ^ m2[k[c + 2]] ^ m3[k[c + 3]]
+                for c in (0, 4, 8, 12)
+                for m0, m1, m2, m3 in _INV_MIX_ROWS
+            ]
+            for k in reversed(self._inner_keys)
+        ]
 
     # -- key schedule ----------------------------------------------------
 
@@ -80,76 +110,60 @@ class AES:
             for r in range(self.rounds + 1)
         ]
 
-    # -- round primitives ---------------------------------------------------
-
-    @staticmethod
-    def _add_round_key(state: list[int], round_key: list[int]) -> None:
-        for i in range(16):
-            state[i] ^= round_key[i]
-
-    @staticmethod
-    def _shift_rows(state: list[int]) -> list[int]:
-        # state is column-major: state[row + 4*col]
-        out = list(state)
-        for row in range(1, 4):
-            for col in range(4):
-                out[row + 4 * col] = state[row + 4 * ((col + row) % 4)]
-        return out
-
-    @staticmethod
-    def _inv_shift_rows(state: list[int]) -> list[int]:
-        out = list(state)
-        for row in range(1, 4):
-            for col in range(4):
-                out[row + 4 * ((col + row) % 4)] = state[row + 4 * col]
-        return out
-
-    @staticmethod
-    def _mix_columns(state: list[int]) -> None:
-        for col in range(4):
-            a = state[4 * col : 4 * col + 4]
-            state[4 * col + 0] = _gmul(a[0], 2) ^ _gmul(a[1], 3) ^ a[2] ^ a[3]
-            state[4 * col + 1] = a[0] ^ _gmul(a[1], 2) ^ _gmul(a[2], 3) ^ a[3]
-            state[4 * col + 2] = a[0] ^ a[1] ^ _gmul(a[2], 2) ^ _gmul(a[3], 3)
-            state[4 * col + 3] = _gmul(a[0], 3) ^ a[1] ^ a[2] ^ _gmul(a[3], 2)
-
-    @staticmethod
-    def _inv_mix_columns(state: list[int]) -> None:
-        for col in range(4):
-            a = state[4 * col : 4 * col + 4]
-            state[4 * col + 0] = _gmul(a[0], 14) ^ _gmul(a[1], 11) ^ _gmul(a[2], 13) ^ _gmul(a[3], 9)
-            state[4 * col + 1] = _gmul(a[0], 9) ^ _gmul(a[1], 14) ^ _gmul(a[2], 11) ^ _gmul(a[3], 13)
-            state[4 * col + 2] = _gmul(a[0], 13) ^ _gmul(a[1], 9) ^ _gmul(a[2], 14) ^ _gmul(a[3], 11)
-            state[4 * col + 3] = _gmul(a[0], 11) ^ _gmul(a[1], 13) ^ _gmul(a[2], 9) ^ _gmul(a[3], 14)
-
     # -- block operations -------------------------------------------------------
 
     def encrypt_block(self, plaintext: bytes) -> bytes:
         if len(plaintext) != 16:
             raise ValueError("AES block must be 16 bytes")
-        state = list(plaintext)
-        self._add_round_key(state, self._round_keys[0])
-        for round_no in range(1, self.rounds):
-            state = [_SBOX[b] for b in state]
-            state = self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[round_no])
-        state = [_SBOX[b] for b in state]
-        state = self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[self.rounds])
-        return bytes(state)
+        sbox, m2, m3 = _SBOX, _MUL2, _MUL3
+        s = [b ^ k for b, k in zip(plaintext, self._round_keys[0])]
+        for k in self._inner_keys:
+            # SubBytes + ShiftRows, then MixColumns + AddRoundKey
+            t = [sbox[s[i]] for i in _SHIFT]
+            s = [
+                m2[t[0]] ^ m3[t[1]] ^ t[2] ^ t[3] ^ k[0],
+                t[0] ^ m2[t[1]] ^ m3[t[2]] ^ t[3] ^ k[1],
+                t[0] ^ t[1] ^ m2[t[2]] ^ m3[t[3]] ^ k[2],
+                m3[t[0]] ^ t[1] ^ t[2] ^ m2[t[3]] ^ k[3],
+                m2[t[4]] ^ m3[t[5]] ^ t[6] ^ t[7] ^ k[4],
+                t[4] ^ m2[t[5]] ^ m3[t[6]] ^ t[7] ^ k[5],
+                t[4] ^ t[5] ^ m2[t[6]] ^ m3[t[7]] ^ k[6],
+                m3[t[4]] ^ t[5] ^ t[6] ^ m2[t[7]] ^ k[7],
+                m2[t[8]] ^ m3[t[9]] ^ t[10] ^ t[11] ^ k[8],
+                t[8] ^ m2[t[9]] ^ m3[t[10]] ^ t[11] ^ k[9],
+                t[8] ^ t[9] ^ m2[t[10]] ^ m3[t[11]] ^ k[10],
+                m3[t[8]] ^ t[9] ^ t[10] ^ m2[t[11]] ^ k[11],
+                m2[t[12]] ^ m3[t[13]] ^ t[14] ^ t[15] ^ k[12],
+                t[12] ^ m2[t[13]] ^ m3[t[14]] ^ t[15] ^ k[13],
+                t[12] ^ t[13] ^ m2[t[14]] ^ m3[t[15]] ^ k[14],
+                m3[t[12]] ^ t[13] ^ t[14] ^ m2[t[15]] ^ k[15],
+            ]
+        return bytes([sbox[s[i]] ^ k for i, k in zip(_SHIFT, self._round_keys[-1])])
 
     def decrypt_block(self, ciphertext: bytes) -> bytes:
         if len(ciphertext) != 16:
             raise ValueError("AES block must be 16 bytes")
-        state = list(ciphertext)
-        self._add_round_key(state, self._round_keys[self.rounds])
-        for round_no in range(self.rounds - 1, 0, -1):
-            state = self._inv_shift_rows(state)
-            state = [_INV_SBOX[b] for b in state]
-            self._add_round_key(state, self._round_keys[round_no])
-            self._inv_mix_columns(state)
-        state = self._inv_shift_rows(state)
-        state = [_INV_SBOX[b] for b in state]
-        self._add_round_key(state, self._round_keys[0])
-        return bytes(state)
+        inv, m9, m11, m13, m14 = _INV_SBOX, _MUL9, _MUL11, _MUL13, _MUL14
+        s = [b ^ k for b, k in zip(ciphertext, self._round_keys[-1])]
+        for k in self._inv_inner_keys:
+            # InvShiftRows + InvSubBytes, then InvMixColumns + mixed key
+            t = [inv[s[i]] for i in _INV_SHIFT]
+            s = [
+                m14[t[0]] ^ m11[t[1]] ^ m13[t[2]] ^ m9[t[3]] ^ k[0],
+                m9[t[0]] ^ m14[t[1]] ^ m11[t[2]] ^ m13[t[3]] ^ k[1],
+                m13[t[0]] ^ m9[t[1]] ^ m14[t[2]] ^ m11[t[3]] ^ k[2],
+                m11[t[0]] ^ m13[t[1]] ^ m9[t[2]] ^ m14[t[3]] ^ k[3],
+                m14[t[4]] ^ m11[t[5]] ^ m13[t[6]] ^ m9[t[7]] ^ k[4],
+                m9[t[4]] ^ m14[t[5]] ^ m11[t[6]] ^ m13[t[7]] ^ k[5],
+                m13[t[4]] ^ m9[t[5]] ^ m14[t[6]] ^ m11[t[7]] ^ k[6],
+                m11[t[4]] ^ m13[t[5]] ^ m9[t[6]] ^ m14[t[7]] ^ k[7],
+                m14[t[8]] ^ m11[t[9]] ^ m13[t[10]] ^ m9[t[11]] ^ k[8],
+                m9[t[8]] ^ m14[t[9]] ^ m11[t[10]] ^ m13[t[11]] ^ k[9],
+                m13[t[8]] ^ m9[t[9]] ^ m14[t[10]] ^ m11[t[11]] ^ k[10],
+                m11[t[8]] ^ m13[t[9]] ^ m9[t[10]] ^ m14[t[11]] ^ k[11],
+                m14[t[12]] ^ m11[t[13]] ^ m13[t[14]] ^ m9[t[15]] ^ k[12],
+                m9[t[12]] ^ m14[t[13]] ^ m11[t[14]] ^ m13[t[15]] ^ k[13],
+                m13[t[12]] ^ m9[t[13]] ^ m14[t[14]] ^ m11[t[15]] ^ k[14],
+                m11[t[12]] ^ m13[t[13]] ^ m9[t[14]] ^ m14[t[15]] ^ k[15],
+            ]
+        return bytes([inv[s[i]] ^ k for i, k in zip(_INV_SHIFT, self._round_keys[0])])

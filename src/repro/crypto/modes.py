@@ -8,6 +8,8 @@ decrypted independently, which is the property a block device needs
 
 from __future__ import annotations
 
+from operator import xor
+
 from repro.crypto.aes import AES
 
 BLOCK = 16
@@ -39,7 +41,7 @@ def cbc_encrypt(cipher: AES, iv: bytes, data: bytes) -> bytes:
     out = []
     previous = iv
     for i in range(0, len(data), BLOCK):
-        block = bytes(a ^ b for a, b in zip(data[i : i + BLOCK], previous))
+        block = bytes(map(xor, data[i : i + BLOCK], previous))
         previous = cipher.encrypt_block(block)
         out.append(previous)
     return b"".join(out)
@@ -54,7 +56,7 @@ def cbc_decrypt(cipher: AES, iv: bytes, data: bytes) -> bytes:
     for i in range(0, len(data), BLOCK):
         block = data[i : i + BLOCK]
         plain = cipher.decrypt_block(block)
-        out.append(bytes(a ^ b for a, b in zip(plain, previous)))
+        out.append(bytes(map(xor, plain, previous)))
         previous = block
     return b"".join(out)
 
@@ -63,14 +65,17 @@ def ctr_transform(cipher: AES, data: bytes, start_counter: int = 0) -> bytes:
     """Encrypt/decrypt (self-inverse) with counter blocks.
 
     ``start_counter`` is the index of the first 16-byte block — pass
-    ``byte_offset // 16`` to get position-dependent, random-access
-    keystream over a volume.
+    ``byte_offset // 16`` for a 16-byte-aligned ``byte_offset`` to get
+    position-dependent, random-access keystream over a volume.  A
+    counter past ``2**128 - 1`` raises ``OverflowError``.
     """
     _check_aligned(data)
-    out = bytearray(len(data))
-    for i in range(0, len(data), BLOCK):
-        counter = (start_counter + i // BLOCK).to_bytes(BLOCK, "big")
-        keystream = cipher.encrypt_block(counter)
-        for j in range(BLOCK):
-            out[i + j] = data[i + j] ^ keystream[j]
-    return bytes(out)
+    n = len(data)
+    encrypt = cipher.encrypt_block
+    keystream = b"".join([
+        encrypt(counter.to_bytes(BLOCK, "big"))
+        for counter in range(start_counter, start_counter + n // BLOCK)
+    ])
+    # XOR whole buffers as big integers, as StreamCipher.transform does
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
+    return mixed.to_bytes(n, "big")

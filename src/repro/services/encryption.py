@@ -26,6 +26,19 @@ from repro.iscsi.pdu import DataInPdu, ScsiCommandPdu
 DEFAULT_KEY = bytes(range(32))
 
 
+def _aes_ctr(aes: AES, data: bytes, offset: int) -> bytes:
+    """AES-CTR at volume byte ``offset``: counter block ``offset // 16``.
+
+    Any other offset would silently start the keystream at the wrong
+    byte, so an offset off the 16-byte grid is refused.
+    """
+    if offset % 16:
+        raise ValueError(
+            f"AES-CTR offset {offset} must be 16-byte aligned (one counter per 16-byte block)"
+        )
+    return ctr_transform(aes, data, start_counter=offset // 16)
+
+
 class EncryptionService(StorageService):
     """On-the-fly encryption/decryption in a middle-box."""
 
@@ -60,7 +73,7 @@ class EncryptionService(StorageService):
 
     def _transform(self, data: bytes, offset: int) -> bytes:
         if self._aes is not None:
-            return ctr_transform(self._aes, data, start_counter=offset // 16)
+            return _aes_ctr(self._aes, data, offset)
         return self._stream.transform(data, byte_offset=offset)
 
     def _scope(self) -> str:
@@ -121,7 +134,7 @@ class TenantSideEncryption:
         """Process: encrypt in-guest (blocking the app thread), then write."""
         yield from self.vm.cpu.consume(self._cipher_cost(length) + self._spinlock_cost(length))
         if data is not None:
-            data = ctr_transform(self._aes, data, start_counter=offset // 16)
+            data = _aes_ctr(self._aes, data, offset)
         self.bytes_encrypted += length
         yield self.session.write(offset, length, data)
 
@@ -131,13 +144,11 @@ class TenantSideEncryption:
         yield from self.vm.cpu.consume(self._cipher_cost(length))
         self.bytes_decrypted += length
         if data is not None:
-            data = ctr_transform(self._aes, data, start_counter=offset // 16)
+            data = _aes_ctr(self._aes, data, offset)
         return data
 
     def encrypt_volume(self, volume) -> int:
         """Offline: convert an existing plaintext image to ciphertext
         under this guest's key (the volume-format step the paper notes
         client-side encryption requires)."""
-        return volume.transform_sync(
-            lambda offset, data: ctr_transform(self._aes, data, start_counter=offset // 16)
-        )
+        return volume.transform_sync(lambda offset, data: _aes_ctr(self._aes, data, offset))

@@ -107,3 +107,23 @@ def test_unknown_algorithm_rejected():
 
     with pytest.raises(ValueError, match="unknown algorithm"):
         EncryptionService(algorithm="rot13")
+
+
+def test_aes_ctr_refuses_offsets_off_the_16_byte_grid():
+    """CTR's counter is ``offset // 16``: at an unaligned offset that is
+    the keystream of the wrong bytes, so both AES paths refuse it (the
+    stream cipher already refuses offsets off its 8-byte grid)."""
+    from repro.services import EncryptionService
+
+    plain = bytes(range(48))
+    service = EncryptionService()
+    assert service._transform(plain[16:48], 16) == service._transform(plain, 0)[16:48]
+    with pytest.raises(ValueError, match="16-byte aligned"):
+        service._transform(plain[8:40], 8)
+
+    class Image:
+        def transform_sync(self, fn):
+            return fn(8, plain[8:40])
+
+    with pytest.raises(ValueError, match="16-byte aligned"):
+        TenantSideEncryption(vm=None, session=None).encrypt_volume(Image())
