@@ -499,12 +499,16 @@ class ControlPlaneNode(Node):
         #: to this node's NICs is delivered here instead of the stack.
         self.on_message: Optional[Callable[[Any], None]] = None
 
-    def receive(self, packet: Packet, iface: Interface) -> None:
+    def receive(
+        self, iface: Interface, packet: Packet, start: float, done: float, arrive: float
+    ) -> None:
         handler = self.on_message
         if handler is None:
-            super().receive(packet, iface)
+            super().receive(iface, packet, start, done, arrive)
             return
-        if self.crashed or packet.dst_mac != iface.mac:
+        iface.rx_packets += 1
+        iface.rx_bytes += packet.size
+        if self.crashed or iface.owner is None or packet.dst_mac != iface.mac:
             return
         packet.record_hop(self.name)
         handler(packet.payload)

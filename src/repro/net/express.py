@@ -264,8 +264,9 @@ class ExpressManager:
         packet.trace.extend(path.hops)
         ctx = packet.ctx
         if ctx is not None:
+            now = self.sim.now
             for name in path.hops:
-                ctx.hop(name, packet)
+                ctx.hop(name, packet, now)
             for name, cookie in path.steers:
                 ctx.event("switch.steer", target=name, cookie=cookie)
         (

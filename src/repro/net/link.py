@@ -2,35 +2,44 @@
 
 A :class:`Link` joins two :class:`Interface` objects.  Each direction
 serializes packets (``size / bandwidth``), then delays them by the
-propagation/processing latency, then delivers to the far interface's
-owner.  ``per_packet_overhead`` models fixed per-frame cost — for VM
-virtual interfaces this is the single-threaded virtio copy path the
-paper identifies as the dominant intra-host cost.
+propagation/processing latency, then lands them on the far interface:
+the far element's landing runs ``delay`` after the arrival (a switch's
+pure-delay pipeline, zero for a NIC).  ``per_packet_overhead`` models
+fixed per-frame cost — for VM virtual interfaces this is the
+single-threaded virtio copy path the paper identifies as the dominant
+intra-host cost.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from heapq import heappush
+from typing import Any, Callable, Optional
 
 from repro.sim import Simulator
 from repro.net.packet import Packet
-
-if TYPE_CHECKING:
-    from repro.net.stack import Node
 
 #: 1 GbE in bytes/second, the paper's testbed NICs.
 GIGABIT_BPS = 125_000_000
 
 
 class Interface:
-    """A NIC: a named attachment point with a MAC and optional IP."""
+    """A NIC: a named attachment point with a MAC and optional IP.  A
+    packet reaching it runs its ``landing(iface, packet, start, done,
+    arrive)`` ``delay`` after the arrival: a switch's pass, a node's
+    ``receive``, or :meth:`land` for any other owner."""
 
     def __init__(self, name: str, mac: str, ip: Optional[str] = None):
         self.name = name
         self.mac = mac
         self.ip = ip
-        self.owner: Optional["Node"] = None
+        self.owner: Any = None  # a Node, a Switch, or anything with receive()
         self.link: Optional[Link] = None
+        self.landing: Callable[..., None] = Interface.land
+        self.delay = 0.0
+        self.port: Optional[str] = None  # the name, on a switch's port
+        #: this direction's horizon and the far interface, set by the link
+        self._horizon: Optional[Horizon] = None
+        self._peer: Optional[Interface] = None
         self.tx_packets = 0
         self.rx_packets = 0
         self.tx_bytes = 0
@@ -40,15 +49,15 @@ class Interface:
         """Transmit onto the attached link (drops if unplugged): the near
         half of a link transit.  The packet commits its slot
         ``start..done`` on this direction's :class:`Horizon`; on a link
-        with no injector its arrival at the far end
-        (:meth:`Link._arrive`) is scheduled at once."""
+        with no injector the far interface's landing is scheduled at
+        once, at ``(done + latency) + delay``."""
         link = self.link
         if link is None:
             return
         size = packet.size
         self.tx_packets += 1
         self.tx_bytes += size
-        horizon, dst = link._directions[self]
+        horizon = self._horizon
         sim = link.sim
         now = sim.now
         busy = horizon.busy
@@ -66,11 +75,16 @@ class Interface:
                 )
             counters[0].inc()
             counters[1].inc(size)
+        dst = self._peer
         plan = packet.plan
         if plan is not None:
             link._report(plan, self, dst, horizon)
         if link.faults is None:
-            sim.call_at(done + link.latency, link._arrive, dst, packet, start, done)
+            arrive = done + link.latency
+            seq = sim._sequence  # Simulator.call_at's heap entry, without its frame
+            sim._sequence = seq + 1
+            args = (dst, packet, start, done, arrive)
+            heappush(sim._heap, (arrive + dst.delay, seq, dst.landing, args))
         elif start > now:
             # Queued behind a backlog with an injector installed: the
             # verdict belongs to the instant serialization starts (a
@@ -78,6 +92,17 @@ class Interface:
             sim.call_at(start, link._serialize, dst, packet, start, done)
         else:
             link._serialize(dst, packet, start, done)
+
+    def land(self, packet: Packet, start: float, done: float, arrive: float) -> None:
+        """Default landing: count the packet and hand it to the owner's
+        ``receive(packet, iface)``.  The slot rides along in every
+        landing so that :meth:`Link.install_faults` can find the ones
+        that have not begun."""
+        self.rx_packets += 1
+        self.rx_bytes += packet.size
+        owner = self.owner
+        if owner is not None:
+            owner.receive(packet, self)
 
     def __repr__(self) -> str:
         return f"Interface({self.name}, mac={self.mac}, ip={self.ip})"
@@ -133,6 +158,8 @@ class Link:
         #: sending interface -> (that direction's horizon, far interface);
         #: express walks commit on the same horizons (repro.net.express).
         self._directions = {a: (Horizon(), b), b: (Horizon(), a)}
+        for iface in (a, b):
+            iface._horizon, iface._peer = self._directions[iface]
 
     @property
     def obs(self):
@@ -161,8 +188,8 @@ class Link:
     def _serialize(self, dst: Interface, packet: Packet, start: float, done: float) -> None:
         """Serialization start of the slot ``start..done`` on a link with
         an injector (see also :meth:`install_faults`): judge the packet,
-        if the injector is still installed, and schedule its arrival at
-        the far end."""
+        if the injector is still installed, and schedule its landing on
+        the far interface."""
         extra = 0.0
         faults = self.faults
         if faults is not None:
@@ -179,17 +206,8 @@ class Link:
                 if self.obs is not None:
                     self.obs.metrics.counter("link.drop", self.obs_name).inc()
                 return
-        self.sim.call_at(done + (self.latency + extra), self._arrive, dst, packet, start, done)
-
-    def _arrive(self, dst: Interface, packet: Packet, start: float, done: float) -> None:
-        """Far end of the wire: count the packet on ``dst`` and hand it
-        to ``dst``'s owner.  The slot rides along so that
-        :meth:`install_faults` can find the ones that have not begun."""
-        dst.rx_packets += 1
-        dst.rx_bytes += packet.size
-        owner = dst.owner
-        if owner is not None:
-            owner.receive(packet, dst)
+        arrive = done + (self.latency + extra)
+        self.sim.call_at(arrive + dst.delay, dst.landing, dst, packet, start, done, arrive)
 
     def install_faults(self, faults) -> None:
         """Install an injector, possibly mid-transfer.  Packets committed
@@ -198,7 +216,10 @@ class Link:
         sent: going down with a backlog queued drops the backlog."""
         sim = self.sim
         now = sim.now
-        # the unjudged arrivals never fire; their slots are judged instead
-        for args in sim.disarm_calls(self._arrive, lambda args: args[2] > now):
-            sim.call_at(args[2], self._serialize, *args)
+        # the unjudged landings never fire; their slots are judged instead
+        a, b = self.a, self.b
+        for args in sim.disarm_calls(
+            (a.landing, b.landing), lambda args: (args[0] is a or args[0] is b) and args[2] > now
+        ):
+            sim.call_at(args[2], self._serialize, *args[:4])
         self.faults = faults

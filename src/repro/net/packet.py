@@ -45,7 +45,7 @@ class Packet:
     protocol: str = "tcp"
     size: int = HEADER_BYTES
     payload: Any = None
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     #: Names of nodes traversed, appended by each hop (used by tests and
     #: the steering verifier to prove which middle-boxes saw the flow).
     trace: list[str] = field(default_factory=list)
@@ -66,7 +66,7 @@ class Packet:
         self.trace.append(node_name)
         ctx = self.ctx
         if ctx is not None:
-            ctx.hop(node_name, self)
+            ctx.hop(node_name, self, ctx.bus.now)
 
     def copy(self) -> "Packet":
         """Independent copy (fresh id, shared payload object, copied trace)."""

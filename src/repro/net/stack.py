@@ -69,15 +69,28 @@ class Node:
 
     def add_interface(self, iface: Interface, arp: Optional[ArpTable] = None) -> Interface:
         iface.owner = self
+        iface.landing = self.receive
         self.interfaces.append(iface)
         self.stack.register_interface(iface, arp)
         return iface
 
-    def receive(self, packet: Packet, iface: Interface) -> None:
+    def receive(self, iface: Interface, packet: Packet,
+                start: float, done: float, arrive: float) -> None:
+        """The landing of this node's NICs (an override lands instead):
+        count the frame, drop it on a crashed node's unplugged NIC, then
+        the L2 filter, the hop record and the stack."""
+        iface.rx_packets += 1
+        iface.rx_bytes += packet.size
+        if iface.owner is None:
+            return
         dst_mac = packet.dst_mac
         if dst_mac != iface.mac and dst_mac != BROADCAST_MAC:
             return  # not addressed to this NIC at L2
-        packet.record_hop(self.name)
+        name = self.name
+        packet.trace.append(name)
+        ctx = packet.ctx
+        if ctx is not None:
+            ctx.hop(name, packet, arrive)
         self.stack.handle_receive(packet, iface)
 
     def __repr__(self) -> str:
@@ -140,10 +153,6 @@ class NetworkStack:
         self._route_cache.clear()
         if self._x_on_change is not None:
             self._x_on_change()
-
-    def local_ips(self) -> set[str]:
-        self._local_ips = {i.ip for i in self.node.interfaces if i.ip is not None}
-        return self._local_ips
 
     #: Globally unique ephemeral ports: source ports identify flows at
     #: gateways and in steering rules, so cross-host collisions (two

@@ -196,8 +196,8 @@ class FlowTable:
 
     def decide(self, key: tuple, packet: Packet, in_port: str) -> Optional[FlowRule]:
         """The rule for a flow whose ``key`` missed the decision cache
-        (every header a rule can match, as :meth:`Switch._apply_pipeline`
-        builds it): scan in priority order and memoize the answer."""
+        (every header a rule can match, as :meth:`Switch._land` builds
+        it): scan in priority order and memoize the answer."""
         rule = None
         for candidate in self.rules:
             if candidate.matches(packet, in_port):
@@ -214,7 +214,11 @@ class FlowTable:
 
 
 class Switch:
-    """A virtual switch: named ports, a flow table, and L2 learning."""
+    """A virtual switch: named ports, a flow table, and L2 learning.
+
+    The pipeline is a pure delay, not a FIFO, so a pass is one landing
+    (:meth:`_land`) that the link schedules ``forwarding_delay`` (fixed
+    when a port is added) after the frame's arrival (DESIGN.md §7)."""
 
     def __init__(self, sim: Simulator, name: str, forwarding_delay: float = 5e-6):
         self.sim = sim
@@ -223,7 +227,6 @@ class Switch:
         self.ports: dict[str, Interface] = {}
         self.flow_table = FlowTable()
         self._mac_table: dict[str, str] = {}  # mac -> port name
-        self._port_names: dict[Interface, str] = {}  # reverse of ports
         self.controller: Optional[Callable[["Switch", Packet, str], None]] = None
         self.packets_switched = 0
         self._obs = None
@@ -251,8 +254,10 @@ class Switch:
             raise ValueError(f"duplicate port {name!r} on switch {self.name!r}")
         iface = Interface(f"{self.name}.{name}", mac or f"sw:{self.name}:{name}")
         iface.owner = self
+        iface.port = name
+        iface.landing = self._land
+        iface.delay = self.forwarding_delay
         self.ports[name] = iface
-        self._port_names[iface] = name
         return iface
 
     def remove_port(self, name: str) -> Optional[Interface]:
@@ -264,7 +269,7 @@ class Switch:
         iface = self.ports.pop(name, None)
         if iface is None:
             return None
-        self._port_names.pop(iface, None)
+        iface.owner = None
         mac_table = self._mac_table
         for mac in [mac for mac, port in mac_table.items() if port == name]:
             del mac_table[mac]
@@ -273,39 +278,33 @@ class Switch:
 
     # -- data plane ----------------------------------------------------
 
-    def receive(self, packet: Packet, iface: Interface) -> None:
-        in_port = self._port_names.get(iface)
-        if in_port is None:
-            raise ValueError(f"interface {iface.name} is not a port of {self.name}")
-        self._mac_table[packet.src_mac] = in_port
+    def _land(self, iface: Interface, packet: Packet,
+              start: float, done: float, arrive: float) -> None:
+        """One pass at the pipeline's end: count and learn the frame on
+        its ingress port, record the hop (at ``arrive``), then the flow
+        table, the actions of the matching rule, and L2 forwarding: out
+        of one port, flooded, or dropped."""
+        iface.rx_packets += 1
+        iface.rx_bytes += packet.size
+        in_port = iface.port
+        if iface.owner is self:
+            self._mac_table[packet.src_mac] = in_port
+        else:  # removed since the arrival, which removal has un-learnt
+            self._mac_table.pop(packet.src_mac, None)
         self.packets_switched += 1
         name = self.name
         packet.trace.append(name)
         ctx = packet.ctx
         if ctx is not None:
-            ctx.hop(name, packet)
-        # The pipeline is a pure delay, not a FIFO: one scheduled
-        # occurrence per packet (zero delay keeps its one-tick deferral).
-        sim = self.sim
-        sim.call_at(sim.now + self.forwarding_delay, self._apply_pipeline, packet, in_port)
-
-    def _apply_pipeline(self, packet: Packet, in_port: str) -> None:
-        """Flow table, then the actions of the matching rule, then L2
-        forwarding: out of one port, flooded, or dropped."""
+            ctx.hop(name, packet, arrive)
         table = self.flow_table
-        key = (
-            in_port,
-            packet.src_mac,
-            packet.dst_mac,
-            packet.src_ip,
-            packet.dst_ip,
-            packet.src_port,
-            packet.dst_port,
-            packet.protocol,
-        )
-        rule = table._decision_cache.get(key, _MISS)
-        if rule is _MISS:
-            rule = table.decide(key, packet, in_port)
+        rule = None
+        if table._live:  # an empty table needs no flow key and no cache probe
+            key = (in_port, packet.src_mac, packet.dst_mac, packet.src_ip,
+                   packet.dst_ip, packet.src_port, packet.dst_port, packet.protocol)
+            rule = table._decision_cache.get(key, _MISS)
+            if rule is _MISS:
+                rule = table.decide(key, packet, in_port)
         obs = self._obs
         plan = packet.plan
         if plan is not None:
@@ -325,10 +324,8 @@ class Switch:
                         "switch.flow_hit", self.name
                     )
                 counter.inc()
-                if packet.ctx is not None:
-                    packet.ctx.event(
-                        "switch.steer", target=self.name, cookie=rule.cookie
-                    )
+                if ctx is not None:
+                    ctx.event("switch.steer", target=self.name, cookie=rule.cookie)
             for action in rule.actions:
                 if isinstance(action, ModDstMac):
                     packet.dst_mac = action.new_mac
@@ -363,12 +360,11 @@ class Switch:
     def _report(self, plan, packet: Packet, in_port: str, rule: Optional[FlowRule]) -> None:
         """Tell an express learner (:mod:`repro.net.express`) what this
         switch did with the packet carrying it: the per-packet side
-        effects of :meth:`receive` and of the pipeline so far."""
+        effects of the pass so far."""
         plan.watch(self.flow_table)
         plan.switches.append(self)
         plan.mac_learns.append((self._mac_table, packet.src_mac, in_port))
-        if self.forwarding_delay:
-            plan.pre.append(self.forwarding_delay)
+        plan.pre.append(self.forwarding_delay)
         obs = self.obs
         if rule is not None:
             plan.rules.append(rule)

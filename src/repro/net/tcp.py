@@ -392,9 +392,6 @@ class TcpSocket:
             self._retx_queue.append(segment)
             self._arm_rto()
 
-    def _in_flight(self) -> int:
-        return self._sent_bytes - self._acked_bytes
-
     # -- retransmission (reliable mode only) --------------------------------
 
     def _arm_rto(self) -> None:

@@ -12,7 +12,9 @@ Determinism contract:
 
 - span/trace ids come from plain ``itertools`` counters private to the
   bus — independent of ``sim.rng``, of wall time, and of each other;
-- record timestamps are ``sim.now`` (monotone within a run);
+- record timestamps come off the sim clock: a span is stamped with its
+  start, a switch's ``net.hop`` with the frame's arrival (emitted when
+  the pipeline ends), so ``ts`` need not rise with ``seq``;
 - records are sequenced by a bus-level emission counter, so an
   exported stream from two identical runs is byte-identical.
 
@@ -172,14 +174,15 @@ class ObsBus:
         for sink in self.sinks:
             sink.emit(record)
 
-    def hop(self, node: str, trace_id: int, span_id: int, size: int) -> None:
-        """Emit one ``net.hop`` event: ``size`` bytes crossing ``node``
-        on that trace/span.  Reads back exactly as
-        ``event("net.hop", target=node, bytes=size)`` would, but stores
-        no dict."""
+    def hop(self, node: str, trace_id: int, span_id: int, size: int, when: float) -> None:
+        """Emit one ``net.hop`` event: ``size`` bytes reaching ``node``
+        at ``when`` on that trace/span (a switch records its pass when
+        the pipeline ends, stamped with the frame's arrival).  Reads
+        back exactly as ``event("net.hop", target=node, when=when,
+        bytes=size)`` would, but stores no dict."""
         if not self.enabled:
             return
-        record = ("hop", next(self._seq), self.sim.now, node, trace_id, span_id, size)
+        record = ("hop", next(self._seq), when, node, trace_id, span_id, size)
         self.events_emitted += 1
         for sink in self.sinks:
             sink.emit(record)

@@ -44,10 +44,10 @@ class TraceContext:
         self.bus.event(kind, target=target, trace_id=self.trace_id,
                        span_id=self.span_id, **attrs)
 
-    def hop(self, node_name: str, packet: Any) -> None:
-        """Record this packet traversing ``node_name`` — the per-hop
-        timestamps the latency-breakdown tables are built from."""
-        self.bus.hop(node_name, self.trace_id, self.span_id, packet.size)
+    def hop(self, node_name: str, packet: Any, when: float) -> None:
+        """Record this packet reaching ``node_name`` at ``when`` — the
+        per-hop timestamps the latency-breakdown tables are built from."""
+        self.bus.hop(node_name, self.trace_id, self.span_id, packet.size, when)
 
     def __repr__(self) -> str:
         return f"TraceContext(trace={self.trace_id}, span={self.span_id})"

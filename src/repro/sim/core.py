@@ -327,20 +327,24 @@ class Simulator:
         heapq.heappush(self._heap, (when, seq, fn, args))
 
     def disarm_calls(
-        self, fn: Callable[..., Any], match: Callable[[tuple[Any, ...]], bool]
+        self,
+        fn: Callable[..., Any] | tuple[Callable[..., Any], ...],
+        match: Callable[[tuple[Any, ...]], bool],
     ) -> list[tuple[Any, ...]]:
-        """Disarm the pending ``call_at`` calls of ``fn`` whose ``args``
-        satisfy ``match`` and return those ``args`` in firing order.
+        """Disarm the pending ``call_at`` calls of ``fn`` (or of any of a
+        tuple of functions) whose ``args`` satisfy ``match`` and return
+        those ``args`` in firing order.
 
         Each entry is swapped in place for a no-op with the same ``(when,
         seq)``, so the heap stays valid and a disarmed call still
         advances the clock when its time comes.  A heap scan: for rare
         reconfiguration (a fault injector arriving mid-transfer), never
         per packet."""
+        fns = fn if isinstance(fn, tuple) else (fn,)
         heap = self._heap
         hits = []
         for i, entry in enumerate(heap):
-            if entry[2] == fn and match(entry[3]):
+            if entry[2] in fns and match(entry[3]):
                 heap[i] = (entry[0], entry[1], _noop, ())
                 hits.append(entry)
         hits.sort()  # (when, seq) is unique: never compares fn

@@ -28,12 +28,14 @@ def test_matches_pinned(name):
 @pytest.mark.parametrize("name", [n for n in SCENARIOS if n.endswith("_express")])
 def test_express_equals_packet_mode_at_the_application_level(name):
     """The fast path may only remove events: every other recorded field
-    of ``X_express`` equals packet-mode ``X``."""
+    of ``X_express`` equals packet-mode ``X``.  Since a switch pass is
+    one occurrence in packet mode too, a flow with no software forward
+    (``tcp_transfer``) costs both modes the same count."""
     packet = PINNED[name.removesuffix("_express")]
     express = PINNED[name]
     app_fields = packet.keys() - {"events"}
     assert {f: express[f] for f in app_fields} == {f: packet[f] for f in app_fields}
-    assert express["events"] < packet["events"]
+    assert express["events"] <= packet["events"]
     assert express["promotions"] > 0
 
 

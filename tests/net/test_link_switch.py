@@ -100,19 +100,19 @@ def test_switch_flood_does_not_reflect_to_ingress():
 def test_flow_rule_output_overrides_l2():
     sim = Simulator()
     switch = Switch(sim, "sw")
-    sinks = {}
+    sinks, hosts = {}, {}
     for name, mac in [("p1", "m:1"), ("p2", "m:2"), ("p3", "m:3")]:
         port = switch.add_port(name)
         sink_iface = Interface(f"{name}.host", mac)
         sink = SinkNode(f"sink-{name}")
         sink_iface.owner = sink
         Link(sim, port, sink_iface)
-        sinks[name] = sink
+        sinks[name], hosts[name] = sink, sink_iface
     rule = FlowRule(priority=10, dst_port=3260, actions=[Output("p3")])
     switch.flow_table.install(rule)
     # inject a packet into the switch via port p1
     pkt = raw_packet("m:1", "m:2", dst_port=3260)
-    switch.receive(pkt, switch.ports["p1"])
+    hosts["p1"].send(pkt)
     sim.run()
     assert len(sinks["p3"].received) == 1
     assert len(sinks["p2"].received) == 0
@@ -148,7 +148,9 @@ def test_mod_dst_mac_steering():
         FlowRule(priority=10, dst_mac="m:gw", dst_port=3260, actions=[ModDstMac("m:mb")])
     )
     pkt = raw_packet("m:src", "m:gw", dst_port=3260)
-    switch.receive(pkt, in_port)
+    src_iface = Interface("src.eth0", "m:src")
+    Link(sim, src_iface, in_port)
+    src_iface.send(pkt)
     sim.run()
     assert len(mb_sink.received) == 1 and len(gw_sink.received) == 0
     assert mb_sink.received[0][0].dst_mac == "m:mb"

@@ -42,7 +42,7 @@ def emit_three_shapes(bus: ObsBus) -> None:
     def proc():
         span = bus.span("iscsi.write", offset=0)
         yield sim.timeout(0.25)
-        span.context().hop("sw1", _Packet(4162))
+        span.context().hop("sw1", _Packet(4162), sim.now)
         span.event("nvm.append", target="mb1", journal=3)
         span.finish()
 
@@ -86,7 +86,7 @@ def test_hop_reads_back_as_the_generic_net_hop_event():
     via_event, via_hop = ObsBus(Simulator()), ObsBus(Simulator())
     ctx = via_event.span("op").context()
     via_event.event("net.hop", target="sw1", ctx=ctx, bytes=1500)
-    via_hop.span("op").context().hop("sw1", _Packet(1500))
+    via_hop.span("op").context().hop("sw1", _Packet(1500), 0.0)
     assert via_event.records == via_hop.records
     assert via_event.export_jsonl() == via_hop.export_jsonl()
     assert via_event.events_emitted == via_hop.events_emitted == 1
@@ -94,8 +94,8 @@ def test_hop_reads_back_as_the_generic_net_hop_event():
 
 def test_disabled_bus_emits_no_hop():
     bus = ObsBus(Simulator(), enabled=False)
-    bus.span("op").context().hop("sw1", _Packet(1500))
-    bus.hop("sw1", 1, 1, 1500)
+    bus.span("op").context().hop("sw1", _Packet(1500), 0.0)
+    bus.hop("sw1", 1, 1, 1500, 0.0)
     assert bus.records == []
     assert bus.events_emitted == 0
 

@@ -123,6 +123,22 @@ def test_disarmed_calls_never_fire_but_advance_the_clock():
     assert sim.now == 4.0  # the disarmed entry at 4.0 still advanced the clock
 
 
+def test_disarming_several_functions_keeps_one_firing_order():
+    """Calls of two functions come back interleaved in ``(when, seq)``
+    order, as one list."""
+    sim = Simulator()
+    first, second = [], []
+    sim.call_at(2.0, first.append, "x")
+    sim.call_at(1.0, second.append, "y")
+    sim.call_at(2.0, second.append, "z")
+    sim.call_at(1.0, first.append, "w")
+    assert sim.disarm_calls((first.append, second.append), lambda args: True) == [
+        ("y",), ("w",), ("x",), ("z",)
+    ]
+    sim.run()
+    assert first == second == []
+
+
 def test_yield_already_processed_event_resumes_fifo():
     """Resuming off a processed event queues at the back of the current
     tick, not synchronously and not at the front."""
