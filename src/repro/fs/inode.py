@@ -67,9 +67,6 @@ class Inode:
     def block_count(self) -> int:
         return (self.size + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def pointer_slots_needed(self, block_index: int) -> bool:
-        """True if this block index requires the indirect block."""
-        return block_index >= DIRECT_POINTERS
 
 
 def unpack_inode_table_block(raw: bytes) -> list[Inode]:

@@ -164,13 +164,6 @@ def dump_layout(volume, mount_point: str = "") -> FilesystemView:
         raw = volume.read_sync(block_no * BLOCK_SIZE, BLOCK_SIZE)
         return Inode.unpack(raw[offset : offset + 256])
 
-    def file_blocks(inode: Inode) -> list[int]:
-        blocks = [b for b in inode.direct if b]
-        if inode.indirect:
-            raw = volume.read_sync(inode.indirect * BLOCK_SIZE, BLOCK_SIZE)
-            blocks.extend(p for p in unpack_indirect_block(raw) if p)
-        return blocks
-
     def walk(ino: int) -> None:
         inode = read_inode(ino)
         view.record_inode(ino, inode)

@@ -2,19 +2,16 @@
 
 The repo's experiment claims rest on bit-identical deterministic
 replay; this package turns the invariants that protect it (virtual
-clock only, seeded RNG streams only, no hash-order leaks, no mutable
-defaults, ...) from convention into machine-checked rules.  See
-DESIGN.md §10 for the rule catalogue and the suppression/baseline
+clock only, seeded RNG streams only, no hash-order leaks, generators
+run by the kernel, ...) from convention into machine-checked rules.
+See DESIGN.md §10 for the rule catalogue and the suppression
 workflow, or run ``python -m repro.lint --list-rules``.
 """
 
-from repro.lint.baseline import Baseline, BaselineError, load, save
 from repro.lint.engine import LintResult, discover, lint_file_source, run_lint
 from repro.lint.findings import FileContext, Finding, Rule, all_rules, rule
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
     "FileContext",
     "Finding",
     "LintResult",
@@ -22,8 +19,6 @@ __all__ = [
     "all_rules",
     "discover",
     "lint_file_source",
-    "load",
     "rule",
     "run_lint",
-    "save",
 ]

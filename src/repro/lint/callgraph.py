@@ -3,16 +3,15 @@
 One :class:`ModuleSummary` per file captures everything the
 whole-program pass needs — import aliases, function/class symbols,
 call records, leaf effect sites, and the saga-step registrations the
-contract rules inspect — so the engine can parse each file **once**,
-feed the same tree to the per-file rules, and cache the summary on
-disk keyed by content hash (warm runs never re-parse unchanged files).
+contract rules inspect — so the engine can parse each file **once** and
+feed the same tree to the per-file rules and to the program pass.
 
 :class:`Program` links a set of summaries: it resolves call records to
 edges (module functions, ``from``-imported symbols, ``self.method``
 through the class and its project bases, ``module.func`` through
 import aliases, class constructors to ``__init__``), runs the effect
 fixpoint from :mod:`repro.lint.effects`, and answers reachability
-queries with the full call chain for findings and ``--explain``.
+queries with the full call chain each flow finding reports.
 
 Module names are derived from repo-relative paths with the source
 roots (``src/``, ``tests/lint/fixtures/``) stripped, so the real tree
@@ -25,14 +24,12 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.lint import effects as fx
 
 #: path prefixes stripped when mapping a file path to its module name
 SOURCE_ROOTS: tuple[str, ...] = ("src/", "tests/lint/fixtures/")
-
-SUMMARY_VERSION = 2
 
 
 def module_name_for(path: str) -> str:
@@ -55,13 +52,6 @@ class CallRecord:
     name: str
     line: int
 
-    def to_json(self) -> list[Any]:
-        return [list(self.chain), self.name, self.line]
-
-    @classmethod
-    def from_json(cls, raw: Sequence[Any]) -> "CallRecord":
-        return cls(tuple(raw[0]), str(raw[1]), int(raw[2]))
-
 
 @dataclass(frozen=True)
 class EffectSite:
@@ -70,13 +60,6 @@ class EffectSite:
     effect: str
     line: int
     snippet: str
-
-    def to_json(self) -> list[Any]:
-        return [self.effect, self.line, self.snippet]
-
-    @classmethod
-    def from_json(cls, raw: Sequence[Any]) -> "EffectSite":
-        return cls(str(raw[0]), int(raw[1]), str(raw[2]))
 
 
 @dataclass(frozen=True)
@@ -91,24 +74,6 @@ class SagaStepSite:
     pivot: bool
     forward_only: bool
     after_pivot: bool
-
-    def to_json(self) -> list[Any]:
-        return [
-            self.line,
-            self.snippet,
-            self.step_name,
-            self.has_undo,
-            self.pivot,
-            self.forward_only,
-            self.after_pivot,
-        ]
-
-    @classmethod
-    def from_json(cls, raw: Sequence[Any]) -> "SagaStepSite":
-        return cls(
-            int(raw[0]), str(raw[1]), str(raw[2]),
-            bool(raw[3]), bool(raw[4]), bool(raw[5]), bool(raw[6]),
-        )
 
 
 @dataclass(frozen=True)
@@ -128,13 +93,6 @@ class RegistrySite:
     name: str   # the container's final attribute name, alias-resolved
     kind: str   # "store" | "evict"
 
-    def to_json(self) -> list[Any]:
-        return [self.line, self.snippet, self.name, self.kind]
-
-    @classmethod
-    def from_json(cls, raw: Sequence[Any]) -> "RegistrySite":
-        return cls(int(raw[0]), str(raw[1]), str(raw[2]), str(raw[3]))
-
 
 @dataclass
 class FunctionInfo:
@@ -147,44 +105,12 @@ class FunctionInfo:
     calls: list[CallRecord] = field(default_factory=list)
     effect_sites: list[EffectSite] = field(default_factory=list)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "qual": self.qual,
-            "name": self.name,
-            "cls": self.cls,
-            "line": self.line,
-            "calls": [c.to_json() for c in self.calls],
-            "effects": [e.to_json() for e in self.effect_sites],
-        }
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, Any]) -> "FunctionInfo":
-        return cls(
-            qual=str(raw["qual"]),
-            name=str(raw["name"]),
-            cls=str(raw["cls"]),
-            line=int(raw["line"]),
-            calls=[CallRecord.from_json(c) for c in raw["calls"]],
-            effect_sites=[EffectSite.from_json(e) for e in raw["effects"]],
-        )
-
 
 @dataclass
 class ClassInfo:
     name: str
     bases: list[str] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict[str, Any]:
-        return {"name": self.name, "bases": self.bases, "methods": self.methods}
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, Any]) -> "ClassInfo":
-        return cls(
-            name=str(raw["name"]),
-            bases=[str(b) for b in raw["bases"]],
-            methods=[str(m) for m in raw["methods"]],
-        )
 
 
 @dataclass
@@ -199,33 +125,6 @@ class ModuleSummary:
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     saga_steps: list[SagaStepSite] = field(default_factory=list)
     registries: list[RegistrySite] = field(default_factory=list)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "is_package": self.is_package,
-            "imports": self.imports,
-            "functions": [f.to_json() for f in self.functions],
-            "classes": {k: v.to_json() for k, v in self.classes.items()},
-            "saga_steps": [s.to_json() for s in self.saga_steps],
-            "registries": [r.to_json() for r in self.registries],
-        }
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=str(raw["module"]),
-            path=str(raw["path"]),
-            is_package=bool(raw["is_package"]),
-            imports={str(k): str(v) for k, v in raw["imports"].items()},
-            functions=[FunctionInfo.from_json(f) for f in raw["functions"]],
-            classes={
-                str(k): ClassInfo.from_json(v) for k, v in raw["classes"].items()
-            },
-            saga_steps=[SagaStepSite.from_json(s) for s in raw["saga_steps"]],
-            registries=[RegistrySite.from_json(r) for r in raw["registries"]],
-        )
 
 
 # -- summary construction ---------------------------------------------
@@ -773,7 +672,3 @@ class Program:
             chains[fn] = chain
         return chains
 
-    def functions_in(self, predicate_module: str) -> list[FunctionInfo]:
-        """All functions whose module matches exactly."""
-        summary = self.modules.get(predicate_module)
-        return list(summary.functions) if summary else []

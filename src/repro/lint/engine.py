@@ -1,13 +1,9 @@
 """The lint engine: discovery, one shared AST walk, the program pass.
 
 Per file, the engine parses **once**; the tree feeds both the per-file
-rules (dispatched by node type, as in v1) and the
+rules (dispatched by node type) and the
 :class:`~repro.lint.callgraph.ModuleSummary` builder the whole-program
-pass links.  Everything derived from a single file's text — findings,
-summary, suppression comments — is cached on disk keyed by content
-hash (:mod:`repro.lint.cache`), so warm runs skip the parse entirely;
-the cross-file work (call-graph link, effect fixpoint, flow/contract
-rules, baseline classification) is recomputed every run and is cheap.
+pass links (call graph, effect fixpoint, flow/contract rules).
 
 Suppressions: ``# stormlint: ignore[rule-id]`` (comma-separate several
 ids, or ``ignore[*]`` for all) suppresses findings on its own line —
@@ -15,8 +11,7 @@ or, when the comment stands alone on a line, on the following line.
 Comments are found with :mod:`tokenize`, so the marker inside a string
 literal is *not* a suppression.  Every run tracks which suppression
 ids actually suppressed something; the stale ones surface in
-:attr:`LintResult.stale_suppressions` and ``--prune-suppressions``
-rewrites them away.
+:attr:`LintResult.stale_suppressions` and the text output lists them.
 """
 
 from __future__ import annotations
@@ -26,20 +21,11 @@ import io
 import os
 import re
 import tokenize
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
-from repro.lint import baseline as baseline_mod
-from repro.lint import cache as cache_mod
 from repro.lint.callgraph import ModuleSummary, Program, build_summary
-from repro.lint.findings import (
-    FileContext,
-    Finding,
-    Rule,
-    all_rules,
-    compute_fingerprint,
-    instantiate,
-)
+from repro.lint.findings import FileContext, Finding, Rule, all_rules, instantiate
 from repro.lint.rules_safety import GENERATOR_DEF_COLLECTOR
 
 _SUPPRESS_RE = re.compile(r"#\s*stormlint:\s*ignore\[([^\]]*)\]")
@@ -47,8 +33,8 @@ _SUPPRESS_RE = re.compile(r"#\s*stormlint:\s*ignore\[([^\]]*)\]")
 #: directories never descended into during discovery
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".benchmarks", ".pytest_cache"}
 
-#: (comment line, shielded line, ids, raw comment text)
-Suppression = tuple[int, int, list[str], str]
+#: (comment line, shielded line, ids)
+Suppression = tuple[int, int, list[str]]
 
 
 def collect_suppressions(source: str) -> list[Suppression]:
@@ -69,23 +55,15 @@ def collect_suppressions(source: str) -> list[Suppression]:
                 continue
             row, col = tok.start
             own_line = tok.line[:col].strip() != ""
-            found.append((row, row if own_line else row + 1, ids, tok.string))
+            found.append((row, row if own_line else row + 1, ids))
     except (tokenize.TokenError, IndentationError, SyntaxError):
         pass  # unparsable files already error out of the lint run
     return found
 
 
-def parse_suppressions(lines: Sequence[str]) -> dict[int, set[str]]:
-    """Map 1-based line numbers to the rule ids suppressed there."""
-    suppressed: dict[int, set[str]] = {}
-    for _, target, ids, _raw in collect_suppressions("\n".join(lines)):
-        suppressed.setdefault(target, set()).update(ids)
-    return suppressed
-
-
 def _suppression_map(suppressions: Iterable[Suppression]) -> dict[int, set[str]]:
     by_line: dict[int, set[str]] = {}
-    for _, target, ids, _raw in suppressions:
+    for _, target, ids in suppressions:
         by_line.setdefault(target, set()).update(ids)
     return by_line
 
@@ -99,19 +77,12 @@ def _matches(ids: set[str], rule_id: str, aliases: tuple[str, ...] = ()) -> bool
 @dataclass(frozen=True)
 class StaleSuppression:
     """A suppression comment (or one id inside it) that no longer
-    suppresses anything — dead weight ``--prune-suppressions`` removes."""
+    suppresses anything: delete the dead ids by hand."""
 
     path: str
     line: int
     #: the ids in this comment that matched no finding
     dead_ids: tuple[str, ...]
-    #: every id the comment names (== dead_ids when fully dead)
-    all_ids: tuple[str, ...]
-    comment: str
-
-    @property
-    def fully_dead(self) -> bool:
-        return set(self.dead_ids) == set(self.all_ids)
 
 
 @dataclass
@@ -122,25 +93,16 @@ class LintResult:
     #: files that failed to parse, as (path, message)
     errors: list[tuple[str, str]] = field(default_factory=list)
     files_checked: int = 0
-    stale_baseline: list[str] = field(default_factory=list)
     #: suppression comments that suppressed nothing this run
     stale_suppressions: list[StaleSuppression] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: absolute repo root the run resolved paths against
-    root: str = ""
 
     @property
     def new(self) -> list[Finding]:
-        return [f for f in self.findings if not f.suppressed and not f.baselined]
+        return [f for f in self.findings if not f.suppressed]
 
     @property
     def suppressed(self) -> list[Finding]:
         return [f for f in self.findings if f.suppressed]
-
-    @property
-    def baselined(self) -> list[Finding]:
-        return [f for f in self.findings if f.baselined]
 
     @property
     def ok(self) -> bool:
@@ -193,7 +155,6 @@ def _analyze_source(
         for node_type in r.node_types:
             dispatch.setdefault(node_type, []).append(r)
 
-    occurrences: dict[tuple[str, str], int] = {}
     findings: list[Finding] = []
     if dispatch:
         for node in ast.walk(tree):
@@ -202,23 +163,9 @@ def _analyze_source(
                 continue
             for r in subscribed:
                 for finding in r.check(node, ctx):
-                    key = (finding.rule_id, finding.snippet.strip())
-                    occurrence = occurrences.get(key, 0)
-                    occurrences[key] = occurrence + 1
                     ids = by_line.get(finding.line, set())
                     findings.append(
-                        Finding(
-                            rule_id=finding.rule_id,
-                            path=finding.path,
-                            line=finding.line,
-                            col=finding.col,
-                            message=finding.message,
-                            snippet=finding.snippet,
-                            fingerprint=compute_fingerprint(
-                                finding.rule_id, path, finding.snippet, occurrence
-                            ),
-                            suppressed=_matches(ids, finding.rule_id),
-                        )
+                        replace(finding, suppressed=_matches(ids, finding.rule_id))
                     )
     findings.sort(key=lambda f: (f.line, f.col, f.rule_id))
     summary = build_summary(tree, path, lines)
@@ -229,8 +176,7 @@ def lint_file_source(
     source: str, path: str, rules: Sequence[Rule]
 ) -> list[Finding]:
     """Lint one file's text.  ``path`` is the repo-relative posix path
-    used for scoping and fingerprints.  Raises SyntaxError on bad
-    source."""
+    used for scoping.  Raises SyntaxError on bad source."""
     findings, _summary, _suppressions = _analyze_source(source, path, rules)
     return findings
 
@@ -245,39 +191,22 @@ def _run_program_rules(
     suppressions_by_path: dict[str, list[Suppression]],
     lines_by_path: dict[str, list[str]],
 ) -> list[Finding]:
-    """Run graph rules; fingerprint, suppress, and backfill snippets."""
-    raw: list[Finding] = []
-    for r in program_rules:
-        raw.extend(r.check_program(program))
-    raw.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    occurrences: dict[tuple[str, str, str], int] = {}
+    """Run graph rules; suppress and backfill snippets."""
     out: list[Finding] = []
-    for f in raw:
-        lines = lines_by_path.get(f.path, [])
-        snippet = f.snippet
-        if not snippet and 1 <= f.line <= len(lines):
-            snippet = lines[f.line - 1].strip()
-        key = (f.path, f.rule_id, snippet.strip())
-        occurrence = occurrences.get(key, 0)
-        occurrences[key] = occurrence + 1
-        by_line = _suppression_map(suppressions_by_path.get(f.path, []))
-        ids = by_line.get(f.line, set())
-        aliases = _ALIASES.get(f.rule_id, ())
-        out.append(
-            Finding(
-                rule_id=f.rule_id,
-                path=f.path,
-                line=f.line,
-                col=f.col,
-                message=f.message,
-                snippet=snippet,
-                fingerprint=compute_fingerprint(
-                    f.rule_id, f.path, snippet, occurrence
-                ),
-                suppressed=_matches(ids, f.rule_id, aliases),
-                chain=f.chain,
+    for r in program_rules:
+        for f in r.check_program(program):
+            lines = lines_by_path.get(f.path, [])
+            snippet = f.snippet
+            if not snippet and 1 <= f.line <= len(lines):
+                snippet = lines[f.line - 1].strip()
+            by_line = _suppression_map(suppressions_by_path.get(f.path, []))
+            ids = by_line.get(f.line, set())
+            aliases = _ALIASES.get(f.rule_id, ())
+            out.append(
+                replace(
+                    f, snippet=snippet, suppressed=_matches(ids, f.rule_id, aliases)
+                )
             )
-        )
     return out
 
 
@@ -307,7 +236,7 @@ def _stale_suppressions(
 
     stale: list[StaleSuppression] = []
     for path in sorted(suppressions_by_path):
-        for line, target, ids, rawtext in suppressions_by_path[path]:
+        for line, target, ids in suppressions_by_path[path]:
             at_line = by_site.get((path, target), [])
             dead: list[str] = []
             for sid in ids:
@@ -320,15 +249,7 @@ def _stale_suppressions(
                         continue
                 dead.append(sid)
             if dead:
-                stale.append(
-                    StaleSuppression(
-                        path=path,
-                        line=line,
-                        dead_ids=tuple(dead),
-                        all_ids=tuple(ids),
-                        comment=rawtext,
-                    )
-                )
+                stale.append(StaleSuppression(path, line, tuple(dead)))
     return stale
 
 
@@ -336,41 +257,25 @@ def run_lint(
     paths: Sequence[str],
     root: str | None = None,
     selected_rules: Sequence[str] | None = None,
-    baseline_path: str | None = None,
-    cache_path: str | None = None,
 ) -> LintResult:
     """Lint ``paths`` (files or directories) under ``root``.
 
-    Findings matching the baseline at ``baseline_path`` are flagged
-    ``baselined`` rather than failing; suppressed ones likewise.  The
-    result's :attr:`LintResult.new` list is what should gate CI.  When
-    ``cache_path`` is set, per-file work is reused across runs keyed by
-    content hash (the result is identical either way).
+    Suppressed findings are flagged rather than failing; the result's
+    :attr:`LintResult.new` list is what should gate CI.
     """
     root = os.path.abspath(root or os.getcwd())
     rules = instantiate(selected_rules)
     file_rules = [r for r in rules if r.node_types]
-    repo_rules = [r for r in rules if not r.node_types and not r.needs_program]
     program_rules = [r for r in rules if r.needs_program]
     _ALIASES.clear()
     _ALIASES.update(_alias_table(rules))
-    result = LintResult(root=root)
-
-    cache: Optional[cache_mod.AnalysisCache] = None
-    if cache_path is not None:
-        absolute_cache = (
-            cache_path if os.path.isabs(cache_path) else os.path.join(root, cache_path)
-        )
-        cache = cache_mod.AnalysisCache(
-            absolute_cache, cache_mod.analyzer_key(selected_rules)
-        )
+    result = LintResult()
 
     summaries: list[ModuleSummary] = []
     suppressions_by_path: dict[str, list[Suppression]] = {}
     lines_by_path: dict[str, list[str]] = {}
 
-    discovered = discover(paths, root)
-    for rel_path in discovered:
+    for rel_path in discover(paths, root):
         absolute = os.path.join(root, rel_path)
         try:
             with open(absolute, "r", encoding="utf-8") as fh:
@@ -379,27 +284,15 @@ def run_lint(
             result.errors.append((rel_path, f"unreadable: {exc}"))
             continue
         lines_by_path[rel_path] = source.splitlines()
-        digest = cache_mod.source_digest(source)
-        entry = cache.get(rel_path, digest) if cache is not None else None
-        if entry is None:
-            try:
-                findings, summary, suppressions = _analyze_source(
-                    source, rel_path, file_rules
-                )
-            except SyntaxError as exc:
-                result.errors.append(
-                    (rel_path, f"syntax error: {exc.msg} (line {exc.lineno})")
-                )
-                continue
-            if cache is not None:
-                cache.put(
-                    rel_path,
-                    cache_mod.FileEntry(digest, findings, summary, suppressions),
-                )
-        else:
-            findings = entry.findings
-            summary = entry.summary
-            suppressions = entry.suppressions
+        try:
+            findings, summary, suppressions = _analyze_source(
+                source, rel_path, file_rules
+            )
+        except SyntaxError as exc:
+            result.errors.append(
+                (rel_path, f"syntax error: {exc.msg} (line {exc.lineno})")
+            )
+            continue
         result.files_checked += 1
         result.findings.extend(findings)
         summaries.append(summary)
@@ -413,43 +306,8 @@ def run_lint(
             )
         )
 
-    # Repo-level rules run once, against the root.
-    for r in repo_rules:
-        result.findings.extend(r.check_repo(root))
-
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-
-    if baseline_path is not None:
-        base = baseline_mod.load(
-            baseline_path
-            if os.path.isabs(baseline_path)
-            else os.path.join(root, baseline_path)
-        )
-        if len(base):
-            result.findings = [
-                Finding(
-                    rule_id=f.rule_id,
-                    path=f.path,
-                    line=f.line,
-                    col=f.col,
-                    message=f.message,
-                    snippet=f.snippet,
-                    fingerprint=f.fingerprint,
-                    suppressed=f.suppressed,
-                    baselined=(not f.suppressed) and f.fingerprint in base,
-                    chain=f.chain,
-                )
-                for f in result.findings
-            ]
-            result.stale_baseline = base.stale(result.findings)
-
     result.stale_suppressions = _stale_suppressions(
         suppressions_by_path, result.findings, set(all_rules())
     )
-
-    if cache is not None:
-        cache.prune(set(discovered))
-        cache.save()
-        result.cache_hits = cache.hits
-        result.cache_misses = cache.misses
     return result

@@ -1,18 +1,18 @@
 """Findings, rule metadata, and the rule registry.
 
 A :class:`Rule` is a small object that inspects AST nodes (or, for
-repo-level rules, the working tree) and emits :class:`Finding`\\ s.
+whole-program rules, the linked call graph) and emits
+:class:`Finding`\\ s.
 Rules self-register via the :func:`rule` decorator so adding one is a
-single class definition — the engine, CLI, baseline machinery, and
-docs enumeration all discover it through :func:`all_rules`.
+single class definition — the engine, CLI, and docs enumeration all
+discover it through :func:`all_rules`.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.lint.callgraph import Program
@@ -20,13 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 @dataclass(frozen=True)
 class Finding:
-    """One violation at one location.
-
-    ``fingerprint`` identifies the finding across line-number churn: it
-    hashes the rule id, the file path, the *text* of the offending line,
-    and an occurrence index (for identical lines in one file) — so
-    reformatting elsewhere in the file does not invalidate a baseline.
-    """
+    """One violation at one location."""
 
     rule_id: str
     path: str
@@ -34,20 +28,13 @@ class Finding:
     col: int
     message: str
     snippet: str = ""
-    fingerprint: str = ""
     suppressed: bool = False
-    baselined: bool = False
     #: whole-program rules attach the call chain (root → ... → leaf
-    #: qualnames) that produced the finding; ``--explain`` prints it
+    #: qualnames) that produced the finding; the text output prints it
     chain: tuple[str, ...] = ()
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
-
-
-def compute_fingerprint(rule_id: str, path: str, snippet: str, occurrence: int) -> str:
-    payload = f"{rule_id}\x00{path}\x00{snippet.strip()}\x00{occurrence}"
-    return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass
@@ -73,23 +60,23 @@ class Rule:
 
     Subclasses set the class attributes and implement either
     :meth:`check` (AST rules, called for every node whose type is in
-    ``node_types``) or :meth:`check_repo` (repo-level rules, called once
-    per lint run).  The class docstring of each concrete rule documents
+    ``node_types``) or :meth:`check_program` (whole-program rules,
+    called once per lint run).  The class docstring of each concrete rule documents
     the failure scenario the rule prevents; ``python -m repro.lint
     --list-rules`` prints them.
     """
 
-    #: stable kebab-case identifier used in suppressions and baselines
+    #: stable kebab-case identifier used in suppressions and --select
     id: str = ""
     #: one-line summary shown in --list-rules
     summary: str = ""
-    #: AST node classes this rule wants to see (empty = repo-level or
-    #: whole-program rule)
+    #: AST node classes this rule wants to see (empty = whole-program
+    #: rule)
     node_types: tuple[type, ...] = ()
     #: 'determinism' | 'safety' | 'hygiene' | 'flow' | 'contract'
     family: str = ""
     #: whole-program rules run once against the linked :class:`Program`
-    #: (call graph + effect fixpoint) instead of per node or per repo
+    #: (call graph + effect fixpoint) instead of per node
     needs_program: bool = False
     #: per-file rule ids whose inline suppression also silences this
     #: rule at the same line (the leaf of a flow finding is usually the
@@ -100,18 +87,14 @@ class Rule:
         """Whether this rule runs on the file at repo-relative ``path``.
 
         The default scopes every rule to the simulation source tree;
-        rules override this to widen (hygiene) or narrow (control-plane
-        only) their reach.  Fixture files under ``tests/lint/fixtures``
+        rules override this to narrow their reach (control-plane only,
+        or everything but the obs package).  Fixture files under ``tests/lint/fixtures``
         are always linted so rule tests can use real files.
         """
         return path.startswith("src/repro") or "tests/lint/fixtures" in path
 
     def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         """Yield findings for ``node``.  AST rules override this."""
-        return iter(())
-
-    def check_repo(self, root: str) -> Iterator[Finding]:
-        """Yield repo-level findings.  Repo rules override this."""
         return iter(())
 
     def check_program(self, program: "Program") -> Iterator[Finding]:
@@ -164,10 +147,7 @@ def all_rules() -> dict[str, type[Rule]]:
     return dict(_REGISTRY)
 
 
-def instantiate(
-    selected: Sequence[str] | None = None,
-    predicate: Callable[[type[Rule]], bool] | None = None,
-) -> list[Rule]:
+def instantiate(selected: Sequence[str] | None = None) -> list[Rule]:
     """Build rule instances, optionally restricted to ``selected`` ids."""
     registry = all_rules()
     if selected:
@@ -177,4 +157,4 @@ def instantiate(
         classes: Iterable[type[Rule]] = (registry[s] for s in selected)
     else:
         classes = registry.values()
-    return [cls() for cls in classes if predicate is None or predicate(cls)]
+    return [cls() for cls in classes]

@@ -7,7 +7,7 @@ walks the whole-program call graph (:mod:`repro.lint.callgraph`) from
 every function defined in the simulation domains (``*.sim``,
 ``*.core``, ``*.net``) and reports any reachable leaf whose effect set
 contains the banned nondeterminism source, with the full call chain in
-the finding (and in ``--explain``).
+the finding (the text output prints it).
 
 A leaf *directly inside* a domain function is the per-file sibling
 rule's job and is not re-reported here (the chain would have length

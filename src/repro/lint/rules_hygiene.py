@@ -1,61 +1,11 @@
-"""Repo-hygiene rules (run once per lint invocation, not per file)."""
+"""Repo-hygiene rules: conventions that keep components observable."""
 
 from __future__ import annotations
 
 import ast
-import subprocess
 from typing import Iterator
 
-from repro.lint.findings import FileContext, Finding, Rule, compute_fingerprint, rule
-
-
-@rule
-class TrackedBytecodeRule(Rule):
-    """Fail if compiled bytecode is tracked in git.
-
-    Failure scenario: a PR commits ``__pycache__/*.pyc`` alongside its
-    source (as PR 3 did — 77 files).  Checked-out bytecode can shadow
-    edited source when timestamps confuse the import system, bloats
-    every subsequent diff, and leaks absolute paths from the committing
-    machine.  The rule shells out to ``git ls-files``; when the lint
-    target is not a git checkout (or git is unavailable) it is skipped.
-    """
-
-    id = "tracked-bytecode"
-    summary = "no .pyc/__pycache__ paths tracked in git"
-    family = "hygiene"
-    node_types = ()
-
-    def applies_to(self, path: str) -> bool:
-        return True
-
-    def check_repo(self, root: str) -> Iterator[Finding]:
-        try:
-            proc = subprocess.run(
-                ["git", "ls-files", "--", "*.pyc", "*__pycache__*"],
-                cwd=root,
-                capture_output=True,
-                text=True,
-                timeout=30,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return
-        if proc.returncode != 0:
-            return  # not a git checkout; nothing to police
-        for tracked in proc.stdout.splitlines():
-            tracked = tracked.strip()
-            if not tracked:
-                continue
-            yield Finding(
-                rule_id=self.id,
-                path=tracked,
-                line=1,
-                col=1,
-                message="compiled bytecode is tracked in git; "
-                "`git rm --cached` it and rely on .gitignore",
-                snippet=tracked,
-                fingerprint=compute_fingerprint(self.id, tracked, tracked, 0),
-            )
+from repro.lint.findings import FileContext, Finding, Rule, rule
 
 
 @rule

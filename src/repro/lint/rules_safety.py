@@ -1,10 +1,10 @@
 """Simulation-safety rules.
 
 These target the bug shapes that have historically cost the most
-debugging time in generator-based discrete-event code: state leaking
-between simulations through shared defaults, fault paths swallowed by
-over-broad handlers, validation that vanishes under ``python -O``, and
-process generators that were never handed to the kernel.
+debugging time in generator-based discrete-event code: validation that
+vanishes under ``python -O``, and process generators that were never
+handed to the kernel.  Shared mutable defaults and bare ``except:``
+are ruff's job (B006, E722).
 """
 
 from __future__ import annotations
@@ -13,81 +13,6 @@ import ast
 from typing import Iterator
 
 from repro.lint.findings import FileContext, Finding, Rule, rule
-
-_MUTABLE_CALLS = {"list", "dict", "set", "deque", "defaultdict", "Counter"}
-
-
-@rule
-class MutableDefaultRule(Rule):
-    """Ban mutable default arguments.
-
-    Failure scenario: ``def attach(self, services=[])`` — the list is
-    created once at import.  The first simulation appends to it; the
-    second simulation *starts with the first run's services*, so
-    back-to-back runs of the same seed differ and the run-twice
-    identity test fails in a way that depends on test execution order.
-    Use ``None`` and materialize inside the function.
-    """
-
-    id = "mutable-default"
-    summary = "no list/dict/set/deque default arguments; default to None"
-    family = "safety"
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-    def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-        args = node.args
-        for default in [*args.defaults, *args.kw_defaults]:
-            if default is None:
-                continue
-            bad = None
-            if isinstance(default, (ast.List, ast.Dict, ast.Set)):
-                bad = {ast.List: "list", ast.Dict: "dict", ast.Set: "set"}[
-                    type(default)
-                ]
-            elif (
-                isinstance(default, ast.Call)
-                and isinstance(default.func, ast.Name)
-                and default.func.id in _MUTABLE_CALLS
-                and not default.args
-                and not default.keywords
-            ):
-                bad = default.func.id
-            if bad is not None:
-                name = getattr(node, "name", "<lambda>")
-                yield self.finding(
-                    ctx, default,
-                    f"mutable default {bad} in {name}(): shared across every "
-                    "simulation in the process; default to None",
-                )
-
-
-@rule
-class BareExceptRule(Rule):
-    """Ban bare ``except:`` clauses.
-
-    Failure scenario: a relay hot path wraps forwarding in ``except:``.
-    That catches :class:`repro.sim.core.Interrupt` — the kernel's
-    process-control signal — so a middle-box kill intended to crash the
-    relay is silently eaten and the chaos matrix observes a third
-    outcome (half-dead relay) beyond the committed two.  Catch the
-    specific exceptions the fault model defines; at minimum
-    ``except Exception`` keeps kernel control flow intact.
-    """
-
-    id = "bare-except"
-    summary = "no bare except: (it swallows kernel Interrupts); name exceptions"
-    family = "safety"
-    node_types = (ast.ExceptHandler,)
-
-    def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        assert isinstance(node, ast.ExceptHandler)
-        if node.type is None:
-            yield self.finding(
-                ctx, node,
-                "bare except: catches kernel Interrupt/SystemExit; "
-                "catch the specific fault-model exceptions",
-            )
 
 
 @rule

@@ -33,16 +33,8 @@ class SdnController:
     def __init__(self, name: str = "storm-sdn"):
         self.name = name
         self._switches: dict[str, Switch] = {}
-        #: install journal: family root -> [(seq, switch, rule), ...]
-        self._journal: dict[Optional[str], list[tuple[int, str, FlowRule]]] = {}
-        self._journal_seq = 0
-
-    @property
-    def installed_rules(self) -> list[tuple[str, FlowRule]]:
-        """The journal flattened in install order (compat view)."""
-        entries = [e for bucket in self._journal.values() for e in bucket]
-        entries.sort(key=lambda e: e[0])
-        return [(switch_name, rule) for _seq, switch_name, rule in entries]
+        #: install journal: family root -> [(switch, rule), ...]
+        self._journal: dict[Optional[str], list[tuple[str, FlowRule]]] = {}
 
     def register_switch(self, switch: Switch) -> None:
         if switch.name in self._switches:
@@ -57,10 +49,8 @@ class SdnController:
 
     def install_rule(self, switch_name: str, rule: FlowRule) -> None:
         self.switch(switch_name).flow_table.install(rule)
-        seq = self._journal_seq
-        self._journal_seq = seq + 1
         self._journal.setdefault(cookie_root(rule.cookie), []).append(
-            (seq, switch_name, rule)
+            (switch_name, rule)
         )
 
     def remove_by_cookie(
@@ -86,8 +76,8 @@ class SdnController:
                 entry
                 for entry in bucket
                 if not (
-                    cookie_in_family(entry[2].cookie, cookie, family)
-                    and (switch_name is None or entry[1] == switch_name)
+                    cookie_in_family(entry[1].cookie, cookie, family)
+                    and (switch_name is None or entry[0] == switch_name)
                 )
             ]
             if kept:
@@ -100,14 +90,15 @@ class SdnController:
         bucket = self._journal.get(cookie_root(cookie), [])
         return [
             (switch_name, rule)
-            for _seq, switch_name, rule in bucket
+            for switch_name, rule in bucket
             if cookie_in_family(rule.cookie, cookie, family)
         ]
 
     def iter_rules(self) -> Iterator[tuple[str, FlowRule]]:
         """Every rule actually installed in the switch tables — the
-        ground truth the reconciler audits (``installed_rules`` is only
-        the controller's journal and can drift from it)."""
+        ground truth the reconciler audits (the journal behind
+        :meth:`rules_for_cookie` is only the controller's record and can
+        drift from it)."""
         for name, switch in self._switches.items():
             for rule in switch.flow_table.rules:
                 yield name, rule

@@ -198,10 +198,6 @@ class Process(Event):
         # Kick off on the next tick of the loop at the current time.
         sim._defer_resume(self, None, True, _ANY_EPOCH)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._value is not _UNSET:

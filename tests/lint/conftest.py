@@ -25,11 +25,9 @@ def run_tree(tmp_path):
     it.  Violation fixtures live here, not in the repo, so the
     repo-clean meta-test stays meaningful."""
 
-    def _run(files, select=None, paths=("src",), **kwargs):
+    def _run(files, select=None, paths=("src",)):
         write_tree(tmp_path, files)
-        return run_lint(
-            list(paths), root=str(tmp_path), selected_rules=select, **kwargs
-        )
+        return run_lint(list(paths), root=str(tmp_path), selected_rules=select)
 
     return _run
 

@@ -89,12 +89,6 @@ def test_closures_fold_into_parent():
     assert [s.effect for s in summary.functions[1].effect_sites] == [fx.WALL_CLOCK]
 
 
-def test_summary_roundtrips_through_json():
-    summary = summarize("src/pkg/util.py", HELPER)
-    clone = ModuleSummary.from_json(summary.to_json())
-    assert clone.to_json() == summary.to_json()
-
-
 # -- linking (golden edges) -------------------------------------------
 
 

@@ -3,10 +3,7 @@ for every registered rule."""
 
 from __future__ import annotations
 
-import subprocess
-
 from repro.lint.findings import all_rules
-from repro.lint.rules_hygiene import TrackedBytecodeRule
 
 from tests.lint.conftest import hits, suppressed
 
@@ -163,6 +160,18 @@ def test_unstable_hash_hit_and_suppression(lint):
     assert len(suppressed(findings, "unstable-hash")) == 1
 
 
+def test_unstable_hash_suppressed_line_above(lint):
+    findings = lint(
+        """
+        def bucket(cookie, n):
+            # stormlint: ignore[unstable-hash]
+            return hash(cookie) % n
+        """
+    )
+    assert not hits(findings, "unstable-hash")
+    assert len(suppressed(findings, "unstable-hash")) == 1
+
+
 def test_method_named_hash_is_clean(lint):
     findings = lint("def f(obj, x):\n    return obj.hash(x)\n")
     assert not hits(findings, "unstable-hash")
@@ -196,68 +205,6 @@ def test_float_time_eq_sentinel_and_ordering_clean(lint):
         """
     )
     assert not hits(findings, "float-time-eq")
-
-
-# ----------------------------------------------------------- mutable-default
-
-
-def test_mutable_default_hits(lint):
-    findings = lint(
-        """
-        def attach(volume, services=[], opts={}):
-            return volume, services, opts
-
-        def spawn(*, queue=list()):
-            return queue
-        """
-    )
-    assert len(hits(findings, "mutable-default")) == 3
-
-
-def test_mutable_default_clean(lint):
-    findings = lint(
-        """
-        def attach(volume, services=None, n=3, name="relay"):
-            services = list(services or [])
-            return volume, services, n, name
-        """
-    )
-    assert not hits(findings, "mutable-default")
-
-
-# -------------------------------------------------------------- bare-except
-
-
-def test_bare_except_hit_and_clean(lint):
-    findings = lint(
-        """
-        def f():
-            try:
-                g()
-            except:
-                pass
-            try:
-                g()
-            except ValueError:
-                pass
-        """
-    )
-    assert len(hits(findings, "bare-except")) == 1
-
-
-def test_bare_except_suppressed_line_above(lint):
-    findings = lint(
-        """
-        def f():
-            try:
-                g()
-            # stormlint: ignore[bare-except]
-            except:
-                pass
-        """
-    )
-    assert not hits(findings, "bare-except")
-    assert len(suppressed(findings, "bare-except")) == 1
 
 
 # ----------------------------------------------------------- assert-control
@@ -326,25 +273,6 @@ def test_unkernelled_method_and_sim_attr_receiver(lint):
     assert "run_io" in flagged[0].message
 
 
-# ---------------------------------------------------------- tracked-bytecode
-
-
-def test_tracked_bytecode_in_git_repo(tmp_path):
-    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-    pyc = tmp_path / "mod.pyc"
-    pyc.write_bytes(b"\x00")
-    subprocess.run(["git", "add", "-f", "mod.pyc"], cwd=tmp_path, check=True)
-    found = list(TrackedBytecodeRule().check_repo(str(tmp_path)))
-    assert len(found) == 1
-    assert found[0].path == "mod.pyc"
-    assert found[0].fingerprint
-
-
-def test_tracked_bytecode_skips_non_repo(tmp_path):
-    (tmp_path / "mod.pyc").write_bytes(b"\x00")
-    assert list(TrackedBytecodeRule().check_repo(str(tmp_path))) == []
-
-
 # ----------------------------------------------------------- direct-eventlog
 
 
@@ -389,7 +317,7 @@ def test_direct_eventlog_suppression(lint):
 
 def test_registry_has_documented_rules():
     registry = all_rules()
-    assert len(registry) >= 18
+    assert len(registry) >= 17
     families = {cls.family for cls in registry.values()}
     assert families == {"determinism", "safety", "hygiene", "flow", "contract"}
     for rule_id, cls in registry.items():
@@ -404,3 +332,24 @@ def test_wildcard_suppression(lint):
     )
     assert not hits(findings, "unstable-hash")
     assert len(suppressed(findings, "unstable-hash")) == 1
+
+
+def test_stale_suppression_ids_are_reported(run_tree):
+    result = run_tree(
+        {
+            "src/repro/mod.py": """\
+                import time
+
+
+                def f(x):
+                    t = time.time()  # stormlint: ignore[wall-clock, global-random]
+                    return x + t  # stormlint: ignore[unstable-hash]
+                """,
+        }
+    )
+    assert len(result.suppressed) == 1
+    stale = [(s.path, s.line, s.dead_ids) for s in result.stale_suppressions]
+    assert stale == [
+        ("src/repro/mod.py", 5, ("global-random",)),
+        ("src/repro/mod.py", 6, ("unstable-hash",)),
+    ]
