@@ -27,10 +27,10 @@ from repro.core.policy import ServiceSpec
 from repro.faults import FaultInjector
 from repro.obs import (
     ObsBus,
+    events_of,
     first_trace,
     format_hop_table,
     instrument,
-    make_event_log,
     trace_rows,
 )
 from repro.services import install_default_services
@@ -66,11 +66,10 @@ def main(argv=None):
     cloud.create_volume(tenant, "data-vol", VOLUME_SIZE)
 
     bus = ObsBus(sim)
-    log = make_event_log(bus)  # fault timeline rides the trace bus
-    storm = StorM(sim, cloud, event_log=log)
+    storm = StorM(sim, cloud)
     install_default_services(storm)
     instrument(bus, storm=storm)  # late-created gateways/boxes self-wire
-    injector = FaultInjector(sim, seed=42, log=log)
+    injector = FaultInjector(sim, seed=42, obs=bus)  # fault timeline rides the bus
 
     chain = [
         storm.provision_middlebox(
@@ -82,10 +81,8 @@ def main(argv=None):
     ]
     mb_a, mb_b = chain
 
-    watchdog = ChainWatchdog(
-        storm, check_interval=0.05, default_policy="fail-open", event_log=log
-    )
-    reconciler = Reconciler(storm, event_log=log)
+    watchdog = ChainWatchdog(storm, check_interval=0.05, default_policy="fail-open")
+    reconciler = Reconciler(storm)
 
     def scenario():
         flow = yield sim.process(
@@ -117,12 +114,12 @@ def main(argv=None):
         f"fio: {result.completed} IOs in {result.elapsed:.3f}s sim-time "
         f"({result.completed / result.elapsed:,.0f} IOPS) across the failover"
     )
-    bypasses = log.matching("watchdog.bypass")
-    reinstates = log.matching("watchdog.reinstate")
+    bypasses = events_of(bus.records, kind="watchdog.bypass")
+    reinstates = events_of(bus.records, kind="watchdog.reinstate")
     print(
-        f"failover: bypass at t={bypasses[0].when:.3f}s "
-        f"(dead={bypasses[0].detail['dead']}), "
-        f"reinstate at t={reinstates[0].when:.3f}s"
+        f"failover: bypass at t={bypasses[0]['ts']:.3f}s "
+        f"(dead={bypasses[0]['attrs']['dead']}), "
+        f"reinstate at t={reinstates[0]['ts']:.3f}s"
         if bypasses and reinstates
         else "failover: (none observed)"
     )
@@ -147,8 +144,8 @@ def main(argv=None):
     # -- invariants --------------------------------------------------------
     assert result.completed == 200, "fio did not finish across the failover"
     assert len(bypasses) == 1, "watchdog never bypassed the dead box"
-    assert bypasses[0].detail["dead"] == [mb_a.name]
-    assert bypasses[0].detail["chain"] == [mb_b.name]
+    assert bypasses[0]["attrs"]["dead"] == [mb_a.name]
+    assert bypasses[0]["attrs"]["chain"] == [mb_b.name]
     assert len(reinstates) == 1, "watchdog never reinstated the chain"
     assert flow.middleboxes == [mb_a, mb_b], "desired chain not restored"
     assert Reconciler(storm).audit() == [], "reconciler audit found drift"

@@ -8,7 +8,8 @@ reboots mid-workload.  Reliable transport, iSCSI session re-login,
 the active relay's NVM replay, and the replication service's
 journal-driven rejoin absorb every fault — no acknowledged write is
 lost, the replica converges byte-identical (ciphertext!), and the
-whole recovery timeline is printed from the shared ``EventLog``.
+whole recovery timeline is printed from the obs bus every component
+and the injector report to.
 
 Run:  python examples/chaos_storage.py
 """
@@ -20,12 +21,15 @@ from repro.core import StorM
 from repro.core.policy import ServiceSpec
 from repro.faults import FaultInjector
 from repro.fs import ExtFilesystem
-from repro.obs import EventLog
+from repro.obs import ObsBus, events_of, format_timeline, instrument
 from repro.services import install_default_services
 from repro.sim import Simulator
 from repro.workloads import FioConfig, FioJob
 
 VOLUME_SIZE = 2048 * BLOCK_SIZE
+#: the fault/recovery events of the timeline (the bus also carries
+#: request spans, per-hop events and saga bookkeeping)
+TIMELINE_PREFIXES = ("fault.", "recover.", "relay.", "replica.")
 
 
 def main():
@@ -51,8 +55,9 @@ def main():
 
     storm = StorM(sim, cloud)
     install_default_services(storm)
-    log = EventLog()
-    injector = FaultInjector(sim, seed=42, log=log)
+    bus = ObsBus(sim)
+    instrument(bus, storm=storm)  # late-created sessions/boxes self-wire
+    injector = FaultInjector(sim, seed=42, obs=bus)
 
     chain = [
         storm.provision_middlebox(
@@ -73,15 +78,11 @@ def main():
         ),
     ]
     mon_mb, enc_mb, rep_mb = chain
-    rep_mb.service.event_log = log
 
     def scenario():
         flow = yield sim.process(
             storm.attach_with_services(tenant, vm, "data-vol", chain)
         )
-        flow.session.event_log = log
-        for mb in chain:
-            mb.relay.event_log = log
         rep_host = cloud.compute_hosts[rep_mb.host_name]
         session = yield sim.process(
             rep_host.initiator.connect(
@@ -131,8 +132,9 @@ def main():
         f"replica ejections={rep_mb.service.ejections} rejoins={replica.rejoins}"
     )
     print()
-    print("-- recovery timeline (repro.obs.EventLog) --")
-    print(log.format())
+    print("-- recovery timeline (repro.obs bus) --")
+    timeline = [e for e in events_of(bus.records) if e["kind"].startswith(TIMELINE_PREFIXES)]
+    print(format_timeline(timeline))
 
     # -- invariants --------------------------------------------------------
     assert result.completed == 240, "fio did not finish under chaos"

@@ -25,7 +25,7 @@ from repro.cloud.params import CloudParams
 from repro.core import Reconciler, StorM
 from repro.core.policy import ServiceSpec
 from repro.faults import FaultInjector
-from repro.obs import ObsBus, instrument, make_event_log
+from repro.obs import ObsBus, events_of, instrument
 from repro.services import install_default_services
 from repro.sim import Simulator
 from repro.workloads import FioConfig, FioJob
@@ -69,11 +69,10 @@ def main(argv=None):
     cloud.create_volume(tenant, "data-vol", VOLUME_SIZE)
 
     bus = ObsBus(sim)
-    log = make_event_log(bus)  # failover timeline rides the trace bus
-    storm = StorM(sim, cloud, event_log=log, ha=True)
+    storm = StorM(sim, cloud, ha=True)
     install_default_services(storm)
-    instrument(bus, storm=storm)
-    injector = FaultInjector(sim, seed=42, log=log)
+    instrument(bus, storm=storm)  # the failover timeline rides the trace bus
+    injector = FaultInjector(sim, seed=42, obs=bus)
 
     cluster = storm.ha
     mb = storm.provision_middlebox(
@@ -116,11 +115,11 @@ def main(argv=None):
 
     print()
     print("-- failover timeline (from the shared trace) --")
-    for record in log.records:
-        if record.kind not in TIMELINE_KINDS:
+    for event in events_of(bus.records):
+        if event["kind"] not in TIMELINE_KINDS:
             continue
-        detail = " ".join(f"{k}={v}" for k, v in sorted(record.detail.items()))
-        print(f"  t={record.when:8.4f}s  {record.kind:<14} {record.target:<10} {detail}")
+        detail = " ".join(f"{k}={v}" for k, v in sorted(event["attrs"].items()))
+        print(f"  t={event['ts']:8.4f}s  {event['kind']:<14} {event['target']:<10} {detail}")
 
     express = sim.express
     print(
@@ -139,8 +138,8 @@ def main(argv=None):
     assert result.errors == 0
     assert cluster.leader_name != "storm-cp0", "leadership never moved"
     assert cluster.term >= 2
-    assert log.count("ha.leader") >= 1, "no election recorded"
-    assert log.count("ha.rejoin") == 1, "ex-leader never rejoined"
+    assert events_of(bus.records, kind="ha.leader"), "no election recorded"
+    assert len(events_of(bus.records, kind="ha.rejoin")) == 1, "ex-leader never rejoined"
     leader_log = cluster.logs[cluster.leader_name]
     assert all(
         cluster.logs[n.name].last_index == leader_log.last_index

@@ -28,7 +28,7 @@ from repro.core.policy import ServiceSpec
 from repro.faults import FaultInjector
 from repro.fs import ExtFilesystem, SessionDevice, fsck
 from repro.integrity import IntegrityError
-from repro.obs import ObsBus, instrument, make_event_log
+from repro.obs import ObsBus, events_of, format_timeline, instrument
 from repro.services import install_default_services
 from repro.sim import Simulator
 from repro.workloads import HostileWorkload
@@ -70,8 +70,7 @@ def main():
     storm = StorM(sim, cloud)
     install_default_services(storm)
     bus = ObsBus(sim)
-    log = make_event_log(bus)  # the attack timeline rides the trace bus
-    injector = FaultInjector(sim, seed=42, log=log)
+    injector = FaultInjector(sim, seed=42, obs=bus)  # the attack timeline rides the bus
     instrument(bus, storm=storm)
     integrity = cloud.integrity
 
@@ -85,7 +84,7 @@ def main():
             options={"mount_point": "/mnt/app1"},
         ),
     )
-    dog = ChainWatchdog(storm, event_log=log)
+    dog = ChainWatchdog(storm)
     sim.process(dog.run(duration=30.0))
 
     def scenario():
@@ -162,8 +161,9 @@ def main():
         f"monitor_garbage={mon.service.garbage_accesses}"
     )
     print()
-    print("-- attack & recovery timeline (repro.obs.EventLog) --")
-    print(log.format())
+    print("-- attack & recovery timeline (repro.obs bus) --")
+    prefixes = ("fault.", "tamper.", "watchdog.")
+    print(format_timeline([e for e in events_of(bus.records) if e["kind"].startswith(prefixes)]))
 
     # -- invariants: exactness ---------------------------------------------
     # point attacks (tamper/replay/reorder) match ground truth row for row
@@ -180,8 +180,8 @@ def main():
     # two bursts tripped the breaker: the tamper volley, then the
     # bypass write's rapid-fire retries
     assert integrity.breaker.trips == 2
-    assert log.count("watchdog.integrity-trip") == 1
-    assert log.count("watchdog.integrity-clear") == 1
+    assert len(events_of(bus.records, kind="watchdog.integrity-trip")) == 1
+    assert len(events_of(bus.records, kind="watchdog.integrity-clear")) == 1
     assert mon.service.garbage_accesses >= 1, "fuzz never reached the monitor"
     assert bus.metrics.counter("integrity.detections", volume.iqn).value == len(
         detections

@@ -35,7 +35,7 @@ from repro.core.saga import (
     SagaEngine,
     SagaStep,
 )
-from repro.core.scaling import MiddleboxAutoscaler, ScalingEvent, resteer_flow
+from repro.core.scaling import MiddleboxAutoscaler, resteer_flow
 from repro.core.reconcile import Drift, Reconciler
 from repro.core.watchdog import ChainWatchdog
 
@@ -60,7 +60,6 @@ __all__ = [
     "Saga",
     "SagaEngine",
     "SagaStep",
-    "ScalingEvent",
     "MiddleBox",
     "PassiveRelay",
     "PolicyError",

@@ -239,7 +239,6 @@ class HaCluster:
                 f"quorum {self.quorum} impossible with {self.config.replicas} replicas"
             )
         self.rng = SeededRNG(self.config.seed, name="ha")
-        self.event_log = storm.event_log
         self.stopped = False
         self.elections = 0
         self.term = 1
@@ -372,8 +371,9 @@ class HaCluster:
         return getattr(self.storm, "obs", None)
 
     def _record(self, kind: str, target: str, **detail: Any) -> None:
-        if self.event_log is not None:
-            self.event_log.record(self.sim.now, kind, target, **detail)
+        obs = self.obs
+        if obs is not None:
+            obs.event(kind, target=target, **detail)
 
     def _update_gauges(self) -> None:
         obs = self.obs
@@ -735,7 +735,7 @@ class HaCluster:
         fresh.shipper = self
         self.storm.engine.log = fresh
         self._log_lost = False
-        reconciler = Reconciler(self.storm, event_log=self.event_log)
+        reconciler = Reconciler(self.storm)
         drifts = reconciler.repair()
         self._record("ha.log-rebuild", self.leader_name or "", drifts=len(drifts))
         obs = self.obs

@@ -59,7 +59,6 @@ from repro.core.splicing import (
     remove_attach_nat,
 )
 from repro.core.steering import SteeringChain
-from repro.obs.eventlog import EventLog
 from repro.sim import Simulator
 
 
@@ -96,7 +95,6 @@ class StorM:
         self,
         sim: Simulator,
         cloud: CloudController,
-        event_log: Optional[EventLog] = None,
         ha: bool = False,
         ha_config=None,
     ):
@@ -125,14 +123,12 @@ class StorM:
         self.service_factories: dict[str, Callable[[ServiceSpec, "StorM"], StorageService]] = {
             "noop": lambda spec, storm: NoopService(),
         }
-        #: recovery/repair timeline (shared with the fault injector in
-        #: chaos runs); None keeps the fast path allocation-free.
-        self.event_log = event_log
         #: observability bus (set by ``repro.obs.instrument``): when
-        #: non-None gateways/relays/services created later inherit it.
+        #: non-None gateways/relays/services created later inherit it,
+        #: and the control plane's recovery timeline lands on it.
         self.obs = None
         #: journals and runs every control operation of this platform
-        self.engine = SagaEngine(sim, event_log)
+        self.engine = SagaEngine(sim)
         #: replicated control plane (:mod:`repro.core.ha`); None = one
         #: controller node.
         self.ha = None

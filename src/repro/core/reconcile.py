@@ -19,8 +19,8 @@ It compares three sources of truth:
   artifacts (wildcard rules, attach NAT) are expected, not drift.
 
 ``audit()`` is read-only and returns :class:`Drift` records;
-``repair()`` fixes what it found and logs one ``reconcile.*`` event
-per repair; ``run()`` is the periodic loop.  ``python -m
+``repair()`` fixes what it found and emits one ``reconcile.*`` bus
+event per repair; ``run()`` is the periodic loop.  ``python -m
 repro.core.reconcile --list-invariants`` prints the audited
 invariants (used by CI as a smoke check).
 """
@@ -86,11 +86,8 @@ class Reconciler:
     """Audits and repairs SDN/NAT/middle-box state against the
     platform's committed flows."""
 
-    def __init__(self, storm, event_log=None, gc_crashed_middleboxes: bool = False):
+    def __init__(self, storm, gc_crashed_middleboxes: bool = False):
         self.storm = storm
-        self.event_log = event_log if event_log is not None else storm.event_log
-        #: observability bus inherited from the platform (None = off)
-        self.obs = getattr(storm, "obs", None)
         #: deprovision crashed flowless middle-boxes during repair
         #: (off by default: the autoscaler may still be healing them)
         self.gc_crashed_middleboxes = gc_crashed_middleboxes
@@ -112,8 +109,9 @@ class Reconciler:
 
     def audit(self) -> list[Drift]:
         """Read-only sweep; returns every invariant violation found."""
-        if self.obs is not None:
-            self.obs.metrics.counter("reconcile.audits").inc()
+        obs = self.storm.obs
+        if obs is not None:
+            obs.metrics.counter("reconcile.audits").inc()
         drifts: list[Drift] = []
         flows_by_cookie = {f.cookie: f for f in self._live_flows()}
         in_flight = self.storm.intent_log.in_flight_cookies()
@@ -191,6 +189,7 @@ class Reconciler:
         """Fix every drift ``audit`` reports; returns what was repaired."""
         drifts = self.audit()
         sdn = self.storm.cloud.sdn
+        obs = self.storm.obs
         for drift in drifts:
             if drift.kind == "rule-orphan":
                 sdn.remove_by_cookie(drift.target, family=True)
@@ -212,15 +211,9 @@ class Reconciler:
                 if mb is not None:
                     self.storm.deprovision_middlebox(mb)
             self.repairs.append(drift)
-            if self.obs is not None:
-                self.obs.metrics.counter("reconcile.repairs").inc()
-            if self.event_log is not None:
-                self.event_log.record(
-                    self.storm.sim.now,
-                    f"reconcile.{drift.kind}",
-                    drift.target,
-                    **drift.detail,
-                )
+            if obs is not None:
+                obs.metrics.counter("reconcile.repairs").inc()
+                obs.event(f"reconcile.{drift.kind}", target=drift.target, **drift.detail)
         return drifts
 
     # -- the loop -----------------------------------------------------------

@@ -172,10 +172,9 @@ class ActiveRelay:
         self.recover_downstream = recover_downstream
         self.max_reconnects = max_reconnects
         self.reconnect_delay = reconnect_delay
-        #: optional :class:`repro.obs.EventLog` for recovery timelines
-        self.event_log = None
         #: observability bus hook: when set, relayed PDUs run under
-        #: spans and NVM journal transitions emit events.  None = off.
+        #: spans, and NVM journal transitions and ``relay.*`` recovery
+        #: steps emit events.  None = off.
         self.obs = None
         #: :class:`repro.integrity.IntegrityLayer` — when set, every
         #: forwarded PDU gets this hop's traversal mark stamped at
@@ -251,8 +250,8 @@ class ActiveRelay:
         return socket
 
     def _log(self, kind: str, **detail) -> None:
-        if self.event_log is not None:
-            self.event_log.record(self.sim.now, kind, self.middlebox.name, **detail)
+        if self.obs is not None:
+            self.obs.event(kind, target=self.middlebox.name, **detail)
 
     def _relay_pair(self, server_sock: TcpSocket):
         from repro.sim import Store

@@ -53,7 +53,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from repro.net.link import Interface
 from repro.net.packet import Packet
 from repro.net.stack import Node
-from repro.obs.eventlog import EventLog
 from repro.sim import Resource, Simulator
 
 #: Saga lifecycle states.
@@ -266,7 +265,7 @@ class SagaEngine:
     that cost nothing while unset.
     """
 
-    def __init__(self, sim: Simulator, event_log: Optional[EventLog] = None) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.log = IntentLog()
         #: serializes the ``locked`` step prefixes (the attach's
@@ -277,11 +276,10 @@ class SagaEngine:
         #: ``StorM`` points it at ``not node.crashed`` or at
         #: ``HaCluster.has_authority``.
         self.authority: Callable[[Saga], bool] = lambda saga: True
-        #: recovery timeline (shared with the fault injector in chaos
-        #: runs); None records nothing.
-        self.event_log = event_log
         #: observability bus (set by ``repro.obs.instrument``): when
-        #: non-None every saga runs under a span with step events.
+        #: non-None every saga runs under a span with step events and
+        #: its lifecycle (``saga.begin`` / ``.commit`` / ``.undo`` /
+        #: ``.rollback`` / ``.replay``) lands on the timeline.
         self.obs: Any = None
         #: test/chaos hook: called as ``probe(saga, step, "before"|"after")``
         #: around every step — the control-plane chaos matrices use it
@@ -293,8 +291,8 @@ class SagaEngine:
         self._resolved = 0
 
     def _record(self, kind: str, target: str, **detail: Any) -> None:
-        if self.event_log is not None:
-            self.event_log.record(self.sim.now, kind, target, **detail)
+        if self.obs is not None:
+            self.obs.event(kind, target=target, **detail)
 
     def begin(
         self,

@@ -12,26 +12,20 @@ low watermark, and rebalances flows across the pool purely by
 reprogramming steering rules (no connection state moves — which is
 why, like :meth:`~repro.core.platform.StorM.reconfigure_chain`, this
 is restricted to forwarding-mode chains).
+
+Every pool change is a ``pool.<action>`` event on the platform's obs
+bus (``grow``, ``shrink``, ``rebalance``, ``evict``, ``replace``,
+``lend``, ``restore``) carrying the resulting ``pool_size`` and the
+``load_per_box`` that triggered it (0.0 for non-load actions).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.middlebox import MiddleBox
 from repro.core.platform import StorM, StorMFlow
 from repro.core.policy import PolicyError, ServiceSpec
-
-
-@dataclass
-class ScalingEvent:
-    when: float
-    #: "grow" | "shrink" | "rebalance" | "evict" | "replace" |
-    #: "lend" | "restore"
-    action: str
-    pool_size: int
-    load_per_box: float
 
 
 def resteer_flow(storm: StorM, flow: StorMFlow, middleboxes: list[MiddleBox]) -> bool:
@@ -75,7 +69,6 @@ class MiddleboxAutoscaler:
         self.check_interval = check_interval
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
-        self.events: list[ScalingEvent] = []
         self._clone_counter = 0
         self._last_packet_count = 0
         self.stopped = False
@@ -84,8 +77,12 @@ class MiddleboxAutoscaler:
         #: for full-strength chain healing (:meth:`borrow` / :meth:`restore`);
         #: they count against ``max_size`` but carry none of the pool's flows.
         self.lent: list[MiddleBox] = []
-        #: optional :class:`repro.obs.EventLog` for healing timelines
-        self.event_log = None
+
+    def _emit(self, action: str, target: str, load_per_box: float = 0.0) -> None:
+        obs = self.storm.obs
+        if obs is not None:
+            obs.event(f"pool.{action}", target=target, pool_size=len(self.pool),
+                      load_per_box=load_per_box)
 
     # -- pool management ---------------------------------------------------
 
@@ -109,9 +106,7 @@ class MiddleboxAutoscaler:
         for index, flow in enumerate(self.flows):
             target = self.pool[index % len(self.pool)]
             resteer_flow(self.storm, flow, [target])
-        self.events.append(
-            ScalingEvent(self.storm.sim.now, "rebalance", len(self.pool), 0.0)
-        )
+        self._emit("rebalance", self.template.name)
 
     # -- capacity lending (watchdog chain healing) -------------------------
 
@@ -123,7 +118,6 @@ class MiddleboxAutoscaler:
         clone if the pool plus outstanding loans is under ``max_size``.
         Returns ``None`` when the tenant's capacity budget is
         exhausted — the caller falls back to bypass/quiesce."""
-        sim = self.storm.sim
         if len(self.pool) > self.min_size:
             box = self.pool.pop()
             if self.flows:
@@ -133,9 +127,7 @@ class MiddleboxAutoscaler:
         else:
             return None
         self.lent.append(box)
-        self.events.append(ScalingEvent(sim.now, "lend", len(self.pool), 0.0))
-        if self.event_log is not None:
-            self.event_log.record(sim.now, "pool.lend", box.name)
+        self._emit("lend", box.name)
         self._last_packet_count = self._pool_packets()
         return box
 
@@ -144,7 +136,6 @@ class MiddleboxAutoscaler:
         there is room, reclaim its VM otherwise."""
         if box not in self.lent:
             return
-        sim = self.storm.sim
         self.lent.remove(box)
         if not getattr(box, "crashed", False) and len(self.pool) < self.max_size:
             self.pool.append(box)
@@ -152,9 +143,7 @@ class MiddleboxAutoscaler:
                 self._rebalance()
         else:
             self.storm.deprovision_middlebox(box)
-        self.events.append(ScalingEvent(sim.now, "restore", len(self.pool), 0.0))
-        if self.event_log is not None:
-            self.event_log.record(sim.now, "pool.restore", box.name)
+        self._emit("restore", box.name)
         self._last_packet_count = self._pool_packets()
 
     def assignments(self) -> dict[str, list[str]]:
@@ -186,41 +175,28 @@ class MiddleboxAutoscaler:
             self._last_packet_count = total
             per_box = rate / len(self.pool)
             if per_box > self.high_watermark and len(self.pool) < self.max_size:
-                self.pool.append(self._provision_clone())
-                self.events.append(
-                    ScalingEvent(sim.now, "grow", len(self.pool), per_box)
-                )
+                clone = self._provision_clone()
+                self.pool.append(clone)
+                self._emit("grow", clone.name, per_box)
                 self._rebalance()
             elif per_box < self.low_watermark and len(self.pool) > self.min_size:
                 retired = self.pool.pop()
-                self.events.append(
-                    ScalingEvent(sim.now, "shrink", len(self.pool), per_box)
-                )
+                self._emit("shrink", retired.name, per_box)
                 self._rebalance()  # steer flows off the box, then reclaim it
                 self.storm.deprovision_middlebox(retired)
-        return self.events
 
     def _heal(self, crashed: list[MiddleBox]) -> None:
         """Evict crashed boxes, provision replacements up to the pool
         target, re-steer flows, then reclaim the dead VMs' resources."""
-        sim = self.storm.sim
         for mb in crashed:
             self.pool.remove(mb)
-            self.events.append(
-                ScalingEvent(sim.now, "evict", len(self.pool), 0.0)
-            )
-            if self.event_log is not None:
-                self.event_log.record(sim.now, "pool.evict", mb.name)
+            self._emit("evict", mb.name)
         want = min(self.max_size, max(self.min_size, len(self.pool) + len(crashed)))
         while len(self.pool) < want:
             clone = self._provision_clone()
             self.pool.append(clone)
             self.replacements += 1
-            self.events.append(
-                ScalingEvent(sim.now, "replace", len(self.pool), 0.0)
-            )
-            if self.event_log is not None:
-                self.event_log.record(sim.now, "pool.replace", clone.name)
+            self._emit("replace", clone.name)
         self._rebalance()
         for mb in crashed:
             self.storm.deprovision_middlebox(mb)

@@ -66,7 +66,6 @@ class ChainWatchdog:
         check_interval: float = 0.25,
         default_policy: str = FAIL_OPEN,
         tenant_policies: Optional[dict[str, str]] = None,
-        event_log=None,
         capacity_pool=None,
     ):
         if default_policy not in (FAIL_OPEN, FAIL_CLOSED):
@@ -77,9 +76,6 @@ class ChainWatchdog:
         self.check_interval = check_interval
         self.default_policy = default_policy
         self.tenant_policies = dict(tenant_policies or {})
-        self.event_log = event_log if event_log is not None else storm.event_log
-        #: observability bus inherited from the platform (None = off)
-        self.obs = getattr(storm, "obs", None)
         #: :class:`~repro.core.scaling.MiddleboxAutoscaler` to borrow
         #: replacement capacity from on fail-open (None = bypass only)
         self.capacity_pool = capacity_pool
@@ -97,8 +93,9 @@ class ChainWatchdog:
         self.stopped = False
 
     def _record(self, kind: str, flow, **detail) -> None:
-        if self.event_log is not None:
-            self.event_log.record(self.storm.sim.now, kind, flow.cookie, **detail)
+        obs = self.storm.obs
+        if obs is not None:
+            obs.event(kind, target=flow.cookie, **detail)
 
     def _policy(self, flow) -> str:
         policy = self.tenant_policies.get(flow.tenant_name, self.default_policy)
@@ -113,8 +110,9 @@ class ChainWatchdog:
     # -- one probe round ----------------------------------------------------
 
     def tick(self) -> None:
-        if self.obs is not None:
-            self.obs.metrics.counter("watchdog.probes").inc()
+        obs = self.storm.obs
+        if obs is not None:
+            obs.metrics.counter("watchdog.probes").inc()
         flows = self._watched_flows()
         self._forget_detached(flows)
         for flow in flows:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import copy
 from typing import Any, Callable, Optional
 
-from repro.obs.eventlog import EventLog, make_event_log
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.tcp import ConnectionReset
@@ -197,23 +196,25 @@ class RelayAdversary:
 
 
 class FaultInjector:
-    """Injects seeded/scheduled faults into a running simulation."""
+    """Injects seeded/scheduled faults into a running simulation.
 
-    def __init__(self, sim: Simulator, seed: int = 0, log: Optional[EventLog] = None):
+    Every injected fault (and every adversarial action's ground truth)
+    is a ``fault.*`` / ``tamper.*`` event on ``obs``.  The injector is
+    not part of the plant, so :func:`repro.obs.instrument` cannot reach
+    it: pass the bus here.  None records nothing.
+    """
+
+    def __init__(self, sim: Simulator, seed: int = 0, obs: Any = None):
         self.sim = sim
         self.rng = SeededRNG(seed, name="faults")
-        self.log = log if log is not None else make_event_log()
+        self.obs = obs
         #: ground truth of executed adversarial actions, in order:
         #: {"kind", "flow", "seq", "mb"} rows matching Detection kinds
         self.adversarial: list[dict] = []
 
-    @property
-    def events(self) -> EventLog:
-        """The injector's timeline (alias kept for analysis scripts)."""
-        return self.log
-
     def _record(self, kind: str, target: str, **detail: Any) -> None:
-        self.log.record(self.sim.now, kind, target, **detail)
+        if self.obs is not None:
+            self.obs.event(kind, target=target, **detail)
 
     def _demote_express(self, reason: str) -> None:
         """Any injected fault may touch a promoted flow's links or

@@ -56,7 +56,6 @@ class IscsiSession:
         max_relogins: int = 5,
         relogin_backoff: float = 0.05,
         login_timeout: float = 1.0,
-        event_log=None,
         obs=None,
         integrity=None,
     ):
@@ -71,9 +70,9 @@ class IscsiSession:
         self.max_relogins = max_relogins
         self.relogin_backoff = relogin_backoff
         self.login_timeout = login_timeout
-        self.event_log = event_log
         #: observability bus; when set, every command runs under a span
-        #: whose context rides the PDU across the chain.  None = no-op.
+        #: whose context rides the PDU across the chain, and re-logins
+        #: emit ``recover.*`` events.  None = no-op.
         self.obs = obs
         #: :class:`repro.integrity.IntegrityLayer`; when set, commands
         #: are stamped at issue, Data-In payloads verified on arrival,
@@ -309,20 +308,13 @@ class IscsiSession:
                 continue
             self.socket = socket
             self.relogins += 1
-            if self.event_log is not None:
-                self.event_log.record(
-                    self.sim.now,
-                    "recover.relogin",
-                    self.target_iqn,
-                    attempt=attempt,
-                    port=self.local_port,
-                )
+            if self.obs is not None:
+                self.obs.event("recover.relogin", target=self.target_iqn,
+                               attempt=attempt, port=self.local_port)
             self._reissue_pending()
             return True
-        if self.event_log is not None:
-            self.event_log.record(
-                self.sim.now, "recover.relogin-failed", self.target_iqn
-            )
+        if self.obs is not None:
+            self.obs.event("recover.relogin-failed", target=self.target_iqn)
         return False
 
     def _reissue_pending(self) -> None:
@@ -380,7 +372,6 @@ class IscsiInitiator:
         recover: bool = False,
         max_relogins: int = 5,
         relogin_backoff: float = 0.05,
-        event_log=None,
     ):
         self.sim = sim
         self.stack = stack
@@ -394,7 +385,6 @@ class IscsiInitiator:
         self.recover = recover
         self.max_relogins = max_relogins
         self.relogin_backoff = relogin_backoff
-        self.event_log = event_log
         #: observability bus, propagated to every session this factory
         #: creates (set by ``repro.obs.instrument``); None = no tracing.
         self.obs = None
@@ -454,7 +444,6 @@ class IscsiInitiator:
             recover=self.recover if recover is None else recover,
             max_relogins=self.max_relogins,
             relogin_backoff=self.relogin_backoff,
-            event_log=self.event_log,
             obs=obs,
             integrity=self.integrity,
         )

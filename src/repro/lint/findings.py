@@ -73,7 +73,7 @@ class Rule:
     #: AST node classes this rule wants to see (empty = whole-program
     #: rule)
     node_types: tuple[type, ...] = ()
-    #: 'determinism' | 'safety' | 'hygiene' | 'flow' | 'contract'
+    #: 'determinism' | 'safety' | 'flow' | 'contract'
     family: str = ""
     #: whole-program rules run once against the linked :class:`Program`
     #: (call graph + effect fixpoint) instead of per node
@@ -140,7 +140,6 @@ def all_rules() -> dict[str, type[Rule]]:
         rules_contracts,
         rules_determinism,
         rules_flow,
-        rules_hygiene,
         rules_safety,
     )
 

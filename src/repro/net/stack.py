@@ -134,7 +134,7 @@ class NetworkStack:
         #: fired when routes change so compiled flows demote.
         self._x_on_change: Optional[Callable[[], None]] = None
         #: Obs bus (wired by ``repro.obs.instrument``) — lets the TCP
-        #: hot path gate per-packet context copies on ``bus.enabled``.
+        #: hot path skip per-packet context copies while it is None.
         self.obs_bus = None
 
     # -- configuration -------------------------------------------------

@@ -564,13 +564,11 @@ class TcpSocket:
         # PDU) stamped with a context spreads it to every packet that
         # carries a piece of it, joining per-hop telemetry to the
         # request's span tree.  Contexts are only ever stamped while a
-        # bus is collecting, so the copy is gated on ``bus.enabled`` to
-        # keep obs-off runs free of per-packet attribute lookups.
+        # bus is wired, so the copy is gated on the stack's bus to keep
+        # obs-off runs free of per-packet attribute lookups.
         message = segment.message
-        if message is not None:
-            bus = self.stack.obs_bus
-            if bus is not None and bus.enabled:
-                packet.ctx = getattr(message, "ctx", None)
+        if message is not None and self.stack.obs_bus is not None:
+            packet.ctx = getattr(message, "ctx", None)
         if self._xpath is not None and segment.kind in ("data", "ack"):
             # Promoted flow: replay the compiled conduit analytically.
             # SYN/FIN/RST stay on the packet path (and handshake/

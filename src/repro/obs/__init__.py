@@ -5,6 +5,10 @@ and metrics from every instrumented layer (net, iscsi, relay,
 platform, services, blockdev, faults).  See DESIGN.md §11 for the
 span model and context-propagation story; the short version:
 
+- the bus is the one timeline: faults injected and every recovery
+  (``fault.*``, ``ha.*``, ``saga.*``, ``watchdog.*``, ``relay.*``,
+  ``replica.*``, ``pool.*``, ``recover.*``) are point events on it,
+  read back with ``events_of(bus.records, kind=prefix)``;
 - ``bus.span(name)`` opens a root span; ``span.context()`` yields a
   :class:`TraceContext` stamped on in-flight objects (packets, PDUs)
   so downstream layers join the same trace;
@@ -18,7 +22,6 @@ With no bus attached every instrumented component's ``obs`` hook is
 
 from repro.obs.bus import ObsBus, Span
 from repro.obs.context import TraceContext
-from repro.obs.eventlog import EventLog, EventRecord, make_event_log
 from repro.obs.instrument import instrument
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sinks import (
@@ -34,6 +37,7 @@ from repro.obs.trace_tools import (
     events_of,
     first_trace,
     format_hop_table,
+    format_timeline,
     spans_of,
     trace_rows,
 )
@@ -43,9 +47,6 @@ __all__ = [
     "ObsBus",
     "Span",
     "TraceContext",
-    "EventLog",
-    "EventRecord",
-    "make_event_log",
     "instrument",
     "Counter",
     "Gauge",
@@ -61,6 +62,7 @@ __all__ = [
     "events_of",
     "first_trace",
     "format_hop_table",
+    "format_timeline",
     "spans_of",
     "trace_rows",
     "validate_file",

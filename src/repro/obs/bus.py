@@ -92,11 +92,8 @@ class Span:
 class ObsBus:
     """Per-simulator trace/metrics bus with pluggable sinks."""
 
-    def __init__(
-        self, sim: "Simulator", enabled: bool = True, keep_samples: bool = False
-    ):
+    def __init__(self, sim: "Simulator", keep_samples: bool = False):
         self.sim = sim
-        self.enabled = enabled
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
         self._seq = itertools.count(1)
@@ -152,24 +149,18 @@ class ObsBus:
         self,
         kind: str,
         target: str = "",
-        when: Optional[float] = None,
         trace_id: Optional[int] = None,
         span_id: Optional[int] = None,
         ctx: Optional[TraceContext] = None,
         **attrs: Any,
     ) -> None:
-        """Emit one point event.  ``ctx`` (if given) attaches the event
-        to that context's trace/span; ``when`` overrides the timestamp
-        (used by the :class:`~repro.obs.eventlog.EventLog` façade,
-        whose callers pass explicit times)."""
-        if not self.enabled:
-            return
+        """Emit one point event, stamped with the sim clock.  ``ctx``
+        (if given) attaches the event to that context's trace/span."""
         if ctx is not None:
             trace_id = ctx.trace_id
             span_id = ctx.span_id
         # the EVENT_FIELDS layout of repro.obs.sinks
-        record = ("event", next(self._seq), self.now if when is None else when,
-                  kind, target, trace_id, span_id, attrs)
+        record = ("event", next(self._seq), self.now, kind, target, trace_id, span_id, attrs)
         self.events_emitted += 1
         for sink in self.sinks:
             sink.emit(record)
@@ -178,18 +169,14 @@ class ObsBus:
         """Emit one ``net.hop`` event: ``size`` bytes reaching ``node``
         at ``when`` on that trace/span (a switch records its pass when
         the pipeline ends, stamped with the frame's arrival).  Reads
-        back exactly as ``event("net.hop", target=node, when=when,
-        bytes=size)`` would, but stores no dict."""
-        if not self.enabled:
-            return
+        back as a ``net.hop`` event with target ``node`` and attrs
+        ``{"bytes": size}``, but stores no dict."""
         record = ("hop", next(self._seq), when, node, trace_id, span_id, size)
         self.events_emitted += 1
         for sink in self.sinks:
             sink.emit(record)
 
     def _emit_span(self, span: Span) -> None:
-        if not self.enabled:
-            return
         # the SPAN_FIELDS layout of repro.obs.sinks
         record = ("span", next(self._seq), span.start, span.trace_id, span.span_id,
                   span.parent_id, span.name, span.start, span.end, span.status,

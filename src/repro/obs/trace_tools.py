@@ -21,13 +21,16 @@ def spans_of(records: list[dict], trace_id: int) -> list[dict]:
     return spans
 
 
-def events_of(records: list[dict], trace_id: int, kind: str = "") -> list[dict]:
-    """Point events of one trace (optionally filtered by kind prefix)."""
+def events_of(
+    records: list[dict], trace_id: Optional[int] = None, kind: str = ""
+) -> list[dict]:
+    """Point events of one trace, or of every trace when ``trace_id``
+    is None (optionally filtered by kind prefix), in emission order."""
     return [
         r
         for r in records
         if r["type"] == "event"
-        and r["trace"] == trace_id
+        and (trace_id is None or r["trace"] == trace_id)
         and r["kind"].startswith(kind)
     ]
 
@@ -95,5 +98,18 @@ def format_hop_table(rows: list[dict]) -> str:
         lines.append(
             f"{row['ts'] * 1e3:>10.4f}  {step:>10.1f}  {row['kind']:<5}  "
             f"{row['label']} {row['detail']}".rstrip()
+        )
+    return "\n".join(lines)
+
+
+def format_timeline(events: list[dict]) -> str:
+    """Render point events (as ``events_of`` returns them) one per
+    line: timestamp, kind, target and attrs — the fault/recovery
+    timeline view."""
+    lines = []
+    for event in events:
+        extras = " ".join(f"{k}={v}" for k, v in event["attrs"].items())
+        lines.append(
+            f"[{event['ts']:10.6f}s] {event['kind']:<22} {event['target']} {extras}".rstrip()
         )
     return "\n".join(lines)

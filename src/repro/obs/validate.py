@@ -85,6 +85,8 @@ KNOWN_NAME_PREFIXES: dict = {
         "pool.",
         "reconcile.",
         "recover.",
+        "relay.",  # relay.recovered / .gave-up / .replay-stale ...
+        "replica.",  # replica.eject / .resync / .rejoin
         "saga.",
         "switch.",
         "tamper.",  # adversarial ground truth (fault injector)

@@ -56,12 +56,8 @@ class ReplicationService(StorageService):
         self._write_seq = 0
         self.resyncs = 0
         self.ejections = 0
-        #: optional :class:`repro.obs.EventLog` for recovery timelines
-        self.event_log = None
 
     def _log(self, kind: str, target: str, **detail) -> None:
-        if self.event_log is not None:
-            self.event_log.record(self.middlebox.sim.now, kind, target, **detail)
         if self.obs is not None:
             scope = self.middlebox.tenant.name if self.middlebox else ""
             self.obs.metrics.counter(f"svc.{kind}", scope).inc()

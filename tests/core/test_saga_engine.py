@@ -318,7 +318,7 @@ def test_recover_and_takeover_resolve_alike(step_name, expected):
     crash_mid_attach(ha, step_name, lambda: ha.injector.crash_leader(cluster))
     ha.sim.run(until=ha.sim.now + 2.0)
     cluster.stop()
-    takeover = ha.log.matching("ha.takeover")[-1].detail
+    takeover = ha.events("ha.takeover")[-1]["attrs"]
 
     assert summaries == [expected]
     assert {k: takeover[k] for k in expected} == expected

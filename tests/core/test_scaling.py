@@ -5,6 +5,7 @@ import pytest
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.core.policy import PolicyError
 from repro.core.scaling import MiddleboxAutoscaler
+from repro.obs import ObsBus, events_of, instrument
 from repro.workloads import FioConfig, FioJob
 
 from tests.core.conftest import StormEnv
@@ -50,9 +51,17 @@ def drive_load(env, flows, ios=40, io_size=4 * BLOCK_SIZE):
     return all_jobs
 
 
+def pool_actions(env):
+    """The autoscaler's ``pool.*`` timeline, as event kinds."""
+    return [event["kind"] for event in events_of(env.bus.records, kind="pool.")]
+
+
 @pytest.fixture
 def env():
-    return StormEnv()
+    env = StormEnv()
+    env.bus = ObsBus(env.sim)
+    instrument(env.bus, storm=env.storm)
+    return env
 
 
 def test_autoscaler_grows_under_load_and_rebalances(env):
@@ -73,7 +82,7 @@ def test_autoscaler_grows_under_load_and_rebalances(env):
     scaler.stop()
     env.sim.run(until=env.sim.now + 1.0)
     assert len(scaler.pool) > 1, "pool never grew under load"
-    assert any(e.action == "grow" for e in scaler.events)
+    assert "pool.grow" in pool_actions(env)
     # flows are spread across the pool
     assignments = scaler.assignments()
     used = [mb_name for mb_name, vols in assignments.items() if vols]
@@ -106,7 +115,7 @@ def test_autoscaler_shrinks_when_idle(env):
     scaler_proc = env.sim.process(scaler.run(duration=1.0))
     env.sim.run(until=env.sim.now + 2.0)
     assert len(scaler.pool) == 1
-    assert any(e.action == "shrink" for e in scaler.events)
+    assert "pool.shrink" in pool_actions(env)
     # the surviving box carries every flow
     for flow in flows:
         assert flow.middleboxes == [scaler.pool[0]]

@@ -210,7 +210,7 @@ def election() -> dict:
     env.sim.run(until=1.0 + 2.0 * rounds)
     cluster.stop()
 
-    leader_events = [r.when for r in env.log.matching("ha.leader")]
+    leader_events = [r["ts"] for r in env.events("ha.leader")]
     downtimes = [
         _round6(next(w for w in leader_events if w > crashed_at) - crashed_at)
         for crashed_at in crash_times
@@ -258,15 +258,15 @@ def saga_takeover() -> dict:
     env.sim.run(until=env.sim.now + 3.0)
     cluster.stop()
 
-    takeover = env.log.matching("ha.takeover")[-1]
+    takeover = env.events("ha.takeover")[-1]
     (saga,) = storm.intent_log.by_op("attach_with_services")
     return {
         "events": env.sim._sequence,
         "sim_elapsed": _round6(env.sim.now),
         "crashed_at": _round6(fired["at"]),
-        "takeover_latency": _round6(takeover.when - fired["at"]),
-        "replayed": takeover.detail["replayed"],
-        "rolled_back": takeover.detail["rolled_back"],
+        "takeover_latency": _round6(takeover["ts"] - fired["at"]),
+        "replayed": takeover["attrs"]["replayed"],
+        "rolled_back": takeover["attrs"]["rolled_back"],
         "saga_status": saga.status,
         "flows": len(storm.flows),
     }

@@ -41,7 +41,7 @@ def faulted_fio(fault_seed):
         "dropped": faults.dropped,
         "end": env.sim.now,
         "volume": env.volume.read_sync(0, REGION),
-        "timeline": env.log.format(),
+        "timeline": env.portless_timeline(),
     }
 
 

@@ -1,6 +1,7 @@
 """Shared fault-injection environment: a StorM cloud with every
 recovery knob on (reliable TCP, iSCSI session recovery) plus a seeded
-:class:`~repro.faults.FaultInjector` wired to a shared event log."""
+:class:`~repro.faults.FaultInjector`, all reporting to one obs bus whose
+events are the fault/recovery timeline."""
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.cloud.params import CloudParams
 from repro.core import StorM
 from repro.core.policy import ServiceSpec
 from repro.faults import FaultInjector
-from repro.obs import EventLog
+from repro.obs import ObsBus, events_of, instrument
 from repro.services import install_default_services
 from repro.sim import Simulator
 
@@ -25,7 +26,8 @@ def recovery_params(**overrides) -> CloudParams:
 
 
 class FaultEnv:
-    """A 4-compute/1-storage recoverable cloud with vm1/vol1 + injector."""
+    """A 4-compute/1-storage recoverable cloud with vm1/vol1 + injector,
+    instrumented on ``self.bus``."""
 
     def __init__(self, seed=7, volume_size=1024 * BLOCK_SIZE, params=None,
                  ha=False, ha_config=None):
@@ -40,12 +42,26 @@ class FaultEnv:
             self.tenant, "vm1", self.cloud.compute_hosts["compute1"]
         )
         self.volume = self.cloud.create_volume(self.tenant, "vol1", volume_size)
-        self.log = EventLog()
-        self.storm = StorM(
-            self.sim, self.cloud, event_log=self.log, ha=ha, ha_config=ha_config
-        )
+        self.storm = StorM(self.sim, self.cloud, ha=ha, ha_config=ha_config)
         install_default_services(self.storm)
-        self.injector = FaultInjector(self.sim, seed=seed, log=self.log)
+        self.bus = ObsBus(self.sim)
+        instrument(self.bus, storm=self.storm)
+        self.injector = FaultInjector(self.sim, seed=seed, obs=self.bus)
+
+    def events(self, prefix=""):
+        """The timeline: bus events whose kind starts with ``prefix``."""
+        return events_of(self.bus.records, kind=prefix)
+
+    def portless_timeline(self):
+        """The whole timeline with the session port taken off every
+        ``recover.relogin``: ephemeral ports come from a process-wide
+        counter, so a scenario run twice in one process re-logs in on
+        other ports while everything else must match."""
+        return [
+            {**event, "attrs": {k: v for k, v in event["attrs"].items() if k != "port"}}
+            if event["kind"] == "recover.relogin" else event
+            for event in self.events()
+        ]
 
     def run(self, gen):
         return self.sim.run(until=self.sim.process(gen))

@@ -48,7 +48,6 @@ def test_crashed_pool_member_is_healed(env):
         high_watermark=1e12,  # never grow
         low_watermark=0.0,  # never shrink
     )
-    scaler.event_log = env.log
     env.sim.process(scaler.run())
     session = flows[0].session
     payload = bytes([0x5A] * BLOCK_SIZE)
@@ -63,10 +62,9 @@ def test_crashed_pool_member_is_healed(env):
 
     env.run(scenario())
     assert scaler.replacements == 1
-    assert [e.action for e in scaler.events if e.action in ("evict", "replace")] == [
-        "evict",
-        "replace",
-    ]
+    kinds = [e["kind"] for e in env.events("pool.")]
+    healing = [kind for kind in kinds if kind in ("pool.evict", "pool.replace")]
+    assert healing == ["pool.evict", "pool.replace"]
     assert len(scaler.pool) == 1
     clone = scaler.pool[0]
     assert clone is not mb0
@@ -75,7 +73,7 @@ def test_crashed_pool_member_is_healed(env):
         assert flow.middleboxes == [clone]
     # the dead VM was reclaimed, not leaked
     assert mb0.name not in env.storm.middleboxes
-    assert env.log.matching("pool.evict") and env.log.matching("pool.replace")
+    assert env.events("pool.evict") and env.events("pool.replace")
     vol, _host = env.cloud.volumes["scaled-vol0"]
     assert vol.read_sync(BLOCK_SIZE, BLOCK_SIZE) == payload
 
@@ -108,7 +106,7 @@ def test_shrink_deprovisions_retired_box(env):
         scaler.stop()
 
     env.run(scenario())
-    assert any(e.action == "shrink" for e in scaler.events)
+    assert env.events("pool.shrink")
     assert scaler.pool == [mb0]
     # satellite 1: the retired VM is fully reclaimed
     assert clone.name not in env.storm.middleboxes

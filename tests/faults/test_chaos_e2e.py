@@ -27,8 +27,6 @@ def chaos_run(seed):
     env = FaultEnv(seed=seed, params=_params())
     spec = ServiceSpec("rep", "replication", relay="active", placement="compute3")
     flow, (mb,) = env.attach([spec])
-    mb.relay.event_log = env.log
-    mb.service.event_log = env.log
     mb_host = env.cloud.compute_hosts[mb.host_name]
     rhost, rvol = env.add_replica_target("rstorage1")
 
@@ -72,7 +70,7 @@ def chaos_run(seed):
         "ejections": mb.service.ejections,
         "resyncs": mb.service.resyncs,
         "end": env.sim.now,
-        "timeline": env.log.format(),
+        "timeline": env.portless_timeline(),
     }
     return env, flow, mb, state, snapshot
 

@@ -97,9 +97,9 @@ def test_attach_crash_matrix(step_name, phase):
     # recovery is idempotent
     assert storm.recover() == {"replayed": 0, "rolled_back": 0}
     # fault timeline recorded the crash + restart + saga resolution
-    assert env.log.count("fault.crash") == 1
-    assert env.log.count("fault.restart") == 1
-    assert env.log.count("saga.commit") + env.log.count("saga.rollback") >= 1
+    assert len(env.events("fault.crash")) == 1
+    assert len(env.events("fault.restart")) == 1
+    assert len(env.events("saga.commit")) + len(env.events("saga.rollback")) >= 1
 
 
 def test_detach_crash_rolls_forward():

@@ -7,6 +7,7 @@ from repro.blockdev import Disk, DiskIOError, VolumeGroup
 from repro.faults import FaultInjector
 from repro.net.packet import Packet
 from repro.net.tcp import RESET, TcpListener, TcpSocket
+from repro.obs import ObsBus, events_of
 from repro.sim import Simulator
 
 from tests.net.helpers import two_hosts_one_switch
@@ -175,21 +176,22 @@ def test_disk_error_probability_and_fail_next():
     assert disk.stats.errors == 2
 
 
-def test_event_log_records_fault_timeline():
+def test_fault_timeline_lands_on_the_bus():
     sim, _arp, _switch, a, b = two_hosts_one_switch()
-    injector = FaultInjector(sim, seed=9)
+    bus = ObsBus(sim)
+    injector = FaultInjector(sim, seed=9, obs=bus)
     link = a.interfaces[0].link
     injector.lossy_link(link, drop=0.1)
     injector.flap_link(link, down_at=0.2, down_for=0.1)
     injector.crash(b, restart_after=0.4)
     sim.run(until=1.0)
-    kinds = [record.kind for record in injector.log]
-    assert kinds == [
+    events = events_of(bus.records)
+    assert [event["kind"] for event in events] == [
         "fault.lossy-link",
         "fault.crash",
         "fault.link-down",
         "fault.link-up",
         "fault.restart",
     ]
-    formatted = injector.log.format()
-    assert "fault.crash" in formatted and "host-b" in formatted
+    assert events[1]["target"] == "host-b"
+    assert [event["ts"] for event in events] == pytest.approx([0.0, 0.0, 0.2, 0.3, 0.4])

@@ -34,7 +34,7 @@ def test_orphan_rules_are_garbage_collected():
     drifts = rec.repair()
     assert [d.kind for d in drifts] == ["rule-orphan"]
     assert switch_rules(env, flow.cookie) == []
-    assert env.log.count("reconcile.rule-orphan") == 1
+    assert len(env.events("reconcile.rule-orphan")) == 1
     assert rec.audit() == []
 
 

@@ -16,7 +16,6 @@ def _attach_active(env, kind="noop", **options):
     flow, (mb,) = env.attach(
         [env.spec(name="svc", kind=kind, relay="active", placement="compute3", **options)]
     )
-    mb.relay.event_log = env.log
     return flow, mb
 
 
@@ -53,7 +52,7 @@ def test_storage_crash_mid_burst_relay_recovers(env):
     assert mb.relay.pdus_replayed > 0
     _verify_blocks(env, 10)
     # the recovery timeline was recorded
-    assert env.log.matching("relay.recovered")
+    assert env.events("relay.recovered")
 
 
 def test_repeated_storage_crash(env):
@@ -74,7 +73,7 @@ def test_repeated_storage_crash(env):
 
     env.run(scenario())
     _verify_blocks(env, 16)
-    assert len(env.log.matching("relay.recovered")) >= 2
+    assert len(env.events("relay.recovered")) >= 2
 
 
 def test_relay_gives_up_after_max_reconnects(env):
@@ -96,7 +95,7 @@ def test_relay_gives_up_after_max_reconnects(env):
         yield env.sim.timeout(5.0)
 
     env.run(scenario())
-    assert env.log.matching("relay.gave-up")
+    assert env.events("relay.gave-up")
 
 
 def test_middlebox_crash_restart_resumes_flow(env):

@@ -23,7 +23,6 @@ def make_env(env, n_replicas=1):
     session's own auto-relogin) is what gets exercised."""
     spec = ServiceSpec("rep", "replication", relay="active", placement="compute3")
     flow, (mb,) = env.attach([spec])
-    mb.service.event_log = env.log
     mb_host = env.cloud.compute_hosts[mb.host_name]
     replicas = []
 
@@ -74,9 +73,9 @@ def test_replica_rejoin_resyncs_from_journal(env):
         assert rvol.read_sync(i * BLOCK_SIZE, BLOCK_SIZE) == _block(i), (
             f"replica missing journaled write {i}"
         )
-    assert env.log.matching("replica.eject")
-    assert env.log.matching("replica.resync")
-    assert env.log.matching("replica.rejoin")
+    assert env.events("replica.eject")
+    assert env.events("replica.resync")
+    assert env.events("replica.rejoin")
 
 
 def test_monitor_auto_rejoins_ejected_replica(env):

@@ -21,16 +21,16 @@ def test_fail_open_bypasses_dead_middlebox_and_reinstates():
     flow, (mb1, mb2) = env.attach(
         [env.spec(name="a", relay="fwd"), env.spec(name="b", relay="fwd")]
     )
-    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN, event_log=env.log)
+    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN)
     env.sim.process(dog.run(duration=2.0))
     env.injector.at(0.5, env.injector.crash, mb1, 0.7)  # restart at t=1.2
     env.sim.run()
 
-    bypasses = env.log.matching("watchdog.bypass")
-    reinstates = env.log.matching("watchdog.reinstate")
+    bypasses = env.events("watchdog.bypass")
+    reinstates = env.events("watchdog.reinstate")
     assert len(bypasses) == 1
-    assert bypasses[0].detail["dead"] == [mb1.name]
-    assert bypasses[0].detail["chain"] == [mb2.name]
+    assert bypasses[0]["attrs"]["dead"] == [mb1.name]
+    assert bypasses[0]["attrs"]["chain"] == [mb2.name]
     assert len(reinstates) == 1
     # chain restored to the tenant's desired order after recovery
     assert flow.middleboxes == [mb1, mb2]
@@ -40,16 +40,14 @@ def test_fail_open_bypasses_dead_middlebox_and_reinstates():
 def test_fail_closed_quiesces_and_unquiesces():
     env = FaultEnv()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])
-    dog = ChainWatchdog(
-        env.storm, tenant_policies={"acme": FAIL_CLOSED}, event_log=env.log
-    )
+    dog = ChainWatchdog(env.storm, tenant_policies={"acme": FAIL_CLOSED})
     env.sim.process(dog.run(duration=2.0))
     env.injector.at(0.5, env.injector.crash, mb, 0.7)
     env.sim.run()
 
-    assert env.log.count("watchdog.quiesce") == 1
-    assert env.log.count("watchdog.unquiesce") == 1
-    assert env.log.count("watchdog.bypass") == 0
+    assert len(env.events("watchdog.quiesce")) == 1
+    assert len(env.events("watchdog.unquiesce")) == 1
+    assert len(env.events("watchdog.bypass")) == 0
     # quiesce rules lifted once the box recovered
     assert quiesce_rules(env, flow) == []
     assert not flow.chain.quiesced
@@ -75,18 +73,18 @@ def test_active_relay_chain_is_always_fail_closed():
     so even a fail-open tenant gets quiesced."""
     env = FaultEnv()
     flow, (mb,) = env.attach([env.spec(name="a", relay="active")])
-    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN, event_log=env.log)
+    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN)
     env.injector.crash(mb)
     dog.tick()
-    assert env.log.count("watchdog.quiesce") == 1
-    assert env.log.count("watchdog.bypass") == 0
+    assert len(env.events("watchdog.quiesce")) == 1
+    assert len(env.events("watchdog.bypass")) == 0
     assert flow.chain.quiesced
 
 
 def test_fail_open_quiesces_when_no_survivors():
     env = FaultEnv()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])
-    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN, event_log=env.log)
+    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN)
     env.injector.crash(mb)
     dog.tick()
     # nothing to steer through: last-resort quiesce instead of a dark MAC
@@ -94,4 +92,4 @@ def test_fail_open_quiesces_when_no_survivors():
     env.injector.restart(mb)
     dog.tick()
     assert not flow.chain.quiesced
-    assert env.log.count("watchdog.unquiesce") == 1
+    assert len(env.events("watchdog.unquiesce")) == 1

@@ -25,12 +25,10 @@ def pool_env(chain_specs, pool_names=("pool-1", "pool-2"), min_size=1, max_size=
         min_size=min_size,
         max_size=max_size,
     )
-    scaler.event_log = env.log
     dog = ChainWatchdog(
         env.storm,
         check_interval=0.05,
         default_policy=FAIL_OPEN,
-        event_log=env.log,
         capacity_pool=scaler,
     )
     return env, flow, mbs, spares, scaler, dog
@@ -42,24 +40,24 @@ def test_borrowed_box_heals_chain_at_full_strength():
     env.injector.at(0.5, env.injector.crash, mb_a, 0.7)  # restart at t=1.2
     env.sim.run()
 
-    borrows = env.log.matching("watchdog.borrow")
-    heals = env.log.matching("watchdog.heal")
+    borrows = env.events("watchdog.borrow")
+    heals = env.events("watchdog.heal")
     assert len(borrows) == 1
-    assert borrows[0].detail["dead"] == mb_a.name
-    assert borrows[0].detail["replacement"] == p2.name  # spare, not a clone
+    assert borrows[0]["attrs"]["dead"] == mb_a.name
+    assert borrows[0]["attrs"]["replacement"] == p2.name  # spare, not a clone
     assert len(heals) == 1
-    assert heals[0].detail["dead"] == [mb_a.name]
+    assert heals[0]["attrs"]["dead"] == [mb_a.name]
     # full strength: the dead member is substituted in place, the
     # chain never shrinks — and therefore never bypasses
-    assert heals[0].detail["chain"] == [p2.name, mb_b.name]
-    assert env.log.count("watchdog.bypass") == 0
-    assert env.log.count("watchdog.quiesce") == 0
+    assert heals[0]["attrs"]["chain"] == [p2.name, mb_b.name]
+    assert len(env.events("watchdog.bypass")) == 0
+    assert len(env.events("watchdog.quiesce")) == 0
 
     # recovery: original chain reinstated, loan returned to the pool
-    assert env.log.count("watchdog.reinstate") == 1
-    assert env.log.count("watchdog.restore") == 1
-    assert env.log.count("pool.lend") == 1
-    assert env.log.count("pool.restore") == 1
+    assert len(env.events("watchdog.reinstate")) == 1
+    assert len(env.events("watchdog.restore")) == 1
+    assert len(env.events("pool.lend")) == 1
+    assert len(env.events("pool.restore")) == 1
     assert flow.middleboxes == [mb_a, mb_b]
     assert scaler.lent == [] and set(scaler.pool) == {p1, p2}
     assert Reconciler(env.storm).audit() == []
@@ -72,12 +70,12 @@ def test_borrow_prefers_spares_then_clones_within_budget():
     # pool is at min_size: no spare to pop, but budget allows one clone
     env.injector.crash(mb_a)
     dog.tick()
-    heals = env.log.matching("watchdog.heal")
+    heals = env.events("watchdog.heal")
     assert len(heals) == 1
     (loaned,) = scaler.lent
     assert loaned not in (p1, p2)  # freshly provisioned clone
-    assert heals[0].detail["chain"] == [loaned.name]
-    assert env.log.count("watchdog.bypass") == 0
+    assert heals[0]["attrs"]["chain"] == [loaned.name]
+    assert len(env.events("watchdog.bypass")) == 0
 
 
 def test_exhausted_pool_falls_back_to_bypass():
@@ -87,15 +85,15 @@ def test_exhausted_pool_falls_back_to_bypass():
     env.injector.crash(mb_a)
     dog.tick()
     # no spare above min_size, no clone budget: classic bypass
-    assert env.log.count("watchdog.borrow") == 0
-    bypasses = env.log.matching("watchdog.bypass")
+    assert len(env.events("watchdog.borrow")) == 0
+    bypasses = env.events("watchdog.bypass")
     assert len(bypasses) == 1
-    assert bypasses[0].detail["chain"] == [mb_b.name]
+    assert bypasses[0]["attrs"]["chain"] == [mb_b.name]
     assert scaler.lent == []
 
     env.injector.restart(mb_a)
     dog.tick()
-    assert env.log.count("watchdog.reinstate") == 1
+    assert len(env.events("watchdog.reinstate")) == 1
     assert flow.middleboxes == [mb_a, mb_b]
     assert Reconciler(env.storm).audit() == []
 
@@ -108,7 +106,7 @@ def test_exhausted_pool_single_box_chain_quiesces():
     dog.tick()
     # nothing to steer through and nothing to borrow: last-resort drop
     assert flow.chain.quiesced
-    assert env.log.count("watchdog.bypass") == 0
+    assert len(env.events("watchdog.bypass")) == 0
     env.injector.restart(mb_a)
     dog.tick()
     assert not flow.chain.quiesced
@@ -125,13 +123,13 @@ def test_dead_loaner_is_reclaimed_and_replaced():
     env.injector.crash(p2)
     dog.tick()
 
-    borrows = env.log.matching("watchdog.borrow")
+    borrows = env.events("watchdog.borrow")
     assert len(borrows) == 2
     (loaned,) = scaler.lent
     assert loaned is not p2
     assert flow.middleboxes == [loaned]
     # the dead loaner was restored to the pool and deprovisioned
-    assert env.log.count("watchdog.restore") == 1
+    assert len(env.events("watchdog.restore")) == 1
     assert p2.name not in env.storm.middleboxes
     assert p2 not in scaler.pool and p2 not in scaler.lent
 

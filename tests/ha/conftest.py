@@ -37,11 +37,6 @@ def nat_rules(env, cookie=COOKIE):
     return found
 
 
-def timeline(env):
-    """The full event timeline as comparable records."""
-    return [(r.when, r.kind, r.target, r.detail) for r in env.log.records]
-
-
 def cluster_signature(env):
     """Everything that must be byte-identical across two runs of the
     same failover scenario: leadership, terms, election count, every
@@ -58,5 +53,5 @@ def cluster_signature(env):
             (saga.op, saga.status, tuple(saga.journal))
             for saga in env.storm.intent_log.sagas
         ],
-        "timeline": timeline(env),
+        "timeline": env.events(),
     }

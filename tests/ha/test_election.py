@@ -53,15 +53,15 @@ def test_leader_crash_elects_exactly_one_follower():
     assert cluster.term == 2
     # the seeded jitter staggers candidates: one election, no split vote
     assert cluster.elections == 1
-    elects = env.log.matching("ha.elect")
-    leaders = env.log.matching("ha.leader")
-    takeovers = env.log.matching("ha.takeover")
-    assert len(elects) == 1 and elects[0].target == cluster.leader_name
-    assert len(leaders) == 1 and leaders[0].detail["term"] == 2
+    elects = env.events("ha.elect")
+    leaders = env.events("ha.leader")
+    takeovers = env.events("ha.takeover")
+    assert len(elects) == 1 and elects[0]["target"] == cluster.leader_name
+    assert len(leaders) == 1 and leaders[0]["attrs"]["term"] == 2
     assert len(takeovers) == 1  # nothing in flight: 0 replayed, 0 rolled back
-    assert takeovers[0].detail == {"term": 2, "replayed": 0, "rolled_back": 0}
+    assert takeovers[0]["attrs"] == {"term": 2, "replayed": 0, "rolled_back": 0}
     # election happened after one full timeout, not instantly
-    assert elects[0].when >= cluster.config.election_timeout
+    assert elects[0]["ts"] >= cluster.config.election_timeout
 
 
 def test_failover_timeline_is_byte_identical():
@@ -103,8 +103,8 @@ def test_crashed_leader_rejoins_and_catches_up():
     env.sim.run(until=env.sim.now + 1.5)  # restart + rejoin + catch-up
     cluster.stop()
     assert cluster.role(old.name) == FOLLOWER
-    assert env.log.count("ha.rejoin") == 1
-    assert env.log.count("ha.catch-up") >= 1
+    assert len(env.events("ha.rejoin")) == 1
+    assert len(env.events("ha.catch-up")) >= 1
     # snapshot catch-up brought the rejoined log level with the leader's
     leader_log = cluster.logs[cluster.leader_name]
     assert cluster.logs[old.name].last_index == leader_log.last_index
@@ -127,7 +127,7 @@ def test_isolated_leader_steps_down_and_minority_cannot_elect():
         env.attach([env.spec(name="svc", relay="fwd")])
     assert cluster.leader_name != old.name  # stepped down
     assert switch_rules(env) == [] and nat_rules(env) == []
-    assert env.log.count("ha.quorum-lost") == 1
+    assert len(env.events("ha.quorum-lost")) == 1
 
     env.sim.run(until=env.sim.now + 1.0)
     new = cluster.leader_name

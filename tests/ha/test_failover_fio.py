@@ -57,9 +57,9 @@ def test_fio_survives_leader_failover_with_demote_and_repromote():
     assert result.completed == 400 and result.errors == 0
 
     # failover really happened, mid-workload
-    leaders = env.log.matching("ha.leader")
-    assert len(leaders) == 1 and leaders[0].detail["previous"] == "storm-cp0"
-    assert fired[0] < leaders[0].when < fired[0] + result.elapsed
+    leaders = env.events("ha.leader")
+    assert len(leaders) == 1 and leaders[0]["attrs"]["previous"] == "storm-cp0"
+    assert fired[0] < leaders[0]["ts"] < fired[0] + result.elapsed
     assert cluster.leader_name in ("storm-cp1", "storm-cp2")
 
     # both demotion causes fired (the crash itself, then the takeover),
@@ -73,7 +73,7 @@ def test_fio_survives_leader_failover_with_demote_and_repromote():
     assert len(switch_rules(env)) == flow.chain.expected_rule_count()
     assert Reconciler(env.storm).audit() == []
     assert env.storm.intent_log.incomplete() == []
-    assert env.log.count("ha.rejoin") == 1
+    assert len(env.events("ha.rejoin")) == 1
 
 
 def test_fio_failover_is_byte_identical():

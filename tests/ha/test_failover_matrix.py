@@ -70,7 +70,7 @@ def test_attach_leader_kill_matrix(step_name, phase):
     # a different replica took over and resolved the saga
     assert cluster.leader_name != "storm-cp0"
     assert cluster.term >= 2
-    takeover = env.log.matching("ha.takeover")[-1].detail
+    takeover = env.events("ha.takeover")[-1]["attrs"]
     sagas = storm.intent_log.by_op("attach_with_services")
     assert len(sagas) == 1
     saga = sagas[0]
@@ -97,7 +97,7 @@ def test_attach_leader_kill_matrix(step_name, phase):
     assert nat_rules(env) == []
     assert Reconciler(storm).audit() == []
     # the ex-leader rejoined as a follower with a level log
-    assert env.log.count("ha.rejoin") == 1
+    assert len(env.events("ha.rejoin")) == 1
     assert (
         cluster.logs["storm-cp0"].last_index
         == cluster.logs[cluster.leader_name].last_index
@@ -136,7 +136,7 @@ def test_detach_leader_kill_rolls_forward():
     assert Reconciler(storm).audit() == []
     saga = storm.intent_log.by_op("detach")[0]
     assert saga.status == COMMITTED
-    assert env.log.matching("ha.takeover")[-1].detail["replayed"] == 1
+    assert env.events("ha.takeover")[-1]["attrs"]["replayed"] == 1
 
 
 def test_reconfigure_leader_kill_keeps_a_complete_rule_set():
@@ -183,9 +183,9 @@ def test_log_loss_on_healthy_leader_rebuilds_in_place():
 
     assert storm.intent_log is not old_log  # fresh log, shipping wired
     assert storm.intent_log.shipper is cluster
-    assert env.log.count("fault.log-loss") == 1
-    rebuilds = env.log.matching("ha.log-rebuild")
-    assert len(rebuilds) == 1 and rebuilds[0].detail["drifts"] == 0
+    assert len(env.events("fault.log-loss")) == 1
+    rebuilds = env.events("ha.log-rebuild")
+    assert len(rebuilds) == 1 and rebuilds[0]["attrs"]["drifts"] == 0
     assert flow in storm.flows
     assert switch_rules(env) == rules_before
     assert Reconciler(storm).audit() == []
@@ -229,10 +229,10 @@ def test_log_loss_with_in_flight_saga_sweeps_transients():
     env.sim.run(until=env.sim.now + 2.0)  # election -> takeover -> rebuild
     cluster.stop()
 
-    rebuilds = env.log.matching("ha.log-rebuild")
+    rebuilds = env.events("ha.log-rebuild")
     assert len(rebuilds) == 1
-    assert rebuilds[0].detail["drifts"] > 0  # it actually swept things
-    assert rebuilds[0].target == cluster.leader_name
+    assert rebuilds[0]["attrs"]["drifts"] > 0  # it actually swept things
+    assert rebuilds[0]["target"] == cluster.leader_name
     # ground truth restored: no flow, no rules, no NAT, clean audit
     assert storm.flows == []
     assert switch_rules(env) == []

@@ -48,9 +48,9 @@ def test_gap_triggers_snapshot_catch_up():
     # next control op ships -> gap detected -> snapshot
     env.storm.provision_middlebox(env.tenant, env.spec(name="late", relay="fwd"))
     assert cluster.logs["storm-cp2"].last_index == cluster.logs["storm-cp0"].last_index
-    catchups = env.log.matching("ha.catch-up")
-    assert catchups and catchups[0].target == "storm-cp2"
-    assert catchups[0].detail["skipped"] > 0
+    catchups = env.events("ha.catch-up")
+    assert catchups and catchups[0]["target"] == "storm-cp2"
+    assert catchups[0]["attrs"]["skipped"] > 0
     # resolved history was not re-shipped: the snapshot carried only
     # the active saga (the in-flight provision), not the committed past
     assert len(cluster.logs["storm-cp2"].records) == 1
@@ -259,7 +259,7 @@ def test_replay_after_compaction_equals_replay_without():
             "resolution": resolution,
             "flows": [f.volume_name for f in env.storm.flows],
             "audit": Reconciler(env.storm).audit(),
-            "takeover": env.log.matching("ha.takeover")[-1].detail,
+            "takeover": env.events("ha.takeover")[-1]["attrs"],
         }
 
     plain, compacted = scenario(compact=False), scenario(compact=True)

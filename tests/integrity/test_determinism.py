@@ -43,7 +43,7 @@ def campaign(env):
         "truth": [tuple(sorted(row.items())) for row in env.injector.adversarial],
         "counters": (layer.stamped, layer.verified, layer.retries),
         "trips": layer.breaker.trips,
-        "timeline": [(r.when, r.kind, r.target, r.detail) for r in env.log.records],
+        "timeline": env.events(),
     }
 
 
@@ -72,8 +72,8 @@ def test_different_seed_different_tamper_sites():
             yield flow.session.write(0, BLOCK_SIZE, block(1))
 
         env.run(scenario())
-        (record,) = env.log.matching("tamper.payload")
-        return record.detail["index"]
+        (record,) = env.events("tamper.payload")
+        return record["attrs"]["index"]
 
     indexes = {flip_index(seed) for seed in (1, 2, 3, 4)}
     assert len(indexes) > 1

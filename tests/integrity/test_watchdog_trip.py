@@ -24,7 +24,7 @@ def tampered_writes(env, mb, session, count):
 def test_burst_trips_breaker_quiesces_then_recovers():
     env = integrity_env()
     flow, (mb,) = env.attach([env.spec(name="noop", relay="passive")])
-    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN, event_log=env.log)
+    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN)
     env.sim.process(dog.run(duration=6.0))
 
     def scenario():
@@ -43,16 +43,16 @@ def test_burst_trips_breaker_quiesces_then_recovers():
 
     assert env.run(scenario()) == block(99)
     assert layer(env).breaker.trips == 1
-    assert env.log.count("watchdog.integrity-trip") == 1
-    assert env.log.count("watchdog.integrity-clear") == 1
+    assert len(env.events("watchdog.integrity-trip")) == 1
+    assert len(env.events("watchdog.integrity-clear")) == 1
     # the lockout overrides FAIL_OPEN: no bypass was ever attempted
-    assert env.log.count("watchdog.bypass") == 0
+    assert len(env.events("watchdog.bypass")) == 0
 
 
 def test_sparse_detections_never_quiesce():
     env = integrity_env()
     flow, (mb,) = env.attach([env.spec(name="noop", relay="passive")])
-    dog = ChainWatchdog(env.storm, event_log=env.log)
+    dog = ChainWatchdog(env.storm)
     env.sim.process(dog.run(duration=8.0))
 
     def scenario():
@@ -63,14 +63,14 @@ def test_sparse_detections_never_quiesce():
 
     env.run(scenario())
     assert layer(env).breaker.trips == 0
-    assert env.log.count("watchdog.integrity-trip") == 0
+    assert len(env.events("watchdog.integrity-trip")) == 0
     assert not flow.chain.quiesced
 
 
 def test_trip_event_names_the_flow():
     env = integrity_env()
     flow, (mb,) = env.attach([env.spec(name="noop", relay="passive")])
-    dog = ChainWatchdog(env.storm, event_log=env.log)
+    dog = ChainWatchdog(env.storm)
     env.sim.process(dog.run(duration=2.0))
 
     def scenario():
@@ -78,6 +78,6 @@ def test_trip_event_names_the_flow():
         yield env.sim.timeout(0.5)
 
     env.run(scenario())
-    trips = env.log.matching("watchdog.integrity-trip")
+    trips = env.events("watchdog.integrity-trip")
     assert len(trips) == 1
-    assert trips[0].detail["iqn"] == VOL_IQN
+    assert trips[0]["attrs"]["iqn"] == VOL_IQN

@@ -45,7 +45,7 @@ def test_no_paths_is_usage_error(capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == EXIT_CLEAN
     out = capsys.readouterr().out
-    for rule_id in ("wall-clock", "unkernelled-process", "direct-eventlog"):
+    for rule_id in ("wall-clock", "unkernelled-process", "obs-passive"):
         assert rule_id in out
 
 

@@ -104,21 +104,6 @@ def test_event_with_context_joins_trace():
     assert all(e["span"] == span.span_id for e in events)
 
 
-def test_event_when_override_preserves_caller_timestamp():
-    bus = make_bus()
-    bus.event("fault.crash", target="mb1", when=42.0)
-    (event,) = bus.records
-    assert event["ts"] == 42.0
-
-
-def test_disabled_bus_emits_nothing():
-    bus = ObsBus(Simulator(), enabled=False)
-    span = bus.span("op")
-    span.finish()
-    bus.event("kind")
-    assert bus.records == []
-
-
 # -------------------------------------------------------------- metrics
 
 

@@ -92,14 +92,6 @@ def test_hop_reads_back_as_the_generic_net_hop_event():
     assert via_event.events_emitted == via_hop.events_emitted == 1
 
 
-def test_disabled_bus_emits_no_hop():
-    bus = ObsBus(Simulator(), enabled=False)
-    bus.span("op").context().hop("sw1", _Packet(1500), 0.0)
-    bus.hop("sw1", 1, 1, 1500, 0.0)
-    assert bus.records == []
-    assert bus.events_emitted == 0
-
-
 def test_record_dict_is_the_function_custom_sinks_call():
     class KindSink:
         def __init__(self) -> None:
