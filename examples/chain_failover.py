@@ -1,13 +1,13 @@
 """Middle-box failover on a live storage chain.
 
 Fio hammers a volume attached through a two-box forwarding chain while
-a middle-box is killed mid-workload.  The health watchdog detects the
-dead box within one probe interval and — under the tenant's
-*fail-open* policy — bypasses it by re-steering the flow onto the
-surviving box (make-before-break, SDN rules only).  When the box
-restarts, the watchdog reinstates the original chain.  A background
-reconciler audits SDN/NAT state throughout, and the platform
-journals every control operation in its intent log.
+a middle-box is killed mid-workload.  The chain control loop detects
+the dead box within one tick and — under the tenant's *fail-open*
+policy — bypasses it by re-steering the flow onto the surviving box
+(make-before-break, SDN rules only).  When the box restarts, the loop
+reinstates the chain the attach committed.  The same loop audits
+SDN/NAT state every tick, and the platform journals every control
+operation, the loop's writes included, in its intent log.
 
 The whole run is traced through :mod:`repro.obs`: the fault timeline
 rides the same bus as the request spans, and the report ends with a
@@ -22,8 +22,9 @@ import argparse
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.cloud import CloudController
 from repro.cloud.params import CloudParams
-from repro.core import ChainWatchdog, Reconciler, StorM
+from repro.core import Reconciler, StorM
 from repro.core.policy import ServiceSpec
+from repro.core.saga import COMMITTED
 from repro.faults import FaultInjector
 from repro.obs import (
     ObsBus,
@@ -81,15 +82,13 @@ def main(argv=None):
     ]
     mb_a, mb_b = chain
 
-    watchdog = ChainWatchdog(storm, check_interval=0.05, default_policy="fail-open")
-    reconciler = Reconciler(storm)
+    loop = Reconciler(storm, default_policy="fail-open")
 
     def scenario():
         flow = yield sim.process(
             storm.attach_with_services(tenant, vm, "data-vol", chain)
         )
-        sim.process(watchdog.run(duration=3.0))
-        sim.process(reconciler.run(interval=0.2, duration=3.0))
+        sim.process(loop.run(interval=0.05, duration=3.0))
 
         # kill fwd-a mid-workload; bring it back 0.6s later
         injector.at(0.25, injector.crash, mb_a, 0.6)
@@ -107,7 +106,7 @@ def main(argv=None):
         return flow, result
 
     flow, result = sim.run(until=sim.process(scenario()))
-    sim.run()  # drain the watchdog/reconciler loops
+    sim.run()  # drain the control loop
 
     print("== chain_failover: fio through fwd-a -> fwd-b under a middle-box kill ==")
     print(
@@ -143,11 +142,17 @@ def main(argv=None):
 
     # -- invariants --------------------------------------------------------
     assert result.completed == 200, "fio did not finish across the failover"
-    assert len(bypasses) == 1, "watchdog never bypassed the dead box"
+    assert len(bypasses) == 1, "the loop never bypassed the dead box"
     assert bypasses[0]["attrs"]["dead"] == [mb_a.name]
     assert bypasses[0]["attrs"]["chain"] == [mb_b.name]
-    assert len(reinstates) == 1, "watchdog never reinstated the chain"
+    assert len(reinstates) == 1, "the loop never reinstated the chain"
     assert flow.middleboxes == [mb_a, mb_b], "desired chain not restored"
+    steers = [
+        saga.detail["chain"]
+        for saga in storm.intent_log.by_op("reconfigure_chain")
+        if saga.status == COMMITTED
+    ]
+    assert steers == [[mb_b.name], [mb_a.name, mb_b.name]], "bypass/reinstate not journaled"
     assert Reconciler(storm).audit() == [], "reconciler audit found drift"
     assert storm.intent_log.incomplete() == [], "intent log left in-flight sagas"
     assert trace is not None, "no traced write found in the export"

@@ -5,7 +5,7 @@ against a monitored, integrity-protected volume: payload tamper on the
 wire, PDU replay, in-flight reordering, a fuzz barrage of adversarial
 bytes aimed at the semantic monitor's filesystem reconstruction, a
 tamper *burst* (which trips the per-flow breaker and makes the
-watchdog hold the flow fail-closed until the attack stops), and
+control loop hold the flow fail-closed until the attack stops), and
 finally an unauthorized SDN re-steer that bypasses a configured box —
 caught by the SICS-style traversal proof, failing the I/O closed
 rather than letting unaudited data through.
@@ -23,7 +23,7 @@ import argparse
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.cloud import CloudController
 from repro.cloud.params import CloudParams
-from repro.core import ChainWatchdog, StorM
+from repro.core import Reconciler, StorM
 from repro.core.policy import ServiceSpec
 from repro.faults import FaultInjector
 from repro.fs import ExtFilesystem, SessionDevice, fsck
@@ -84,7 +84,7 @@ def main():
             options={"mount_point": "/mnt/app1"},
         ),
     )
-    dog = ChainWatchdog(storm)
+    dog = Reconciler(storm)
     sim.process(dog.run(duration=30.0))
 
     def scenario():
@@ -120,13 +120,13 @@ def main():
         yield sim.process(hostile.run())
         injector.fuzz_semantic_monitor(mon.service, blocks=32)
 
-        # -- 4. tamper burst: breaker trips, watchdog fails closed -----
+        # -- 4. tamper burst: breaker trips, the loop fails closed -----
         for i in range(3):
             injector.tamper_payload(mon, count=1)
             yield session.write(scratch + i * BLOCK_SIZE, BLOCK_SIZE, block(i + 2))
         assert integrity.tripped(iqn), "burst did not trip the breaker"
         yield sim.timeout(0.5)
-        assert flow.chain.quiesced, "watchdog did not quiesce the flow"
+        assert flow.chain.quiesced, "the control loop did not quiesce the flow"
         yield sim.timeout(3.0)  # cooldown passes, lockout lifts
         assert not flow.chain.quiesced, "lockout never lifted"
 

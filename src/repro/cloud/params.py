@@ -96,7 +96,7 @@ class CloudParams:
     #: receive-side sequence window for replay/reorder classification
     integrity_replay_window: int = 4096
     #: detections per flow within ``integrity_trip_window`` seconds that
-    #: trip the tamper breaker (ChainWatchdog then fails the flow closed)
+    #: trip the tamper breaker (the Reconciler loop then fails the flow closed)
     integrity_trip_threshold: int = 3
     integrity_trip_window: float = 1.0
     #: how long a tripped flow stays quiesced after the last detection

@@ -14,7 +14,9 @@ The paper's three mechanisms, each in its own module:
 
 :mod:`repro.core.policy` defines the tenant policy schema,
 :mod:`repro.core.platform` declares the control operations end to end,
-and :mod:`repro.core.saga` journals and runs them.
+:mod:`repro.core.saga` journals and runs them, and
+:mod:`repro.core.reconcile` is the one control loop that holds every
+flow to the chain its attach committed.
 """
 
 from repro.core.attribution import AttributionRecord, ConnectionAttributor
@@ -37,14 +39,12 @@ from repro.core.saga import (
 )
 from repro.core.scaling import MiddleboxAutoscaler, resteer_flow
 from repro.core.reconcile import Drift, Reconciler
-from repro.core.watchdog import ChainWatchdog
 
 __all__ = [
     "AccessRecord",
     "ActiveRelay",
     "AttributionRecord",
     "ChainPolicy",
-    "ChainWatchdog",
     "ConnectionAttributor",
     "ControlPlaneNode",
     "ControllerCrashed",

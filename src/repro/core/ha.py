@@ -75,6 +75,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.core.saga import (
     ABORTED,
+    ControllerCrashed,
     ControlPlaneNode,
     IntentLog,
     QuorumLost,
@@ -734,9 +735,11 @@ class HaCluster:
         fresh = IntentLog()
         fresh.shipper = self
         self.storm.engine.log = fresh
+        try:
+            drifts = Reconciler(self.storm).repair()
+        except ControllerCrashed:
+            return 0  # authority lost mid-sweep: the next leader rebuilds
         self._log_lost = False
-        reconciler = Reconciler(self.storm)
-        drifts = reconciler.repair()
         self._record("ha.log-rebuild", self.leader_name or "", drifts=len(drifts))
         obs = self.obs
         if obs is not None:

@@ -86,6 +86,10 @@ class StorMFlow:
     #: step can forget the exact conntrack tuples the attach pinned.
     host: object = None
     target_ip: str = ""
+    #: the chain the attach committed: the one desired state the
+    #: :class:`~repro.core.reconcile.Reconciler` holds the flow to
+    #: while :attr:`middleboxes` follows bypasses and heals
+    desired: tuple[MiddleBox, ...] = ()
 
 
 class StorM:
@@ -538,6 +542,7 @@ class StorM:
                 attribution=state.get("attribution"),
                 host=host,
                 target_ip=target_ip,
+                desired=tuple(middleboxes),
             )
             self.flows.append(flow)
             self._track_flow(flow)

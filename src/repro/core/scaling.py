@@ -31,8 +31,8 @@ from repro.core.policy import PolicyError, ServiceSpec
 def resteer_flow(storm: StorM, flow: StorMFlow, middleboxes: list[MiddleBox]) -> bool:
     """Re-steer one flow onto a new forwarding chain via SDN only
     (make-before-break).  No-op if the chain is already the target.
-    Shared by the autoscaler's rebalance and the health watchdog's
-    fail-open bypass — both are pure rule reprogramming."""
+    Shared by the autoscaler's rebalance and the control loop's
+    fail-open bypass, heal and reinstate — all pure rule reprogramming."""
     if flow.middleboxes == list(middleboxes):
         return False
     storm.reconfigure_chain(flow, list(middleboxes))
@@ -73,7 +73,7 @@ class MiddleboxAutoscaler:
         self._last_packet_count = 0
         self.stopped = False
         self.replacements = 0
-        #: boxes on loan to the :class:`~repro.core.watchdog.ChainWatchdog`
+        #: boxes on loan to the :class:`~repro.core.reconcile.Reconciler`
         #: for full-strength chain healing (:meth:`borrow` / :meth:`restore`);
         #: they count against ``max_size`` but carry none of the pool's flows.
         self.lent: list[MiddleBox] = []
@@ -108,7 +108,7 @@ class MiddleboxAutoscaler:
             resteer_flow(self.storm, flow, [target])
         self._emit("rebalance", self.template.name)
 
-    # -- capacity lending (watchdog chain healing) -------------------------
+    # -- capacity lending (control-loop chain healing) ----------------------
 
     def borrow(self) -> Optional[MiddleBox]:
         """Lend one healthy forwarding box as replacement capacity.

@@ -203,7 +203,7 @@ class SteeringChain:
     # -- fail-closed quiesce ----------------------------------------------
 
     def quiesce(self) -> None:
-        """Block the flow in both directions (watchdog fail-closed
+        """Block the flow in both directions (control-loop fail-closed
         policy): high-priority drop rules at the ingress gateway's
         switch, which both the upstream and the reply path traverse."""
         if self.quiesced:

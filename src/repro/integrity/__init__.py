@@ -5,8 +5,8 @@ The initiator stamps each iSCSI data PDU with a keyed MAC over
 hop mark (a SICS-style traversal proof); the receiving endpoint
 verifies payload, chain, and sequence window, turning mid-chain
 tampering, replay, reorder, and chain bypass into explicit
-``integrity.*`` detections wired into SCSI-level retry and the
-watchdog's fail-closed path.  See DESIGN.md §14 for the threat model.
+``integrity.*`` detections wired into SCSI-level retry and the chain
+control loop's fail-closed path.  See DESIGN.md §14 for the threat model.
 """
 
 from repro.integrity.layer import (

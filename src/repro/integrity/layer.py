@@ -13,8 +13,9 @@ the detection ledger.  The datapath hooks are three calls:
   traversal proof, and sequence window; a violation is recorded as a
   :class:`Detection`, emitted as an ``integrity.*`` obs event/counter,
   demotes any express-path flows, and feeds the per-flow
-  :class:`TamperBreaker` that the :class:`~repro.core.watchdog.ChainWatchdog`
-  consults to fail the flow closed under a tamper burst.
+  :class:`TamperBreaker` that the chain control loop
+  (:class:`~repro.core.reconcile.Reconciler`) consults to fail the flow
+  closed under a tamper burst.
 
 Everything is deterministic: keys derive from a fixed master secret,
 sequence numbers are per-flow counters, and no RNG or wall clock is
@@ -338,7 +339,8 @@ class IntegrityLayer:
 
     def tripped(self, flow: str) -> bool:
         """Is this flow's tamper breaker currently tripped?  Consulted
-        by the ChainWatchdog to hold the flow fail-closed."""
+        by the :class:`~repro.core.reconcile.Reconciler` loop to hold
+        the flow fail-closed."""
         return self.breaker.tripped(flow, self.sim.now)
 
     def detections_for(self, flow: str) -> list[Detection]:

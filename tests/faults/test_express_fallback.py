@@ -2,11 +2,15 @@
 promoted flows losslessly — the workload finishes over the packet path
 (whose reliable-TCP recovery then does its usual job)."""
 
+import pytest
+
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.core import Reconciler
+from repro.core.reconcile import FAIL_CLOSED, FAIL_OPEN
 from repro.fs import ExtFilesystem, SessionDevice, fsck
 from repro.workloads import FioConfig, FioJob, PostmarkConfig, PostmarkJob
 
-from tests.faults.conftest import FaultEnv, recovery_params
+from tests.faults.conftest import FaultEnv, assert_at_rest, recovery_params
 
 
 def express_env(**kw):
@@ -125,3 +129,81 @@ def test_lossy_window_mid_express_demotes_and_completes():
     assert manager.demotions >= 1
     assert result.completed == 40
     assert result.errors == 0
+
+
+def _loop_tick_scenario(express, policy):
+    """Two flows of one tenant cross its ingress switch: flow 1 through
+    boxes a, c and flow 2 through b, both under fio.  Box a crashes
+    (the injector demotes every flow), flow 2 is promoted again, and one
+    control-loop tick quiesces or bypasses flow 1; a later tick, after
+    a restarts, lifts the quiesce or reinstates the chain.  Returns the
+    fio results, the loop's timeline and, in express mode, the flows
+    promoted before the first tick and left promoted after it."""
+    env = FaultEnv(
+        params=recovery_params(express=express, tcp_rto=0.02, iscsi_relogin_backoff=0.02)
+    )
+    storm = env.storm
+    flow1, (mb_a, _mb_c) = env.attach(
+        [env.spec(name="a", relay="fwd"), env.spec(name="c", relay="fwd")]
+    )
+    mb_b = storm.provision_middlebox(env.tenant, env.spec(name="b", relay="fwd"))
+    env.cloud.create_volume(env.tenant, "vol2", 1024 * BLOCK_SIZE)
+
+    def attach_vol2():
+        return (yield env.sim.process(
+            storm.attach_with_services(env.tenant, env.vm, "vol2", [mb_b])
+        ))
+
+    flow2 = env.run(attach_vol2())
+    loop = Reconciler(storm, default_policy=policy)
+    seen = {}
+
+    def drive():
+        yield env.sim.timeout(0.05)
+        env.injector.crash(mb_a, restart_after=0.2)
+        yield env.sim.timeout(0.05)
+        manager = env.sim.express
+        if manager is not None:
+            seen["promoted"] = manager.active_flows
+        loop.tick()
+        if manager is not None:
+            seen["left"] = manager.active_flows
+        yield env.sim.timeout(0.2)
+        loop.tick()
+
+    def workload():
+        jobs = [
+            env.sim.process(FioJob(
+                env.sim, flow.session,
+                FioConfig(io_size=BLOCK_SIZE, ios_per_thread=100,
+                          region_size=512 * BLOCK_SIZE, seed=seed),
+                vm=env.vm, params=env.cloud.params,
+            ).run())
+            for seed, flow in enumerate((flow1, flow2))
+        ]
+        results = []
+        for job in jobs:
+            results.append((yield job))
+        return results
+
+    env.sim.process(drive())
+    results = env.run(workload())
+    timeline = [(e["kind"], e["ts"]) for e in env.events("watchdog.")]
+    numbers = [(r.completed, r.errors, r.elapsed, r.latency.mean) for r in results]
+    assert_at_rest(storm)
+    return numbers, timeline, seen
+
+
+@pytest.mark.parametrize("policy", [FAIL_CLOSED, FAIL_OPEN])
+def test_loop_tick_demotes_through_the_flow_table_hook(policy):
+    """A quiesce or a bypass rewrites the ingress switch's flow table,
+    which every promoted flow of the tenant watches: that change alone
+    demotes them, and the workload matches packet mode exactly."""
+    numbers, timeline, seen = _loop_tick_scenario(True, policy)
+    assert seen["promoted"] >= 1, "no flow was promoted before the tick"
+    assert seen["left"] == 0
+    first = "watchdog.quiesce" if policy == FAIL_CLOSED else "watchdog.bypass"
+    second = "watchdog.unquiesce" if policy == FAIL_CLOSED else "watchdog.reinstate"
+    assert [kind for kind, _ts in timeline] == [first, second]
+    assert all(completed == 100 for completed, *_rest in numbers)
+    assert (numbers, timeline) == _loop_tick_scenario(False, policy)[:2]

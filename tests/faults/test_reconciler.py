@@ -1,6 +1,6 @@
 """Reconciliation loop: detects and repairs SDN/NAT drift and orphans."""
 
-from repro.core import Reconciler
+from repro.core import MiddleboxAutoscaler, Reconciler
 from repro.core.reconcile import INVARIANTS, list_invariants, main
 from repro.net.switch import cookie_in_family
 
@@ -92,20 +92,38 @@ def test_orphan_nat_rules_are_removed():
 
 
 def test_crashed_flowless_middlebox_reported_and_gced():
+    """A crashed box is an orphan only when no live flow's current or
+    desired chain uses it and the loop's pool neither holds nor has
+    lent it; repair deprovisions exactly the orphans."""
     env = FaultEnv()
-    mb = env.storm.provision_middlebox(env.tenant, env.spec(name="idle", relay="fwd"))
-    env.injector.crash(mb)
+    storm = env.storm
+    flow, (mb_a, mb_b) = env.attach(
+        [env.spec(name="a", relay="fwd"), env.spec(name="b", relay="fwd")]
+    )
+    idle = storm.provision_middlebox(env.tenant, env.spec(name="idle", relay="fwd"))
+    spares = [
+        storm.provision_middlebox(env.tenant, env.spec(name=n, relay="fwd"))
+        for n in ("pool-1", "pool-2")
+    ]
+    scaler = MiddleboxAutoscaler(
+        storm, env.tenant, env.spec(name="pool", relay="fwd"), flows=[],
+        initial_pool=spares,
+    )
+    rec = Reconciler(storm, capacity_pool=scaler)
+    # a: bypassed, so only the desired chain still names it
+    storm.reconfigure_chain(flow, [mb_b])
+    env.injector.crash(mb_a)
+    loaned = scaler.borrow()
+    env.injector.crash(loaned)
+    env.injector.crash(idle)
 
-    assert [d.kind for d in Reconciler(env.storm).audit()] == ["mb-orphan"]
-    # default: report only
-    rec = Reconciler(env.storm)
+    assert [(d.kind, d.target) for d in rec.audit()] == [("mb-orphan", idle.name)]
     rec.repair()
-    assert mb.name in env.storm.middleboxes
-    # opt-in GC deprovisions it
-    rec_gc = Reconciler(env.storm, gc_crashed_middleboxes=True)
-    rec_gc.repair()
-    assert mb.name not in env.storm.middleboxes
-    assert rec_gc.audit() == []
+    assert idle.name not in storm.middleboxes
+    assert mb_a.name in storm.middleboxes
+    assert loaned.name in storm.middleboxes and scaler.lent == [loaned]
+    assert len(env.events("reconcile.mb-orphan")) == 1
+    assert rec.audit() == []
 
 
 def test_reconcile_loop_repairs_periodically():

@@ -4,8 +4,8 @@ lands once, and a component built before the bus was attached still
 reports on it."""
 
 from repro.blockdev.disk import BLOCK_SIZE
-from repro.core import ChainWatchdog
-from repro.core.watchdog import FAIL_OPEN
+from repro.core import Reconciler
+from repro.core.reconcile import FAIL_OPEN
 from repro.faults import FaultInjector
 from repro.obs import ObsBus, events_of, instrument, validate_lines
 
@@ -50,7 +50,7 @@ def test_watchdog_built_before_instrument_reports_on_the_bus():
     flow, (mb1, mb2) = env.attach(
         [env.spec(name="a", relay="fwd"), env.spec(name="b", relay="fwd")]
     )
-    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN)
+    dog = Reconciler(env.storm, default_policy=FAIL_OPEN)
     bus = ObsBus(env.sim)
     instrument(bus, storm=env.storm)
     injector = FaultInjector(env.sim, seed=7, obs=bus)

@@ -1,11 +1,11 @@
-"""Middlebox health watchdog: fail-open bypass/reinstate and
-fail-closed quiesce/unquiesce."""
+"""The chain control loop's failure policy: fail-open
+bypass/reinstate and fail-closed quiesce/unquiesce."""
 
-from repro.core import ChainWatchdog, Reconciler
-from repro.core.watchdog import FAIL_CLOSED, FAIL_OPEN
+from repro.core import Reconciler
+from repro.core.reconcile import FAIL_CLOSED, FAIL_OPEN
 from repro.net.switch import Drop
 
-from tests.faults.conftest import FaultEnv
+from tests.faults.conftest import FaultEnv, assert_at_rest
 
 
 def quiesce_rules(env, flow):
@@ -21,7 +21,7 @@ def test_fail_open_bypasses_dead_middlebox_and_reinstates():
     flow, (mb1, mb2) = env.attach(
         [env.spec(name="a", relay="fwd"), env.spec(name="b", relay="fwd")]
     )
-    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN)
+    dog = Reconciler(env.storm, default_policy=FAIL_OPEN)
     env.sim.process(dog.run(duration=2.0))
     env.injector.at(0.5, env.injector.crash, mb1, 0.7)  # restart at t=1.2
     env.sim.run()
@@ -34,13 +34,13 @@ def test_fail_open_bypasses_dead_middlebox_and_reinstates():
     assert len(reinstates) == 1
     # chain restored to the tenant's desired order after recovery
     assert flow.middleboxes == [mb1, mb2]
-    assert Reconciler(env.storm).audit() == []
+    assert_at_rest(env.storm)
 
 
 def test_fail_closed_quiesces_and_unquiesces():
     env = FaultEnv()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])
-    dog = ChainWatchdog(env.storm, tenant_policies={"acme": FAIL_CLOSED})
+    dog = Reconciler(env.storm, tenant_policies={"acme": FAIL_CLOSED})
     env.sim.process(dog.run(duration=2.0))
     env.injector.at(0.5, env.injector.crash, mb, 0.7)
     env.sim.run()
@@ -51,13 +51,13 @@ def test_fail_closed_quiesces_and_unquiesces():
     # quiesce rules lifted once the box recovered
     assert quiesce_rules(env, flow) == []
     assert not flow.chain.quiesced
-    assert Reconciler(env.storm).audit() == []
+    assert_at_rest(env.storm)
 
 
 def test_quiesce_installs_drop_rules_while_down():
     env = FaultEnv()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])
-    dog = ChainWatchdog(env.storm, tenant_policies={"acme": FAIL_CLOSED})
+    dog = Reconciler(env.storm, tenant_policies={"acme": FAIL_CLOSED})
     env.injector.crash(mb)  # no restart
     dog.tick()
     rules = quiesce_rules(env, flow)
@@ -66,6 +66,7 @@ def test_quiesce_installs_drop_rules_while_down():
     # repeated ticks are idempotent
     dog.tick()
     assert len(quiesce_rules(env, flow)) == 2
+    assert_at_rest(env.storm)
 
 
 def test_active_relay_chain_is_always_fail_closed():
@@ -73,18 +74,19 @@ def test_active_relay_chain_is_always_fail_closed():
     so even a fail-open tenant gets quiesced."""
     env = FaultEnv()
     flow, (mb,) = env.attach([env.spec(name="a", relay="active")])
-    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN)
+    dog = Reconciler(env.storm, default_policy=FAIL_OPEN)
     env.injector.crash(mb)
     dog.tick()
     assert len(env.events("watchdog.quiesce")) == 1
     assert len(env.events("watchdog.bypass")) == 0
     assert flow.chain.quiesced
+    assert_at_rest(env.storm)
 
 
 def test_fail_open_quiesces_when_no_survivors():
     env = FaultEnv()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])
-    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN)
+    dog = Reconciler(env.storm, default_policy=FAIL_OPEN)
     env.injector.crash(mb)
     dog.tick()
     # nothing to steer through: last-resort quiesce instead of a dark MAC
@@ -93,3 +95,4 @@ def test_fail_open_quiesces_when_no_survivors():
     dog.tick()
     assert not flow.chain.quiesced
     assert len(env.events("watchdog.unquiesce")) == 1
+    assert_at_rest(env.storm)

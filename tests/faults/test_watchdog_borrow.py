@@ -3,10 +3,10 @@ policy first heals the chain at *full strength* with boxes borrowed
 from a MiddleboxAutoscaler pool; bypass is only the fallback when the
 tenant's capacity budget is exhausted."""
 
-from repro.core import ChainWatchdog, MiddleboxAutoscaler, Reconciler
-from repro.core.watchdog import FAIL_OPEN
+from repro.core import MiddleboxAutoscaler, Reconciler
+from repro.core.reconcile import FAIL_OPEN
 
-from tests.faults.conftest import FaultEnv
+from tests.faults.conftest import FaultEnv, assert_at_rest
 
 
 def pool_env(chain_specs, pool_names=("pool-1", "pool-2"), min_size=1, max_size=4):
@@ -25,18 +25,13 @@ def pool_env(chain_specs, pool_names=("pool-1", "pool-2"), min_size=1, max_size=
         min_size=min_size,
         max_size=max_size,
     )
-    dog = ChainWatchdog(
-        env.storm,
-        check_interval=0.05,
-        default_policy=FAIL_OPEN,
-        capacity_pool=scaler,
-    )
+    dog = Reconciler(env.storm, default_policy=FAIL_OPEN, capacity_pool=scaler)
     return env, flow, mbs, spares, scaler, dog
 
 
 def test_borrowed_box_heals_chain_at_full_strength():
     env, flow, (mb_a, mb_b), (p1, p2), scaler, dog = pool_env(["a", "b"])
-    env.sim.process(dog.run(duration=2.0))
+    env.sim.process(dog.run(interval=0.05, duration=2.0))
     env.injector.at(0.5, env.injector.crash, mb_a, 0.7)  # restart at t=1.2
     env.sim.run()
 
@@ -60,7 +55,7 @@ def test_borrowed_box_heals_chain_at_full_strength():
     assert len(env.events("pool.restore")) == 1
     assert flow.middleboxes == [mb_a, mb_b]
     assert scaler.lent == [] and set(scaler.pool) == {p1, p2}
-    assert Reconciler(env.storm).audit() == []
+    assert_at_rest(env.storm)
 
 
 def test_borrow_prefers_spares_then_clones_within_budget():
@@ -76,6 +71,7 @@ def test_borrow_prefers_spares_then_clones_within_budget():
     assert loaned not in (p1, p2)  # freshly provisioned clone
     assert heals[0]["attrs"]["chain"] == [loaned.name]
     assert len(env.events("watchdog.bypass")) == 0
+    assert_at_rest(env.storm)
 
 
 def test_exhausted_pool_falls_back_to_bypass():
@@ -95,7 +91,7 @@ def test_exhausted_pool_falls_back_to_bypass():
     dog.tick()
     assert len(env.events("watchdog.reinstate")) == 1
     assert flow.middleboxes == [mb_a, mb_b]
-    assert Reconciler(env.storm).audit() == []
+    assert_at_rest(env.storm)
 
 
 def test_exhausted_pool_single_box_chain_quiesces():
@@ -110,7 +106,7 @@ def test_exhausted_pool_single_box_chain_quiesces():
     env.injector.restart(mb_a)
     dog.tick()
     assert not flow.chain.quiesced
-    assert Reconciler(env.storm).audit() == []
+    assert_at_rest(env.storm)
 
 
 def test_dead_loaner_is_reclaimed_and_replaced():
@@ -137,4 +133,4 @@ def test_dead_loaner_is_reclaimed_and_replaced():
     dog.tick()
     assert flow.middleboxes == [mb_a]
     assert scaler.lent == []
-    assert Reconciler(env.storm).audit() == []
+    assert_at_rest(env.storm)

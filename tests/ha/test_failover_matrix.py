@@ -11,9 +11,11 @@ tables."""
 import pytest
 
 from repro.core import ControllerCrashed, Reconciler
+from repro.core.reconcile import FAIL_CLOSED
 from repro.core.saga import ABORTED, COMMITTED
 
-from tests.ha.conftest import cluster_signature, ha_env, nat_rules, switch_rules
+from tests.core.conftest import assert_at_rest
+from tests.ha.conftest import COOKIE, cluster_signature, ha_env, nat_rules, switch_rules
 
 ATTACH_STEPS = [
     "install-nat",
@@ -164,6 +166,46 @@ def test_reconfigure_leader_kill_keeps_a_complete_rule_set():
     assert len(rules) == flow.chain.expected_rule_count()
     assert all(r.cookie == flow.chain.active_cookie for _s, r in rules)
     assert Reconciler(storm).audit() == []
+
+
+@pytest.mark.parametrize("phase", ["before", "after"])
+def test_loop_quiesce_leader_kill_is_fenced(phase):
+    """The control loop's quiesce is a saga: a leader killed at either
+    step boundary leaves both drop rules or neither, the deposed
+    leader's loop writes nothing more, and after takeover the loop
+    converges under the new leader."""
+    env = ha_env()
+    storm = env.storm
+    cluster = storm.ha
+    flow, (mb,) = env.attach([env.spec(name="svc", relay="fwd")])
+    loop = Reconciler(storm, default_policy=FAIL_CLOSED)
+    cluster.start()
+    fired = leader_kill_probe(env, "quiesce", "quiesce", phase)
+
+    def quiesce_rules():
+        return [r for _s, r in switch_rules(env) if r.cookie == f"{COOKIE}#quiesce"]
+
+    env.injector.crash(mb)
+    loop.tick()  # the kill lands inside the quiesce saga
+    assert fired, "probe never crashed the leader"
+    assert len(quiesce_rules()) == (0 if phase == "before" else 2)
+    # the deposed leader's loop writes nothing
+    rules = switch_rules(env)
+    loop.tick()
+    assert switch_rules(env) == rules
+    assert env.events("watchdog.") == []
+
+    env.sim.run(until=env.sim.now + 3.0)  # election + takeover + rejoin
+    cluster.stop()
+    assert cluster.leader_name != "storm-cp0"
+    assert len(quiesce_rules()) in (0, 2)
+    assert storm.intent_log.incomplete() == []
+    assert Reconciler(storm).audit() == []
+
+    loop.tick()
+    assert len(quiesce_rules()) == 2 and flow.chain.quiesced
+    assert len(env.events("watchdog.quiesce")) == 1
+    assert_at_rest(storm)
 
 
 # -- total log loss: rebuild from the switch tables ----------------------

@@ -3,9 +3,10 @@ the flow fail-closed — regardless of the tenant's bypass policy —
 until the cooldown expires."""
 
 from repro.blockdev.disk import BLOCK_SIZE
-from repro.core import ChainWatchdog
-from repro.core.watchdog import FAIL_OPEN
+from repro.core import Reconciler
+from repro.core.reconcile import FAIL_OPEN
 
+from tests.core.conftest import assert_at_rest
 from tests.integrity.conftest import VOL_IQN, integrity_env, layer
 
 
@@ -24,7 +25,7 @@ def tampered_writes(env, mb, session, count):
 def test_burst_trips_breaker_quiesces_then_recovers():
     env = integrity_env()
     flow, (mb,) = env.attach([env.spec(name="noop", relay="passive")])
-    dog = ChainWatchdog(env.storm, default_policy=FAIL_OPEN)
+    dog = Reconciler(env.storm, default_policy=FAIL_OPEN)
     env.sim.process(dog.run(duration=6.0))
 
     def scenario():
@@ -47,12 +48,13 @@ def test_burst_trips_breaker_quiesces_then_recovers():
     assert len(env.events("watchdog.integrity-clear")) == 1
     # the lockout overrides FAIL_OPEN: no bypass was ever attempted
     assert len(env.events("watchdog.bypass")) == 0
+    assert_at_rest(env.storm)
 
 
 def test_sparse_detections_never_quiesce():
     env = integrity_env()
     flow, (mb,) = env.attach([env.spec(name="noop", relay="passive")])
-    dog = ChainWatchdog(env.storm)
+    dog = Reconciler(env.storm)
     env.sim.process(dog.run(duration=8.0))
 
     def scenario():
@@ -65,12 +67,13 @@ def test_sparse_detections_never_quiesce():
     assert layer(env).breaker.trips == 0
     assert len(env.events("watchdog.integrity-trip")) == 0
     assert not flow.chain.quiesced
+    assert_at_rest(env.storm)
 
 
 def test_trip_event_names_the_flow():
     env = integrity_env()
     flow, (mb,) = env.attach([env.spec(name="noop", relay="passive")])
-    dog = ChainWatchdog(env.storm)
+    dog = Reconciler(env.storm)
     env.sim.process(dog.run(duration=2.0))
 
     def scenario():
@@ -81,3 +84,4 @@ def test_trip_event_names_the_flow():
     trips = env.events("watchdog.integrity-trip")
     assert len(trips) == 1
     assert trips[0]["attrs"]["iqn"] == VOL_IQN
+    assert_at_rest(env.storm)
