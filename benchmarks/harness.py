@@ -17,13 +17,7 @@ Four configurations, named as in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.cloud import CloudController, CloudParams
-from repro.core import StorM
-from repro.core.policy import ServiceSpec
-from repro.services import install_default_services
-from repro.sim import Simulator
+from repro.testbed import Testbed
 from repro.workloads import FioConfig, FioJob
 
 #: simulation-scale stand-in for the paper's 20 GB volume
@@ -35,85 +29,35 @@ MB_PASSIVE = "MB-PASSIVE-RELAY"
 MB_ACTIVE = "MB-ACTIVE-RELAY"
 
 
-@dataclass
-class Testbed:
-    sim: Simulator
-    cloud: CloudController
-    storm: StorM
-    tenant: object
-    vm: object
-    volume: object
-    session: object = None
-    middlebox: object = None
-    flow: object = None
-
-
 def build_testbed(
-    mode: str,
-    volume_size: int = VOLUME_SIZE,
-    service_kind: str | None = None,
-    express: bool = False,
+    mode: str, volume_size: int = VOLUME_SIZE, service_kind: str | None = None
 ) -> Testbed:
-    """Stand up the cloud and attach vol1 according to ``mode``.
+    """The five-host bed with vol1 attached according to ``mode``."""
+    return attach_mode(Testbed(compute_hosts=5, volume_size=volume_size), mode, service_kind)
+
+
+def attach_mode(bed: Testbed, mode: str, service_kind: str | None = None) -> Testbed:
+    """Attach vol1 on ``bed`` according to ``mode``.
 
     ``service_kind`` defaults to no processing for MB-FWD and the
-    paper's stream cipher for the relay modes.  ``express=True`` turns
-    on the flow-level fast path (application-level results must be
-    bit-identical to packet mode).
+    paper's stream cipher for the relay modes.
     """
-    sim = Simulator()
-    cloud = CloudController(sim, CloudParams(express=True) if express else None)
-    for i in range(1, 6):
-        cloud.add_compute_host(f"compute{i}")
-    cloud.add_storage_host("storage1")
-    tenant = cloud.create_tenant("acme")
-    vm = cloud.boot_vm(tenant, "vm1", cloud.compute_hosts["compute1"])
-    volume = cloud.create_volume(tenant, "vol1", volume_size)
-    storm = StorM(sim, cloud)
-    install_default_services(storm)
-    bed = Testbed(sim, cloud, storm, tenant, vm, volume)
-
     if mode == LEGACY:
 
         def attach():
-            return (yield sim.process(cloud.attach_volume(vm, "vol1")))
+            return (yield bed.sim.process(bed.cloud.attach_volume(bed.vm, "vol1")))
 
-        bed.session = run(bed, attach())
+        bed.session = bed.run(attach())
         return bed
 
     relay = {MB_FWD: "fwd", MB_PASSIVE: "passive", MB_ACTIVE: "active"}[mode]
     if service_kind is None:
         service_kind = "noop" if mode == MB_FWD else "encryption"
     options = {"algorithm": "stream"} if service_kind == "encryption" else {}
-    spec = ServiceSpec(
-        "svc", service_kind, relay=relay, placement="compute3", options=options
-    )
-    mb = storm.provision_middlebox(tenant, spec)
-
-    def attach():
-        # worst case: VM on compute1, ingress gw on compute2, MB on
-        # compute3, egress gw on compute4 — all different hosts
-        return (
-            yield sim.process(
-                storm.attach_with_services(
-                    tenant,
-                    vm,
-                    "vol1",
-                    [mb],
-                    ingress_host=cloud.compute_hosts["compute2"],
-                    egress_host=cloud.compute_hosts["compute4"],
-                )
-            )
-        )
-
-    bed.flow = run(bed, attach())
-    bed.session = bed.flow.session
-    bed.middlebox = mb
+    # worst case: VM on compute1, ingress gw on compute2, MB on
+    # compute3, egress gw on compute4 — all different hosts
+    bed.attach([bed.spec(kind=service_kind, relay=relay, placement="compute3", **options)])
     return bed
-
-
-def run(bed: Testbed, gen):
-    return bed.sim.run(until=bed.sim.process(gen))
 
 
 def fio(
@@ -134,8 +78,8 @@ def fio(
         region_size=VOLUME_SIZE,
         seed=seed,
     )
-    job = FioJob(bed.sim, bed.session, config, vm=bed.vm, params=bed.cloud.params)
-    return run(bed, job.run())
+    job = FioJob(bed.sim, bed.session, config, vm=bed.vm, params=bed.params)
+    return bed.run(job.run())
 
 
 def fio_point(
@@ -145,12 +89,11 @@ def fio_point(
     ios_per_thread: int = 60,
     seed: int = 42,
     seek_penalty: float | None = None,
-    express: bool = False,
 ):
     """One Fio measurement; ``seek_penalty`` overrides the disk's random
     penalty (``CACHED_SEEK`` models the target's page cache absorbing
     the working set, as in the paper's multi-thread experiments)."""
-    bed = build_testbed(mode, express=express)
+    bed = build_testbed(mode)
     if seek_penalty is not None:
         for storage_host in bed.cloud.storage_hosts.values():
             storage_host.disk.seek_penalty = seek_penalty

@@ -7,7 +7,7 @@ fixed single box is compared against an autoscaled pool (max 3),
 rebalanced purely by SDN reprogramming.
 """
 
-from harness import LEGACY, build_testbed, format_table, memo, run
+from harness import LEGACY, build_testbed, format_table, memo
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.core.policy import ServiceSpec
 from repro.core.scaling import MiddleboxAutoscaler
@@ -34,7 +34,7 @@ def _build(env_scaled: bool):
                 )
             )
 
-        flows.append(run(bed, attach()))
+        flows.append(bed.run(attach()))
     scaler = None
     if env_scaled:
         scaler = MiddleboxAutoscaler(
@@ -79,7 +79,7 @@ def _aggregate_iops(scaled: bool) -> tuple[float, int]:
         for proc in procs:
             results.append((yield proc))
 
-    run(bed, drive())
+    bed.run(drive())
     if scaler is not None:
         scaler.stop()
     total_iops = sum(r.iops for r in results)

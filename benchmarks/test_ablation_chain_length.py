@@ -6,7 +6,7 @@ of chains of 0, 1, and 2 forwarding middle-boxes against the same
 volume, plus the gateways-only floor.
 """
 
-from harness import LEGACY, VOLUME_SIZE, build_testbed, fio, format_table, memo, run
+from harness import LEGACY, VOLUME_SIZE, build_testbed, fio, format_table, memo
 from repro.core.policy import ServiceSpec
 
 IO_SIZE = 16 * 1024
@@ -38,7 +38,7 @@ def _chain_iops(chain_length: int) -> float:
             )
         )
 
-    flow = run(bed, attach())
+    flow = bed.run(attach())
     bed.session = flow.session
     return fio(bed, IO_SIZE, ios_per_thread=40).iops
 

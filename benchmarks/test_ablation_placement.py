@@ -8,7 +8,7 @@ co-located configuration puts the gateways and middle-box on the
 tenant VM's host, so the spliced path never crosses the fabric.
 """
 
-from harness import LEGACY, VOLUME_SIZE, build_testbed, fio, format_table, memo, run
+from harness import LEGACY, VOLUME_SIZE, build_testbed, fio, format_table, memo
 from repro.core.policy import ServiceSpec
 
 IO_SIZE = 16 * 1024
@@ -34,7 +34,7 @@ def _mb_fwd_latency(ingress: str, egress: str, placement: str) -> float:
             )
         )
 
-    flow = run(bed, attach())
+    flow = bed.run(attach())
     bed.session = flow.session
     return fio(bed, IO_SIZE, ios_per_thread=40).latency.mean
 

@@ -7,7 +7,7 @@ cutting overall CPU by ~20%.  Both configurations move data at close
 to the storage path's maximum bandwidth (~88 vs ~84 MB/s).
 """
 
-from harness import LEGACY, MB_ACTIVE, build_testbed, format_table, memo, run
+from harness import LEGACY, MB_ACTIVE, build_testbed, format_table, memo
 from repro.services import TenantSideEncryption
 from repro.workloads import FtpTransfer
 
@@ -30,7 +30,7 @@ def _measure():
         bed.vm.cpu.begin_window()
         storage.cpu.begin_window()
         ftp = FtpTransfer(bed.sim, bed.vm, device, bed.cloud.params, file_size=FILE_SIZE)
-        transfer = run(bed, ftp.upload())
+        transfer = bed.run(ftp.upload())
         results["tenant-side"] = {
             "vm": bed.vm.cpu.utilization(),
             "mb": 0.0,
@@ -39,16 +39,17 @@ def _measure():
         }
         # middle-box (AES-256 service, active relay)
         bed = build_testbed(MB_ACTIVE, volume_size=VOLUME, service_kind="encryption")
-        bed.middlebox.service.cpu_per_byte = bed.cloud.params.aes_cpu_per_byte
+        (mb,) = bed.flow.middleboxes
+        mb.service.cpu_per_byte = bed.cloud.params.aes_cpu_per_byte
         storage = bed.cloud.storage_hosts["storage1"]
         bed.vm.cpu.begin_window()
-        bed.middlebox.cpu.begin_window()
+        mb.cpu.begin_window()
         storage.cpu.begin_window()
         ftp = FtpTransfer(bed.sim, bed.vm, bed.session, bed.cloud.params, file_size=FILE_SIZE)
-        transfer = run(bed, ftp.upload())
+        transfer = bed.run(ftp.upload())
         results["middle-box"] = {
             "vm": bed.vm.cpu.utilization(),
-            "mb": bed.middlebox.cpu.utilization(),
+            "mb": mb.cpu.utilization(),
             "target": storage.cpu.utilization(),
             "bandwidth": transfer.throughput,
         }

@@ -9,7 +9,7 @@ working set runs in the guest page cache, so operations are CPU-bound
 — reproduced with the filesystem's ``page_cache`` mode.
 """
 
-from harness import LEGACY, MB_ACTIVE, build_testbed, format_table, memo, normalize, run
+from harness import LEGACY, MB_ACTIVE, build_testbed, format_table, memo, normalize
 from repro.fs import ExtFilesystem, GeneratorDevice, SessionDevice
 from repro.fs.layout import BLOCK_SIZE
 from repro.services import TenantSideEncryption
@@ -32,7 +32,7 @@ def _postmark(mode):
         bed = build_testbed(LEGACY, volume_size=VOLUME)
     else:
         bed = build_testbed(MB_ACTIVE, volume_size=VOLUME, service_kind="encryption")
-        bed.middlebox.service.cpu_per_byte = bed.cloud.params.aes_cpu_per_byte
+        bed.flow.middleboxes[0].service.cpu_per_byte = bed.cloud.params.aes_cpu_per_byte
     ExtFilesystem.mkfs(bed.volume)
     params = bed.cloud.params
     if mode == "tenant":
@@ -41,11 +41,11 @@ def _postmark(mode):
         device = GeneratorDevice(bed.sim, guest_crypt, VOLUME // BLOCK_SIZE)
         inline = params.dmcrypt_spinlock_per_byte
     else:
-        bed.middlebox.service.encrypt_volume(bed.volume)
+        bed.flow.middleboxes[0].service.encrypt_volume(bed.volume)
         device = SessionDevice(bed.session, VOLUME // BLOCK_SIZE)
         inline = 0.0
     fs = ExtFilesystem(bed.sim, device, page_cache=True)
-    run(bed, fs.mount())
+    bed.run(fs.mount())
     job = PostmarkJob(
         bed.sim,
         fs,
@@ -54,8 +54,8 @@ def _postmark(mode):
         params=params,
         inline_cost_per_byte=inline,
     )
-    result = run(bed, job.run())
-    run(bed, fs.flush())  # background writeback, not in the timed window
+    result = bed.run(job.run())
+    bed.run(fs.flush())  # background writeback, not in the timed window
     return result
 
 

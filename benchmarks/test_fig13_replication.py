@@ -12,7 +12,7 @@ Simulation scale: 12 s run with the failure at 6 s (time-compressed;
 rates are stationary within each phase), 2 client VMs × 4 threads.
 """
 
-from harness import MB_ACTIVE, build_testbed, format_table, memo, run
+from harness import MB_ACTIVE, build_testbed, format_table, memo
 from repro.workloads import MySqlServer, OltpClient, OltpConfig, Timeline
 
 VOLUME = 32 * 1024 * 1024
@@ -23,7 +23,7 @@ FAIL_AT = 6.0
 def _oltp(n_replicas, fail_at):
     bed = build_testbed(MB_ACTIVE, volume_size=VOLUME, service_kind="replication")
     cloud, sim = bed.cloud, bed.sim
-    mb = bed.middlebox
+    (mb,) = bed.flow.middleboxes
     extra_hosts = [cloud.add_storage_host(f"storage{i}") for i in range(2, 2 + n_replicas)]
     replicas = []
 
@@ -38,7 +38,7 @@ def _oltp(n_replicas, fail_at):
             )
             replicas.append(mb.service.add_replica(session, f"rep{i}"))
 
-    run(bed, setup())
+    bed.run(setup())
     config = OltpConfig(threads_per_client=4, table_pages=4096)
     server_vm = cloud.boot_vm(bed.tenant, "mysql", cloud.compute_hosts["compute2"])
     server = MySqlServer(sim, server_vm, bed.session, cloud.params, config)
@@ -62,7 +62,7 @@ def _oltp(n_replicas, fail_at):
         for proc in runs:
             yield proc
 
-    run(bed, drive())
+    bed.run(drive())
     return timeline, server, mb
 
 

@@ -10,7 +10,7 @@ observation that page-cached *writes are delayed past the reads* in
 the block-level order.
 """
 
-from harness import LEGACY, build_testbed, run
+from harness import LEGACY, build_testbed
 from repro.core.policy import ServiceSpec
 from repro.fs import ExtFilesystem, SessionDevice, VolumeDevice
 from repro.fs.layout import BLOCK_SIZE
@@ -27,7 +27,7 @@ def _scenario():
     volume = cloud.create_volume(bed.tenant, "boxvol", VOLUME)
     ExtFilesystem.mkfs(volume)
     setup_fs = ExtFilesystem(sim, VolumeDevice(sim, volume))
-    run(bed, setup_fs.mount())
+    bed.run(setup_fs.mount())
 
     def populate():
         for d in range(10):
@@ -35,7 +35,7 @@ def _scenario():
             for f in range(1, 11):
                 yield from setup_fs.write_file(f"/name{d}/{f}.img", size=BLOCK_SIZE)
 
-    run(bed, populate())
+    bed.run(populate())
     # --- attach through a monitoring middle-box ---
     spec = ServiceSpec(
         "mon", "monitor", relay="active", options={"mount_point": "/mnt/box"}
@@ -49,21 +49,21 @@ def _scenario():
             )
         )
 
-    flow = run(bed, attach())
+    flow = bed.run(attach())
     monitor = monitor_mb.service
     # --- tenant VM mounts (write-back cache on, as in a real guest) ---
     fs = ExtFilesystem(
         sim, SessionDevice(flow.session, VOLUME // BLOCK_SIZE), writeback=True
     )
-    run(bed, fs.mount())
+    bed.run(fs.mount())
 
     def table2_ops():
         # Table II: 1* write name1/1.img ; 2** read name9/7.img
         yield from fs.write_file("/name1/1.img", b"\x5a" * (8 * BLOCK_SIZE))
         yield from fs.read_file("/name9/7.img")
 
-    run(bed, table2_ops())
-    run(bed, fs.flush())  # the cached writes finally reach the wire
+    bed.run(table2_ops())
+    bed.run(fs.flush())  # the cached writes finally reach the wire
     return monitor
 
 

@@ -20,22 +20,10 @@ Run:  python examples/chain_failover.py [--trace out.jsonl] [--chrome out.json]
 import argparse
 
 from repro.blockdev.disk import BLOCK_SIZE
-from repro.cloud import CloudController
-from repro.cloud.params import CloudParams
-from repro.core import Reconciler, StorM
-from repro.core.policy import ServiceSpec
+from repro.core import Reconciler
 from repro.core.saga import COMMITTED
-from repro.faults import FaultInjector
-from repro.obs import (
-    ObsBus,
-    events_of,
-    first_trace,
-    format_hop_table,
-    instrument,
-    trace_rows,
-)
-from repro.services import install_default_services
-from repro.sim import Simulator
+from repro.obs import first_trace, format_hop_table, trace_rows
+from repro.testbed import Testbed, assert_at_rest, recovery_params
 from repro.workloads import FioConfig, FioJob
 
 VOLUME_SIZE = 2048 * BLOCK_SIZE
@@ -51,43 +39,19 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    sim = Simulator()
-    params = CloudParams(
-        tcp_reliable=True,
-        tcp_rto=0.02,
-        iscsi_session_recovery=True,
-        iscsi_relogin_backoff=0.02,
+    # the fault timeline rides the same bus as the request spans
+    bed = Testbed(
+        recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02),
+        volume_size=VOLUME_SIZE, obs=True, seed=42,
     )
-    cloud = CloudController(sim, params)
-    for i in (1, 2, 3, 4):
-        cloud.add_compute_host(f"compute{i}")
-    cloud.add_storage_host("storage1")
-    tenant = cloud.create_tenant("acme")
-    vm = cloud.boot_vm(tenant, "app1", cloud.compute_hosts["compute1"])
-    cloud.create_volume(tenant, "data-vol", VOLUME_SIZE)
-
-    bus = ObsBus(sim)
-    storm = StorM(sim, cloud)
-    install_default_services(storm)
-    instrument(bus, storm=storm)  # late-created gateways/boxes self-wire
-    injector = FaultInjector(sim, seed=42, obs=bus)  # fault timeline rides the bus
-
-    chain = [
-        storm.provision_middlebox(
-            tenant, ServiceSpec("fwd-a", "noop", relay="fwd", placement="compute2")
-        ),
-        storm.provision_middlebox(
-            tenant, ServiceSpec("fwd-b", "noop", relay="fwd", placement="compute3")
-        ),
-    ]
-    mb_a, mb_b = chain
-
+    sim, storm, bus, injector = bed.sim, bed.storm, bed.bus, bed.injector
+    flow, (mb_a, mb_b) = bed.attach([
+        bed.spec("fwd-a", relay="fwd", placement="compute2"),
+        bed.spec("fwd-b", relay="fwd", placement="compute3"),
+    ])
     loop = Reconciler(storm, default_policy="fail-open")
 
     def scenario():
-        flow = yield sim.process(
-            storm.attach_with_services(tenant, vm, "data-vol", chain)
-        )
         sim.process(loop.run(interval=0.05, duration=3.0))
 
         # kill fwd-a mid-workload; bring it back 0.6s later
@@ -102,10 +66,9 @@ def main(argv=None):
             seed=7,
         )
         job = FioJob(sim, flow.session, config)
-        result = yield sim.process(job.run())
-        return flow, result
+        return (yield sim.process(job.run()))
 
-    flow, result = sim.run(until=sim.process(scenario()))
+    result = bed.run(scenario())
     sim.run()  # drain the control loop
 
     print("== chain_failover: fio through fwd-a -> fwd-b under a middle-box kill ==")
@@ -113,8 +76,8 @@ def main(argv=None):
         f"fio: {result.completed} IOs in {result.elapsed:.3f}s sim-time "
         f"({result.completed / result.elapsed:,.0f} IOPS) across the failover"
     )
-    bypasses = events_of(bus.records, kind="watchdog.bypass")
-    reinstates = events_of(bus.records, kind="watchdog.reinstate")
+    bypasses = bed.events("watchdog.bypass")
+    reinstates = bed.events("watchdog.reinstate")
     print(
         f"failover: bypass at t={bypasses[0]['ts']:.3f}s "
         f"(dead={bypasses[0]['attrs']['dead']}), "
@@ -153,8 +116,7 @@ def main(argv=None):
         if saga.status == COMMITTED
     ]
     assert steers == [[mb_b.name], [mb_a.name, mb_b.name]], "bypass/reinstate not journaled"
-    assert Reconciler(storm).audit() == [], "reconciler audit found drift"
-    assert storm.intent_log.incomplete() == [], "intent log left in-flight sagas"
+    assert_at_rest(storm)
     assert trace is not None, "no traced write found in the export"
     print(
         "OK: failover absorbed — bypass + reinstate, audit clean, "

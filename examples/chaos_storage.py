@@ -15,15 +15,9 @@ Run:  python examples/chaos_storage.py
 """
 
 from repro.blockdev.disk import BLOCK_SIZE
-from repro.cloud import CloudController
-from repro.cloud.params import CloudParams
-from repro.core import StorM
-from repro.core.policy import ServiceSpec
-from repro.faults import FaultInjector
 from repro.fs import ExtFilesystem
-from repro.obs import ObsBus, events_of, format_timeline, instrument
-from repro.services import install_default_services
-from repro.sim import Simulator
+from repro.obs import format_timeline
+from repro.testbed import Testbed, recovery_params
 from repro.workloads import FioConfig, FioJob
 
 VOLUME_SIZE = 2048 * BLOCK_SIZE
@@ -33,57 +27,23 @@ TIMELINE_PREFIXES = ("fault.", "recover.", "relay.", "replica.")
 
 
 def main():
-    sim = Simulator()
-    params = CloudParams(
-        tcp_reliable=True,
-        tcp_rto=0.02,
-        iscsi_session_recovery=True,
-        iscsi_relogin_backoff=0.02,
+    # the bus every component and the injector report to is the timeline
+    bed = Testbed(
+        recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02),
+        compute_hosts=5, volume_size=VOLUME_SIZE, obs=True, seed=42,
     )
-    cloud = CloudController(sim, params)
-    for i in (1, 2, 3, 4, 5):
-        cloud.add_compute_host(f"compute{i}")
-    storage = cloud.add_storage_host("storage1")
-    replica_host = cloud.add_storage_host("storage2")
-    tenant = cloud.create_tenant("acme")
-    vm = cloud.boot_vm(tenant, "app1", cloud.compute_hosts["compute1"])
-    primary = cloud.create_volume(tenant, "data-vol", VOLUME_SIZE)
+    sim, injector, primary = bed.sim, bed.injector, bed.volume
     ExtFilesystem.mkfs(primary)  # the monitor service inspects the fs layout
-    replica_vol = cloud.create_volume(
-        tenant, "data-replica", VOLUME_SIZE, storage_host=replica_host
-    )
-
-    storm = StorM(sim, cloud)
-    install_default_services(storm)
-    bus = ObsBus(sim)
-    instrument(bus, storm=storm)  # late-created sessions/boxes self-wire
-    injector = FaultInjector(sim, seed=42, obs=bus)
-
-    chain = [
-        storm.provision_middlebox(
-            tenant, ServiceSpec("mon", "monitor", relay="active", placement="compute2")
-        ),
-        storm.provision_middlebox(
-            tenant,
-            ServiceSpec(
-                "enc",
-                "encryption",
-                relay="active",
-                placement="compute3",
-                options={"algorithm": "stream"},
-            ),
-        ),
-        storm.provision_middlebox(
-            tenant, ServiceSpec("rep", "replication", relay="active", placement="compute4")
-        ),
-    ]
+    replica_host, replica_vol = bed.add_replica_target("storage2")
+    flow, chain = bed.attach([
+        bed.spec("mon", "monitor", placement="compute2"),
+        bed.spec("enc", "encryption", placement="compute3", algorithm="stream"),
+        bed.spec("rep", "replication", placement="compute4"),
+    ])
     mon_mb, enc_mb, rep_mb = chain
 
     def scenario():
-        flow = yield sim.process(
-            storm.attach_with_services(tenant, vm, "data-vol", chain)
-        )
-        rep_host = cloud.compute_hosts[rep_mb.host_name]
+        rep_host = bed.cloud.compute_hosts[rep_mb.host_name]
         session = yield sim.process(
             rep_host.initiator.connect(
                 replica_host.storage_iface.ip, replica_vol.iqn, recover=False
@@ -93,7 +53,7 @@ def main():
         sim.process(rep_mb.service.monitor(interval=0.1))
 
         # -- the chaos schedule ------------------------------------------
-        storage_link = storage.storage_iface.link
+        storage_link = bed.storage.storage_iface.link
         injector.flap_link(storage_link, down_at=0.06, down_for=0.05)
         injector.at(0.15, injector.crash, replica_host, 0.25)  # replica kill
         injector.at(0.45, injector.crash, mon_mb, 0.25)  # middle-box crash
@@ -116,9 +76,9 @@ def main():
             if replica.alive and replica.synced_seq == rep_mb.service._write_seq:
                 break
             yield sim.timeout(0.05)
-        return flow, replica, result
+        return replica, result
 
-    flow, replica, result = sim.run(until=sim.process(scenario()))
+    replica, result = bed.run(scenario())
 
     print("== chaos_storage: fio through monitor -> encryption -> replication ==")
     print(
@@ -133,7 +93,7 @@ def main():
     )
     print()
     print("-- recovery timeline (repro.obs bus) --")
-    timeline = [e for e in events_of(bus.records) if e["kind"].startswith(TIMELINE_PREFIXES)]
+    timeline = [e for e in bed.events() if e["kind"].startswith(TIMELINE_PREFIXES)]
     print(format_timeline(timeline))
 
     # -- invariants --------------------------------------------------------

@@ -20,14 +20,7 @@ Run:  python examples/controller_failover.py [--trace out.jsonl] [--chrome out.j
 import argparse
 
 from repro.blockdev.disk import BLOCK_SIZE
-from repro.cloud import CloudController
-from repro.cloud.params import CloudParams
-from repro.core import Reconciler, StorM
-from repro.core.policy import ServiceSpec
-from repro.faults import FaultInjector
-from repro.obs import ObsBus, events_of, instrument
-from repro.services import install_default_services
-from repro.sim import Simulator
+from repro.testbed import Testbed, assert_at_rest, recovery_params
 from repro.workloads import FioConfig, FioJob
 
 VOLUME_SIZE = 2048 * BLOCK_SIZE
@@ -52,37 +45,18 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    sim = Simulator()
-    params = CloudParams(
-        express=True,
-        tcp_reliable=True,
-        tcp_rto=0.02,
-        iscsi_session_recovery=True,
-        iscsi_relogin_backoff=0.02,
+    # the failover timeline rides the trace bus
+    bed = Testbed(
+        recovery_params(express=True, tcp_rto=0.02, iscsi_relogin_backoff=0.02),
+        compute_hosts=3, volume_size=VOLUME_SIZE, ha=True, obs=True, seed=42,
     )
-    cloud = CloudController(sim, params)
-    for i in (1, 2, 3):
-        cloud.add_compute_host(f"compute{i}")
-    cloud.add_storage_host("storage1")
-    tenant = cloud.create_tenant("acme")
-    vm = cloud.boot_vm(tenant, "app1", cloud.compute_hosts["compute1"])
-    cloud.create_volume(tenant, "data-vol", VOLUME_SIZE)
-
-    bus = ObsBus(sim)
-    storm = StorM(sim, cloud, ha=True)
-    install_default_services(storm)
-    instrument(bus, storm=storm)  # the failover timeline rides the trace bus
-    injector = FaultInjector(sim, seed=42, obs=bus)
-
+    sim, storm, bus, injector = bed.sim, bed.storm, bed.bus, bed.injector
     cluster = storm.ha
-    mb = storm.provision_middlebox(
-        tenant, ServiceSpec("fwd-svc", "noop", relay="fwd", placement="compute2")
+    flow, _ = bed.attach(
+        [bed.spec("fwd-svc", relay="fwd", placement="compute2")], egress_host="compute3"
     )
 
     def scenario():
-        flow = yield sim.process(
-            storm.attach_with_services(tenant, vm, "data-vol", [mb])
-        )
         cluster.start()
         # kill whoever leads at t=0.25 mid-fio; resurrect 0.8s later
         injector.at(0.25, injector.crash_leader, cluster, 0.8)
@@ -95,11 +69,10 @@ def main(argv=None):
             region_size=VOLUME_SIZE // 2,
             seed=7,
         )
-        job = FioJob(sim, flow.session, config, vm=vm, params=params)
-        result = yield sim.process(job.run())
-        return flow, result
+        job = FioJob(sim, flow.session, config, vm=bed.vm, params=bed.params)
+        return (yield sim.process(job.run()))
 
-    flow, result = sim.run(until=sim.process(scenario()))
+    result = bed.run(scenario())
     sim.run(until=sim.now + 1.5)  # restart -> rejoin -> catch-up
     cluster.stop()
 
@@ -115,7 +88,7 @@ def main(argv=None):
 
     print()
     print("-- failover timeline (from the shared trace) --")
-    for event in events_of(bus.records):
+    for event in bed.events():
         if event["kind"] not in TIMELINE_KINDS:
             continue
         detail = " ".join(f"{k}={v}" for k, v in sorted(event["attrs"].items()))
@@ -138,16 +111,15 @@ def main(argv=None):
     assert result.errors == 0
     assert cluster.leader_name != "storm-cp0", "leadership never moved"
     assert cluster.term >= 2
-    assert events_of(bus.records, kind="ha.leader"), "no election recorded"
-    assert len(events_of(bus.records, kind="ha.rejoin")) == 1, "ex-leader never rejoined"
+    assert bed.events("ha.leader"), "no election recorded"
+    assert len(bed.events("ha.rejoin")) == 1, "ex-leader never rejoined"
     leader_log = cluster.logs[cluster.leader_name]
     assert all(
         cluster.logs[n.name].last_index == leader_log.last_index
         for n in cluster.nodes
     ), "replica logs diverged"
     assert flow in storm.flows
-    assert Reconciler(storm).audit() == [], "reconciler audit found drift"
-    assert storm.intent_log.incomplete() == [], "intent log left in-flight sagas"
+    assert_at_rest(storm)
     print(
         "OK: leader failover absorbed mid-fio — election + takeover + rejoin, "
         "audit clean, logs level"

@@ -21,16 +21,11 @@ Run:  python examples/hostile_tenant.py [--trace out.jsonl] [--chrome out.json]
 import argparse
 
 from repro.blockdev.disk import BLOCK_SIZE
-from repro.cloud import CloudController
-from repro.cloud.params import CloudParams
-from repro.core import Reconciler, StorM
-from repro.core.policy import ServiceSpec
-from repro.faults import FaultInjector
+from repro.core import Reconciler
 from repro.fs import ExtFilesystem, SessionDevice, fsck
 from repro.integrity import IntegrityError
-from repro.obs import ObsBus, events_of, format_timeline, instrument
-from repro.services import install_default_services
-from repro.sim import Simulator
+from repro.obs import format_timeline
+from repro.testbed import Testbed, recovery_params
 from repro.workloads import HostileWorkload
 
 VOLUME_SIZE = 2048 * BLOCK_SIZE
@@ -50,47 +45,22 @@ def main():
     )
     args = parser.parse_args()
 
-    sim = Simulator()
-    params = CloudParams(
-        integrity=True,
-        tcp_reliable=True,
-        tcp_rto=0.02,
-        iscsi_session_recovery=True,
-        iscsi_relogin_backoff=0.02,
+    # the attack timeline rides the bus
+    bed = Testbed(
+        recovery_params(integrity=True, tcp_rto=0.02, iscsi_relogin_backoff=0.02),
+        volume_size=VOLUME_SIZE, obs=True, seed=42,
     )
-    cloud = CloudController(sim, params)
-    for i in (1, 2, 3, 4):
-        cloud.add_compute_host(f"compute{i}")
-    cloud.add_storage_host("storage1")
-    tenant = cloud.create_tenant("acme")
-    vm = cloud.boot_vm(tenant, "app1", cloud.compute_hosts["compute1"])
-    volume = cloud.create_volume(tenant, "data-vol", VOLUME_SIZE)
+    sim, bus, injector, volume = bed.sim, bed.bus, bed.injector, bed.volume
+    integrity = bed.cloud.integrity
     ExtFilesystem.mkfs(volume)
-
-    storm = StorM(sim, cloud)
-    install_default_services(storm)
-    bus = ObsBus(sim)
-    injector = FaultInjector(sim, seed=42, obs=bus)  # the attack timeline rides the bus
-    instrument(bus, storm=storm)
-    integrity = cloud.integrity
-
-    audit = storm.provision_middlebox(
-        tenant, ServiceSpec("audit", "noop", relay="passive", placement="compute2")
-    )
-    mon = storm.provision_middlebox(
-        tenant,
-        ServiceSpec(
-            "mon", "monitor", relay="active", placement="compute3",
-            options={"mount_point": "/mnt/app1"},
-        ),
-    )
-    dog = Reconciler(storm)
+    flow, (audit, mon) = bed.attach([
+        bed.spec("audit", relay="passive", placement="compute2"),
+        bed.spec("mon", "monitor", placement="compute3", mount_point="/mnt/app1"),
+    ])
+    dog = Reconciler(bed.storm)
     sim.process(dog.run(duration=30.0))
 
     def scenario():
-        flow = yield sim.process(
-            storm.attach_with_services(tenant, vm, "data-vol", [audit, mon])
-        )
         session = flow.session
         iqn = volume.iqn
         fs = ExtFilesystem(sim, SessionDevice(session, VOLUME_SIZE // BLOCK_SIZE))
@@ -141,9 +111,8 @@ def main():
         # legitimate state stayed consistent through the whole campaign
         report = fsck(volume)
         assert report.clean, report
-        return flow, session
 
-    flow, session = sim.run(until=sim.process(scenario()))
+    bed.run(scenario())
 
     detections = integrity.detections
     truth = injector.adversarial
@@ -163,7 +132,7 @@ def main():
     print()
     print("-- attack & recovery timeline (repro.obs bus) --")
     prefixes = ("fault.", "tamper.", "watchdog.")
-    print(format_timeline([e for e in events_of(bus.records) if e["kind"].startswith(prefixes)]))
+    print(format_timeline([e for e in bed.events() if e["kind"].startswith(prefixes)]))
 
     # -- invariants: exactness ---------------------------------------------
     # point attacks (tamper/replay/reorder) match ground truth row for row
@@ -180,8 +149,8 @@ def main():
     # two bursts tripped the breaker: the tamper volley, then the
     # bypass write's rapid-fire retries
     assert integrity.breaker.trips == 2
-    assert len(events_of(bus.records, kind="watchdog.integrity-trip")) == 1
-    assert len(events_of(bus.records, kind="watchdog.integrity-clear")) == 1
+    assert len(bed.events("watchdog.integrity-trip")) == 1
+    assert len(bed.events("watchdog.integrity-clear")) == 1
     assert mon.service.garbage_accesses >= 1, "fuzz never reached the monitor"
     assert bus.metrics.counter("integrity.detections", volume.iqn).value == len(
         detections

@@ -8,36 +8,19 @@ exact same splicing/steering/atomic-attach machinery as block volumes
 Run:  python examples/object_storage.py
 """
 
-from repro.cloud import CloudController
-from repro.core import StorM
-from repro.core.policy import ServiceSpec
 from repro.objstore import ObjectStoreServer
-from repro.services import install_default_services
-from repro.sim import Simulator
+from repro.testbed import Testbed
 
 
 def main():
-    sim = Simulator()
-    cloud = CloudController(sim)
-    for i in (1, 2, 3, 4):
-        cloud.add_compute_host(f"compute{i}")
-    storage = cloud.add_storage_host("storage1")
-    tenant = cloud.create_tenant("acme")
-    vm = cloud.boot_vm(tenant, "vm1", cloud.compute_hosts["compute1"])
-    backing = cloud.create_volume(tenant, "obj-backing", 16 * 1024 * 1024)
+    bed = Testbed(volume_size=16 * 1024 * 1024)
+    sim, storage, backing = bed.sim, bed.storage, bed.volume  # vol1 backs the objects
     server = ObjectStoreServer(sim, storage.stack, storage.storage_iface.ip, backing)
-
-    storm = StorM(sim, cloud)
-    install_default_services(storm)
-    crypt = storm.provision_middlebox(
-        tenant, ServiceSpec("objcrypt", "object-encryption", relay="active")
-    )
+    crypt = bed.storm.provision_middlebox(bed.tenant, bed.spec("objcrypt", "object-encryption"))
 
     def scenario():
         flow = yield sim.process(
-            storm.attach_object_session(
-                tenant, vm, storage.storage_iface.ip, [crypt]
-            )
+            bed.storm.attach_object_session(bed.tenant, bed.vm, storage.storage_iface.ip, [crypt])
         )
         print(f"object session spliced through {crypt.name} (port 8080)")
         secret = b"quarterly numbers: up and to the right" * 20
@@ -52,7 +35,7 @@ def main():
         assert response.data == secret and not at_rest.startswith(b"quarterly")
         print("OK: object flow encrypted by the tenant's middle-box.")
 
-    sim.run(until=sim.process(scenario()))
+    bed.run(scenario())
 
 
 if __name__ == "__main__":

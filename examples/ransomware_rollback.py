@@ -11,32 +11,23 @@ A tenant stacks StorM capabilities around one volume:
 Run:  python examples/ransomware_rollback.py
 """
 
-from repro.cloud import CloudController
-from repro.core import StorM
-from repro.core.policy import ServiceSpec
 from repro.fs import ExtFilesystem, SessionDevice, VolumeDevice, dump_layout, fsck
 from repro.fs.layout import BLOCK_SIZE
 from repro.iscsi.initiator import SessionDead
-from repro.services import install_default_services
-from repro.sim import Simulator
+from repro.testbed import Testbed
 
 VOLUME_SIZE = 64 * 1024 * 1024
 
 
 def main():
-    sim = Simulator()
-    cloud = CloudController(sim)
-    for i in (1, 2, 3, 4):
-        cloud.add_compute_host(f"compute{i}")
-    cloud.add_storage_host("storage1")
-    tenant = cloud.create_tenant("acme")
-    vm = cloud.boot_vm(tenant, "fileserver", cloud.compute_hosts["compute1"])
+    bed = Testbed()
+    sim, cloud, storm, tenant = bed.sim, bed.cloud, bed.storm, bed.tenant
     volume = cloud.create_volume(tenant, "data", VOLUME_SIZE, snapshottable=True)
 
     # provider-side image preparation
     ExtFilesystem.mkfs(volume)
     image = ExtFilesystem(sim, VolumeDevice(sim, volume))
-    sim.run(until=sim.process(image.mount()))
+    bed.run(image.mount())
 
     def prepare():
         yield from image.mkdir("/vault")
@@ -45,20 +36,18 @@ def main():
         for i in range(3):
             yield from image.write_file(f"/docs/report{i}.txt", b"important " * 409 + b"\x00\x00")
 
-    sim.run(until=sim.process(prepare()))
+    bed.run(prepare())
 
-    storm = StorM(sim, cloud)
-    install_default_services(storm)
     monitor_mb = storm.provision_middlebox(
-        tenant, ServiceSpec("ids", "monitor", relay="active", options={"mount_point": "/mnt"})
+        tenant, bed.spec("ids", "monitor", mount_point="/mnt")
     )
     acl_mb = storm.provision_middlebox(
-        tenant, ServiceSpec("acl", "access-control", relay="active", options={"mount_point": "/mnt"})
+        tenant, bed.spec("acl", "access-control", mount_point="/mnt")
     )
 
     def scenario():
         flow = yield sim.process(
-            storm.attach_with_services(tenant, vm, "data", [monitor_mb, acl_mb])
+            storm.attach_with_services(tenant, bed.vm, "data", [monitor_mb, acl_mb])
         )
         acl_mb.service.deny(ops=("write",), path_prefix="/mnt/vault/")
         snapshot = cloud.snapshot_volume("data", "nightly")
@@ -104,7 +93,7 @@ def main():
         print(f"snapshot 'nightly' verified clean (fsck) — {recovered} documents recoverable")
         print("OK: attack logged, vault protected, data recoverable.")
 
-    sim.run(until=sim.process(scenario()))
+    bed.run(scenario())
 
 
 if __name__ == "__main__":

@@ -9,11 +9,7 @@ replica and the database keeps serving transactions.
 Run:  python examples/replicated_database.py
 """
 
-from repro.cloud import CloudController
-from repro.core import StorM
-from repro.core.policy import ServiceSpec
-from repro.services import install_default_services
-from repro.sim import Simulator
+from repro.testbed import Testbed
 from repro.workloads import MySqlServer, OltpClient, OltpConfig, Timeline
 
 VOLUME_SIZE = 32 * 1024 * 1024
@@ -22,33 +18,16 @@ FAIL_AT = 5.0
 
 
 def main():
-    sim = Simulator()
-    cloud = CloudController(sim)
-    for i in (1, 2, 3, 4, 5):
-        cloud.add_compute_host(f"compute{i}")
-    primary_host = cloud.add_storage_host("storage1")
-    replica_hosts = [cloud.add_storage_host("storage2"), cloud.add_storage_host("storage3")]
-    tenant = cloud.create_tenant("acme")
-    db_vm = cloud.boot_vm(tenant, "mysql", cloud.compute_hosts["compute1"])
-    cloud.create_volume(tenant, "db-vol", VOLUME_SIZE, storage_host=primary_host)
-
-    storm = StorM(sim, cloud)
-    install_default_services(storm)
-    replica_mb = storm.provision_middlebox(
-        tenant, ServiceSpec("replica", "replication", relay="active", placement="compute3")
-    )
+    bed = Testbed(compute_hosts=5, volume_size=VOLUME_SIZE)
+    sim, cloud, db_vm = bed.sim, bed.cloud, bed.vm  # the MySQL server VM
+    targets = [bed.add_replica_target("storage2"), bed.add_replica_target("storage3")]
+    flow, (replica_mb,) = bed.attach([bed.spec("replica", "replication", placement="compute3")])
 
     def scenario():
-        flow = yield sim.process(
-            storm.attach_with_services(tenant, db_vm, "db-vol", [replica_mb])
-        )
         # attach two replica volumes to the middle-box
         replicas = []
         mb_host = cloud.compute_hosts[replica_mb.host_name]
-        for i, storage_host in enumerate(replica_hosts, start=1):
-            replica_vol = cloud.create_volume(
-                tenant, f"db-replica{i}", VOLUME_SIZE, storage_host=storage_host
-            )
+        for i, (storage_host, replica_vol) in enumerate(targets, start=1):
             session = yield sim.process(
                 mb_host.initiator.connect(storage_host.storage_iface.ip, replica_vol.iqn)
             )
@@ -61,7 +40,7 @@ def main():
         clients = [
             OltpClient(
                 sim,
-                cloud.boot_vm(tenant, f"client{i}", cloud.compute_hosts["compute5"]),
+                cloud.boot_vm(bed.tenant, f"client{i}", cloud.compute_hosts["compute5"]),
                 db_vm.ip,
                 config,
                 timeline,
@@ -85,7 +64,7 @@ def main():
         assert server.errors == 0
         print("OK: the database survived the replica failure.")
 
-    sim.run(until=sim.process(scenario()))
+    bed.run(scenario())
 
 
 if __name__ == "__main__":

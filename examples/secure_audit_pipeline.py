@@ -13,49 +13,31 @@ encryption box keeps the volume ciphertext at rest.
 Run:  python examples/secure_audit_pipeline.py
 """
 
-from repro.cloud import CloudController
-from repro.core import StorM
-from repro.core.policy import ServiceSpec
-from repro.fs import ExtFilesystem, SessionDevice
+from repro.fs import ExtFilesystem, SessionDevice, dump_layout
 from repro.fs.layout import BLOCK_SIZE
-from repro.services import install_default_services
-from repro.sim import Simulator
+from repro.testbed import Testbed
 
 VOLUME_SIZE = 64 * 1024 * 1024
 
 
 def main():
-    sim = Simulator()
-    cloud = CloudController(sim)
-    for i in (1, 2, 3, 4):
-        cloud.add_compute_host(f"compute{i}")
-    cloud.add_storage_host("storage1")
-    tenant = cloud.create_tenant("acme")
-    vm = cloud.boot_vm(tenant, "vm1", cloud.compute_hosts["compute1"])
-    volume = cloud.create_volume(tenant, "vol1", VOLUME_SIZE)
+    bed = Testbed(volume_size=VOLUME_SIZE)
+    sim, storm, tenant, volume = bed.sim, bed.storm, bed.tenant, bed.volume
     ExtFilesystem.mkfs(volume)
-
-    storm = StorM(sim, cloud)
-    install_default_services(storm)
     monitor_mb = storm.provision_middlebox(
-        tenant,
-        ServiceSpec("audit", "monitor", relay="active", options={"mount_point": "/mnt/box"}),
+        tenant, bed.spec("audit", "monitor", mount_point="/mnt/box")
     )
-    crypt_mb = storm.provision_middlebox(
-        tenant, ServiceSpec("crypt", "encryption", relay="active")
-    )
+    crypt_mb = storm.provision_middlebox(tenant, bed.spec("crypt", "encryption"))
     # monitor first (sees plaintext for reconstruction), then encryption
     chain = [monitor_mb, crypt_mb]
     # the monitor's view comes from the plaintext image; after this the
     # at-rest copy is converted to ciphertext under the tenant's key
-    from repro.fs import dump_layout
-
     monitor_mb.service.use_view(dump_layout(volume, mount_point="/mnt/box"))
     crypt_mb.service.encrypt_volume(volume)
 
     def scenario():
         flow = yield sim.process(
-            storm.attach_with_services(tenant, vm, "vol1", chain)
+            storm.attach_with_services(tenant, bed.vm, "vol1", chain)
         )
         print(f"chain: VM -> {' -> '.join(mb.name for mb in chain)} -> storage")
 
@@ -84,7 +66,7 @@ def main():
         assert not at_rest.startswith(b"revenue")
         print("OK: audited in plaintext, stored as ciphertext.")
 
-    sim.run(until=sim.process(scenario()))
+    bed.run(scenario())
 
 
 if __name__ == "__main__":

@@ -14,13 +14,10 @@ tenant VM keeps writing.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.blockdev.volume import Volume
-
-_snapshot_ids = itertools.count(1)
 
 
 class SnapshotVolume:
@@ -29,7 +26,6 @@ class SnapshotVolume:
     def __init__(self, origin: "SnapshottableVolume", name: str):
         self.origin = origin
         self.name = name
-        self.snapshot_id = next(_snapshot_ids)
         self.size = origin.size
         self.iqn: Optional[str] = None
         #: private copies of origin blocks overwritten after the snapshot

@@ -7,11 +7,7 @@ deployment creates volume groups from one 1 TB physical volume.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.blockdev.disk import BLOCK_SIZE, Disk
-
-_volume_ids = itertools.count(1)
 
 
 class Volume:
@@ -24,7 +20,6 @@ class Volume:
         self.name = name
         self.base_offset = base_offset
         self.size = size
-        self.volume_id = next(_volume_ids)
         #: iSCSI qualified name, assigned when exported by a target.
         self.iqn: str | None = None
 

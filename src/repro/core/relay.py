@@ -149,8 +149,6 @@ class ActiveRelay:
     dropped by the initiator's task-tag table.
     """
 
-    _entry_ids = itertools.count(1)
-
     def __init__(
         self,
         sim: Simulator,
@@ -191,6 +189,7 @@ class ActiveRelay:
         #: that the target executed the command, so a crash between the
         #: two would lose a write the relay already ACKed to the VM.
         self.nvm: dict[int, NvmEntry] = {}
+        self._entry_ids = itertools.count(1)
         #: task_tag -> entry_id for journaled upstream commands, so the
         #: matching downstream response retires the right entry
         self._command_entries: dict[int, int] = {}

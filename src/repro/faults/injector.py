@@ -547,7 +547,7 @@ class FaultInjector:
         fed; the monitor must survive every one of them (no exception,
         bounded state, still logging afterwards)."""
         from repro.fs.layout import BLOCK_SIZE
-        from repro.iscsi.pdu import ScsiCommandPdu, next_task_tag
+        from repro.iscsi.pdu import ScsiCommandPdu
         from repro.workloads.hostile import hostile_dirent_corpus
 
         rng = self.rng.child("fuzz:monitor")
@@ -556,14 +556,14 @@ class FaultInjector:
         for i, payload in enumerate(corpus):
             pdu = ScsiCommandPdu(
                 "write", base_offset + i * BLOCK_SIZE, BLOCK_SIZE,
-                next_task_tag(), payload,
+                next(self.sim.task_tags), payload,
             )
             monitor.transform_upstream(pdu)
             fed += 1
         for _ in range(misaligned):
             offset = base_offset + rng.randint(1, BLOCK_SIZE - 1)
             pdu = ScsiCommandPdu(
-                "write", offset, BLOCK_SIZE, next_task_tag(),
+                "write", offset, BLOCK_SIZE, next(self.sim.task_tags),
                 rng.randbytes(BLOCK_SIZE),
             )
             monitor.transform_upstream(pdu)

@@ -28,7 +28,6 @@ from repro.iscsi.pdu import (
     LoginResponsePdu,
     ScsiCommandPdu,
     ScsiResponsePdu,
-    next_task_tag,
 )
 from repro.net.stack import NetworkStack
 from repro.net.tcp import ConnectionReset, EOF, RESET, TcpSocket
@@ -92,11 +91,11 @@ class IscsiSession:
 
     def read(self, offset: int, length: int) -> Event:
         """Returns an event yielding the read payload bytes (or None)."""
-        return self._issue(ScsiCommandPdu("read", offset, length, next_task_tag()))
+        return self._issue(ScsiCommandPdu("read", offset, length, next(self.sim.task_tags)))
 
     def write(self, offset: int, length: int, data: Optional[bytes] = None) -> Event:
         """Returns an event that fires when the target acknowledges."""
-        return self._issue(ScsiCommandPdu("write", offset, length, next_task_tag(), data))
+        return self._issue(ScsiCommandPdu("write", offset, length, next(self.sim.task_tags), data))
 
     def _issue(self, command: ScsiCommandPdu) -> Event:
         if not self.alive:

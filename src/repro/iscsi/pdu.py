@@ -7,18 +7,11 @@ is what TCP charges for the transfer.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 BHS_SIZE = 48
 ISCSI_PORT = 3260
-
-_task_tags = itertools.count(1)
-
-
-def next_task_tag() -> int:
-    return next(_task_tags)
 
 
 def volume_iqn(volume_name: str) -> str:

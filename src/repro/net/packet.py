@@ -9,14 +9,11 @@ for serialization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, NamedTuple
 
 #: L2/L3/L4 header bytes charged on every packet (Ethernet+IP+TCP).
 HEADER_BYTES = 66
-
-_packet_ids = itertools.count(1)
 
 
 class FiveTuple(NamedTuple):
@@ -45,7 +42,6 @@ class Packet:
     protocol: str = "tcp"
     size: int = HEADER_BYTES
     payload: Any = None
-    packet_id: int = field(default_factory=_packet_ids.__next__)
     #: Names of nodes traversed, appended by each hop (used by tests and
     #: the steering verifier to prove which middle-boxes saw the flow).
     trace: list[str] = field(default_factory=list)
@@ -69,16 +65,12 @@ class Packet:
             ctx.hop(node_name, self, ctx.bus.now)
 
     def copy(self) -> "Packet":
-        """Independent copy (fresh id, shared payload object, copied trace)."""
-        return replace(
-            self,
-            packet_id=next(_packet_ids),
-            trace=list(self.trace),
-        )
+        """Independent copy (shared payload object, copied trace)."""
+        return replace(self, trace=list(self.trace))
 
     def __repr__(self) -> str:  # compact for debugging
         return (
-            f"Packet#{self.packet_id}({self.protocol} "
+            f"Packet({self.protocol} "
             f"{self.src_ip}:{self.src_port}->{self.dst_ip}:{self.dst_port} "
             f"dmac={self.dst_mac} {self.size}B)"
         )

@@ -154,16 +154,13 @@ class NetworkStack:
         if self._x_on_change is not None:
             self._x_on_change()
 
-    #: Globally unique ephemeral ports: source ports identify flows at
-    #: gateways and in steering rules, so cross-host collisions (two
-    #: stacks picking 49152) would alias flows.  Real deployments rely on
-    #: the (ip, port) pair; a shared counter is the simulation shortcut.
-    _ephemeral_port_counter = 49152
-
     def allocate_port(self) -> int:
-        port = NetworkStack._ephemeral_port_counter
-        NetworkStack._ephemeral_port_counter += 1
-        return port
+        """An ephemeral port unique across the whole simulated cloud:
+        source ports identify flows at gateways and in steering rules, so
+        two stacks both picking 49152 would alias flows.  Real deployments
+        rely on the (ip, port) pair; one allocator per run, on the
+        Simulator, is the simulation's shortcut."""
+        return next(self.sim.ports)
 
     # -- TCP demux -----------------------------------------------------
 

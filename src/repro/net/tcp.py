@@ -25,7 +25,6 @@ semantics, which every consumer in this codebase already handles.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
@@ -33,8 +32,6 @@ from typing import Any, Callable, Generator, Optional
 from repro.sim import Event, Simulator, Store
 from repro.net.packet import HEADER_BYTES, Packet
 from repro.net.stack import NetworkStack
-
-_message_ids = itertools.count(1)
 
 DEFAULT_MSS = 4096
 DEFAULT_WINDOW = 65536
@@ -253,7 +250,7 @@ class TcpSocket:
             raise ConnectionReset("send on reset connection")
         if self._closing:
             raise ConnectionReset("send after close()")
-        message_id = next(_message_ids)
+        message_id = next(self.sim.message_ids)
         self._tx_outstanding += 1
         self._tx_queue.put(("msg", message_id, message, size))
         return message_id
@@ -265,7 +262,7 @@ class TcpSocket:
             raise ConnectionReset("send on reset connection")
         if self._closing:
             raise ConnectionReset("send after close()")
-        handle = StreamHandle(self.sim, next(_message_ids), total_size)
+        handle = StreamHandle(self.sim, next(self.sim.message_ids), total_size)
         self._tx_outstanding += 1
         self._tx_queue.put(("stream", handle))
         return handle

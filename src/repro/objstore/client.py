@@ -8,6 +8,7 @@ just on the object port.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from repro.net.stack import NetworkStack
@@ -18,7 +19,6 @@ from repro.objstore.protocol import (
     ListRequest,
     OBJECT_PORT,
     PutRequest,
-    next_request_id,
 )
 from repro.sim import Event, Simulator
 
@@ -36,11 +36,13 @@ class ObjectStoreSession:
         self.local_port = socket.local_port
         self.alive = True
         self._pending: dict[int, Event] = {}
+        self._request_ids = itertools.count(1)
         sim.process(self._receiver(), name="objstore-rx")
 
     def _issue(self, request) -> Event:
         if not self.alive:
             raise ObjectStoreDead("session is down")
+        request.request_id = next(self._request_ids)
         done = self.sim.event()
         self._pending[request.request_id] = done
         self.socket.send(request, request.wire_size)
@@ -50,16 +52,16 @@ class ObjectStoreSession:
         if data is None and size is None:
             raise ValueError("put needs data or size")
         size = len(data) if data is not None else size
-        return self._issue(PutRequest(bucket, key, size, data, next_request_id()))
+        return self._issue(PutRequest(bucket, key, size, data))
 
     def get(self, bucket: str, key: str) -> Event:
-        return self._issue(GetRequest(bucket, key, next_request_id()))
+        return self._issue(GetRequest(bucket, key))
 
     def delete(self, bucket: str, key: str) -> Event:
-        return self._issue(DeleteRequest(bucket, key, next_request_id()))
+        return self._issue(DeleteRequest(bucket, key))
 
     def list(self, bucket: str) -> Event:
-        return self._issue(ListRequest(bucket, next_request_id()))
+        return self._issue(ListRequest(bucket))
 
     def close(self) -> None:
         self.alive = False

@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 OBJECT_PORT = 8080
 HEADER = 64  # request/response framing bytes
-
-_request_ids = itertools.count(1)
-
-
-def next_request_id() -> int:
-    return next(_request_ids)
 
 
 @dataclass

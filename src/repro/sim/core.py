@@ -24,6 +24,7 @@ instead of paying ``list.remove`` on the event's callback list.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable
@@ -273,7 +274,10 @@ class Simulator:
     """The event loop: virtual clock, a deferred FIFO for same-time
     occurrences, and a time-ordered heap for true timeouts and calls."""
 
-    __slots__ = ("now", "_heap", "_deferred", "_sequence", "express")
+    __slots__ = (
+        "now", "_heap", "_deferred", "_sequence", "express",
+        "ports", "task_tags", "message_ids",
+    )
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -286,6 +290,15 @@ class Simulator:
         #: — installed by the cloud controller when express mode is on;
         #: ``None`` keeps every hook in the packet path branch-free.
         self.express: Any = None
+        #: this run's allocators for the ids looked up across owners:
+        #: ephemeral ports (gateways and steering rules identify a flow by
+        #: its source port cloud-wide), iSCSI task tags (a relay keys its
+        #: journal by tag over every session crossing it) and TCP message
+        #: ids.  A new Simulator starts them over, so a run never sees
+        #: another run's history.
+        self.ports = itertools.count(49152)
+        self.task_tags = itertools.count(1)
+        self.message_ids = itertools.count(1)
 
     # -- scheduling --------------------------------------------------
 

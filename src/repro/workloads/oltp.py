@@ -95,8 +95,6 @@ class MySqlServer:
 class OltpClient:
     """A Sysbench instance: N request threads from one client VM."""
 
-    _txn_ids = itertools.count(1)
-
     def __init__(
         self,
         sim: Simulator,
@@ -111,6 +109,7 @@ class OltpClient:
         self.config = config
         self.timeline = timeline
         self.completed = 0
+        self._txn_ids = itertools.count(1)
 
     def run(self, duration: float):
         """Process: hammer the server for ``duration`` seconds."""

@@ -3,12 +3,12 @@
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.workloads import FioConfig, FioJob
 
-from tests.core.conftest import StormEnv
+from tests.core.conftest import storm_env
 
 
 def spliced_fio_run(seed: int):
     """One spliced active-relay Fio run; returns reproducible facts."""
-    env = StormEnv(volume_size=2048 * BLOCK_SIZE)
+    env = storm_env(volume_size=2048 * BLOCK_SIZE)
     flow, (mb,) = env.attach([env.spec(kind="xor", relay="active")])
     config = FioConfig(
         io_size=2 * BLOCK_SIZE,
@@ -47,10 +47,7 @@ def test_full_platform_deploy_is_deterministic():
     from repro.core.policy import parse_policy
 
     def one_deploy():
-        env = StormEnv()
-        from repro.services import install_default_services
-
-        install_default_services(env.storm)
+        env = storm_env()
         policy = parse_policy(
             {
                 "tenant": "acme",

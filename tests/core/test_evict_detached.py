@@ -12,7 +12,7 @@ benchmarks.
 from repro.cloud import CloudParams
 from repro.obs import ObsBus, instrument
 
-from tests.core.conftest import StormEnv
+from tests.core.conftest import storm_env
 
 
 def _attach(env):
@@ -28,7 +28,7 @@ def _conntrack_total(env):
 
 
 def test_detach_evicts_conntrack_and_gateways():
-    env = StormEnv(params=CloudParams(evict_detached=True))
+    env = storm_env(params=CloudParams(evict_detached=True))
     flow = _attach(env)
     assert env.storm.gateway_pairs != {}
     assert _conntrack_total(env) > 0
@@ -44,7 +44,7 @@ def test_detach_evicts_conntrack_and_gateways():
 
 
 def test_reattach_after_eviction_works():
-    env = StormEnv(params=CloudParams(evict_detached=True))
+    env = storm_env(params=CloudParams(evict_detached=True))
     first = _attach(env)
     env.storm.detach(first)
     second = _attach(env)
@@ -55,11 +55,11 @@ def test_reattach_after_eviction_works():
 
 
 def test_gateways_survive_while_other_flows_remain():
-    env = StormEnv(params=CloudParams(evict_detached=True))
+    env = storm_env(params=CloudParams(evict_detached=True))
     first = _attach(env)
     vm2 = env.cloud.boot_vm(env.tenant, "vm2", env.cloud.compute_hosts["compute2"])
     env.cloud.create_volume(env.tenant, "vol2", env.volume.size)
-    mb = env.storm.provision_middlebox(env.tenant, env.spec(placement="compute3"))
+    mb = env.storm.provision_middlebox(env.tenant, env.spec(relay="fwd", placement="compute3"))
 
     def attach_second():
         return (
@@ -81,7 +81,7 @@ def test_gateways_survive_while_other_flows_remain():
 
 
 def test_detach_evicts_tenant_metric_scope():
-    env = StormEnv(params=CloudParams(evict_detached=True))
+    env = storm_env(params=CloudParams(evict_detached=True))
     bus = ObsBus(env.sim)
     instrument(bus, storm=env.storm)
     flow = _attach(env)
@@ -93,7 +93,7 @@ def test_detach_evicts_tenant_metric_scope():
 
 
 def test_default_detach_keeps_prefleet_behavior():
-    env = StormEnv()  # evict_detached defaults to False
+    env = storm_env()  # evict_detached defaults to False
     flow = _attach(env)
     pinned = _conntrack_total(env)
     assert pinned > 0

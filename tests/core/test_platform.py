@@ -77,13 +77,13 @@ def test_two_middlebox_chain_traverses_both_in_order(env):
         [env.spec(name="first", relay="fwd"), env.spec(name="second", relay="fwd")]
     )
     hops = {mb1.name: [], mb2.name: []}
-    mb1.stack.packet_taps.append(lambda p, i: hops[mb1.name].append(p.packet_id))
-    mb2.stack.packet_taps.append(lambda p, i: hops[mb2.name].append(p.packet_id))
+    mb1.stack.packet_taps.append(lambda p, i: hops[mb1.name].append(p))
+    mb2.stack.packet_taps.append(lambda p, i: hops[mb2.name].append(p))
     payload, read_back = io_roundtrip(env, flow)
     assert read_back == payload
     assert hops[mb1.name] and hops[mb2.name]
     # at least one upstream packet passed mb1 before mb2
-    common = set(hops[mb1.name]) & set(hops[mb2.name])
+    common = {id(p) for p in hops[mb1.name]} & {id(p) for p in hops[mb2.name]}
     assert common, "no packet traversed both middle-boxes"
 
 

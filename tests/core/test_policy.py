@@ -11,7 +11,7 @@ from repro.core.policy import (
     parse_policy,
 )
 
-from tests.core.conftest import StormEnv
+from tests.core.conftest import storm_env
 
 
 def sample_policy_dict():
@@ -68,7 +68,7 @@ def test_validate_rejects_zero_vcpus():
 
 
 def test_deploy_policy_end_to_end():
-    env = StormEnv()
+    env = storm_env()
     policy = parse_policy(sample_policy_dict())
 
     def deploy():
@@ -94,7 +94,7 @@ def test_deploy_policy_end_to_end():
 
 
 def test_deploy_policy_unknown_tenant():
-    env = StormEnv()
+    env = storm_env()
     policy = TenantPolicy(tenant="ghost")
 
     def deploy():
@@ -145,13 +145,13 @@ def test_failed_deploy_leaves_nothing_behind(env, chains, error):
 
 
 def test_deploy_policy_unknown_kind():
-    env = StormEnv()
+    env = storm_env()
     with pytest.raises(PolicyError, match="unknown service kind"):
         env.storm.provision_middlebox(env.tenant, ServiceSpec("s", "warp-drive"))
 
 
 def test_placement_respected():
-    env = StormEnv()
+    env = storm_env()
     spec = ServiceSpec("pinned", "noop", relay="fwd", placement="compute3")
     mb = env.storm.provision_middlebox(env.tenant, spec)
     assert mb.host_name == "compute3"

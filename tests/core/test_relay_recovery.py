@@ -1,15 +1,6 @@
 """Active-relay NVM journal and downstream-failure recovery."""
 
-import pytest
-
 from repro.blockdev.disk import BLOCK_SIZE
-
-from tests.core.conftest import StormEnv
-
-
-@pytest.fixture
-def env():
-    return StormEnv()
 
 
 def attach_active(env, **relay_kw):

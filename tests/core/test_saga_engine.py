@@ -16,8 +16,8 @@ from repro.core.saga import (
 from repro.faults import FaultInjector
 from repro.sim import Simulator
 
-from tests.core.conftest import StormEnv
-from tests.faults.conftest import FaultEnv
+from tests.core.conftest import storm_env
+from tests.faults.conftest import fault_env
 
 
 def recording_steps(sim, names, pivot=None, yielding=()):
@@ -302,7 +302,7 @@ def crash_mid_attach(env, step_name, crash):
 )
 def test_recover_and_takeover_resolve_alike(step_name, expected):
     # single node: the restart hook runs StorM.recover
-    single = FaultEnv()
+    single = fault_env()
     node = single.storm.controller
     summaries = []
     node.on_restart = lambda: summaries.append(single.storm.recover())
@@ -312,7 +312,7 @@ def test_recover_and_takeover_resolve_alike(step_name, expected):
     single.sim.run()
 
     # HA: a different replica wins the election and takes over
-    ha = FaultEnv(ha=True)
+    ha = fault_env(ha=True)
     cluster = ha.storm.ha
     cluster.start()
     crash_mid_attach(ha, step_name, lambda: ha.injector.crash_leader(cluster))
@@ -333,7 +333,7 @@ def test_recover_and_takeover_resolve_alike(step_name, expected):
 def test_bare_storm_survives_a_controller_crash_mid_attach():
     """No option switches journaling on: ``StorM(sim, cloud)`` is
     already crash-recoverable."""
-    env = StormEnv()
+    env = storm_env()
     injector = FaultInjector(env.sim, seed=1)
     crash_mid_attach(
         env,

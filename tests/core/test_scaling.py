@@ -5,10 +5,11 @@ import pytest
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.core.policy import PolicyError
 from repro.core.scaling import MiddleboxAutoscaler
-from repro.obs import ObsBus, events_of, instrument
+from repro.obs import events_of
 from repro.workloads import FioConfig, FioJob
 
-from tests.core.conftest import StormEnv
+from tests.conftest import at_rest
+from tests.core.conftest import storm_env
 
 
 def build_flows(env, n_flows=3):
@@ -58,10 +59,7 @@ def pool_actions(env):
 
 @pytest.fixture
 def env():
-    env = StormEnv()
-    env.bus = ObsBus(env.sim)
-    instrument(env.bus, storm=env.storm)
-    return env
+    yield from at_rest(storm_env(obs=True))
 
 
 def test_autoscaler_grows_under_load_and_rebalances(env):

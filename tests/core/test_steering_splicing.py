@@ -1,7 +1,5 @@
 """Unit tests for the splicing/steering/attribution building blocks."""
 
-import pytest
-
 from repro.core.attribution import ConnectionAttributor
 from repro.core.splicing import (
     create_gateway_pair,
@@ -10,13 +8,6 @@ from repro.core.splicing import (
 )
 from repro.core.steering import SteeringChain, build_chain_rules
 from repro.net.switch import ModDstMac
-
-from tests.core.conftest import StormEnv
-
-
-@pytest.fixture
-def env():
-    return StormEnv()
 
 
 def make_gateways(env):

@@ -49,10 +49,12 @@ from benchmarks.harness import (
     MB_ACTIVE,
     MB_FWD,
     MB_PASSIVE,
-    build_testbed,
+    VOLUME_SIZE,
+    attach_mode,
     fio,
     fio_point,
 )
+from repro.cloud import CloudParams
 from repro.core import ControllerCrashed
 from repro.fleet.generator import run_fleet
 from repro.net import (
@@ -67,9 +69,8 @@ from repro.net import (
 )
 from repro.obs import ObsBus, instrument
 from repro.sim import Simulator, Store
+from repro.testbed import Testbed, recovery_params
 
-from tests.faults.conftest import recovery_params
-from tests.ha.conftest import ha_env
 from tests.obs.test_trace_determinism import traced_fio_export
 
 PINNED_PATH = Path(__file__).with_name("pinned.json")
@@ -173,7 +174,8 @@ def fio_full(mode: str, threads: int, ios_per_thread: int, express: bool = False
     """End-to-end 16 KB fio on the paper's testbed, events included.
     ``express=True`` runs the identical workload over the flow-level
     fast path: fewer events, simulated results equal to the last bit."""
-    bed = build_testbed(mode, express=express)
+    bed = Testbed(CloudParams(express=express), compute_hosts=5, volume_size=VOLUME_SIZE)
+    attach_mode(bed, mode)
     result = fio(bed, 16 * KB, threads=threads, ios_per_thread=ios_per_thread)
     out = {
         "events": bed.sim._sequence,
@@ -196,11 +198,16 @@ def _round6(value: float) -> float:
     return round(value, 6)
 
 
+def ha_bed() -> Testbed:
+    """The recoverable, instrumented bed with the replicated control plane."""
+    return Testbed(recovery_params(), ha=True, obs=True)
+
+
 def election() -> dict:
     """Crash the cluster leader repeatedly; downtime per round is the
     simulated time from the crash to the next ``ha.leader`` event."""
     rounds = 3
-    env = ha_env()
+    env = ha_bed()
     cluster = env.storm.ha
     env.attach([env.spec(name="svc", relay="fwd")])
     cluster.start()
@@ -229,7 +236,7 @@ def saga_takeover() -> dict:
     """Kill the leader mid-attach right after the pivot-adjacent
     ``narrow`` step; how long the survivors take to elect and resolve
     the in-flight saga, and which way it resolved."""
-    env = ha_env()
+    env = ha_bed()
     storm = env.storm
     cluster = storm.ha
     mb = storm.provision_middlebox(env.tenant, env.spec(name="svc", relay="fwd"))
@@ -276,7 +283,7 @@ def ship_lag() -> dict:
     """Attach/detach churn through the replicated intent log; per-entry
     replication lag percentiles from the ``ha.ship.lag`` histogram."""
     cycles = 6
-    env = ha_env(params=recovery_params())
+    env = ha_bed()
     storm = env.storm
     cluster = storm.ha
     bus = ObsBus(env.sim, keep_samples=True)

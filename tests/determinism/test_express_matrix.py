@@ -14,9 +14,11 @@ refused would pass equivalence vacuously).
 import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.cloud import CloudParams
 from repro.core.policy import ServiceSpec
 from repro.fs import ExtFilesystem, SessionDevice
 from repro.obs import ObsBus, instrument
+from repro.testbed import Testbed
 from repro.workloads import (
     MySqlServer,
     OltpClient,
@@ -26,15 +28,22 @@ from repro.workloads import (
     Timeline,
 )
 
-from benchmarks.harness import LEGACY, MB_ACTIVE, MB_FWD, MB_PASSIVE, build_testbed, fio
-from tests.core.conftest import StormEnv
+from benchmarks.harness import (
+    LEGACY, MB_ACTIVE, MB_FWD, MB_PASSIVE, VOLUME_SIZE, attach_mode, build_testbed, fio,
+)
 from tests.workloads.test_fio import legacy_session
+
+
+def _bed(mode, express):
+    """``build_testbed(mode)``, express on or off."""
+    bed = Testbed(CloudParams(express=express), compute_hosts=5, volume_size=VOLUME_SIZE)
+    return attach_mode(bed, mode)
 
 
 def _fio_stream(mode, io_size, ios, express):
     """Application-visible event stream of one fio run: per-IO latency
     samples in completion order plus the summary counters."""
-    bed = build_testbed(mode, express=express)
+    bed = _bed(mode, express)
     result = fio(bed, io_size, ios_per_thread=ios)
     stream = (
         result.completed,
@@ -84,7 +93,7 @@ def test_fio_express_stream_identical_whatever_the_learners_find(mode, outcome):
 def _side_effect_totals(express):
     """Everything a packet leaves behind on the elements it crosses,
     after an instrumented MB-ACTIVE fio run driven to quiescence."""
-    bed = build_testbed(MB_ACTIVE, express=express)
+    bed = _bed(MB_ACTIVE, express)
     bus = ObsBus(bed.sim)
     instrument(bus, storm=bed.storm)
     fio(bed, 16 * 1024, ios_per_thread=60)
@@ -123,7 +132,7 @@ def test_learned_plan_replays_every_per_hop_side_effect():
 
 def _fio_across_reconfigure(express):
     """MB-FWD fio with the chain swapped to a spare middle-box mid-run."""
-    bed = build_testbed(MB_FWD, express=express)
+    bed = _bed(MB_FWD, express)
     spare = bed.storm.provision_middlebox(
         bed.tenant, ServiceSpec("spare", "noop", relay="fwd", placement="compute5")
     )
@@ -174,7 +183,7 @@ def test_fio_express_identical_on_the_tie_heavy_seed():
 
 
 def _oltp_stream(express):
-    env = StormEnv(volume_size=4096 * BLOCK_SIZE, express=express)
+    env = Testbed(CloudParams(express=express), volume_size=4096 * BLOCK_SIZE)
     session = legacy_session(env)
     config = OltpConfig(threads_per_client=2, table_pages=1024)
     server = MySqlServer(env.sim, env.vm, session, env.cloud.params, config)
@@ -208,7 +217,7 @@ def test_oltp_express_stream_identical():
 
 
 def _postmark_stream(express):
-    env = StormEnv(volume_size=8192 * BLOCK_SIZE, express=express)
+    env = Testbed(CloudParams(express=express), volume_size=8192 * BLOCK_SIZE)
     session = legacy_session(env)
     device = SessionDevice(session, env.volume.size // BLOCK_SIZE)
     ExtFilesystem.mkfs(env.volume)

@@ -9,18 +9,19 @@ runs, and a different injector seed produces a different run.
 """
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.testbed import recovery_params
 from repro.workloads import FioConfig, FioJob
 
-from tests.faults.conftest import FaultEnv, recovery_params
+from tests.faults.conftest import fault_env
 
 REGION = 512 * BLOCK_SIZE
 
 
 def faulted_fio(fault_seed):
     """One lossy fio run; returns a bit-comparable snapshot."""
-    env = FaultEnv(seed=fault_seed, params=recovery_params(tcp_rto=0.02))
+    env = fault_env(seed=fault_seed, params=recovery_params(tcp_rto=0.02))
     flow, _mbs = env.attach([env.spec(placement="compute3")])
-    faults = env.injector.lossy_link(env.storage_link(), drop=0.03)
+    faults = env.injector.lossy_link(env.storage.storage_iface.link, drop=0.03)
 
     config = FioConfig(
         io_size=2 * BLOCK_SIZE,
@@ -41,7 +42,7 @@ def faulted_fio(fault_seed):
         "dropped": faults.dropped,
         "end": env.sim.now,
         "volume": env.volume.read_sync(0, REGION),
-        "timeline": env.portless_timeline(),
+        "timeline": env.events(),
     }
 
 

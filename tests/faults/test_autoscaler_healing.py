@@ -7,13 +7,15 @@ import pytest
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.core.policy import PolicyError
 from repro.core.scaling import MiddleboxAutoscaler
+from repro.testbed import recovery_params
 
-from tests.faults.conftest import FaultEnv, recovery_params
+from tests.conftest import at_rest
+from tests.faults.conftest import fault_env
 
 
 @pytest.fixture
 def env():
-    return FaultEnv(params=recovery_params(tcp_rto=0.02))
+    yield from at_rest(fault_env(params=recovery_params(tcp_rto=0.02)))
 
 
 def build_fwd_flows(env, n_flows=2):

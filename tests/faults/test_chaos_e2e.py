@@ -10,8 +10,9 @@ from repro.blockdev.disk import BLOCK_SIZE
 from repro.core.policy import ServiceSpec
 from repro.fs import ExtFilesystem, SessionDevice
 from repro.fs.fsck import fsck
+from repro.testbed import recovery_params
 
-from tests.faults.conftest import FaultEnv, recovery_params
+from tests.faults.conftest import fault_env
 
 
 def _params():
@@ -24,7 +25,7 @@ def _block(value):
 
 def chaos_run(seed):
     """One full chaos scenario; returns a comparable snapshot."""
-    env = FaultEnv(seed=seed, params=_params())
+    env = fault_env(seed=seed, params=_params())
     spec = ServiceSpec("rep", "replication", relay="active", placement="compute3")
     flow, (mb,) = env.attach([spec])
     mb_host = env.cloud.compute_hosts[mb.host_name]
@@ -40,7 +41,7 @@ def chaos_run(seed):
     env.sim.process(mb.service.monitor(interval=0.1))
 
     # the chaos: lossy storage path + two scheduled crash/restarts
-    env.injector.lossy_link(env.storage_link(), drop=0.02)
+    env.injector.lossy_link(env.storage.storage_iface.link, drop=0.02)
     env.injector.at(0.02, env.injector.crash, mb, 0.25)
     env.injector.at(0.35, env.injector.crash, rhost, 0.2)
 
@@ -70,7 +71,7 @@ def chaos_run(seed):
         "ejections": mb.service.ejections,
         "resyncs": mb.service.resyncs,
         "end": env.sim.now,
-        "timeline": env.portless_timeline(),
+        "timeline": env.events(),
     }
     return env, flow, mb, state, snapshot
 
@@ -108,7 +109,7 @@ def test_filesystem_stays_fsck_clean_across_storage_crash():
     """A real filesystem over the faulted chain: the storage host dies
     mid-workload and restarts; journaled relay replay + session
     recovery keep the on-disk metadata consistent."""
-    env = FaultEnv(params=_params())
+    env = fault_env(params=_params())
     flow, (mb,) = env.attach(
         [ServiceSpec("svc", "noop", relay="active", placement="compute3")]
     )

@@ -8,8 +8,9 @@ import pytest
 
 from repro.core import ControllerCrashed, Reconciler
 from repro.core.reconcile import FAIL_CLOSED, FAIL_OPEN
+from repro.testbed import assert_at_rest
 
-from tests.faults.conftest import FaultEnv, assert_at_rest
+from tests.faults.conftest import fault_env
 from tests.faults.test_reconciler import switch_rules
 from tests.faults.test_watchdog import quiesce_rules
 
@@ -23,7 +24,7 @@ def two_box_chain(env):
 
 
 def test_controller_outage_then_box_crash_runs_to_completion():
-    env = FaultEnv()
+    env = fault_env()
     flow, (mb_a, mb_b) = two_box_chain(env)
     loop = Reconciler(env.storm, default_policy=FAIL_OPEN)
     env.sim.process(loop.run(duration=2.0))
@@ -42,7 +43,7 @@ def test_controller_outage_then_box_crash_runs_to_completion():
 
 
 def test_fail_closed_tick_writes_nothing_while_controller_down():
-    env = FaultEnv()
+    env = fault_env()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])
     loop = Reconciler(env.storm, tenant_policies={"acme": FAIL_CLOSED})
     env.injector.crash(mb)
@@ -60,7 +61,7 @@ def test_fail_closed_tick_writes_nothing_while_controller_down():
 
 
 def test_repair_writes_nothing_while_controller_down():
-    env = FaultEnv()
+    env = fault_env()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     env.cloud.sdn.remove_by_cookie(flow.cookie)  # a switch lost the rules
     env.injector.crash(env.storm.controller)
@@ -77,7 +78,7 @@ def test_repair_writes_nothing_while_controller_down():
 
 
 def test_fresh_audit_during_bypass_is_clean():
-    env = FaultEnv()
+    env = fault_env()
     flow, (mb_a, mb_b) = two_box_chain(env)
     loop = Reconciler(env.storm, default_policy=FAIL_OPEN)
     env.injector.crash(mb_a)

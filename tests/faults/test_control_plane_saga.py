@@ -9,7 +9,7 @@ from repro.core import ControllerCrashed, Reconciler
 from repro.core.saga import ABORTED, COMMITTED
 from repro.net.switch import cookie_in_family
 
-from tests.faults.conftest import FaultEnv
+from tests.faults.conftest import fault_env
 
 ATTACH_STEPS = [
     "install-nat",
@@ -58,7 +58,7 @@ def crash_probe(env, op, step_name, phase):
 @pytest.mark.parametrize("phase", ["before", "after"])
 @pytest.mark.parametrize("step_name", ATTACH_STEPS)
 def test_attach_crash_matrix(step_name, phase):
-    env = FaultEnv()
+    env = fault_env()
     storm = env.storm
     mb = storm.provision_middlebox(env.tenant, env.spec(name="svc", relay="fwd"))
     fired = crash_probe(env, "attach_with_services", step_name, phase)
@@ -105,7 +105,7 @@ def test_attach_crash_matrix(step_name, phase):
 def test_detach_crash_rolls_forward():
     """Detach's first step is the pivot: any crash mid-detach completes
     the teardown on recovery, never resurrects the flow."""
-    env = FaultEnv()
+    env = fault_env()
     storm = env.storm
     flow, _mbs = env.attach([env.spec(name="svc", relay="fwd")])
     fired = crash_probe(env, "detach", "remove-rules", "before")
@@ -126,7 +126,7 @@ def test_detach_crash_rolls_forward():
 def test_reconfigure_crash_keeps_a_complete_rule_set():
     """A crash between stage and retire leaves two shadowed rule
     generations; recovery retires the stale one."""
-    env = FaultEnv()
+    env = fault_env()
     storm = env.storm
     flow, _mbs = env.attach([env.spec(name="a", relay="fwd")])
     mb2 = storm.provision_middlebox(env.tenant, env.spec(name="b", relay="fwd"))

@@ -8,13 +8,14 @@ from repro.blockdev.disk import BLOCK_SIZE
 from repro.core import Reconciler
 from repro.core.reconcile import FAIL_CLOSED, FAIL_OPEN
 from repro.fs import ExtFilesystem, SessionDevice, fsck
+from repro.testbed import assert_at_rest, recovery_params
 from repro.workloads import FioConfig, FioJob, PostmarkConfig, PostmarkJob
 
-from tests.faults.conftest import FaultEnv, assert_at_rest, recovery_params
+from tests.faults.conftest import fault_env
 
 
 def express_env(**kw):
-    return FaultEnv(
+    return fault_env(
         params=recovery_params(express=True, tcp_rto=0.02, iscsi_relogin_backoff=0.02),
         **kw,
     )
@@ -54,7 +55,7 @@ def _run_fio(env, session, ios=40):
 def test_drop_mid_express_demotes_and_completes():
     env = express_env()
     session = _legacy_session(env)
-    link = env.storage_link()
+    link = env.storage.storage_iface.link
     fired = _when_promoted(env, lambda: env.injector.drop_next(link, count=3))
     result = _run_fio(env, session)
     manager = env.sim.express
@@ -68,7 +69,7 @@ def test_drop_mid_express_demotes_and_completes():
 def test_link_flap_mid_express_demotes_and_completes():
     env = express_env()
     session = _legacy_session(env)
-    link = env.storage_link()
+    link = env.storage.storage_iface.link
 
     def flap():
         env.injector.link_down(link)
@@ -116,7 +117,7 @@ def test_crash_mid_express_recovers_fsck_clean():
 def test_lossy_window_mid_express_demotes_and_completes():
     env = express_env()
     session = _legacy_session(env)
-    link = env.storage_link()
+    link = env.storage.storage_iface.link
 
     def lossy():
         env.injector.lossy_link(link, drop=0.2)
@@ -139,7 +140,7 @@ def _loop_tick_scenario(express, policy):
     a restarts, lifts the quiesce or reinstates the chain.  Returns the
     fio results, the loop's timeline and, in express mode, the flows
     promoted before the first tick and left promoted after it."""
-    env = FaultEnv(
+    env = fault_env(
         params=recovery_params(express=express, tcp_rto=0.02, iscsi_relogin_backoff=0.02)
     )
     storm = env.storm

@@ -4,7 +4,7 @@ from repro.core import MiddleboxAutoscaler, Reconciler
 from repro.core.reconcile import INVARIANTS, list_invariants, main
 from repro.net.switch import cookie_in_family
 
-from tests.faults.conftest import FaultEnv
+from tests.faults.conftest import fault_env
 
 
 def switch_rules(env, cookie):
@@ -16,7 +16,7 @@ def switch_rules(env, cookie):
 
 
 def test_clean_platform_audits_clean():
-    env = FaultEnv()
+    env = fault_env()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     assert Reconciler(env.storm).audit() == []
 
@@ -24,7 +24,7 @@ def test_clean_platform_audits_clean():
 def test_orphan_rules_are_garbage_collected():
     """Rules whose flow no longer exists (e.g. leaked when the whole
     intent log was lost) are swept."""
-    env = FaultEnv()
+    env = fault_env()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     # simulate a leak: forget the flow without removing its rules
     env.storm.flows.clear()
@@ -39,7 +39,7 @@ def test_orphan_rules_are_garbage_collected():
 
 
 def test_stale_generation_is_retired():
-    env = FaultEnv()
+    env = fault_env()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     # leave a shadowed generation behind, as a crash between stage and
     # retire would
@@ -58,7 +58,7 @@ def test_stale_generation_is_retired():
 def test_missing_rules_are_reinstalled():
     """A switch that lost rules the control plane believes installed
     (e.g. a switch restart) gets them re-pushed."""
-    env = FaultEnv()
+    env = fault_env()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     active = flow.chain.active_cookie
     # knock the rules out of the switch tables behind the SDN
@@ -77,7 +77,7 @@ def test_missing_rules_are_reinstalled():
 
 
 def test_orphan_nat_rules_are_removed():
-    env = FaultEnv()
+    env = fault_env()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     from repro.net.nat import NatRule
 
@@ -95,7 +95,7 @@ def test_crashed_flowless_middlebox_reported_and_gced():
     """A crashed box is an orphan only when no live flow's current or
     desired chain uses it and the loop's pool neither holds nor has
     lent it; repair deprovisions exactly the orphans."""
-    env = FaultEnv()
+    env = fault_env()
     storm = env.storm
     flow, (mb_a, mb_b) = env.attach(
         [env.spec(name="a", relay="fwd"), env.spec(name="b", relay="fwd")]
@@ -127,7 +127,7 @@ def test_crashed_flowless_middlebox_reported_and_gced():
 
 
 def test_reconcile_loop_repairs_periodically():
-    env = FaultEnv()
+    env = fault_env()
     flow, _ = env.attach([env.spec(name="svc", relay="fwd")])
     rec = Reconciler(env.storm)
     env.sim.process(rec.run(interval=0.1, duration=1.0))

@@ -4,12 +4,15 @@ crash/restart (session re-login through the relay + stale-NVM replay)."""
 
 import pytest
 
-from tests.faults.conftest import FaultEnv, recovery_params
+from repro.testbed import recovery_params
+
+from tests.conftest import at_rest
+from tests.faults.conftest import fault_env
 
 
 @pytest.fixture
 def env():
-    return FaultEnv(params=recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02))
+    yield from at_rest(fault_env(params=recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02)))
 
 
 def _attach_active(env, kind="noop", **options):

@@ -4,14 +4,16 @@ port, and pending-command replay — instead of `_fail_all`."""
 import pytest
 
 from repro.iscsi.initiator import SessionDead
+from repro.testbed import recovery_params
 
-from tests.faults.conftest import FaultEnv, recovery_params
+from tests.conftest import at_rest
+from tests.faults.conftest import fault_env
 
 
 @pytest.fixture
 def env():
     # fast knobs so exhaustion tests stay quick
-    return FaultEnv(params=recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02))
+    yield from at_rest(fault_env(params=recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02)))
 
 
 def _legacy_session(env):

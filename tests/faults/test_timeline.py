@@ -8,9 +8,9 @@ from repro.core import Reconciler
 from repro.core.reconcile import FAIL_OPEN
 from repro.faults import FaultInjector
 from repro.obs import ObsBus, events_of, instrument, validate_lines
+from repro.testbed import Testbed, recovery_params
 
-from tests.core.conftest import StormEnv
-from tests.faults.conftest import FaultEnv, recovery_params
+from tests.faults.conftest import fault_env
 from tests.faults.test_replication_resync import _block, make_env
 
 
@@ -18,7 +18,7 @@ def _ejection_then_relay_recovery():
     """A replicated active-relay chain: the replica host dies (one
     ejection), then the primary storage host dies mid-burst (the relay
     reconnects downstream and replays its NVM journal)."""
-    env = FaultEnv(params=recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02))
+    env = fault_env(params=recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02))
     flow, mb, [(rhost, _rvol, _state)] = make_env(env)
 
     def scenario():
@@ -46,7 +46,7 @@ def test_recovery_timeline_passes_the_strict_vocabulary():
 
 
 def test_watchdog_built_before_instrument_reports_on_the_bus():
-    env = StormEnv()
+    env = Testbed()
     flow, (mb1, mb2) = env.attach(
         [env.spec(name="a", relay="fwd"), env.spec(name="b", relay="fwd")]
     )

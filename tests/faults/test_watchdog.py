@@ -4,8 +4,9 @@ bypass/reinstate and fail-closed quiesce/unquiesce."""
 from repro.core import Reconciler
 from repro.core.reconcile import FAIL_CLOSED, FAIL_OPEN
 from repro.net.switch import Drop
+from repro.testbed import assert_at_rest
 
-from tests.faults.conftest import FaultEnv, assert_at_rest
+from tests.faults.conftest import fault_env
 
 
 def quiesce_rules(env, flow):
@@ -17,7 +18,7 @@ def quiesce_rules(env, flow):
 
 
 def test_fail_open_bypasses_dead_middlebox_and_reinstates():
-    env = FaultEnv()
+    env = fault_env()
     flow, (mb1, mb2) = env.attach(
         [env.spec(name="a", relay="fwd"), env.spec(name="b", relay="fwd")]
     )
@@ -38,7 +39,7 @@ def test_fail_open_bypasses_dead_middlebox_and_reinstates():
 
 
 def test_fail_closed_quiesces_and_unquiesces():
-    env = FaultEnv()
+    env = fault_env()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])
     dog = Reconciler(env.storm, tenant_policies={"acme": FAIL_CLOSED})
     env.sim.process(dog.run(duration=2.0))
@@ -55,7 +56,7 @@ def test_fail_closed_quiesces_and_unquiesces():
 
 
 def test_quiesce_installs_drop_rules_while_down():
-    env = FaultEnv()
+    env = fault_env()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])
     dog = Reconciler(env.storm, tenant_policies={"acme": FAIL_CLOSED})
     env.injector.crash(mb)  # no restart
@@ -72,7 +73,7 @@ def test_quiesce_installs_drop_rules_while_down():
 def test_active_relay_chain_is_always_fail_closed():
     """Bypassing an active relay would corrupt its per-flow TCP state,
     so even a fail-open tenant gets quiesced."""
-    env = FaultEnv()
+    env = fault_env()
     flow, (mb,) = env.attach([env.spec(name="a", relay="active")])
     dog = Reconciler(env.storm, default_policy=FAIL_OPEN)
     env.injector.crash(mb)
@@ -84,7 +85,7 @@ def test_active_relay_chain_is_always_fail_closed():
 
 
 def test_fail_open_quiesces_when_no_survivors():
-    env = FaultEnv()
+    env = fault_env()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])
     dog = Reconciler(env.storm, default_policy=FAIL_OPEN)
     env.injector.crash(mb)

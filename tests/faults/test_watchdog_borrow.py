@@ -5,12 +5,13 @@ tenant's capacity budget is exhausted."""
 
 from repro.core import MiddleboxAutoscaler, Reconciler
 from repro.core.reconcile import FAIL_OPEN
+from repro.testbed import assert_at_rest
 
-from tests.faults.conftest import FaultEnv, assert_at_rest
+from tests.faults.conftest import fault_env
 
 
 def pool_env(chain_specs, pool_names=("pool-1", "pool-2"), min_size=1, max_size=4):
-    env = FaultEnv()
+    env = fault_env()
     flow, mbs = env.attach([env.spec(name=n, relay="fwd") for n in chain_specs])
     spares = [
         env.storm.provision_middlebox(env.tenant, env.spec(name=n, relay="fwd"))

@@ -7,8 +7,7 @@ from repro.core.saga import COMMITTED
 from repro.fleet import FleetConfig, FleetRun
 from repro.fleet.generator import FleetRunError, run_fleet
 from repro.sim import ShardedKernel, SimulationError
-
-from tests.core.conftest import assert_at_rest
+from repro.testbed import assert_at_rest
 
 
 def _config(**overrides):

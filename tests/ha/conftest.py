@@ -1,22 +1,16 @@
-"""Shared HA chaos environment: the recoverable FaultEnv cloud with
+"""Shared HA chaos environment: the recoverable fault bed with
 the replicated control plane on, plus leak/determinism helpers."""
 
-from repro.net.stack import NetworkStack
 from repro.net.switch import cookie_in_family
 
-from tests.faults.conftest import FaultEnv
+from tests.faults.conftest import fault_env
 
 COOKIE = "storm:vm1:vol1"
 
 
 def ha_env(**kwargs):
-    """FaultEnv with the replicated control plane enabled.
-
-    Resets the process-wide ephemeral-port counter so two identical
-    scenarios produce byte-identical timelines (run-twice checks).
-    """
-    NetworkStack._ephemeral_port_counter = 49152
-    return FaultEnv(ha=True, **kwargs)
+    """The recoverable bed with the replicated control plane enabled."""
+    return fault_env(ha=True, **kwargs)
 
 
 def switch_rules(env, cookie=COOKIE):

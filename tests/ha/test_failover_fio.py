@@ -7,9 +7,9 @@ and the run is byte-identical when repeated."""
 
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.core import Reconciler
+from repro.testbed import recovery_params
 from repro.workloads import FioConfig, FioJob
 
-from tests.faults.conftest import recovery_params
 from tests.ha.conftest import cluster_signature, ha_env, switch_rules
 
 

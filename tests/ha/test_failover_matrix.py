@@ -13,8 +13,8 @@ import pytest
 from repro.core import ControllerCrashed, Reconciler
 from repro.core.reconcile import FAIL_CLOSED
 from repro.core.saga import ABORTED, COMMITTED
+from repro.testbed import assert_at_rest
 
-from tests.core.conftest import assert_at_rest
 from tests.ha.conftest import COOKIE, cluster_signature, ha_env, nat_rules, switch_rules
 
 ATTACH_STEPS = [

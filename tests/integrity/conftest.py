@@ -1,4 +1,4 @@
-"""Shared hostile-tenant environment: the recoverable FaultEnv cloud
+"""Shared hostile-tenant environment: the recoverable fault bed
 with the end-to-end integrity layer on (``CloudParams.integrity``),
 plus helpers to compare the endpoint's detection ledger against the
 injector's ground truth."""
@@ -6,21 +6,17 @@ injector's ground truth."""
 import pytest
 
 from repro.iscsi.pdu import volume_iqn
-from repro.net.stack import NetworkStack
+from repro.testbed import recovery_params
 
-from tests.faults.conftest import FaultEnv, recovery_params
+from tests.conftest import at_rest
+from tests.faults.conftest import fault_env
 
 VOL_IQN = volume_iqn("vol1")
 
 
 def integrity_env(**overrides):
-    """FaultEnv with integrity verification on.
-
-    Resets the process-wide ephemeral-port counter so two identical
-    adversarial scenarios produce byte-identical timelines.
-    """
-    NetworkStack._ephemeral_port_counter = 49152
-    return FaultEnv(params=recovery_params(integrity=True, **overrides))
+    """The recoverable bed with integrity verification on."""
+    return fault_env(recovery_params(integrity=True, **overrides))
 
 
 def layer(env):
@@ -40,4 +36,4 @@ def injected(env):
 
 @pytest.fixture
 def env():
-    return integrity_env()
+    yield from at_rest(integrity_env())

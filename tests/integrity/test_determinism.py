@@ -3,7 +3,9 @@ pure function of its seed — detection ledgers, ground truth, event
 timelines, and final simulated time are all byte-identical."""
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.testbed import recovery_params
 
+from tests.faults.conftest import fault_env
 from tests.integrity.conftest import integrity_env
 
 
@@ -59,12 +61,9 @@ def test_different_seed_different_tamper_sites():
     two seeds tamper different bytes (same detection count, different
     bytes on the wire is invisible here, but the timeline's recorded
     flip index differs)."""
-    from repro.net.stack import NetworkStack
-    from tests.faults.conftest import FaultEnv, recovery_params
 
     def flip_index(seed):
-        NetworkStack._ephemeral_port_counter = 49152
-        env = FaultEnv(params=recovery_params(integrity=True), seed=seed)
+        env = fault_env(recovery_params(integrity=True), seed=seed)
         flow, (mb,) = env.attach([env.spec(name="noop", relay="passive")])
 
         def scenario():

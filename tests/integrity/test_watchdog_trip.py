@@ -5,8 +5,8 @@ until the cooldown expires."""
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.core import Reconciler
 from repro.core.reconcile import FAIL_OPEN
+from repro.testbed import assert_at_rest
 
-from tests.core.conftest import assert_at_rest
 from tests.integrity.conftest import VOL_IQN, integrity_env, layer
 
 

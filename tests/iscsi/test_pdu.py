@@ -7,9 +7,9 @@ from repro.iscsi.pdu import (
     LoginResponsePdu,
     ScsiCommandPdu,
     ScsiResponsePdu,
-    next_task_tag,
     volume_iqn,
 )
+from repro.sim import Simulator
 
 
 def test_write_command_carries_data_on_the_wire():
@@ -38,8 +38,10 @@ def test_login_sizes_scale_with_names():
 
 
 def test_task_tags_monotone():
-    first, second = next_task_tag(), next_task_tag()
+    sim = Simulator()
+    first, second = next(sim.task_tags), next(sim.task_tags)
     assert second == first + 1
+    assert next(Simulator().task_tags) == first  # each run starts over
 
 
 def test_volume_iqn_format():

@@ -86,3 +86,35 @@ def test_every_src_function_is_named_somewhere():
                 if not exempt and node not in visitors and name not in named:
                     dead.append(f"{path.relative_to(root)}:{node.lineno} {name}")
     assert not dead, "functions nothing names:\n" + "\n".join(dead)
+
+
+def test_no_process_global_counter():
+    """Per-run state census: an ``itertools.count`` at module or class
+    level, or a class attribute bumped through the class name, outlives
+    the run that advanced it, so the next run in the same process starts
+    from another run's history.  Ids come from the run's ``Simulator``
+    when owners look them up across each other, else from the owner."""
+    root = pathlib.Path(REPO_ROOT)
+    found: list[str] = []
+    for path in sorted((root / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        class_names = {node.name for node in classes}
+        shared = [stmt for body in [tree.body] + [c.body for c in classes] for stmt in body]
+        for stmt in shared:
+            value = getattr(stmt, "value", None)
+            if (
+                isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                and isinstance(value, ast.Call)
+                and ast.unparse(value.func) in ("itertools.count", "count")
+            ):
+                found.append(f"{path.relative_to(root)}:{stmt.lineno} {ast.unparse(stmt)}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.AugAssign)
+                and isinstance(node.target, ast.Attribute)
+                and isinstance(node.target.value, ast.Name)
+                and node.target.value.id in class_names
+            ):
+                found.append(f"{path.relative_to(root)}:{node.lineno} {ast.unparse(node)}")
+    assert not found, "process-global counters:\n" + "\n".join(found)

@@ -6,14 +6,14 @@ from repro.blockdev.disk import BLOCK_SIZE
 from repro.core.policy import ServiceSpec
 from repro.objstore import ObjectStoreClient, ObjectStoreServer
 from repro.objstore.client import ObjectStoreDead
-from repro.services import install_default_services
+from repro.testbed import Testbed
 
-from tests.core.conftest import StormEnv
+from tests.conftest import at_rest
 
 
 @pytest.fixture
 def env():
-    return StormEnv()
+    yield from at_rest(Testbed())
 
 
 def start_server(env, volume_name="objvol", size=2048 * BLOCK_SIZE):
@@ -138,7 +138,6 @@ def test_session_reset_fails_pending(env):
 
 
 def spliced_object_flow(env, specs):
-    install_default_services(env.storm)
     server, volume = start_server(env)
     mbs = [env.storm.provision_middlebox(env.tenant, s) for s in specs]
 
@@ -198,8 +197,8 @@ def test_object_encryption_middlebox(env):
     assert result["r"].data == payload
     # ...ciphertext at rest on the object volume
     extent = server._index[("vault", "doc")]
-    at_rest = volume.read_sync(extent.offset, BLOCK_SIZE)
-    assert not at_rest.startswith(payload[:16])
+    stored = volume.read_sync(extent.offset, BLOCK_SIZE)
+    assert not stored.startswith(payload[:16])
     assert mb.service.objects_encrypted == 1
     assert mb.service.objects_decrypted == 1
 

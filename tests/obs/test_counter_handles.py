@@ -7,8 +7,10 @@ kept past a re-wire would go on counting into the first registry.
 
 import pytest
 
-from benchmarks.harness import MB_ACTIVE, build_testbed, fio
+from benchmarks.harness import MB_ACTIVE, VOLUME_SIZE, attach_mode, fio
+from repro.cloud import CloudParams
 from repro.obs import ObsBus, instrument
+from repro.testbed import Testbed
 
 HOT = {"link.tx", "link.tx_bytes", "switch.l2", "switch.flow_hit", "nat.conntrack_hit"}
 
@@ -23,7 +25,8 @@ def hot_counters(bus):
 
 @pytest.mark.parametrize("express", [False, True], ids=["packet", "express"])
 def test_counter_handles_follow_the_bus(express):
-    bed = build_testbed(MB_ACTIVE, express=express)
+    bed = Testbed(CloudParams(express=express), compute_hosts=5, volume_size=VOLUME_SIZE)
+    attach_mode(bed, MB_ACTIVE)
     first = ObsBus(bed.sim)
     instrument(first, storm=bed.storm)
     fio(bed, 16 * 1024, ios_per_thread=20)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from benchmarks.harness import MB_ACTIVE, build_testbed, run
+from benchmarks.harness import MB_ACTIVE, build_testbed
 from repro.obs import (
     ObsBus,
     events_of,
@@ -32,7 +32,7 @@ def traced_write():
     def one_write():
         yield bed.session.write(0, 4096, bytes(4096))
 
-    run(bed, one_write())
+    bed.run(one_write())
     return bed, bus, stats
 
 

@@ -1,10 +1,11 @@
 """Run-twice identity for the exported trace stream.
 
 Two fresh fault-free testbeds driven by the same seed must export a
-*byte-identical* JSONL stream — trace/span ids come from bus-private
-counters and timestamps from the sim clock, so nothing in a record may
-leak process-lifetime state (task tags, packet ids, ephemeral ports,
-NVM entry ids) that differs between runs in one process."""
+*byte-identical* JSONL stream: trace/span ids come from bus-private
+counters, every other id (ports, task tags, relay entry ids) from
+allocators of the run's own simulator or components, and timestamps
+from the sim clock, so nothing in a record depends on what ran before
+it in the process."""
 
 from __future__ import annotations
 

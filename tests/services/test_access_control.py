@@ -6,15 +6,12 @@ from repro.blockdev.disk import BLOCK_SIZE
 from repro.core.policy import ServiceSpec
 from repro.fs import ExtFilesystem, FsError, SessionDevice
 from repro.iscsi.initiator import SessionDead
-from repro.services import install_default_services
 from repro.services.access_control import AccessRule
-
-from tests.core.conftest import StormEnv
+from repro.testbed import Testbed
 
 
 def make_env(**options):
-    env = StormEnv(volume_size=4096 * BLOCK_SIZE)
-    install_default_services(env.storm)
+    env = Testbed(volume_size=4096 * BLOCK_SIZE)
     spec = ServiceSpec("acl", "access-control", relay="active", options=options)
     flow, (mb,) = env.attach([spec])
     return env, flow, mb.service
@@ -112,8 +109,7 @@ def test_default_deny_with_allow_rule():
 def test_path_rule_protects_file():
     """Path-level rules via the semantics engine: deny writes to one
     directory even from a root-compromised VM."""
-    env = StormEnv(volume_size=4096 * BLOCK_SIZE)
-    install_default_services(env.storm)
+    env = Testbed(volume_size=4096 * BLOCK_SIZE)
     ExtFilesystem.mkfs(env.volume)
     spec = ServiceSpec(
         "acl", "access-control", relay="active", options={"mount_point": "/mnt"}

@@ -4,14 +4,12 @@ import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.core.policy import ServiceSpec
-from repro.services import TenantSideEncryption, install_default_services
-
-from tests.core.conftest import StormEnv
+from repro.services import TenantSideEncryption
+from repro.testbed import Testbed
 
 
 def make_env(algorithm="aes-256"):
-    env = StormEnv()
-    install_default_services(env.storm)
+    env = Testbed()
     spec = ServiceSpec("enc", "encryption", relay="active", options={"algorithm": algorithm})
     flow, (mb,) = env.attach([spec])
     return env, flow, mb
@@ -68,7 +66,7 @@ def test_no_reformat_needed_transparent_to_vm():
 
 
 def test_tenant_side_encryption_charges_vm_cpu():
-    env = StormEnv()
+    env = Testbed()
     result = {}
 
     def scenario():

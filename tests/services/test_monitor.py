@@ -5,16 +5,13 @@ import pytest
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.core.policy import ServiceSpec
 from repro.fs import ExtFilesystem, SessionDevice
-from repro.services import install_default_services
-
-from tests.core.conftest import StormEnv
+from repro.testbed import Testbed
 
 
 @pytest.fixture
 def monitored_env():
     """VM with a formatted volume attached through a monitor middle-box."""
-    env = StormEnv(volume_size=4096 * BLOCK_SIZE)
-    install_default_services(env.storm)
+    env = Testbed(volume_size=4096 * BLOCK_SIZE)
     ExtFilesystem.mkfs(env.volume)
     spec = ServiceSpec(
         "mon", "monitor", relay="active", options={"mount_point": "/mnt/box"}

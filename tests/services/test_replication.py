@@ -3,16 +3,13 @@
 
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.core.policy import ServiceSpec
-from repro.services import install_default_services
-
-from tests.core.conftest import StormEnv
+from repro.testbed import Testbed
 
 
 def make_env(n_replicas=2):
     """Primary vol1 via a replication MB, plus replica volumes attached
     to the middle-box (sessions from the MB's host initiator)."""
-    env = StormEnv()
-    install_default_services(env.storm)
+    env = Testbed()
     spec = ServiceSpec("rep", "replication", relay="active")
     flow, (mb,) = env.attach([spec])
     replicas = []
@@ -131,8 +128,7 @@ def test_striped_reads_aggregate_throughput():
     """With copies on independent disks, read latency drops — the
     mechanism behind the paper's 80% improvement claim."""
     def read_burst_time(n_replicas):
-        env = StormEnv()
-        install_default_services(env.storm)
+        env = Testbed()
         # put replicas on their own storage hosts (independent spindles)
         extra_hosts = [
             env.cloud.add_storage_host(f"storage{i}") for i in range(2, 2 + n_replicas)

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.testbed import Testbed
 from repro.workloads import FioConfig, FioJob
-
-from tests.core.conftest import StormEnv
 
 
 def legacy_session(env):
@@ -24,7 +23,7 @@ def run_fio(env, session, **kw):
 
 
 def test_fio_completes_all_ios():
-    env = StormEnv(volume_size=2048 * BLOCK_SIZE)
+    env = Testbed(volume_size=2048 * BLOCK_SIZE)
     session = legacy_session(env)
     result = run_fio(env, session, num_threads=2, ios_per_thread=15)
     assert result.completed == 30
@@ -35,7 +34,7 @@ def test_fio_completes_all_ios():
 
 def test_fio_deterministic_given_seed():
     def one_run():
-        env = StormEnv(volume_size=2048 * BLOCK_SIZE)
+        env = Testbed(volume_size=2048 * BLOCK_SIZE)
         session = legacy_session(env)
         return run_fio(env, session, seed=99).iops
 
@@ -43,7 +42,7 @@ def test_fio_deterministic_given_seed():
 
 
 def test_fio_sequential_faster_than_random():
-    env = StormEnv(volume_size=4096 * BLOCK_SIZE)
+    env = Testbed(volume_size=4096 * BLOCK_SIZE)
     session = legacy_session(env)
     sequential = run_fio(env, session, pattern="sequential", read_fraction=0.0, seed=1)
     random = run_fio(env, session, pattern="random", read_fraction=0.0, seed=1)
@@ -51,7 +50,7 @@ def test_fio_sequential_faster_than_random():
 
 
 def test_fio_larger_io_higher_latency():
-    env = StormEnv(volume_size=4096 * BLOCK_SIZE)
+    env = Testbed(volume_size=4096 * BLOCK_SIZE)
     session = legacy_session(env)
     small = run_fio(env, session, io_size=4096, seed=3)
     large = run_fio(env, session, io_size=16 * 4096, seed=3)
@@ -59,7 +58,7 @@ def test_fio_larger_io_higher_latency():
 
 
 def test_fio_more_threads_more_throughput():
-    env = StormEnv(volume_size=4096 * BLOCK_SIZE)
+    env = Testbed(volume_size=4096 * BLOCK_SIZE)
     session = legacy_session(env)
     one = run_fio(env, session, num_threads=1, ios_per_thread=24, seed=5)
     four = run_fio(env, session, num_threads=4, ios_per_thread=6, seed=5)
@@ -78,7 +77,7 @@ def test_fio_config_validation():
 
 
 def test_fio_through_middlebox_flow():
-    env = StormEnv(volume_size=2048 * BLOCK_SIZE)
+    env = Testbed(volume_size=2048 * BLOCK_SIZE)
     flow, _ = env.attach([env.spec(relay="active")])
     result = run_fio(env, flow.session, ios_per_thread=10)
     assert result.completed == 10 and result.errors == 0

@@ -4,14 +4,14 @@ import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.fs import ExtFilesystem, SessionDevice
+from repro.testbed import Testbed
 from repro.workloads import FtpTransfer, PostmarkConfig, PostmarkJob
 
-from tests.core.conftest import StormEnv
 from tests.workloads.test_fio import legacy_session
 
 
 def test_postmark_runs_and_counts():
-    env = StormEnv(volume_size=8192 * BLOCK_SIZE)
+    env = Testbed(volume_size=8192 * BLOCK_SIZE)
     session = legacy_session(env)
     ExtFilesystem.mkfs(env.volume)
     fs = ExtFilesystem(env.sim, SessionDevice(session, env.volume.size // BLOCK_SIZE))
@@ -28,7 +28,7 @@ def test_postmark_runs_and_counts():
 
 def test_postmark_deterministic():
     def one_run():
-        env = StormEnv(volume_size=8192 * BLOCK_SIZE)
+        env = Testbed(volume_size=8192 * BLOCK_SIZE)
         session = legacy_session(env)
         ExtFilesystem.mkfs(env.volume)
         fs = ExtFilesystem(env.sim, SessionDevice(session, env.volume.size // BLOCK_SIZE))
@@ -41,7 +41,7 @@ def test_postmark_deterministic():
 
 
 def test_ftp_download_upload_throughput():
-    env = StormEnv(volume_size=6144 * BLOCK_SIZE)
+    env = Testbed(volume_size=6144 * BLOCK_SIZE)
     session = legacy_session(env)
     ftp = FtpTransfer(
         env.sim, env.vm, session, env.cloud.params, file_size=4 * 1024 * 1024
@@ -55,6 +55,6 @@ def test_ftp_download_upload_throughput():
 
 
 def test_ftp_rejects_unaligned_size():
-    env = StormEnv()
+    env = Testbed()
     with pytest.raises(ValueError, match="multiple"):
         FtpTransfer(env.sim, env.vm, None, env.cloud.params, file_size=1000)
