@@ -13,7 +13,7 @@ rebuild its state from the data plane.
 
 - **Deterministic leader election** (Raft-shaped): term numbers,
   per-replica randomized election timeouts drawn from named
-  :class:`~repro.sim.rng.SeededRNG` child streams (stormlint-clean),
+  :class:`~repro.sim.rng.SeededRNG` child streams (no global RNG),
   and an election restriction — a replica only grants its vote to a
   candidate whose replicated log is at least as long as its own, so a
   new leader is guaranteed to hold every quorum-acknowledged entry.

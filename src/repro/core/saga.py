@@ -112,7 +112,7 @@ class SagaStep:
     #: declares that this step intentionally has no compensator: it is
     #: idempotent teardown that recovery re-drives forward rather than
     #: undoing.  Purely declarative (an absent ``undo`` already runs
-    #: nothing) — but stormlint's ``saga-compensated`` contract rule
+    #: nothing) — but the ``saga-compensated`` census in ``tests/lint``
     #: requires every pre-pivot step to carry either an ``undo`` or
     #: this marker, so the "no compensator" decision is always explicit
     #: and reviewable at the call site.

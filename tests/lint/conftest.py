@@ -1,4 +1,4 @@
-"""Helpers shared by the stormlint tests."""
+"""Helpers shared by the stormlint census tests."""
 
 from __future__ import annotations
 
@@ -6,40 +6,17 @@ import textwrap
 
 import pytest
 
-from repro.lint.engine import lint_file_source, run_lint
-from repro.lint.findings import instantiate
-
-
-def write_tree(root, files):
-    """Materialize ``{relpath: source}`` under ``root`` (dedented)."""
-    for rel, src in files.items():
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(src))
-    return root
-
-
-@pytest.fixture
-def run_tree(tmp_path):
-    """Write a fixture tree into tmp_path and run the full linter on
-    it.  Violation fixtures live here, not in the repo, so the
-    repo-clean meta-test stays meaningful."""
-
-    def _run(files, select=None, paths=("src",)):
-        write_tree(tmp_path, files)
-        return run_lint(list(paths), root=str(tmp_path), selected_rules=select)
-
-    return _run
+from tests.lint.census import Module, check
 
 
 @pytest.fixture
 def lint():
-    """Lint a source snippet as if it lived at ``path``; returns all
-    findings (suppressed ones included, flagged)."""
+    """Run the census on a source snippet as if it lived at ``path``;
+    returns all findings, suppressed ones included and marked."""
 
-    def _lint(source: str, path: str = "src/repro/_fixture.py", select=None):
-        rules = instantiate(select)
-        return lint_file_source(textwrap.dedent(source), path, rules)
+    def _lint(source: str, path: str = "src/repro/_fixture.py"):
+        findings, _stale = check(Module(path, textwrap.dedent(source)))
+        return findings
 
     return _lint
 

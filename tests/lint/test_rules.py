@@ -1,10 +1,11 @@
 """Per-rule fixtures: a positive hit, a suppressed hit, and clean code
-for every registered rule."""
+for every census rule, and the suppression semantics."""
 
 from __future__ import annotations
 
-from repro.lint.findings import all_rules
+import textwrap
 
+from tests.lint.census import RULES, Module, check
 from tests.lint.conftest import hits, suppressed
 
 # ---------------------------------------------------------------- wall-clock
@@ -277,40 +278,32 @@ def test_unkernelled_method_and_sim_attr_receiver(lint):
 
 
 def test_registry_has_documented_rules():
-    registry = all_rules()
-    assert len(registry) >= 16
-    families = {cls.family for cls in registry.values()}
-    assert families == {"determinism", "safety", "flow", "contract"}
-    for rule_id, cls in registry.items():
-        assert cls.summary, f"{rule_id} has no summary"
-        doc = cls.__doc__ or ""
-        assert "Failure scenario" in doc, f"{rule_id} docstring lacks scenario"
+    assert len(RULES) == 13
+    for rule_id, rule in RULES.items():
+        assert "Failure scenario" in (rule.__doc__ or ""), f"{rule_id} docstring lacks scenario"
 
 
-def test_wildcard_suppression(lint):
-    findings = lint(
-        "x = hash('a')  # stormlint: ignore[*]\n"
+def test_stale_suppression_ids_are_reported():
+    """An id that shields no finding is stale, and so is one that names
+    no census rule (``*`` included: there is no wildcard)."""
+    source = textwrap.dedent(
+        """\
+        import time
+
+
+        def f(x):
+            t = time.time()  # stormlint: ignore[wall-clock, global-random]
+            return x + t  # stormlint: ignore[unstable-hash]
+            # stormlint: ignore[*, no-such-rule]
+            return hash(x)
+        """
     )
-    assert not hits(findings, "unstable-hash")
-    assert len(suppressed(findings, "unstable-hash")) == 1
-
-
-def test_stale_suppression_ids_are_reported(run_tree):
-    result = run_tree(
-        {
-            "src/repro/mod.py": """\
-                import time
-
-
-                def f(x):
-                    t = time.time()  # stormlint: ignore[wall-clock, global-random]
-                    return x + t  # stormlint: ignore[unstable-hash]
-                """,
-        }
-    )
-    assert len(result.suppressed) == 1
-    stale = [(s.path, s.line, s.dead_ids) for s in result.stale_suppressions]
+    findings, stale = check(Module("src/repro/mod.py", source))
+    assert len([f for f in findings if f.suppressed]) == 1
+    assert len(hits(findings, "unstable-hash")) == 1
     assert stale == [
-        ("src/repro/mod.py", 5, ("global-random",)),
-        ("src/repro/mod.py", 6, ("unstable-hash",)),
+        ("src/repro/mod.py", 5, "global-random"),
+        ("src/repro/mod.py", 6, "unstable-hash"),
+        ("src/repro/mod.py", 7, "*"),
+        ("src/repro/mod.py", 7, "no-such-rule"),
     ]

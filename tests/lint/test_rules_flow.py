@@ -1,243 +1,144 @@
-"""Flow rules: transitive nondeterminism reachable from the
-simulation domain, with positive / suppressed / clean fixtures per
-rule.  Violation fixtures are materialized in ``tmp_path`` (committing
-them would trip the repo-clean meta-test)."""
+"""Hazards in a helper that the simulation domain calls.
+
+These were the fixtures of the deleted whole-program flow rules
+(``transitive-wall-clock``, ``transitive-global-rng``,
+``unordered-escape``).  Every module the census reads is under
+``src/repro``, where the per-file rules already run, so each hazard is
+flagged in the helper where it is written; no call chain is needed."""
 
 from __future__ import annotations
 
+from tests.lint.conftest import hits, suppressed
 
-def new(result, rule_id):
-    return [f for f in result.new if f.rule_id == rule_id]
-
-
-def suppressed(result, rule_id):
-    return [f for f in result.suppressed if f.rule_id == rule_id]
+HELPER = "src/repro/util.py"
+DOMAIN = "src/repro/sim/core.py"
 
 
-PKG_INIT = {"src/pkg/__init__.py": "", "src/pkg/sim/__init__.py": ""}
+def test_wall_clock_in_helper_is_flagged_where_written(lint):
+    helper = lint(
+        """
+        import time
 
 
-# -- transitive-wall-clock --------------------------------------------
-
-
-def test_wall_clock_reachable_from_sim_core_is_flagged_with_chain(run_tree):
-    """The acceptance fixture: time.time() in a helper transitively
-    reachable from the ``sim.core`` kernel module."""
-    result = run_tree(
-        {
-            **PKG_INIT,
-            "src/pkg/util.py": """\
-                import time
-
-
-                def stamp():
-                    return time.time()
-                """,
-            "src/pkg/sim/core.py": """\
-                from pkg.util import stamp
-
-
-                def kernel_step():
-                    return stamp()
-                """,
-        }
+        def stamp():
+            return time.time()
+        """,
+        path=HELPER,
     )
-    findings = new(result, "transitive-wall-clock")
-    assert len(findings) == 1
-    finding = findings[0]
-    assert finding.path == "src/pkg/util.py"
-    assert finding.chain == ("pkg.sim.core.kernel_step", "pkg.util.stamp")
-    assert "pkg.sim.core.kernel_step -> pkg.util.stamp" in finding.message
-    assert finding.snippet == "return time.time()"
+    caller = lint(
+        """
+        from repro.util import stamp
 
 
-def test_wall_clock_direct_in_domain_is_the_per_file_rules_job(run_tree):
-    result = run_tree(
-        {
-            **PKG_INIT,
-            "src/pkg/sim/core.py": """\
-                import time
-
-
-                def kernel_step():
-                    return time.time()
-                """,
-        },
-        select=["transitive-wall-clock"],
+        def kernel_step():
+            return stamp()
+        """,
+        path=DOMAIN,
     )
-    assert new(result, "transitive-wall-clock") == []
+    assert [f.line for f in hits(helper, "wall-clock")] == [6]
+    assert caller == []
 
 
-def test_wall_clock_alias_suppression_at_leaf(run_tree):
-    result = run_tree(
-        {
-            **PKG_INIT,
-            "src/pkg/util.py": """\
-                import time
+def test_wall_clock_direct_in_domain_is_the_per_file_rules_job(lint):
+    findings = lint(
+        """
+        import time
 
 
-                def stamp():
-                    return time.time()  # stormlint: ignore[wall-clock]
-                """,
-            "src/pkg/sim/core.py": """\
-                from pkg.util import stamp
-
-
-                def kernel_step():
-                    return stamp()
-                """,
-        }
+        def kernel_step():
+            return time.time()
+        """,
+        path=DOMAIN,
     )
-    assert new(result, "transitive-wall-clock") == []
-    assert len(suppressed(result, "transitive-wall-clock")) == 1
-    # the alias actually suppressed something, so it is not stale
-    assert result.stale_suppressions == []
+    assert [f.rule_id for f in findings] == ["wall-clock"]
 
 
-def test_clean_tree_has_no_flow_findings(run_tree):
-    result = run_tree(
-        {
-            **PKG_INIT,
-            "src/pkg/util.py": """\
-                def fmt(x):
-                    return f"{x:.3f}"
-                """,
-            "src/pkg/sim/core.py": """\
-                from pkg.util import fmt
+def test_wall_clock_alias_suppression_at_leaf(lint):
+    findings = lint(
+        """
+        import time
 
 
-                def kernel_step(sim):
-                    return fmt(sim.now)
-                """,
-        }
+        def stamp():
+            return time.time()  # stormlint: ignore[wall-clock]
+        """,
+        path=HELPER,
     )
-    assert [f for f in result.new if f.rule_id.startswith("transitive")] == []
+    assert hits(findings, "wall-clock") == []
+    assert len(suppressed(findings, "wall-clock")) == 1
 
 
-# -- transitive-global-rng --------------------------------------------
-
-
-def test_global_rng_reachable_from_domain(run_tree):
-    result = run_tree(
-        {
-            **PKG_INIT,
-            "src/pkg/util.py": """\
-                import random
-
-
-                def jitter():
-                    return random.random()
-                """,
-            "src/pkg/sim/core.py": """\
-                from pkg.util import jitter
-
-
-                def kernel_step():
-                    return jitter()
-                """,
-        }
+def test_clean_tree_has_no_flow_findings(lint):
+    helper = lint(
+        """
+        def fmt(x):
+            return f"{x:.3f}"
+        """,
+        path=HELPER,
     )
-    findings = new(result, "transitive-global-rng")
-    assert len(findings) == 1
-    assert findings[0].chain[-1] == "pkg.util.jitter"
+    caller = lint(
+        """
+        from repro.util import fmt
 
 
-def test_os_entropy_counts_as_global_rng(run_tree):
-    result = run_tree(
-        {
-            **PKG_INIT,
-            "src/pkg/util.py": """\
-                import uuid
-
-
-                def token():
-                    return uuid.uuid4()
-                """,
-            "src/pkg/sim/core.py": """\
-                from pkg.util import token
-
-
-                def kernel_step():
-                    return token()
-                """,
-        }
+        def kernel_step(sim):
+            return fmt(sim.now)
+        """,
+        path=DOMAIN,
     )
-    assert len(new(result, "transitive-global-rng")) == 1
+    assert helper == caller == []
 
 
-def test_rng_module_is_exempt_leaf(run_tree):
-    """The SeededRNG wrapper module is the sanctioned place global
-    entropy machinery lives; it is not re-flagged transitively."""
-    result = run_tree(
-        {
-            **PKG_INIT,
-            "src/pkg/rng.py": """\
-                import random
+def test_global_rng_reachable_from_domain(lint):
+    findings = lint(
+        """
+        import random
 
 
-                class SeededRNG:
-                    def __init__(self, seed):
-                        self._r = random.Random(seed)
-                """,
-            "src/pkg/sim/core.py": """\
-                from pkg.rng import SeededRNG
-
-
-                def kernel_step():
-                    return SeededRNG(7)
-                """,
-        },
-        select=["transitive-global-rng"],
+        def jitter():
+            return random.random()
+        """,
+        path=HELPER,
     )
-    assert new(result, "transitive-global-rng") == []
+    assert [f.line for f in hits(findings, "global-random")] == [2]
 
 
-# -- unordered-escape --------------------------------------------------
+def test_os_entropy_in_helper_is_flagged(lint):
+    findings = lint(
+        """
+        import uuid
 
 
-def test_set_iteration_reachable_from_domain(run_tree):
-    result = run_tree(
-        {
-            **PKG_INIT,
-            "src/pkg/util.py": """\
-                def order(items):
-                    return list(set(items))
-                """,
-            "src/pkg/sim/net.py": "",
-            "src/pkg/sim/core.py": """\
-                from pkg.util import order
-
-
-                def kernel_step(items):
-                    return order(items)
-                """,
-        }
+        def token():
+            return uuid.uuid4()
+        """,
+        path=HELPER,
     )
-    findings = new(result, "unordered-escape")
-    assert len(findings) == 1
-    assert findings[0].path == "src/pkg/util.py"
-    assert findings[0].chain == ("pkg.sim.core.kernel_step", "pkg.util.order")
+    assert [f.line for f in hits(findings, "entropy-source")] == [6]
 
 
-def test_harness_modules_are_neither_roots_nor_leaves(run_tree):
-    result = run_tree(
-        {
-            "tests/__init__.py": "",
-            "tests/helper.py": """\
-                import time
+def test_rng_module_is_exempt_leaf(lint):
+    """The SeededRNG wrapper is the sanctioned home of stdlib random."""
+    findings = lint(
+        """
+        import random
 
 
-                def wall():
-                    return time.time()
-                """,
-            "tests/sim_driver.py": """\
-                from tests.helper import wall
-
-
-                def drive():
-                    return wall()
-                """,
-        },
-        paths=("tests",),
+        class SeededRNG:
+            def __init__(self, seed):
+                self._r = random.Random(seed)
+        """,
+        path="src/repro/sim/rng.py",
     )
-    assert [f for f in result.new if f.rule_id.startswith("transitive")] == []
+    assert findings == []
+
+
+def test_set_iteration_reachable_from_domain(lint):
+    findings = lint(
+        """
+        def order(items):
+            return list(set(items))
+        """,
+        path=HELPER,
+    )
+    assert [f.line for f in hits(findings, "set-iteration")] == [3]
