@@ -70,7 +70,7 @@ def main():
             len(host.stack.nat.conntrack)
             for host in domain.cloud.compute_hosts.values()
         )
-        assert domain.storm.flows == []
+        assert domain.storm.flows == {}
         assert domain.storm.gateway_pairs == {}
         assert conntrack == 0
         print(f"  domain {domain.domain_id}: 0 flows, 0 gateway pairs, "

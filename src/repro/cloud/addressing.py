@@ -10,7 +10,9 @@ class AddressAllocator:
 
     def __init__(self):
         self._mac_counter = 0
-        self._ip_cursors: dict[str, int] = {}
+        #: subnet -> [next address, broadcast address], as integers;
+        #: each subnet string is parsed once, on its first allocation
+        self._ip_cursors: dict[str, list[int]] = {}
 
     def next_mac(self, prefix: str = "02:00") -> str:
         self._mac_counter += 1
@@ -19,10 +21,16 @@ class AddressAllocator:
         return f"{prefix}:" + ":".join(f"{o:02x}" for o in octets)
 
     def next_ip(self, subnet: str) -> str:
-        network = ipaddress.ip_network(subnet)
-        cursor = self._ip_cursors.get(subnet, 1)  # skip network address
-        address = network.network_address + cursor
-        if address >= network.broadcast_address:
+        cursor = self._ip_cursors.get(subnet)
+        if cursor is None:
+            network = ipaddress.IPv4Network(subnet)
+            # skip the network address
+            cursor = self._ip_cursors[subnet] = [
+                int(network.network_address) + 1,
+                int(network.broadcast_address),
+            ]
+        address = cursor[0]
+        if address >= cursor[1]:
             raise ValueError(f"subnet {subnet} exhausted")
-        self._ip_cursors[subnet] = cursor + 1
-        return str(address)
+        cursor[0] = address + 1
+        return f"{address >> 24}.{(address >> 16) & 255}.{(address >> 8) & 255}.{address & 255}"

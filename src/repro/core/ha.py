@@ -36,9 +36,12 @@ rebuild its state from the data plane.
   real and failover detection is genuinely clock-driven.  A ship walks
   one route per leader, built once (the cabling never changes), reads
   the three reachability flags live (the fault injector writes them
-  directly; no verdict is cached) and costs one append per acking
-  replica.  A saga whose first entry finds no quorum is settled as
-  aborted through the engine, like any other settlement.
+  directly; no verdict is cached) and costs one count bump per acking
+  replica: a replica acks by count (:class:`ReplicaSagaRecord`), never
+  by copying the entry.  A quorum-failed ship is retracted from
+  exactly the logs that acked its index.  A saga whose first entry
+  finds no quorum is settled as aborted through the engine, like any
+  other settlement.
 
 - **Takeover**: on winning an election the new leader adopts every
   in-flight saga in its replicated log — re-stamping it with the new
@@ -70,7 +73,7 @@ answers to one :class:`~repro.core.saga.ControlPlaneNode`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.core.saga import (
@@ -131,17 +134,21 @@ class HaMessage:
     log_index: int = 0
 
 
-@dataclass
 class ReplicaSagaRecord:
     """One saga's shipped journal as a replica sees it.
 
     ``saga`` references the shared live object (replicas replicate the
     *journal*; the object graph stands in for the serialized form), and
-    ``journal`` is the prefix of its journal this replica has acked.
+    ``acked`` counts the entries of its journal this replica has
+    acknowledged: the replica's copy is ``saga.journal[:acked]``.  An
+    ack bumps the count; no entry string is copied.
     """
 
-    saga: Saga
-    journal: list[str] = field(default_factory=list)
+    __slots__ = ("saga", "acked")
+
+    def __init__(self, saga: Saga, acked: int = 0) -> None:
+        self.saga = saga
+        self.acked = acked
 
 
 class ReplicaLog:
@@ -157,26 +164,19 @@ class ReplicaLog:
         #: resolved sagas dropped by compaction (bookkeeping only)
         self.compacted = 0
 
-    def apply(self, index: int, saga: Saga, entry: str) -> None:
-        record = self.records.get(saga.saga_id)
-        if record is None:
-            record = ReplicaSagaRecord(saga)
-            self.records[saga.saga_id] = record
-        record.journal.append(entry)
-        self.last_index = index
-
-    def unapply(self, index: int, saga: Saga) -> None:
-        """Abort-undo of :meth:`apply` for a quorum-failed ship: drop
-        the entry (and the whole record, if it was the first) so a
-        failed synchronous ship leaves no trace in any replica's log —
-        logs only ever contain quorum-acknowledged entries, which is
-        what the election restriction compares."""
-        record = self.records.get(saga.saga_id)
-        if record is not None and record.journal:
-            record.journal.pop()
-            if not record.journal:
-                del self.records[saga.saga_id]
-        self.last_index = index - 1
+    def retract(self, saga_id: int) -> None:
+        """Abort-undo of the ack of the last shipped entry, for a
+        quorum-failed ship: un-count the entry (and drop the whole
+        record, if it was the first) so a failed synchronous ship
+        leaves no trace in any replica's log — logs only ever contain
+        quorum-acknowledged entries, which is what the election
+        restriction compares."""
+        record = self.records.get(saga_id)
+        if record is not None:
+            record.acked -= 1
+            if not record.acked:
+                del self.records[saga_id]
+        self.last_index -= 1
 
     def active(self) -> list[ReplicaSagaRecord]:
         """Records of sagas not yet resolved (commit/abort unshipped)."""
@@ -203,7 +203,7 @@ class ReplicaLog:
         skipped = source.last_index - self.last_index
         self.compacted += self.resolved_count()
         self.records = {
-            record.saga.saga_id: ReplicaSagaRecord(record.saga, list(record.journal))
+            record.saga.saga_id: ReplicaSagaRecord(record.saga, record.acked)
             for record in source.active()
         }
         self.last_index = source.last_index
@@ -367,17 +367,8 @@ class HaCluster:
 
     # -- observability ------------------------------------------------------
 
-    @property
-    def obs(self) -> Any:
-        return getattr(self.storm, "obs", None)
-
-    def _record(self, kind: str, target: str, **detail: Any) -> None:
-        obs = self.obs
-        if obs is not None:
-            obs.event(kind, target=target, **detail)
-
     def _update_gauges(self) -> None:
-        obs = self.obs
+        obs = self.storm.obs
         if obs is None:
             return
         obs.metrics.gauge("ha.term").set(float(self.term))
@@ -481,10 +472,11 @@ class HaCluster:
         self._last_heartbeat[name] = self.sim.now
         self._timeout[name] = self._draw_timeout(name)
         self.elections += 1
-        obs = self.obs
+        obs = self.storm.obs
         if obs is not None:
             obs.metrics.counter("ha.elections").inc()
-        self._record("ha.elect", name, term=term, index=self.logs[name].last_index)
+            obs.event("ha.elect", target=name, term=term,
+                      index=self.logs[name].last_index)
         if self._grants[name] >= self.quorum:  # single-replica cluster
             self._become_leader(node)
             return
@@ -538,7 +530,9 @@ class HaCluster:
         self.term = self._terms[name]
         self.leader_name = name
         self.storm.controller = node
-        self._record("ha.leader", name, term=self.term, previous=previous or "")
+        obs = self.storm.obs
+        if obs is not None:
+            obs.event("ha.leader", target=name, term=self.term, previous=previous or "")
         self._update_gauges()
         if previous != name:
             # the control plane moved: any compiled express path built
@@ -556,7 +550,9 @@ class HaCluster:
         self._last_heartbeat[name] = self.sim.now
         if self.leader_name == name:
             self.leader_name = None
-            self._record("ha.quorum-lost", name, reason=reason)
+            obs = self.storm.obs
+            if obs is not None:
+                obs.event("ha.quorum-lost", target=name, reason=reason)
             self._update_gauges()
 
     # -- log shipping -------------------------------------------------------
@@ -593,21 +589,26 @@ class HaCluster:
 
         The hot path of every control operation (each saga journals
         about a dozen entries): one pass over the leader's route, the
-        reachability flags read live, one append per acking replica."""
+        reachability flags read live, one count bump per acking
+        replica (the entry itself is already in ``saga.journal``)."""
         name = self.leader_name
         if name is None or saga.origin != name or saga.term != self.term:
             raise QuorumLost(saga.op, entry)
         leader = self._by_name[name]
         if leader.crashed:
             raise QuorumLost(saga.op, entry)
-        self._global_index += 1
-        index = self._global_index
-        leader_log = self.logs[name]
-        leader_log.apply(index, saga, entry)
-        applied = [leader_log]
-        obs = self.obs
-        entry_rtt = 0.0
+        index = self._global_index = self._global_index + 1
         saga_id = saga.saga_id
+        # the leader's own ack
+        leader_log = self.logs[name]
+        record = leader_log.records.get(saga_id)
+        if record is None:
+            record = leader_log.records[saga_id] = ReplicaSagaRecord(saga)
+        record.acked += 1
+        leader_log.last_index = index
+        acks = 1
+        obs = self.storm.obs
+        entry_rtt = 0.0
         for peer, peer_log, iface in self._routes[name]:
             # _reachable, inlined: the flags are read live on every ship
             link = iface.link
@@ -619,13 +620,12 @@ class HaCluster:
             if peer_log.last_index < index - 1:
                 self._catch_up(leader, peer)  # snapshot includes this entry
             else:
-                # ReplicaLog.apply, inlined
                 record = peer_log.records.get(saga_id)
                 if record is None:
                     record = peer_log.records[saga_id] = ReplicaSagaRecord(saga)
-                record.journal.append(entry)
+                record.acked += 1
                 peer_log.last_index = index
-            applied.append(peer_log)
+            acks += 1
             rtt = 2.0 * link.latency
             if rtt > entry_rtt:
                 entry_rtt = rtt
@@ -636,20 +636,22 @@ class HaCluster:
         saga.ship_rtt += entry_rtt
         if obs is not None:
             obs.metrics.counter("ha.ship.entries").inc()
-        if len(applied) < self.quorum:
-            # the synchronous ship aborts: no copy keeps the entry, so
-            # replica logs only ever hold quorum-acknowledged entries
-            for log in applied:
-                log.unapply(index, saga)
+        if acks < self.quorum:
+            # the synchronous ship aborts: every log that acked this
+            # index (by count or by snapshot) retracts it, so replica
+            # logs only ever hold quorum-acknowledged entries
+            for log in self.logs.values():
+                if log.last_index == index:
+                    log.retract(saga_id)
             self._global_index -= 1
             self._step_down(leader, reason="quorum-lost")
             raise QuorumLost(saga.op, entry)
 
     def _catch_up(self, leader: ControlPlaneNode, peer: ControlPlaneNode) -> None:
         skipped = self.logs[peer.name].install_snapshot(self.logs[leader.name])
-        self._record("ha.catch-up", peer.name, skipped=skipped)
-        obs = self.obs
+        obs = self.storm.obs
         if obs is not None:
+            obs.event("ha.catch-up", target=peer.name, skipped=skipped)
             obs.metrics.counter("ha.ship.catchups").inc()
 
     def _catch_up_followers(self, leader: ControlPlaneNode) -> None:
@@ -694,7 +696,7 @@ class HaCluster:
             for saga_id in sorted(log.records)
             if log.records[saga_id].saga.incomplete
         ]
-        obs = self.obs
+        obs = self.storm.obs
         span = None
         if obs is not None:
             span = obs.span("saga.takeover", node=node.name, term=self.term,
@@ -709,7 +711,8 @@ class HaCluster:
         summary = self.storm.engine.resolve(pending)
         if span is not None:
             span.finish("ok")
-        self._record("ha.takeover", node.name, term=self.term, **summary)
+        if obs is not None:
+            obs.event("ha.takeover", target=node.name, term=self.term, **summary)
 
     # -- total log loss ------------------------------------------------------
 
@@ -740,9 +743,9 @@ class HaCluster:
         except ControllerCrashed:
             return 0  # authority lost mid-sweep: the next leader rebuilds
         self._log_lost = False
-        self._record("ha.log-rebuild", self.leader_name or "", drifts=len(drifts))
-        obs = self.obs
+        obs = self.storm.obs
         if obs is not None:
+            obs.event("ha.log-rebuild", target=self.leader_name or "", drifts=len(drifts))
             obs.metrics.counter("ha.rebuilds").inc()
         return len(drifts)
 
@@ -757,4 +760,6 @@ class HaCluster:
         self._terms[name] = max(self._terms[name], self.term)
         self._last_heartbeat[name] = self.sim.now
         self._timeout[name] = self._draw_timeout(name)
-        self._record("ha.rejoin", name, term=self._terms[name])
+        obs = self.storm.obs
+        if obs is not None:
+            obs.event("ha.rejoin", target=name, term=self._terms[name])

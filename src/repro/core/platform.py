@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import GeneratorType
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.cloud.compute import ComputeHost
 from repro.cloud.controller import CloudController
@@ -66,9 +66,10 @@ from repro.sim import Simulator
 class StorMFlow:
     """One spliced storage connection with its service chain.
 
-    ``eq=False``: flows are identity objects — membership tests in the
-    platform's flow list must not walk every field (and chain) of every
-    live flow."""
+    ``eq=False``: flows are identity objects, hashed by identity — they
+    key the platform's flow registry, whose membership tests and
+    removals must not walk every field (and chain) of every live
+    flow."""
 
     tenant_name: str
     vm_name: str
@@ -107,11 +108,14 @@ class StorM:
         self.attributor = ConnectionAttributor()
         self.gateway_pairs: dict[str, GatewayPair] = {}
         self.middleboxes: dict[str, MiddleBox] = {}
-        self.flows: list[StorMFlow] = []
+        #: live flows in attach order: an insertion-ordered dict keyed
+        #: by the (identity-hashed) flow, so iteration keeps attach
+        #: order and a detach removes its flow in O(1)
+        self.flows: dict[StorMFlow, None] = {}
         #: live-flow counts per tenant and per middle-box, maintained
         #: alongside ``flows`` so fleet-scale paths (detach eviction,
         #: deprovision guards) stay O(1) instead of scanning the flow
-        #: list — pure bookkeeping, no simulation events.
+        #: registry — pure bookkeeping, no simulation events.
         self._tenant_flows: dict[str, int] = {}
         self._mb_refs: dict[str, int] = {}
         #: attaches in flight (saga begun, flow not yet registered) per
@@ -130,7 +134,7 @@ class StorM:
         #: observability bus (set by ``repro.obs.instrument``): when
         #: non-None gateways/relays/services created later inherit it,
         #: and the control plane's recovery timeline lands on it.
-        self.obs = None
+        self.obs: Any = None
         #: journals and runs every control operation of this platform
         self.engine = SagaEngine(sim)
         #: replicated control plane (:mod:`repro.core.ha`); None = one
@@ -544,7 +548,7 @@ class StorM:
                 target_ip=target_ip,
                 desired=tuple(middleboxes),
             )
-            self.flows.append(flow)
+            self.flows[flow] = None
             self._track_flow(flow)
             self._register_flow_chain(flow)
             if volume is not None:
@@ -784,8 +788,7 @@ class StorM:
             flow.chain.remove()
 
         def do_unregister():
-            if flow in self.flows:
-                self.flows.remove(flow)
+            self.flows.pop(flow, None)
             if not flow.detached:
                 flow.detached = True
                 self._untrack_flow(flow)

@@ -290,10 +290,6 @@ class SagaEngine:
         self.on_commit: Optional[Callable[[Saga], None]] = None
         self._resolved = 0
 
-    def _record(self, kind: str, target: str, **detail: Any) -> None:
-        if self.obs is not None:
-            self.obs.event(kind, target=target, **detail)
-
     def begin(
         self,
         op: str,
@@ -306,7 +302,8 @@ class SagaEngine:
         :class:`QuorumLost`).  ``state`` is the dict the step closures
         were built over, so ``store``d results land where they read."""
         saga = self.log.begin(op, cookie, steps, detail)
-        self._record("saga.begin", cookie, op=op)
+        if self.obs is not None:
+            self.obs.event("saga.begin", target=cookie, op=op)
         if state is not None:
             saga.state = state
         return saga
@@ -393,7 +390,8 @@ class SagaEngine:
                 if saga.pivoted:
                     self.run_now(saga, resume=True)
                     summary["replayed"] += 1
-                    self._record("saga.replay", saga.cookie, op=saga.op)
+                    if self.obs is not None:
+                        self.obs.event("saga.replay", target=saga.cookie, op=saga.op)
                 else:
                     self._rollback(saga)
                     summary["rolled_back"] += 1
@@ -427,7 +425,8 @@ class SagaEngine:
 
     def _commit(self, saga: Saga) -> None:
         self.settle(saga, COMMITTED)
-        self._record("saga.commit", saga.cookie, op=saga.op)
+        if self.obs is not None:
+            self.obs.event("saga.commit", target=saga.cookie, op=saga.op)
         if self.on_commit is not None:
             self.on_commit(saga)
 
@@ -436,13 +435,16 @@ class SagaEngine:
         are idempotent and tolerate partially-applied steps."""
         if saga.status != IN_FLIGHT:
             return
+        obs = self.obs
         for step in reversed(saga.steps):
             if not saga.started(step.name) or step.undo is None:
                 continue
             step.undo()
-            self._record("saga.undo", saga.cookie, op=saga.op, step=step.name)
+            if obs is not None:
+                obs.event("saga.undo", target=saga.cookie, op=saga.op, step=step.name)
         self.settle(saga, ABORTED)
-        self._record("saga.rollback", saga.cookie, op=saga.op)
+        if obs is not None:
+            obs.event("saga.rollback", target=saga.cookie, op=saga.op)
 
     def settle(self, saga: Saga, status: str) -> None:
         """Resolve ``saga`` for good as :data:`COMMITTED` or

@@ -20,6 +20,7 @@ from repro.cloud.compute import ComputeHost
 from repro.cloud.controller import CloudController
 from repro.cloud.tenant import Tenant
 from repro.iscsi.pdu import ISCSI_PORT
+from repro.net.link import Interface
 from repro.net.nat import NatRule
 from repro.net.packet import FiveTuple
 from repro.net.stack import Node
@@ -27,26 +28,15 @@ from repro.sim import Simulator
 
 
 class StorageGateway(Node):
-    """A dual-homed forwarding VM inside the tenant's network space."""
+    """A dual-homed forwarding VM inside the tenant's network space;
+    :func:`create_gateway` binds its two NICs as it plugs them."""
 
     def __init__(self, sim: Simulator, name: str, tenant: Tenant):
         super().__init__(sim, name)
         self.tenant = tenant
         self.host_name: str | None = None
-
-    @property
-    def storage_iface(self):
-        return self._iface_by_prefix("st")
-
-    @property
-    def instance_iface(self):
-        return self._iface_by_prefix("inst")
-
-    def _iface_by_prefix(self, prefix: str):
-        for iface in self.interfaces:
-            if iface.name.split(".")[-1].startswith(prefix):
-                return iface
-        raise RuntimeError(f"gateway {self.name} missing {prefix!r} interface")
+        self.instance_iface: Interface | None = None
+        self.storage_iface: Interface | None = None
 
     @property
     def storage_ip(self) -> str:
@@ -76,8 +66,8 @@ def create_gateway(
     """Provision one gateway VM on ``host`` with NICs in both networks."""
     gateway = StorageGateway(cloud.sim, name, tenant)
     gateway.host_name = host.name
-    cloud.plug_instance_iface(gateway, host, tenant)
-    cloud.plug_storage_iface(gateway)
+    gateway.instance_iface = cloud.plug_instance_iface(gateway, host, tenant)
+    gateway.storage_iface = cloud.plug_storage_iface(gateway)
     gateway.stack.ip_forward = True
     gateway.stack.forward_delay = cloud.params.gateway_forward_delay
     return gateway

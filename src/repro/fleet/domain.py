@@ -236,10 +236,14 @@ class FleetDomain:
         )
 
         gap = plan.hold / (plan.ios + 1)
+        # the tick counters, bound once per session (the tenant's scope
+        # outlives the session: it is evicted only once the tenant idles)
+        io_ops = self.metrics.counter("fleet.io.ops")
+        tenant_ios = self.metrics.counter("fleet.tenant.ios", scope=state.tenant.name)
         for _ in range(plan.ios):
             yield self.sim.timeout(gap)
-            self.metrics.counter("fleet.io.ops").inc()
-            self.metrics.counter("fleet.tenant.ios", scope=state.tenant.name).inc()
+            io_ops.inc()
+            tenant_ios.inc()
         yield self.sim.timeout(gap)
 
         self.storm.detach(flow)

@@ -44,6 +44,8 @@ class FleetRun:
         #: session records in attach-completion order (filled by
         #: :meth:`run`) — the deterministic byte stream the tiers digest
         self.trace: list[dict] = []
+        #: digest of the folded trace, computed once by :meth:`_fold`
+        self._digest: Optional[str] = None
         self.plan: list[SessionPlan] = build_plan(
             config, SeededRNG(config.seed, name="fleet")
         )
@@ -94,16 +96,22 @@ class FleetRun:
             if active > self.peak_concurrent:
                 self.peak_concurrent = active
         self.completed = sum(domain.completed for domain in self.domains)
+        self._digest = self._hash_trace()
 
     # -- reporting -----------------------------------------------------------
 
     def trace_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps(record, sort_keys=True) for record in self.trace
-        ) + "\n"
+        encode = json.JSONEncoder(sort_keys=True).encode
+        return "\n".join(encode(record) for record in self.trace) + "\n"
+
+    def _hash_trace(self) -> str:
+        return hashlib.blake2s(self.trace_jsonl().encode("utf-8")).hexdigest()
 
     def trace_digest(self) -> str:
-        return hashlib.blake2s(self.trace_jsonl().encode("utf-8")).hexdigest()
+        """blake2s of :meth:`trace_jsonl`: the folded trace's, hashed
+        once by :meth:`run`; before that, the (empty) trace's, hashed
+        on every call and never kept."""
+        return self._digest if self._digest is not None else self._hash_trace()
 
     def report(self) -> dict:
         latency = self.metrics.histogram("fleet.attach.latency")

@@ -63,13 +63,13 @@ class SdnController:
         retire a single steering generation.
         """
         removed = 0
+        root = cookie_root(cookie)
         # Sweep every switch table, not just the journaled ones — the
         # journal can drift from table truth (the reconciler's whole
         # premise); a per-table miss is an O(1) bucket lookup anyway.
-        targets = [self.switch(switch_name)] if switch_name else list(self._switches.values())
+        targets = [self.switch(switch_name)] if switch_name else self._switches.values()
         for switch in targets:
-            removed += switch.flow_table.remove_by_cookie(cookie, family=family)
-        root = cookie_root(cookie)
+            removed += switch.flow_table.remove_from_family(root, cookie, family)
         bucket = self._journal.get(root)
         if bucket:
             kept = [

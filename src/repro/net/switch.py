@@ -173,7 +173,12 @@ class FlowTable:
         self._changed()
 
     def remove_by_cookie(self, cookie: str, family: bool = False) -> int:
-        root = cookie_root(cookie)
+        return self.remove_from_family(cookie_root(cookie), cookie, family)
+
+    def remove_from_family(self, root: Optional[str], cookie: str, family: bool) -> int:
+        """:meth:`remove_by_cookie` with ``root`` (``cookie_root(cookie)``)
+        already computed — the SDN controller sweeps every switch with
+        one root."""
         ids = self._by_root.get(root)
         if not ids:
             return 0

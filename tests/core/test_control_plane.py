@@ -159,7 +159,7 @@ def test_failed_attach_leaks_no_rules(env):
 
     assert family_rules_on_switches(env, cookie) == []
     assert nat_rules_everywhere(env, cookie) == []
-    assert env.storm.flows == []
+    assert env.storm.flows == {}
     # the platform is still usable: the mutex was released
     del env.vm.host.__dict__["attach_volume"]
     flow, _ = env.attach([env.spec(name="retry", relay="fwd")])
@@ -187,4 +187,4 @@ def test_failed_object_attach_leaks_no_rules(env):
 
     assert family_rules_on_switches(env, cookie) == []
     assert nat_rules_everywhere(env, cookie) == []
-    assert env.storm.flows == []
+    assert env.storm.flows == {}

@@ -34,7 +34,7 @@ def test_detach_evicts_conntrack_and_gateways():
     assert _conntrack_total(env) > 0
 
     env.storm.detach(flow)
-    assert env.storm.flows == []
+    assert env.storm.flows == {}
     assert env.storm.gateway_pairs == {}
     assert _conntrack_total(env) == 0
     assert env.storm._tenant_flows == {}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.core import Reconciler
 
 
 
@@ -177,6 +178,27 @@ def test_second_spliced_volume_same_tenant(env):
         env.run(io())
     assert env.volume.read_sync(0, BLOCK_SIZE) == b"\xaa" * BLOCK_SIZE
     assert env.cloud.volumes["vol2"][0].read_sync(0, BLOCK_SIZE) == b"\xbb" * BLOCK_SIZE
+
+
+def test_detaching_the_middle_flow_keeps_attach_order(env):
+    """The flow registry is insertion-ordered: detaching the middle one
+    of three flows leaves the other two in attach order — the order the
+    Reconciler walks them in — and the tenant's flow count follows."""
+    mb = env.storm.provision_middlebox(env.tenant, env.spec(name="s", relay="fwd"))
+    flows = []
+    for volume in ("vol1", "vol2", "vol3"):
+        if volume != "vol1":
+            env.cloud.create_volume(env.tenant, volume, 256 * BLOCK_SIZE)
+        flows.append(
+            env.run(env.storm.attach_with_services(env.tenant, env.vm, volume, [mb]))
+        )
+    assert list(env.storm.flows) == flows
+    assert env.storm.tenant_flow_count(env.tenant.name) == 3
+    env.storm.detach(flows[1])
+    assert flows[1] not in env.storm.flows
+    assert list(env.storm.flows) == [flows[0], flows[2]]
+    assert Reconciler(env.storm)._live_flows() == [flows[0], flows[2]]
+    assert env.storm.tenant_flow_count(env.tenant.name) == 2
 
 
 def test_reconfigure_fwd_chain_add_remove(env):

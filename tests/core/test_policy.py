@@ -140,7 +140,7 @@ def test_failed_deploy_leaves_nothing_behind(env, chains, error):
     with pytest.raises(error):
         env.run(deploy())
     assert env.storm.middleboxes == {}
-    assert env.storm.flows == []
+    assert env.storm.flows == {}
     assert committed(env) == before
 
 

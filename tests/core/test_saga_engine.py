@@ -343,9 +343,9 @@ def test_bare_storm_survives_a_controller_crash_mid_attach():
     env.sim.run()  # restart -> recover: pre-pivot, so rolled back
     (saga,) = env.storm.intent_log.by_op("attach_with_services")
     assert saga.status == ABORTED
-    assert env.storm.flows == []
+    assert env.storm.flows == {}
     assert Reconciler(env.storm).audit() == []
     # the platform is usable again
     env.storm.engine.probe = None
     flow, _mbs = env.attach([env.spec(name="again", relay="fwd")])
-    assert env.storm.flows == [flow]
+    assert list(env.storm.flows) == [flow]

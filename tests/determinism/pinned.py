@@ -394,7 +394,7 @@ SCENARIOS: dict[str, Callable[[], dict]] = {
     ),
 }
 
-#: too long for tier-1 (12 s and 4.5 min); run by name as scale probes
+#: too long for tier-1 (8 s and 2 min); run by name as scale probes
 SLOW = frozenset({"fleet_10k", "fleet_100k"})
 
 PINNED: dict[str, dict] = json.loads(PINNED_PATH.read_text())

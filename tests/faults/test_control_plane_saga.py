@@ -81,7 +81,7 @@ def test_attach_crash_matrix(step_name, phase):
         # rolled forward: exactly one fully-attached flow
         assert saga.status == COMMITTED
         assert len(storm.flows) == 1
-        flow = storm.flows[0]
+        (flow,) = storm.flows
         rules = switch_rules(env)
         assert len(rules) == flow.chain.expected_rule_count()
         assert all(r.cookie == flow.chain.active_cookie for _s, r in rules)
@@ -89,7 +89,7 @@ def test_attach_crash_matrix(step_name, phase):
     else:
         # rolled back: as if the attach never happened
         assert saga.status == ABORTED
-        assert storm.flows == []
+        assert storm.flows == {}
         assert switch_rules(env) == []
     # both outcomes: zero transient NAT rules, clean audit
     assert nat_rules(env) == []

@@ -1,6 +1,9 @@
 """Fleet generator: determinism, domain independence and the fold,
 O(active) state, HA latency charging."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.saga import COMMITTED
@@ -37,6 +40,19 @@ def test_run_twice_is_byte_identical_at_1k_sessions():
     assert first_report == second_report
     for domain in first.domains:
         assert_at_rest(domain.storm)
+
+
+def test_trace_digest_is_the_folded_traces():
+    """The digest is hashed once, from the folded trace; a digest read
+    before ``run()`` is the empty trace's and is not kept."""
+    run = FleetRun(_config(sessions=100, churn_storms=0))
+    early = run.trace_digest()
+    assert early == hashlib.blake2s(b"\n").hexdigest()
+    report = run.run()
+    assert run.trace_digest() == report["trace_digest"] != early
+    jsonl = "".join(json.dumps(record, sort_keys=True) + "\n" for record in run.trace)
+    assert len(run.trace) == 100 and run.trace_jsonl() == jsonl
+    assert report["trace_digest"] == hashlib.blake2s(jsonl.encode("utf-8")).hexdigest()
 
 
 def test_heavy_tail_and_diurnal_run_twice_identical():
@@ -113,7 +129,7 @@ def test_detached_fleet_leaves_no_per_session_state():
     for domain in run.domains:
         storm = domain.storm
         assert_at_rest(storm)
-        assert storm.flows == []
+        assert storm.flows == {}
         assert storm.gateway_pairs == {}
         assert storm._tenant_flows == {}
         assert storm._mb_refs == {}

@@ -85,7 +85,7 @@ def test_attach_leader_kill_matrix(step_name, phase):
         assert saga.status == COMMITTED
         assert takeover["replayed"] == 1
         assert len(storm.flows) == 1
-        flow = storm.flows[0]
+        (flow,) = storm.flows
         rules = switch_rules(env)
         assert len(rules) == flow.chain.expected_rule_count()
         assert all(r.cookie == flow.chain.active_cookie for _s, r in rules)
@@ -93,7 +93,7 @@ def test_attach_leader_kill_matrix(step_name, phase):
         # rolled back: as if the attach never happened
         assert saga.status == ABORTED
         assert takeover["rolled_back"] == 1
-        assert storm.flows == []
+        assert storm.flows == {}
         assert switch_rules(env) == []
     # both outcomes: zero transient NAT rules, clean audit
     assert nat_rules(env) == []
@@ -276,7 +276,7 @@ def test_log_loss_with_in_flight_saga_sweeps_transients():
     assert rebuilds[0]["attrs"]["drifts"] > 0  # it actually swept things
     assert rebuilds[0]["target"] == cluster.leader_name
     # ground truth restored: no flow, no rules, no NAT, clean audit
-    assert storm.flows == []
+    assert storm.flows == {}
     assert switch_rules(env) == []
     assert nat_rules(env) == []
     assert Reconciler(storm).audit() == []

@@ -3,17 +3,24 @@
 import pytest
 
 from repro.core import ControllerCrashed, Reconciler
+from repro.core.ha import HaConfig
 from repro.core.saga import COMPACT_EVERY, QuorumLost
 from repro.obs import ObsBus, instrument
 
 from tests.ha.conftest import ha_env
 
 
-def journals(cluster, name):
+def acked(cluster, name):
+    """saga_id -> how many of its journal entries replica ``name`` acked."""
     return {
-        rec.saga.saga_id: list(rec.journal)
+        rec.saga.saga_id: rec.acked
         for rec in cluster.logs[name].records.values()
     }
+
+
+def snapshot(cluster):
+    return {name: (log.last_index, acked(cluster, name))
+            for name, log in cluster.logs.items()}
 
 
 def test_every_replica_acks_every_entry():
@@ -23,16 +30,13 @@ def test_every_replica_acks_every_entry():
     assert flow in env.storm.flows
     indexes = {name: log.last_index for name, log in cluster.logs.items()}
     assert len(set(indexes.values())) == 1 and indexes["storm-cp0"] > 0
-    # identical journals everywhere, for the provision and attach sagas
-    assert (
-        journals(cluster, "storm-cp0")
-        == journals(cluster, "storm-cp1")
-        == journals(cluster, "storm-cp2")
-    )
-    # the shipped journals mirror the live ones exactly (no unacked
+    # every replica acked every entry of the provision and attach
+    # sagas: the shipped prefix is the whole live journal (no unacked
     # tail in the quiescent state)
-    for saga in env.storm.intent_log.sagas:
-        assert journals(cluster, "storm-cp0")[saga.saga_id] == saga.journal
+    sagas = env.storm.intent_log.sagas
+    assert [saga.op for saga in sagas] == ["provision_middlebox", "attach_with_services"]
+    for name in cluster.logs:
+        assert acked(cluster, name) == {saga.saga_id: len(saga.journal) for saga in sagas}
 
 
 def test_gap_triggers_snapshot_catch_up():
@@ -70,6 +74,54 @@ def test_failed_ship_leaves_no_trace():
     assert all(not log.records for log in cluster.logs.values())
     # the aborted saga is resolved locally, never 'in flight'
     assert env.storm.intent_log.incomplete() == []
+
+
+@pytest.mark.parametrize("cut", ["leader", "one-follower"])
+@pytest.mark.parametrize("entry", ["start:install-chain", "done:connect", "commit"])
+def test_failed_ship_mid_attach_rolls_back_exactly_that_entry(entry, cut):
+    """A quorum loss at a later entry of an attach — a step's start, the
+    completion of the yielding ``connect`` step, the commit — leaves
+    every replica's index and acked counts exactly as they were before
+    that ship, and moves the global index back by the one the ship
+    took.  ``leader``: the leader is isolated, so only its own ack is
+    retracted; ``one-follower``: with a quorum of all three, one
+    follower is cut off and the other's ack is retracted too."""
+    env = ha_env(ha_config=HaConfig(quorum=3)) if cut == "one-follower" else ha_env()
+    cluster = env.storm.ha
+    mb = env.storm.provision_middlebox(env.tenant, env.spec(name="svc", relay="fwd"))
+    before = {}
+
+    def take_quorum_away():
+        before["logs"] = snapshot(cluster)
+        before["index"] = cluster._global_index
+        if cut == "leader":
+            env.injector.isolate_leader(cluster)
+        else:
+            env.injector.control_partition(cluster, "storm-cp2")
+
+    def mid_connect():
+        yield env.sim.timeout(1e-6)  # start:connect has shipped
+        take_quorum_away()
+
+    def probe(saga, step, when):
+        at = (step.name, when)
+        if entry == "start:install-chain" and at == ("install-chain", "before"):
+            take_quorum_away()
+        elif entry == "done:connect" and at == ("connect", "before"):
+            env.sim.process(mid_connect())
+        elif entry == "commit" and at == ("register-flow", "after"):
+            take_quorum_away()
+
+    env.storm.engine.probe = probe
+    with pytest.raises(QuorumLost):
+        env.run(env.storm.attach_with_services(env.tenant, env.vm, "vol1", [mb]))
+    (saga,) = env.storm.intent_log.by_op("attach_with_services")
+    # append-then-ship: the failed entry stays in the local journal only
+    assert saga.journal[-1] == entry
+    assert snapshot(cluster) == before["logs"]
+    assert cluster._global_index == before["index"] == cluster.logs["storm-cp0"].last_index
+    assert acked(cluster, "storm-cp0")[saga.saga_id] == len(saga.journal) - 1
+    assert cluster.leader_name is None  # the leader stepped down
 
 
 def test_begin_time_quorum_failure_is_a_settlement():
