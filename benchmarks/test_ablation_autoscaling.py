@@ -4,13 +4,15 @@
 the traffic load, making them truly elastic."  Three volumes of one
 tenant share forwarding middle-boxes; under concurrent Fio load a
 fixed single box is compared against an autoscaled pool (max 3),
-rebalanced purely by SDN reprogramming.
+rebalanced purely by SDN reprogramming: a declared ScalingPool, sized
+by the control loop's width policy.
 """
 
 from harness import LEGACY, build_testbed, format_table, memo
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.core import Reconciler
 from repro.core.policy import ServiceSpec
-from repro.core.scaling import MiddleboxAutoscaler
+from repro.core.scaling import ScalingPool
 from repro.workloads import FioConfig, FioJob
 
 N_FLOWS = 3
@@ -35,29 +37,29 @@ def _build(env_scaled: bool):
             )
 
         flows.append(bed.run(attach()))
-    scaler = None
+    scaler = loop = None
     if env_scaled:
-        scaler = MiddleboxAutoscaler(
+        scaler = ScalingPool(
             bed.storm,
             bed.tenant,
             ServiceSpec("pool", "noop", relay="fwd"),
             flows,
             initial_pool=[mb],
             max_size=3,
-            check_interval=0.05,
             high_watermark=800.0,
             low_watermark=10.0,
         )
-        bed.sim.process(scaler.run())
+        loop = Reconciler(bed.storm)
+        bed.sim.process(loop.run(interval=0.05))
     # cache-warm backend so the middle-box path is the bottleneck
     for storage_host in bed.cloud.storage_hosts.values():
         storage_host.disk.seek_penalty = 0.5e-3
         storage_host.disk.set_queue_depth(32)
-    return bed, flows, scaler
+    return bed, flows, scaler, loop
 
 
 def _aggregate_iops(scaled: bool) -> tuple[float, int]:
-    bed, flows, scaler = _build(scaled)
+    bed, flows, scaler, loop = _build(scaled)
     jobs = [
         FioJob(
             bed.sim,
@@ -80,10 +82,10 @@ def _aggregate_iops(scaled: bool) -> tuple[float, int]:
             results.append((yield proc))
 
     bed.run(drive())
-    if scaler is not None:
-        scaler.stop()
+    if loop is not None:
+        loop.stop()
     total_iops = sum(r.iops for r in results)
-    pool_size = len(scaler.pool) if scaler else 1
+    pool_size = len(scaler.members()) if scaler else 1
     return total_iops, pool_size
 
 

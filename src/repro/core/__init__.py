@@ -16,7 +16,8 @@ The paper's three mechanisms, each in its own module:
 :mod:`repro.core.platform` declares the control operations end to end,
 :mod:`repro.core.saga` journals and runs them, and
 :mod:`repro.core.reconcile` is the one control loop that holds every
-flow to the chain its attach committed.
+flow to its desired chain and every scaling pool
+(:mod:`repro.core.scaling`) to its width.
 """
 
 from repro.core.attribution import AttributionRecord, ConnectionAttributor
@@ -37,7 +38,7 @@ from repro.core.saga import (
     SagaEngine,
     SagaStep,
 )
-from repro.core.scaling import MiddleboxAutoscaler, resteer_flow
+from repro.core.scaling import ScalingPool
 from repro.core.reconcile import Drift, Reconciler
 
 __all__ = [
@@ -53,13 +54,13 @@ __all__ = [
     "HaCluster",
     "HaConfig",
     "IntentLog",
-    "MiddleboxAutoscaler",
     "QuorumLost",
     "Reconciler",
     "ReplicaLog",
     "Saga",
     "SagaEngine",
     "SagaStep",
+    "ScalingPool",
     "MiddleBox",
     "PassiveRelay",
     "PolicyError",
@@ -74,5 +75,4 @@ __all__ = [
     "TenantPolicy",
     "build_chain_rules",
     "payload_bytes",
-    "resteer_flow",
 ]

@@ -131,6 +131,9 @@ class MiddleBox(Node):
         self.relay = None  # PassiveRelay/ActiveRelay instance, if any
         self.relay_mode = None  # RelayMode, set at provisioning
         self.host_name: Optional[str] = None
+        #: tenant name of the scaling pool a committed provision or adopt
+        #: step marked this box for (:mod:`repro.core.scaling`); None = no pool
+        self.pool: Optional[str] = None
 
     @property
     def instance_iface(self):

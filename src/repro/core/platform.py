@@ -87,7 +87,8 @@ class StorMFlow:
     #: step can forget the exact conntrack tuples the attach pinned.
     host: object = None
     target_ip: str = ""
-    #: the chain the attach committed: the one desired state the
+    #: the chain the attach or the last reconfigure (not a detour)
+    #: committed: the one desired state the
     #: :class:`~repro.core.reconcile.Reconciler` holds the flow to
     #: while :attr:`middleboxes` follows bypasses and heals
     desired: tuple[MiddleBox, ...] = ()
@@ -127,6 +128,8 @@ class StorM:
         #: and idle tenants' gateways/metric scopes.
         self.evict_detached = cloud.params.evict_detached
         self._mb_ids = itertools.count(1)
+        #: declared scaling pools (:mod:`repro.core.scaling`) by tenant name
+        self.pools: dict[str, Any] = {}
         self._placement_cycle = None
         self.service_factories: dict[str, Callable[[ServiceSpec, "StorM"], StorageService]] = {
             "noop": lambda spec, storm: NoopService(),
@@ -276,6 +279,10 @@ class StorM:
         """Live (registered, not-yet-detached) flows of one tenant."""
         return self._tenant_flows.get(tenant_name, 0)
 
+    def in_chain(self, mb: MiddleBox) -> bool:
+        """Whether a live flow's current chain holds ``mb``."""
+        return bool(self._mb_refs.get(mb.name))
+
     def _track_flow(self, flow: StorMFlow) -> None:
         self._tenant_flows[flow.tenant_name] = (
             self._tenant_flows.get(flow.tenant_name, 0) + 1
@@ -303,8 +310,14 @@ class StorM:
             self._placement_cycle = itertools.cycle(self.cloud.compute_hosts.values())
         return next(self._placement_cycle)
 
-    def provision_middlebox(self, tenant: Tenant, spec: ServiceSpec) -> MiddleBox:
-        """Create the middle-box VM from a spec and install its service."""
+    def provision_middlebox(
+        self, tenant: Tenant, spec: ServiceSpec, pool: Optional[str] = None,
+        replaces: Optional[MiddleBox] = None,
+    ) -> MiddleBox:
+        """Create the middle-box VM from a spec and install its service;
+        ``pool`` marks it for that scaling pool, and unmarks the dead
+        member it ``replaces``, in the same committed step: at no crash
+        point is a pool's box unowned or counted twice."""
         spec.validate()
         if spec.kind not in self.service_factories:
             raise PolicyError(
@@ -314,13 +327,18 @@ class StorM:
         state: dict = {}
 
         def do_provision():
-            state["mb"] = self._provision_middlebox_impl(tenant, spec)
-            return state["mb"]
+            state["mb"] = mb = self._provision_middlebox_impl(tenant, spec)
+            mb.pool = pool
+            if replaces is not None:
+                replaces.pool = None
+            return mb
 
         def undo_provision():
             mb = state.get("mb")
             if mb is not None:
                 self._deprovision_middlebox_impl(mb)
+                if replaces is not None:
+                    replaces.pool = pool
 
         saga = self.engine.begin(
             "provision_middlebox",
@@ -722,10 +740,13 @@ class StorM:
 
     # -- on-demand scaling (fwd-mode chains) --------------------------------------
 
-    def reconfigure_chain(self, flow: StorMFlow, middleboxes: list[MiddleBox]) -> None:
+    def reconfigure_chain(
+        self, flow: StorMFlow, middleboxes: list[MiddleBox], detour: bool = False
+    ) -> None:
         """Add/remove middle-boxes on an existing flow by reprogramming
-        the SDN switches (paper §III-A).  Restricted to forwarding-mode
-        chains: active relays hold per-flow TCP state.
+        the SDN switches (paper §III-A); the new chain becomes the flow's
+        desired one unless it is a control-loop ``detour``.  Restricted
+        to forwarding-mode chains: active relays hold per-flow TCP state.
 
         The swap is make-before-break: the new rule generation is
         staged (installed at a shadowing priority) before the old one
@@ -755,6 +776,8 @@ class StorM:
         def do_update():
             self._untrack_flow(flow)
             flow.middleboxes = list(middleboxes)
+            if not detour:
+                flow.desired = tuple(middleboxes)
             self._track_flow(flow)
             self._register_flow_chain(flow)
 

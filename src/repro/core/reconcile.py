@@ -1,25 +1,34 @@
 """The chain control loop: keep every committed chain in force.
 
 One periodic :class:`Reconciler` holds each live flow to one desired
-state — the chain its attach committed (:attr:`StorMFlow.desired
-<repro.core.platform.StorMFlow.desired>`) — and closes the drift no
-single saga owns.  Each :meth:`Reconciler.tick` builds the live-flow
-set once, applies the tenant's failure policy to every flow, then
-audits and repairs.
+state (:attr:`StorMFlow.desired <repro.core.platform.StorMFlow.desired>`:
+the chain its attach or last ``reconfigure_chain`` committed, its
+scaling pool's assignment for a pool's flow) and closes the drift no
+single saga owns.  Each
+:meth:`Reconciler.tick` builds the live-flow set once, runs every
+declared pool's width policy, applies the tenant's failure policy to
+every flow, then audits and repairs.
+
+**Width policy.**  For each :class:`~repro.core.scaling.ScalingPool`
+in ``storm.pools`` the tick recomputes the target width from the
+members' packet rate since the last tick (or one clone per dead
+member) and the pool's round-robin flow assignment, then runs only the
+sagas that close the gap: provision, ``reconfigure_chain``,
+deprovision.
 
 **Failure policy.**  A chain member that crashed (or lost its NIC)
 leaves the tenant with a choice the platform makes per tenant:
 
 - **fail-open** — availability first: *heal the chain at full
-  strength* by borrowing replacement capacity from a
-  :class:`~repro.core.scaling.MiddleboxAutoscaler` pool
-  (``capacity_pool=``): each dead member is substituted by a borrowed
-  box and the flow re-steered onto the full-length chain.  Only when
-  the pool is exhausted (or none is wired) does the loop fall back to
-  a bypass: re-steer the flow onto the surviving members.  Either way
-  the desired chain is *reinstated*, and every loan returned, when the
-  dead boxes come back.  Only valid for forwarding-mode chains: an
-  active relay holds per-flow TCP state that a bypass would corrupt.
+  strength* with loans from the tenant's scaling pool, each dead
+  member substituted in place.  Only when the pool cannot spare a box
+  (or the tenant has none) does the loop fall back to a bypass:
+  re-steer the flow onto the surviving members.  When the dead boxes
+  come back the desired chain is *reinstated* and the loans go back
+  to the pool.  These re-steers are detours
+  (``reconfigure_chain(..., detour=True)``) that leave the desired
+  chain as it was.  Only valid for forwarding-mode chains: an active relay
+  holds per-flow TCP state that a bypass would corrupt.
 - **fail-closed** — the service is load-bearing (encryption, access
   control): *quiesce* the flow with high-priority drop rules until
   every member is healthy, then lift them and let TCP retransmission
@@ -36,7 +45,7 @@ Every transition is a ``watchdog.*`` bus event (``borrow``, ``heal``,
 **Audit and repair.**  ``audit()`` is read-only and compares
 
 - **desired state**: the platform's live flows, their current and
-  desired chains, and the loop's capacity pool;
+  desired chains, and the scaling pools' members;
 - **actual state**: the rules in the switch tables
   (:meth:`~repro.net.sdn.SdnController.iter_rules`) and the NAT tables
   on compute hosts and gateways;
@@ -48,9 +57,9 @@ one ``reconcile.*`` bus event per repair.
 
 **Writes.**  Every write the loop makes is a saga on ``storm.engine``
 — quiesce and unquiesce are one-step sagas, a repair is one saga with
-a step per drift, bypass / heal / reinstate are ``reconfigure_chain``
-— so each is journaled, shipped under HA and checked against
-``engine.authority``.  A tick that meets :class:`ControllerCrashed`
+a step per drift, every re-steer is ``reconfigure_chain``, a pool
+grows and shrinks by (de)provisioning — so each is journaled, shipped
+under HA and checked against ``engine.authority``.  A tick that meets :class:`ControllerCrashed`
 writes nothing more; the next tick works the state out again.
 
 ``python -m repro.core.reconcile --list-invariants`` prints the
@@ -64,10 +73,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
-from repro.core.middlebox import MiddleBox
 from repro.core.relay import RelayMode
 from repro.core.saga import ControllerCrashed, SagaStep
-from repro.core.scaling import resteer_flow
+from repro.core.scaling import healthy
 
 FAIL_OPEN = "fail-open"
 FAIL_CLOSED = "fail-closed"
@@ -98,8 +106,8 @@ INVARIANTS: list[tuple[str, str]] = [
     (
         "mb-orphan",
         "a crashed middle-box is in a live flow's current or desired chain, "
-        "or held or lent by the loop's capacity pool; otherwise it is "
-        "deprovisioned",
+        "or a member of its tenant's scaling pool (whose width policy "
+        "evicts it); otherwise it is deprovisioned",
     ),
 ]
 
@@ -109,10 +117,6 @@ _STORM_PREFIXES = ("storm:", "storm-obj:")
 def _base_cookie(cookie: str) -> str:
     """Strip the generation/quiesce suffix: ``a#g2`` -> ``a``."""
     return cookie.split("#", 1)[0]
-
-
-def _healthy(mb: MiddleBox) -> bool:
-    return not mb.crashed and mb.instance_iface.link is not None
 
 
 @dataclass
@@ -137,21 +141,12 @@ class Reconciler:
         storm,
         default_policy: str = FAIL_OPEN,
         tenant_policies: Optional[dict[str, str]] = None,
-        capacity_pool=None,
     ):
         if default_policy not in (FAIL_OPEN, FAIL_CLOSED):
             raise ValueError(f"unknown failure policy {default_policy!r}")
         self.storm = storm
         self.default_policy = default_policy
         self.tenant_policies = dict(tenant_policies or {})
-        #: :class:`~repro.core.scaling.MiddleboxAutoscaler` to borrow
-        #: replacement capacity from on fail-open (None = bypass only)
-        self.capacity_pool = capacity_pool
-        #: flow cookie -> loans as (dead member name, borrowed box), in
-        #: borrow order; a loan leaves only once the flow is off it
-        self._loans: dict[str, list[tuple[str, MiddleBox]]] = {}
-        #: flow cookies this loop steered off their desired chain
-        self._steered: set[str] = set()
         #: flow cookies quiesced by an integrity-breaker trip (kept
         #: apart from the health quiesce so a healthy chain cannot lift
         #: a tamper lockout early)
@@ -178,14 +173,18 @@ class Reconciler:
     # -- one tick -----------------------------------------------------------
 
     def tick(self) -> None:
-        """Apply the failure policy to every live flow, then audit and
-        repair.  Stops writing at the first :class:`ControllerCrashed`."""
+        """Run every pool's width policy, apply the failure policy to
+        every live flow, then audit and repair.  Stops writing at the
+        first :class:`ControllerCrashed`."""
         obs = self.storm.obs
         if obs is not None:
             obs.metrics.counter("watchdog.probes").inc()
         flows = self._live_flows()
         try:
-            self._forget_detached(flows)
+            # forget detached flows: the loop stays O(active flows)
+            self._integrity_quiesced &= {f.cookie for f in flows}
+            for pool in self.storm.pools.values():
+                self._scale(pool)
             for flow in flows:
                 if not self._apply_integrity(flow):
                     self._apply_policy(flow)
@@ -193,18 +192,51 @@ class Reconciler:
         except ControllerCrashed:
             pass  # the controller is down: the next tick starts over
 
-    def _forget_detached(self, flows) -> None:
-        """Drop the state of flows that left the rules and return their
-        loans, so the loop stays O(active flows) under fleet churn."""
-        live = {f.cookie for f in flows}
-        self._steered &= live
-        self._integrity_quiesced &= live
-        for cookie in [c for c in self._loans if c not in live]:
-            loans = self._loans[cookie]
-            while loans:
-                self.capacity_pool.restore(loans[0][1])
-                del loans[0]
-            del self._loans[cookie]
+    def _scale(self, pool) -> None:
+        """The width policy: bring one pool to its target width and
+        round-robin assignment.  Level-triggered: the target comes from
+        derived state every tick and only the sagas that close the gap
+        run, so a crash between two leaves nothing the next tick
+        cannot see."""
+        members = pool.members()
+        lent = pool.loans(members)
+        live = [mb for mb in members if mb not in lent and healthy(mb)]
+        dead = [mb for mb in members if mb not in lent and not healthy(mb)]
+        load = pool.load_per_box(live)
+        want = len(live)
+        if dead or not live:  # replace the dead 1:1, at least min_size
+            want = max(pool.min_size, want + len(dead))
+        elif load is not None and load > pool.high_watermark:
+            want += 1
+        elif load is not None and load < pool.low_watermark:
+            want = max(pool.min_size, want - 1)
+        want = min(want, len(live) + pool.room(members))
+        if want < 1:
+            return  # nothing healthy to steer onto: the failure policy holds
+        for mb in dead:
+            pool.record("evict", mb.name, len(live))
+        unreplaced = list(dead)
+        while len(live) < want:
+            live.append(pool.provision(unreplaced.pop(0) if unreplaced else None))
+            pool.record("replace" if dead else "grow", live[-1].name, len(live),
+                        0.0 if dead else load or 0.0)
+        retired = live[want:]
+        del live[want:]
+        for mb in retired:
+            pool.record("shrink", mb.name, len(live), load or 0.0)
+        for flow in [f for f in pool.flows if f.detached]:
+            del pool.flows[flow]  # forget detached flows for good
+        moved = False
+        for i, flow in enumerate(pool.flows):
+            box = live[i % len(live)]
+            if flow.middleboxes != [box] or flow.desired != (box,):
+                self.storm.reconfigure_chain(flow, [box])  # commits the assignment
+                moved = True
+        if moved:
+            pool.record("rebalance", pool.template.name, len(live))
+        for mb in dead + retired:
+            if not self.storm.in_chain(mb):
+                self.storm.deprovision_middlebox(mb)
 
     def _set_quiesced(self, flow, quiesced: bool) -> None:
         """Quiesce or unquiesce one flow as a one-step saga."""
@@ -243,7 +275,7 @@ class Reconciler:
         return False
 
     def _apply_policy(self, flow) -> None:
-        dead = [mb for mb in flow.desired if not _healthy(mb)]
+        dead = [mb for mb in flow.desired if not healthy(mb)]
         policy = self.tenant_policies.get(flow.tenant_name, self.default_policy)
         if any(mb.relay_mode is RelayMode.ACTIVE for mb in flow.desired):
             policy = FAIL_CLOSED  # a bypass would corrupt relay TCP state
@@ -260,65 +292,47 @@ class Reconciler:
             self._set_quiesced(flow, False)
             self._record("watchdog.unquiesce", flow)
 
-    def _borrow(self, flow, dead, loans) -> None:
-        """Borrow a replacement for every dead member without a healthy
-        loan, until the pool's capacity budget runs out."""
-        covered = {name for name, box in loans if _healthy(box)}
-        for mb in dead:
-            if mb.name in covered:
-                continue
-            replacement = self.capacity_pool.borrow()
-            if replacement is None:
-                break  # capacity budget exhausted: bypass what's left
-            loans.append((mb.name, replacement))
-            self._record(
-                "watchdog.borrow", flow, dead=mb.name, replacement=replacement.name
-            )
-
     def _fail_open(self, flow, dead) -> None:
-        if dead and self.capacity_pool is not None:
-            self._borrow(flow, dead, self._loans.setdefault(flow.cookie, []))
-        loans = self._loans.get(flow.cookie, [])
-        dead_names = {mb.name for mb in dead}
-        cover = {
-            name: box for name, box in loans if name in dead_names and _healthy(box)
-        }
+        pool = self.storm.pools.get(flow.tenant_name)
+        if pool is not None and flow in pool.flows:
+            pool = None  # the width policy owns the pool's own flows
+        # a box in a live chain is never deprovisioned: the mark is enough
+        lent = [mb for mb in flow.middleboxes if pool and mb.pool == flow.tenant_name]
+        subs = [mb for mb in lent if healthy(mb)]
+        borrowed = pool.spare(len(dead) - len(subs)) if pool and len(dead) > len(subs) else []
         # full strength first: every desired member, a loan in place of
         # each dead one; the bypass is what the pool could not cover
-        target = [
-            mb if _healthy(mb) else cover[mb.name]
-            for mb in flow.desired
-            if _healthy(mb) or mb.name in cover
-        ]
+        cover = dict(zip([mb.name for mb in dead], subs + borrowed))
+        target = [mb if healthy(mb) else cover[mb.name]
+                  for mb in flow.desired if healthy(mb) or mb.name in cover]
         if not target:
-            # nothing to steer through: quiesce rather than steer traffic
-            # at a dark MAC; the loans stay (they may still be in the rules)
+            # nothing to steer through: quiesce, not steer at a dark MAC
             self._fail_closed(flow, dead)
             return
         if flow.chain.quiesced:  # recovery from a total outage
             self._set_quiesced(flow, False)
             self._record("watchdog.unquiesce", flow)
-        if dead:
-            if resteer_flow(self.storm, flow, target):
-                healed = all(mb.name in cover for mb in dead)
-                self._record(
-                    "watchdog.heal" if healed else "watchdog.bypass",
-                    flow,
-                    dead=[mb.name for mb in dead],
-                    chain=[mb.name for mb in target],
-                )
-            self._steered.add(flow.cookie)
-        elif flow.cookie in self._steered:
-            if resteer_flow(self.storm, flow, target):
-                self._record("watchdog.reinstate", flow, chain=[mb.name for mb in target])
-            self._steered.discard(flow.cookie)
-        # the flow is off every loan outside the cover: hand them back
-        for loan in [loan for loan in loans if cover.get(loan[0]) is not loan[1]]:
-            self.capacity_pool.restore(loan[1])
-            loans.remove(loan)
-            self._record("watchdog.restore", flow, replacement=loan[1].name)
-        if not loans:
-            self._loans.pop(flow.cookie, None)
+        if flow.middleboxes != target:
+            # a detour: the flow keeps its desired chain to come back to
+            self.storm.reconfigure_chain(flow, target, detour=True)
+            chain = [mb.name for mb in target]
+            for name, box in cover.items():
+                if box in borrowed:
+                    self._record("watchdog.borrow", flow, dead=name, replacement=box.name)
+                    pool.record("lend", box.name, len(pool.serving()))
+            if not dead:
+                self._record("watchdog.reinstate", flow, chain=chain)
+            else:
+                kind = "watchdog.heal" if len(cover) == len(dead) else "watchdog.bypass"
+                self._record(kind, flow, dead=[mb.name for mb in dead], chain=chain)
+        # a loan the chain let go of is the pool's again; a dead one is
+        # reclaimed
+        for box in lent:
+            if box not in flow.middleboxes:
+                self._record("watchdog.restore", flow, replacement=box.name)
+                if not healthy(box) and not self.storm.in_chain(box):
+                    self.storm.deprovision_middlebox(box)
+                pool.record("restore", box.name, len(pool.serving()))
 
     # -- audit --------------------------------------------------------------
 
@@ -393,11 +407,8 @@ class Reconciler:
                 )
 
         used = {mb.name for f in flows for mb in (*f.middleboxes, *f.desired)}
-        pool = self.capacity_pool
-        if pool is not None:
-            used.update(mb.name for mb in (*pool.pool, *pool.lent))
         for name, mb in self.storm.middleboxes.items():
-            if mb.crashed and name not in used:
+            if mb.crashed and mb.pool is None and name not in used:
                 drifts.append(Drift("mb-orphan", name, {}))
 
         return drifts

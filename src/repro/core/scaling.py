@@ -5,13 +5,27 @@ the traffic load, making them truly elastic" — StorM "provides
 on-demand middle-box service scaling by dynamically adding or removing
 middle-boxes on the storage traffic path by programming SDN switches."
 
-:class:`MiddleboxAutoscaler` watches the packet load of a pool of
-forwarding-mode middle-boxes serving a set of flows, grows the pool
-when the per-box load crosses the high watermark, shrinks it at the
-low watermark, and rebalances flows across the pool purely by
-reprogramming steering rules (no connection state moves — which is
-why, like :meth:`~repro.core.platform.StorM.reconfigure_chain`, this
-is restricted to forwarding-mode chains).
+A :class:`ScalingPool` is a declaration in platform state
+(``storm.pools``, one per tenant): a template for interchangeable
+forwarding-mode middle-boxes, the flows they serve, ``min_size`` /
+``max_size`` and per-box packet-rate watermarks.  It runs nothing.
+The one chain control loop, :class:`~repro.core.reconcile.Reconciler`,
+applies the pool's width policy on every tick, and its fail-open
+policy borrows from the pool.  The pool's shape is derived, not
+stored:
+
+- a **member** is a box in ``storm.middleboxes`` that a committed
+  provision or adopt step marked for the pool (``MiddleBox.pool``);
+- a **loan** is a member in the current chain of a live flow outside
+  the pool; loans count against ``max_size``;
+- the pool's own flows are assigned round-robin over its healthy
+  members not on loan, and that committed assignment is each flow's
+  desired chain.
+
+Flows move purely by reprogramming steering rules (no connection
+state moves — which is why, like
+:meth:`~repro.core.platform.StorM.reconfigure_chain`, pools are
+restricted to forwarding-mode boxes).
 
 Every pool change is a ``pool.<action>`` event on the platform's obs
 bus (``grow``, ``shrink``, ``rebalance``, ``evict``, ``replace``,
@@ -21,26 +35,25 @@ bus (``grow``, ``shrink``, ``rebalance``, ``evict``, ``replace``,
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.core.middlebox import MiddleBox
 from repro.core.platform import StorM, StorMFlow
 from repro.core.policy import PolicyError, ServiceSpec
+from repro.core.saga import SagaStep
 
 
-def resteer_flow(storm: StorM, flow: StorMFlow, middleboxes: list[MiddleBox]) -> bool:
-    """Re-steer one flow onto a new forwarding chain via SDN only
-    (make-before-break).  No-op if the chain is already the target.
-    Shared by the autoscaler's rebalance and the control loop's
-    fail-open bypass, heal and reinstate — all pure rule reprogramming."""
-    if flow.middleboxes == list(middleboxes):
-        return False
-    storm.reconfigure_chain(flow, list(middleboxes))
-    return True
+def healthy(mb: MiddleBox) -> bool:
+    """Up, with its NIC plugged."""
+    return not mb.crashed and mb.instance_iface.link is not None
 
 
-class MiddleboxAutoscaler:
-    """Elastic pool of interchangeable forwarding middle-boxes."""
+class ScalingPool:
+    """A tenant's elastic pool of interchangeable forwarding middle-boxes.
+
+    Declaring it runs one ``declare_pool`` saga whose ``adopt`` step
+    marks ``initial_pool`` and registers the pool in ``storm.pools``."""
 
     def __init__(
         self,
@@ -51,7 +64,6 @@ class MiddleboxAutoscaler:
         initial_pool: Optional[list[MiddleBox]] = None,
         min_size: int = 1,
         max_size: int = 4,
-        check_interval: float = 0.5,
         high_watermark: float = 2000.0,  # packets/s per box
         low_watermark: float = 200.0,
     ):
@@ -59,149 +71,98 @@ class MiddleboxAutoscaler:
             raise PolicyError("autoscaling requires forwarding-mode middle-boxes")
         if min_size < 1 or max_size < min_size:
             raise PolicyError("need 1 <= min_size <= max_size")
+        if tenant.name in storm.pools:
+            raise PolicyError(f"tenant {tenant.name!r} already has a scaling pool")
         self.storm = storm
         self.tenant = tenant
         self.template = template
-        self.flows = list(flows)
-        self.pool: list[MiddleBox] = list(initial_pool or [])
+        #: the pool's own flows in assignment order (a dict: O(1) ownership)
+        self.flows: dict[StorMFlow, None] = dict.fromkeys(flows)
         self.min_size = min_size
         self.max_size = max_size
-        self.check_interval = check_interval
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
-        self._clone_counter = 0
-        self._last_packet_count = 0
-        self.stopped = False
-        self.replacements = 0
-        #: boxes on loan to the :class:`~repro.core.reconcile.Reconciler`
-        #: for full-strength chain healing (:meth:`borrow` / :meth:`restore`);
-        #: they count against ``max_size`` but carry none of the pool's flows.
-        self.lent: list[MiddleBox] = []
+        boxes = list(initial_pool or [])
+        #: (simulated time, rx_packets by member name) at the last
+        #: measurement; the width policy's load is the delta since
+        self._measured = (storm.sim.now, {mb.name: mb.instance_iface.rx_packets for mb in boxes})
 
-    def _emit(self, action: str, target: str, load_per_box: float = 0.0) -> None:
-        obs = self.storm.obs
-        if obs is not None:
-            obs.event(f"pool.{action}", target=target, pool_size=len(self.pool),
-                      load_per_box=load_per_box)
+        def adopt() -> None:
+            for mb in boxes:
+                mb.pool = tenant.name
+            storm.pools[tenant.name] = self
 
-    # -- pool management ---------------------------------------------------
+        def unadopt() -> None:
+            for mb in boxes:
+                mb.pool = None
+            storm.pools.pop(tenant.name, None)
 
-    def _provision_clone(self) -> MiddleBox:
-        self._clone_counter += 1
-        spec = ServiceSpec(
-            name=f"{self.template.name}-clone{self._clone_counter}",
-            kind=self.template.kind,
-            vcpus=self.template.vcpus,
-            memory_mb=self.template.memory_mb,
-            relay="fwd",
-            options=dict(self.template.options),
-        )
-        return self.storm.provision_middlebox(self.tenant, spec)
+        engine = storm.engine
+        step = SagaStep("adopt", do=adopt, undo=unadopt, locked=False)
+        engine.run_now(engine.begin("declare_pool", f"storm-pool:{tenant.name}", [step]))
 
-    def _pool_packets(self) -> int:
-        return sum(mb.instance_iface.rx_packets for mb in self.pool)
+    # -- derived views ------------------------------------------------------
 
-    def _rebalance(self) -> None:
-        """Assign flows round-robin across the pool via SDN only."""
-        for index, flow in enumerate(self.flows):
-            target = self.pool[index % len(self.pool)]
-            resteer_flow(self.storm, flow, [target])
-        self._emit("rebalance", self.template.name)
+    def members(self) -> list[MiddleBox]:
+        """Boxes marked for the pool and not deprovisioned, oldest first."""
+        name = self.tenant.name
+        return [mb for mb in self.storm.middleboxes.values() if mb.pool == name]
 
-    # -- capacity lending (control-loop chain healing) ----------------------
+    def loans(self, members: Optional[list[MiddleBox]] = None) -> list[MiddleBox]:
+        """Members in the current chain of a live flow outside the pool."""
+        flows = self.storm.flows
+        chained = {mb.name for f in flows if f not in self.flows for mb in f.middleboxes}
+        if members is None:
+            members = self.members()
+        return [mb for mb in members if mb.name in chained]
 
-    def borrow(self) -> Optional[MiddleBox]:
-        """Lend one healthy forwarding box as replacement capacity.
-
-        Prefers spare pool capacity (a box beyond ``min_size``, whose
-        flows are first rebalanced off it); otherwise provisions a
-        clone if the pool plus outstanding loans is under ``max_size``.
-        Returns ``None`` when the tenant's capacity budget is
-        exhausted — the caller falls back to bypass/quiesce."""
-        if len(self.pool) > self.min_size:
-            box = self.pool.pop()
-            if self.flows:
-                self._rebalance()  # steer pool flows off the loaned box
-        elif len(self.pool) + len(self.lent) < self.max_size:
-            box = self._provision_clone()
-        else:
-            return None
-        self.lent.append(box)
-        self._emit("lend", box.name)
-        self._last_packet_count = self._pool_packets()
-        return box
-
-    def restore(self, box: MiddleBox) -> None:
-        """Take a loaned box back: rejoin the pool if it is healthy and
-        there is room, reclaim its VM otherwise."""
-        if box not in self.lent:
-            return
-        self.lent.remove(box)
-        if not getattr(box, "crashed", False) and len(self.pool) < self.max_size:
-            self.pool.append(box)
-            if self.flows:
-                self._rebalance()
-        else:
-            self.storm.deprovision_middlebox(box)
-        self._emit("restore", box.name)
-        self._last_packet_count = self._pool_packets()
+    def serving(self) -> list[MiddleBox]:
+        """Healthy members not on loan: what the pool's flows run on."""
+        members = self.members()
+        lent = self.loans(members)
+        return [mb for mb in members if mb not in lent and healthy(mb)]
 
     def assignments(self) -> dict[str, list[str]]:
         """mb name -> flow volume names (for tests/observability)."""
-        mapping: dict[str, list[str]] = {mb.name: [] for mb in self.pool}
+        mapping: dict[str, list[str]] = {mb.name: [] for mb in self.serving()}
         for flow in self.flows:
             for mb in flow.middleboxes:
                 mapping.setdefault(mb.name, []).append(flow.volume_name)
         return mapping
 
-    # -- the control loop -----------------------------------------------------
+    # -- what the control loop calls ------------------------------------------
 
-    def run(self, duration: Optional[float] = None):
-        """Process: sample load every ``check_interval``; scale."""
-        sim = self.storm.sim
-        if not self.pool:
-            self.pool.append(self._provision_clone())
-            self._rebalance()
-        self._last_packet_count = self._pool_packets()
-        deadline = None if duration is None else sim.now + duration
-        while not self.stopped and (deadline is None or sim.now < deadline):
-            yield sim.timeout(self.check_interval)
-            crashed = [mb for mb in self.pool if getattr(mb, "crashed", False)]
-            if crashed:
-                self._heal(crashed)
-                continue
-            total = self._pool_packets()
-            rate = (total - self._last_packet_count) / self.check_interval
-            self._last_packet_count = total
-            per_box = rate / len(self.pool)
-            if per_box > self.high_watermark and len(self.pool) < self.max_size:
-                clone = self._provision_clone()
-                self.pool.append(clone)
-                self._emit("grow", clone.name, per_box)
-                self._rebalance()
-            elif per_box < self.low_watermark and len(self.pool) > self.min_size:
-                retired = self.pool.pop()
-                self._emit("shrink", retired.name, per_box)
-                self._rebalance()  # steer flows off the box, then reclaim it
-                self.storm.deprovision_middlebox(retired)
+    def load_per_box(self, live: list[MiddleBox]) -> Optional[float]:
+        """Packets/s per box of ``live`` since the last measurement, then
+        measure anew; None when ``live`` is empty or no time passed."""
+        now = self.storm.sim.now
+        then, seen = self._measured
+        self._measured = (now, {mb.name: mb.instance_iface.rx_packets for mb in self.members()})
+        if not live or now <= then:
+            return None
+        packets = sum(mb.instance_iface.rx_packets - seen.get(mb.name, 0) for mb in live)
+        return packets / (now - then) / len(live)
 
-    def _heal(self, crashed: list[MiddleBox]) -> None:
-        """Evict crashed boxes, provision replacements up to the pool
-        target, re-steer flows, then reclaim the dead VMs' resources."""
-        for mb in crashed:
-            self.pool.remove(mb)
-            self._emit("evict", mb.name)
-        want = min(self.max_size, max(self.min_size, len(self.pool) + len(crashed)))
-        while len(self.pool) < want:
-            clone = self._provision_clone()
-            self.pool.append(clone)
-            self.replacements += 1
-            self._emit("replace", clone.name)
-        self._rebalance()
-        for mb in crashed:
-            self.storm.deprovision_middlebox(mb)
-        # the dead boxes' packet counters left the pool with them
-        self._last_packet_count = self._pool_packets()
+    def provision(self, replaces: Optional[MiddleBox] = None) -> MiddleBox:
+        """A new member from the template, placed on any host with its
+        own options; its provision step unmarks the dead ``replaces``."""
+        spec = replace(self.template, placement=None, options=dict(self.template.options))
+        return self.storm.provision_middlebox(self.tenant, spec, self.tenant.name, replaces)
 
-    def stop(self) -> None:
-        self.stopped = True
+    def room(self, members: list[MiddleBox]) -> int:
+        """Boxes the pool may add: ``max_size`` less its healthy members."""
+        return self.max_size - sum(1 for mb in members if healthy(mb))
+
+    def spare(self, count: int) -> list[MiddleBox]:
+        """Up to ``count`` healthy boxes to lend: serving members beyond
+        ``min_size``, newest first, then new members within room()."""
+        boxes = self.serving()[self.min_size:][::-1][:count]
+        for _ in range(min(count - len(boxes), self.room(self.members()))):
+            boxes.append(self.provision())
+        return boxes
+
+    def record(self, action: str, target: str, pool_size: int, load: float = 0.0) -> None:
+        """One ``pool.<action>`` event on the platform's bus."""
+        obs = self.storm.obs
+        if obs is not None:
+            obs.event(f"pool.{action}", target=target, pool_size=pool_size, load_per_box=load)

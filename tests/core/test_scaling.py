@@ -1,10 +1,12 @@
-"""On-demand middle-box scaling (SDN-reprogrammed elastic pools)."""
+"""On-demand middle-box scaling (SDN-reprogrammed elastic pools): a
+declared ScalingPool, driven by the control loop's width policy."""
 
 import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.core import Reconciler
 from repro.core.policy import PolicyError
-from repro.core.scaling import MiddleboxAutoscaler
+from repro.core.scaling import ScalingPool
 from repro.obs import events_of
 from repro.workloads import FioConfig, FioJob
 
@@ -53,7 +55,7 @@ def drive_load(env, flows, ios=40, io_size=4 * BLOCK_SIZE):
 
 
 def pool_actions(env):
-    """The autoscaler's ``pool.*`` timeline, as event kinds."""
+    """The width policy's ``pool.*`` timeline, as event kinds."""
     return [event["kind"] for event in events_of(env.bus.records, kind="pool.")]
 
 
@@ -64,22 +66,22 @@ def env():
 
 def test_autoscaler_grows_under_load_and_rebalances(env):
     mb, flows = build_flows(env)
-    scaler = MiddleboxAutoscaler(
+    scaler = ScalingPool(
         env.storm,
         env.tenant,
         env.spec(name="pool", relay="fwd"),
         flows,
         initial_pool=[mb],
         max_size=3,
-        check_interval=0.2,
         high_watermark=500.0,
         low_watermark=10.0,
     )
-    scaler_proc = env.sim.process(scaler.run())
+    loop = Reconciler(env.storm)
+    env.sim.process(loop.run(interval=0.2))
     env.run(drive_load(env, flows, ios=120)())
-    scaler.stop()
+    loop.stop()
     env.sim.run(until=env.sim.now + 1.0)
-    assert len(scaler.pool) > 1, "pool never grew under load"
+    assert len(scaler.members()) > 1, "pool never grew under load"
     assert "pool.grow" in pool_actions(env)
     # flows are spread across the pool
     assignments = scaler.assignments()
@@ -99,56 +101,53 @@ def test_autoscaler_grows_under_load_and_rebalances(env):
 def test_autoscaler_shrinks_when_idle(env):
     mb, flows = build_flows(env, n_flows=2)
     extra = env.storm.provision_middlebox(env.tenant, env.spec(name="pool1", relay="fwd"))
-    scaler = MiddleboxAutoscaler(
+    scaler = ScalingPool(
         env.storm,
         env.tenant,
         env.spec(name="pool", relay="fwd"),
         flows,
         initial_pool=[mb, extra],
         min_size=1,
-        check_interval=0.2,
         high_watermark=1e9,
         low_watermark=50.0,
     )
-    scaler_proc = env.sim.process(scaler.run(duration=1.0))
+    env.sim.process(Reconciler(env.storm).run(interval=0.2, duration=1.0))
     env.sim.run(until=env.sim.now + 2.0)
-    assert len(scaler.pool) == 1
+    assert len(scaler.members()) == 1
     assert "pool.shrink" in pool_actions(env)
     # the surviving box carries every flow
     for flow in flows:
-        assert flow.middleboxes == [scaler.pool[0]]
+        assert flow.middleboxes == [scaler.members()[0]]
 
 
 def test_autoscaler_respects_bounds(env):
     mb, flows = build_flows(env, n_flows=2)
-    scaler = MiddleboxAutoscaler(
+    scaler = ScalingPool(
         env.storm,
         env.tenant,
         env.spec(name="pool", relay="fwd"),
         flows,
         initial_pool=[mb],
         max_size=2,
-        check_interval=0.1,
         high_watermark=1.0,  # grows at any load
         low_watermark=0.0,
     )
-    env.sim.process(scaler.run())
+    loop = Reconciler(env.storm)
+    env.sim.process(loop.run(interval=0.1))
     env.run(drive_load(env, flows, ios=60)())
-    scaler.stop()
+    loop.stop()
     env.sim.run(until=env.sim.now + 0.5)
-    assert len(scaler.pool) <= 2
+    assert len(scaler.members()) <= 2
 
 
 def test_autoscaler_rejects_active_relay_template(env):
     with pytest.raises(PolicyError, match="forwarding-mode"):
-        MiddleboxAutoscaler(
-            env.storm, env.tenant, env.spec(relay="active"), flows=[]
-        )
+        ScalingPool(env.storm, env.tenant, env.spec(relay="active"), flows=[])
 
 
 def test_autoscaler_rejects_bad_bounds(env):
     with pytest.raises(PolicyError, match="min_size"):
-        MiddleboxAutoscaler(
+        ScalingPool(
             env.storm,
             env.tenant,
             env.spec(relay="fwd"),
@@ -156,3 +155,14 @@ def test_autoscaler_rejects_bad_bounds(env):
             min_size=3,
             max_size=2,
         )
+
+
+def test_new_members_ignore_the_template_placement(env):
+    """A template's placement pins no member: the pool's boxes spread
+    over the compute hosts like any unpinned box."""
+    hosts = sorted(env.cloud.compute_hosts)
+    template = env.spec(name="pool", relay="fwd", placement=hosts[0])
+    scaler = ScalingPool(env.storm, env.tenant, template, flows=[], max_size=len(hosts))
+    boxes = [scaler.provision() for _ in hosts]
+    assert sorted(mb.host_name for mb in boxes) == hosts
+    assert scaler.members() == boxes and template.placement == hosts[0]

@@ -1,12 +1,13 @@
-"""Autoscaler self-healing (crash -> evict/replace/re-steer) and the
-deprovision path: shrink and healing must return the dead VM's host
-capacity instead of leaking it."""
+"""Scaling-pool self-healing (crash -> evict/replace/re-steer, run by
+the control loop's width policy) and the deprovision path: shrink and
+healing must return the dead VM's host capacity instead of leaking it."""
 
 import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.core import Reconciler
 from repro.core.policy import PolicyError
-from repro.core.scaling import MiddleboxAutoscaler
+from repro.core.scaling import ScalingPool
 from repro.testbed import recovery_params
 
 from tests.conftest import at_rest
@@ -39,18 +40,18 @@ def build_fwd_flows(env, n_flows=2):
 
 def test_crashed_pool_member_is_healed(env):
     mb0, flows = build_fwd_flows(env)
-    scaler = MiddleboxAutoscaler(
+    scaler = ScalingPool(
         env.storm,
         env.tenant,
         env.spec(name="pool", relay="fwd"),
         flows,
         initial_pool=[mb0],
         max_size=2,
-        check_interval=0.05,
         high_watermark=1e12,  # never grow
         low_watermark=0.0,  # never shrink
     )
-    env.sim.process(scaler.run())
+    loop = Reconciler(env.storm)
+    env.sim.process(loop.run(interval=0.05))
     session = flows[0].session
     payload = bytes([0x5A] * BLOCK_SIZE)
 
@@ -58,17 +59,17 @@ def test_crashed_pool_member_is_healed(env):
         yield session.write(0, BLOCK_SIZE, payload)
         env.injector.crash(mb0)  # the VM dies for good
         # issued during the outage: TCP retransmits bridge the gap until
-        # the scaler re-steers the flow onto the replacement box
+        # the loop re-steers the flow onto the replacement box
         yield session.write(BLOCK_SIZE, BLOCK_SIZE, payload)
-        scaler.stop()
+        loop.stop()
 
     env.run(scenario())
-    assert scaler.replacements == 1
+    assert len(env.events("pool.replace")) == 1
     kinds = [e["kind"] for e in env.events("pool.")]
     healing = [kind for kind in kinds if kind in ("pool.evict", "pool.replace")]
     assert healing == ["pool.evict", "pool.replace"]
-    assert len(scaler.pool) == 1
-    clone = scaler.pool[0]
+    assert len(scaler.members()) == 1
+    clone = scaler.members()[0]
     assert clone is not mb0
     # flows were steered off the dead box
     for flow in flows:
@@ -85,31 +86,30 @@ def test_crashed_pool_member_is_healed(env):
 
 def test_shrink_deprovisions_retired_box(env):
     mb0, flows = build_fwd_flows(env)
-    scaler = MiddleboxAutoscaler(
+    scaler = ScalingPool(
         env.storm,
         env.tenant,
         env.spec(name="pool", relay="fwd"),
         flows,
         initial_pool=[mb0],
         max_size=2,
-        check_interval=0.05,
         high_watermark=1e12,
         low_watermark=1e12,  # shrink at the first opportunity
     )
-    env.sim.process(scaler.run())
+    loop = Reconciler(env.storm)
+    env.sim.process(loop.run(interval=0.05))
     # grow the pool by hand so there is something to shrink
-    clone = scaler._provision_clone()
-    scaler.pool.append(clone)
+    clone = scaler.provision()
     host = env.cloud.compute_hosts[clone.host_name]
     committed_before = (host.committed_vcpus, host.committed_memory_mb)
 
     def scenario():
         yield env.sim.timeout(0.3)
-        scaler.stop()
+        loop.stop()
 
     env.run(scenario())
     assert env.events("pool.shrink")
-    assert scaler.pool == [mb0]
+    assert scaler.members() == [mb0]
     # satellite 1: the retired VM is fully reclaimed
     assert clone.name not in env.storm.middleboxes
     assert clone.instance_iface.link is None  # OVS port removed

@@ -1,6 +1,6 @@
 """Reconciliation loop: detects and repairs SDN/NAT drift and orphans."""
 
-from repro.core import MiddleboxAutoscaler, Reconciler
+from repro.core import Reconciler, ScalingPool
 from repro.core.reconcile import INVARIANTS, list_invariants, main
 from repro.net.switch import cookie_in_family
 
@@ -93,7 +93,7 @@ def test_orphan_nat_rules_are_removed():
 
 def test_crashed_flowless_middlebox_reported_and_gced():
     """A crashed box is an orphan only when no live flow's current or
-    desired chain uses it and the loop's pool neither holds nor has
+    desired chain uses it and its tenant's pool neither holds nor has
     lent it; repair deprovisions exactly the orphans."""
     env = fault_env()
     storm = env.storm
@@ -105,23 +105,25 @@ def test_crashed_flowless_middlebox_reported_and_gced():
         storm.provision_middlebox(env.tenant, env.spec(name=n, relay="fwd"))
         for n in ("pool-1", "pool-2")
     ]
-    scaler = MiddleboxAutoscaler(
+    scaler = ScalingPool(
         storm, env.tenant, env.spec(name="pool", relay="fwd"), flows=[],
         initial_pool=spares,
     )
-    rec = Reconciler(storm, capacity_pool=scaler)
-    # a: bypassed, so only the desired chain still names it
-    storm.reconfigure_chain(flow, [mb_b])
+    held, loaned = spares
+    rec = Reconciler(storm)
+    # a: healed with a loan, so only the desired chain still names it
+    storm.reconfigure_chain(flow, [loaned, mb_b], detour=True)
     env.injector.crash(mb_a)
-    loaned = scaler.borrow()
     env.injector.crash(loaned)
+    env.injector.crash(held)
     env.injector.crash(idle)
 
     assert [(d.kind, d.target) for d in rec.audit()] == [("mb-orphan", idle.name)]
     rec.repair()
     assert idle.name not in storm.middleboxes
     assert mb_a.name in storm.middleboxes
-    assert loaned.name in storm.middleboxes and scaler.lent == [loaned]
+    assert held.name in storm.middleboxes and scaler.members() == [held, loaned]
+    assert loaned.name in storm.middleboxes and scaler.loans() == [loaned]
     assert len(env.events("reconcile.mb-orphan")) == 1
     assert rec.audit() == []
 

@@ -38,6 +38,26 @@ def test_fail_open_bypasses_dead_middlebox_and_reinstates():
     assert_at_rest(env.storm)
 
 
+def test_operator_reconfigure_survives_a_fail_open_loop():
+    """reconfigure_chain (paper §III-A remove and add) commits the
+    operator's chain as the flow's desired one, so a running fail-open
+    loop keeps it in force instead of reinstating the attach chain."""
+    env = fault_env()
+    flow, (mb1, mb2) = env.attach(
+        [env.spec(name="a", relay="fwd"), env.spec(name="b", relay="fwd")]
+    )
+    mb3 = env.storm.provision_middlebox(env.tenant, env.spec(name="c", relay="fwd"))
+    dog = Reconciler(env.storm, default_policy=FAIL_OPEN)
+    env.sim.process(dog.run(interval=0.05, duration=1.5))
+    env.injector.at(0.2, env.storm.reconfigure_chain, flow, [mb2])
+    env.injector.at(0.6, env.storm.reconfigure_chain, flow, [mb2, mb3])
+    env.sim.run()
+
+    assert flow.middleboxes == [mb2, mb3] and flow.desired == (mb2, mb3)
+    assert env.events("watchdog.") == []
+    assert_at_rest(env.storm)
+
+
 def test_fail_closed_quiesces_and_unquiesces():
     env = fault_env()
     flow, (mb,) = env.attach([env.spec(name="a", relay="fwd")])

@@ -1,9 +1,9 @@
 """Watchdog capacity borrowing: on middle-box death the fail-open
 policy first heals the chain at *full strength* with boxes borrowed
-from a MiddleboxAutoscaler pool; bypass is only the fallback when the
+from the tenant's ScalingPool; bypass is only the fallback when the
 tenant's capacity budget is exhausted."""
 
-from repro.core import MiddleboxAutoscaler, Reconciler
+from repro.core import Reconciler, ScalingPool
 from repro.core.reconcile import FAIL_OPEN
 from repro.testbed import assert_at_rest
 
@@ -17,7 +17,9 @@ def pool_env(chain_specs, pool_names=("pool-1", "pool-2"), min_size=1, max_size=
         env.storm.provision_middlebox(env.tenant, env.spec(name=n, relay="fwd"))
         for n in pool_names
     ]
-    scaler = MiddleboxAutoscaler(
+    # a pool of spares: no flows of its own, and a width the load never
+    # moves (the loop's width policy would shrink an idle pool)
+    scaler = ScalingPool(
         env.storm,
         env.tenant,
         env.spec(name="pool", relay="fwd"),
@@ -25,8 +27,9 @@ def pool_env(chain_specs, pool_names=("pool-1", "pool-2"), min_size=1, max_size=
         initial_pool=spares,
         min_size=min_size,
         max_size=max_size,
+        low_watermark=0.0,
     )
-    dog = Reconciler(env.storm, default_policy=FAIL_OPEN, capacity_pool=scaler)
+    dog = Reconciler(env.storm, default_policy=FAIL_OPEN)
     return env, flow, mbs, spares, scaler, dog
 
 
@@ -55,7 +58,7 @@ def test_borrowed_box_heals_chain_at_full_strength():
     assert len(env.events("pool.lend")) == 1
     assert len(env.events("pool.restore")) == 1
     assert flow.middleboxes == [mb_a, mb_b]
-    assert scaler.lent == [] and set(scaler.pool) == {p1, p2}
+    assert scaler.loans() == [] and set(scaler.members()) == {p1, p2}
     assert_at_rest(env.storm)
 
 
@@ -68,7 +71,7 @@ def test_borrow_prefers_spares_then_clones_within_budget():
     dog.tick()
     heals = env.events("watchdog.heal")
     assert len(heals) == 1
-    (loaned,) = scaler.lent
+    (loaned,) = scaler.loans()
     assert loaned not in (p1, p2)  # freshly provisioned clone
     assert heals[0]["attrs"]["chain"] == [loaned.name]
     assert len(env.events("watchdog.bypass")) == 0
@@ -86,7 +89,7 @@ def test_exhausted_pool_falls_back_to_bypass():
     bypasses = env.events("watchdog.bypass")
     assert len(bypasses) == 1
     assert bypasses[0]["attrs"]["chain"] == [mb_b.name]
-    assert scaler.lent == []
+    assert scaler.loans() == []
 
     env.injector.restart(mb_a)
     dog.tick()
@@ -116,22 +119,22 @@ def test_dead_loaner_is_reclaimed_and_replaced():
     env, flow, (mb_a,), (p1, p2), scaler, dog = pool_env(["a"], max_size=3)
     env.injector.crash(mb_a)
     dog.tick()
-    assert scaler.lent == [p2]
+    assert scaler.loans() == [p2]
     env.injector.crash(p2)
     dog.tick()
 
     borrows = env.events("watchdog.borrow")
     assert len(borrows) == 2
-    (loaned,) = scaler.lent
+    (loaned,) = scaler.loans()
     assert loaned is not p2
     assert flow.middleboxes == [loaned]
     # the dead loaner was restored to the pool and deprovisioned
     assert len(env.events("watchdog.restore")) == 1
     assert p2.name not in env.storm.middleboxes
-    assert p2 not in scaler.pool and p2 not in scaler.lent
+    assert p2 not in scaler.members() and p2 not in scaler.loans()
 
     env.injector.restart(mb_a)
     dog.tick()
     assert flow.middleboxes == [mb_a]
-    assert scaler.lent == []
+    assert scaler.loans() == []
     assert_at_rest(env.storm)

@@ -484,6 +484,42 @@ def bounded_tenant_registry(module: Module) -> Hits:
             )
 
 
+#: the classes in ``repro/core`` allowed a control clock of their own
+CONTROL_CLOCKS = frozenset({"HaCluster", "Reconciler"})
+CORE_PACKAGE = "src/repro/core/"
+
+
+def _clock_loop(loop: ast.While) -> bool:
+    """A ``while`` whose test reads a ``stopped`` flag and whose body
+    waits on a ``timeout``."""
+    flag = any(isinstance(n, ast.Attribute) and n.attr == "stopped" for n in ast.walk(loop.test))
+    return flag and any(
+        isinstance(n, ast.Yield)
+        and isinstance(n.value, ast.Call)
+        and _callee(n.value)[1] == "timeout"
+        for n in ast.walk(loop)
+    )
+
+
+def control_clocks(module: Module) -> Iterator[str]:
+    """Classes in ``repro/core`` that run a periodic control loop: a
+    ``stopped``-flag ``while`` that wakes on ``sim.timeout``.
+
+    Failure scenario: a subsystem grows its own loop beside the chain
+    control loop, with its own clock and its own view of which box
+    carries which flow.  The two loops then fight
+    over the same flows: one heals a chain onto a clone, the other
+    quiesces it because its desired state still names the dead box,
+    and I/O stalls.  Only :data:`CONTROL_CLOCKS` may keep one; a
+    periodic concern becomes a policy in ``Reconciler.tick``.
+    """
+    if not module.path.startswith(CORE_PACKAGE):
+        return
+    for cls in module.of(ast.ClassDef):
+        if any(isinstance(node, ast.While) and _clock_loop(node) for node in ast.walk(cls)):
+            yield cls.name
+
+
 RULES = {
     "wall-clock": wall_clock,
     "global-random": global_random,

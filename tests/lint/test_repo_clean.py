@@ -1,7 +1,8 @@
 """The repo's own source tree must pass every census.
 
 ``src/repro`` is parsed once; the stormlint census, the dead-function
-census and the per-run-state census all read that one parse, and any
+census, the per-run-state census and the control-clock census all read
+that one parse, and any
 new determinism, simulation-safety or contract hazard fails here with
 its location in the assertion message.
 """
@@ -13,7 +14,7 @@ import pathlib
 
 import pytest
 
-from tests.lint.census import Module, check
+from tests.lint.census import CONTROL_CLOCKS, Module, check, control_clocks
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -120,3 +121,11 @@ def test_no_process_global_counter(src):
             ):
                 found.append(f"{module.path}:{node.lineno} {ast.unparse(node)}")
     assert not found, "process-global counters:\n" + "\n".join(found)
+
+
+def test_one_control_clock(src):
+    """Control-clock census: in ``repro/core`` only the HA replicas'
+    heartbeat loop and the one chain control loop keep a periodic
+    clock; anything else periodic is a policy in ``Reconciler.tick``."""
+    clocks = sorted(name for module in src for name in control_clocks(module))
+    assert clocks == sorted(CONTROL_CLOCKS)

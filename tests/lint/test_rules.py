@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import textwrap
 
-from tests.lint.census import RULES, Module, check
+from tests.lint.census import RULES, Module, check, control_clocks
 from tests.lint.conftest import hits, suppressed
 
 # ---------------------------------------------------------------- wall-clock
@@ -307,3 +307,30 @@ def test_stale_suppression_ids_are_reported():
         ("src/repro/mod.py", 7, "*"),
         ("src/repro/mod.py", 7, "no-such-rule"),
     ]
+
+
+# ------------------------------------------------------------ control-clocks
+
+
+def test_control_clock_found_in_core_only():
+    source = textwrap.dedent(
+        """
+        class Scaler:
+            def run(self):
+                while not self.stopped:
+                    yield self.sim.timeout(0.5)
+                    self.scale()
+
+        class Once:
+            def run(self, sim):
+                while self.pending:
+                    yield sim.timeout(0.5)
+
+        class Flagged:
+            def drain(self):
+                while not self.stopped:
+                    self.step()
+        """
+    )
+    assert list(control_clocks(Module("src/repro/core/x.py", source))) == ["Scaler"]
+    assert list(control_clocks(Module("src/repro/net/x.py", source))) == []
