@@ -20,10 +20,11 @@ Run:  python examples/chain_failover.py [--trace out.jsonl] [--chrome out.json]
 import argparse
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.cloud import CloudParams
 from repro.core import Reconciler
 from repro.core.saga import COMMITTED
 from repro.obs import first_trace, format_hop_table, trace_rows
-from repro.testbed import Testbed, assert_at_rest, recovery_params
+from repro.testbed import Testbed, assert_at_rest
 from repro.workloads import FioConfig, FioJob
 
 VOLUME_SIZE = 2048 * BLOCK_SIZE
@@ -41,7 +42,7 @@ def main(argv=None):
 
     # the fault timeline rides the same bus as the request spans
     bed = Testbed(
-        recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02),
+        CloudParams(tcp_rto=0.02, iscsi_relogin_backoff=0.02),
         volume_size=VOLUME_SIZE, obs=True, seed=42,
     )
     sim, storm, bus, injector = bed.sim, bed.storm, bed.bus, bed.injector

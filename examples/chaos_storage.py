@@ -15,9 +15,10 @@ Run:  python examples/chaos_storage.py
 """
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.cloud import CloudParams
 from repro.fs import ExtFilesystem
 from repro.obs import format_timeline
-from repro.testbed import Testbed, recovery_params
+from repro.testbed import Testbed
 from repro.workloads import FioConfig, FioJob
 
 VOLUME_SIZE = 2048 * BLOCK_SIZE
@@ -29,7 +30,7 @@ TIMELINE_PREFIXES = ("fault.", "recover.", "relay.", "replica.")
 def main():
     # the bus every component and the injector report to is the timeline
     bed = Testbed(
-        recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02),
+        CloudParams(tcp_rto=0.02, iscsi_relogin_backoff=0.02),
         compute_hosts=5, volume_size=VOLUME_SIZE, obs=True, seed=42,
     )
     sim, injector, primary = bed.sim, bed.injector, bed.volume
@@ -45,10 +46,10 @@ def main():
     def scenario():
         rep_host = bed.cloud.compute_hosts[rep_mb.host_name]
         session = yield sim.process(
-            rep_host.initiator.connect(
-                replica_host.storage_iface.ip, replica_vol.iqn, recover=False
-            )
+            rep_host.initiator.connect(replica_host.storage_iface.ip, replica_vol.iqn)
         )
+        # add_replica turns the session's re-login off, so the replica
+        # kill ejects it and the monitor's rejoin resyncs it
         replica = rep_mb.service.add_replica(session, "replica1")
         sim.process(rep_mb.service.monitor(interval=0.1))
 

@@ -20,7 +20,8 @@ Run:  python examples/controller_failover.py [--trace out.jsonl] [--chrome out.j
 import argparse
 
 from repro.blockdev.disk import BLOCK_SIZE
-from repro.testbed import Testbed, assert_at_rest, recovery_params
+from repro.cloud import CloudParams
+from repro.testbed import Testbed, assert_at_rest
 from repro.workloads import FioConfig, FioJob
 
 VOLUME_SIZE = 2048 * BLOCK_SIZE
@@ -47,7 +48,7 @@ def main(argv=None):
 
     # the failover timeline rides the trace bus
     bed = Testbed(
-        recovery_params(express=True, tcp_rto=0.02, iscsi_relogin_backoff=0.02),
+        CloudParams(express=True, tcp_rto=0.02, iscsi_relogin_backoff=0.02),
         compute_hosts=3, volume_size=VOLUME_SIZE, ha=True, obs=True, seed=42,
     )
     sim, storm, bus, injector = bed.sim, bed.storm, bed.bus, bed.injector

@@ -21,11 +21,12 @@ Run:  python examples/hostile_tenant.py [--trace out.jsonl] [--chrome out.json]
 import argparse
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.cloud import CloudParams
 from repro.core import Reconciler
 from repro.fs import ExtFilesystem, SessionDevice, fsck
 from repro.integrity import IntegrityError
 from repro.obs import format_timeline
-from repro.testbed import Testbed, recovery_params
+from repro.testbed import Testbed
 from repro.workloads import HostileWorkload
 
 VOLUME_SIZE = 2048 * BLOCK_SIZE
@@ -47,7 +48,7 @@ def main():
 
     # the attack timeline rides the bus
     bed = Testbed(
-        recovery_params(integrity=True, tcp_rto=0.02, iscsi_relogin_backoff=0.02),
+        CloudParams(integrity=True, tcp_rto=0.02, iscsi_relogin_backoff=0.02),
         volume_size=VOLUME_SIZE, obs=True, seed=42,
     )
     sim, bus, injector, volume = bed.sim, bed.bus, bed.injector, bed.volume

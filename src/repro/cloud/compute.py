@@ -87,10 +87,8 @@ class ComputeHost(Node):
             initiator_iqn=f"iqn.2016-01.org.repro:{name}",
             mss=params.mss,
             window=params.tcp_window,
-            reliable=params.tcp_reliable,
             rto=params.tcp_rto,
             max_retransmits=params.tcp_max_retransmits,
-            recover=params.iscsi_session_recovery,
             max_relogins=params.iscsi_max_relogins,
             relogin_backoff=params.iscsi_relogin_backoff,
         )

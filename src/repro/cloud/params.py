@@ -27,16 +27,14 @@ class CloudParams:
     # -- TCP -----------------------------------------------------------
     mss: int = 4096
     tcp_window: int = 49152
-    #: loss tolerance (off by default: the stock fabric is lossless and
-    #: the retransmission machinery must cost nothing when unused)
-    tcp_reliable: bool = False
+    #: retransmission timeout and the consecutive timeouts after which
+    #: a connection is declared dead (repro.net.tcp)
     tcp_rto: float = 0.05
     tcp_max_retransmits: int = 8
 
-    # -- failure recovery (repro.faults chaos runs) --------------------
-    #: automatic iSCSI session re-login (same source 4-tuple, bounded
-    #: exponential backoff) instead of failing all pending commands
-    iscsi_session_recovery: bool = False
+    # -- iSCSI session re-login ----------------------------------------
+    #: attempts (same source 4-tuple) before pending commands fail, and
+    #: the first backoff, doubled per attempt
     iscsi_max_relogins: int = 5
     iscsi_relogin_backoff: float = 0.05
 
@@ -102,15 +100,14 @@ class CloudParams:
     #: how long a tripped flow stays quiesced after the last detection
     integrity_trip_cooldown: float = 2.0
 
-    # -- fleet-scale state hygiene (repro.fleet) --------------------------
-    #: evict per-flow / per-tenant control-plane state on detach: the
-    #: detach saga gains a post-pivot ``evict-state`` step that forgets
-    #: the flow's pinned conntrack entries and — once the tenant's last
-    #: flow is gone — releases its gateway pair and drops its
-    #: per-tenant obs metrics scope.  Off by default: conntrack and
-    #: gateways then outlive detach (the pre-fleet behavior), keeping
-    #: knob-off runs bit-identical to ``tests/determinism/pinned.json``.
-    evict_detached: bool = False
+    # -- retired switches --------------------------------------------------
+    #: Accepted and ignored: reliable TCP, iSCSI session re-login and
+    #: the detach saga's ``evict-state`` step are always on.  The fields
+    #: stay only because ``benchmarks/e2e/workloads.py`` passes them by
+    #: keyword; they go when that file stops.
+    tcp_reliable: bool = True
+    iscsi_session_recovery: bool = True
+    evict_detached: bool = True
 
     # -- express fast path ------------------------------------------------
     #: simulate established flows analytically instead of per packet

@@ -46,7 +46,6 @@ class StorageHost(Node):
             cpu=self.cpu,
             mss=params.mss,
             window=params.tcp_window,
-            reliable=params.tcp_reliable,
             rto=params.tcp_rto,
             max_retransmits=params.tcp_max_retransmits,
         )

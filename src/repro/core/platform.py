@@ -123,10 +123,6 @@ class StorM:
         #: tenant — the detach-side eviction must not tear down a
         #: tenant's gateways while a concurrent attach is mid-saga.
         self._tenant_pending: dict[str, int] = {}
-        #: state-eviction knob (``CloudParams.evict_detached``): when
-        #: on, the detach saga tears down the flow's pinned conntrack
-        #: and idle tenants' gateways/metric scopes.
-        self.evict_detached = cloud.params.evict_detached
         self._mb_ids = itertools.count(1)
         #: declared scaling pools (:mod:`repro.core.scaling`) by tenant name
         self.pools: dict[str, Any] = {}
@@ -853,13 +849,9 @@ class StorM:
                      forward_only=True),
             SagaStep("remove-rules", do=do_remove_rules, locked=False),
             SagaStep("unregister-flow", do=do_unregister, locked=False),
-        ]
-        if self.evict_detached:
             # past the pivot and pure cleanup: never compensated
-            steps.append(
-                SagaStep("evict-state", do=do_evict, locked=False,
-                         forward_only=True)
-            )
+            SagaStep("evict-state", do=do_evict, locked=False, forward_only=True),
+        ]
         saga = self.engine.begin(
             "detach",
             flow.cookie,

@@ -140,11 +140,10 @@ class RelayPair:
 class ActiveRelay:
     """Split-TCP relay with immediate ACKs and an NVM journal.
 
-    If the downstream (storage-side) connection fails and
-    ``recover_downstream`` is on, the relay reconnects the
-    pseudo-client — the existing gateway conntrack state still maps
-    the same 4-tuple — and *replays* every journaled upstream PDU the
-    next hop never acknowledged, in arrival order.  Duplicate writes
+    If the downstream (storage-side) connection fails, the relay
+    reconnects the pseudo-client — the existing gateway conntrack state
+    still maps the same 4-tuple — and *replays* every journaled upstream
+    PDU the next hop never acknowledged, in arrival order.  Duplicate writes
     are idempotent (same offset/payload) and duplicate responses are
     dropped by the initiator's task-tag table.
     """
@@ -157,7 +156,6 @@ class ActiveRelay:
         params: CloudParams,
         egress_port: int = ISCSI_PORT,
         cookie: Optional[str] = None,
-        recover_downstream: bool = True,
         max_reconnects: int = 3,
         reconnect_delay: float = 0.05,
     ):
@@ -167,7 +165,6 @@ class ActiveRelay:
         self.egress_port = egress_port
         self.params = params
         self.cookie = cookie or f"active-relay:{middlebox.name}"
-        self.recover_downstream = recover_downstream
         self.max_reconnects = max_reconnects
         self.reconnect_delay = reconnect_delay
         #: observability bus hook: when set, relayed PDUs run under
@@ -216,7 +213,6 @@ class ActiveRelay:
             egress_port,
             mss=params.mss,
             window=params.tcp_window,
-            reliable=params.tcp_reliable,
             rto=params.tcp_rto,
             max_retransmits=params.tcp_max_retransmits,
         )
@@ -241,7 +237,6 @@ class ActiveRelay:
             local_port=server_sock.remote_port,
             mss=self.params.mss,
             window=self.params.tcp_window,
-            reliable=self.params.tcp_reliable,
             rto=self.params.tcp_rto,
             max_retransmits=self.params.tcp_max_retransmits,
         )
@@ -310,7 +305,6 @@ class ActiveRelay:
                 if (
                     payload is RESET
                     and direction == "downstream"
-                    and self.recover_downstream
                     and not pair.closed
                     and pair.reconnects < self.max_reconnects
                 ):

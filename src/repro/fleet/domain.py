@@ -14,8 +14,8 @@ runs the real atomic-attach saga (transient NAT rules, steering-chain
 install/narrow under the mutex, intent-log journaling, HA quorum
 shipping) against a lightweight session object instead of a full
 TCP/iSCSI stack, then ticks synthetic I/O through its hold window and
-runs the real detach saga — with ``evict_detached`` on, so conntrack,
-gateway pairs, middle-boxes, and per-tenant metric scopes all stay
+runs the real detach saga, whose ``evict-state`` step keeps conntrack,
+gateway pairs, middle-boxes, and per-tenant metric scopes all
 O(active) under churn.
 """
 
@@ -95,7 +95,6 @@ class FleetDomain:
         self.completed = 0
 
         params = CloudParams(
-            evict_detached=True,
             # wide subnets: gateway/middle-box churn allocates fresh
             # addresses each activation cycle (never reused, for
             # determinism), so /24s would exhaust under fleet churn

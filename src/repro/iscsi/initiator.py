@@ -6,14 +6,16 @@ connection attribution must undo.  ``login_hooks`` is the reproduction
 of the paper's modification to the iSCSI "Login Session" code: it
 exposes the (IQN, source port) pair of every new session.
 
-Session recovery (``recover=True``) mirrors Open-iSCSI's replacement
-timeout behaviour: when the TCP connection dies the session re-logs-in
-with bounded exponential backoff — **reusing the same source port**, so
-gateway conntrack entries and narrowed steering rules keep matching the
-reconnected flow — and re-issues every pending command in task-tag
-order.  Commands issued while the session is down are queued and ride
-the same replay.  Only when every attempt fails does the session fall
-back to failing all pending commands (`SessionDead`).
+Sessions recover the way Open-iSCSI's replacement timeout does: when
+the TCP connection dies the session re-logs-in with bounded exponential
+backoff — **reusing the same source port**, so gateway conntrack
+entries and narrowed steering rules keep matching the reconnected flow
+— and re-issues every pending command in task-tag order.  Commands
+issued while the session is down are queued and ride the same replay.
+Only when every attempt fails does the session fall back to failing all
+pending commands (`SessionDead`).  A consumer that keeps its own
+durable state and must see transport death (the replication service's
+replica sessions) sets :attr:`IscsiSession.recover` to False.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class IscsiSession:
         socket: TcpSocket,
         target_iqn: str,
         initiator_iqn: str = "iqn.2016-01.org.repro:initiator",
-        recover: bool = False,
         max_relogins: int = 5,
         relogin_backoff: float = 0.05,
         login_timeout: float = 1.0,
@@ -65,7 +66,9 @@ class IscsiSession:
         self.local_port = socket.local_port
         self.target_ip = socket.remote_ip
         self.target_port = socket.remote_port or ISCSI_PORT
-        self.recover = recover
+        #: re-login automatically when the connection resets; a consumer
+        #: that must see transport death as `SessionDead` turns it off
+        self.recover = True
         self.max_relogins = max_relogins
         self.relogin_backoff = relogin_backoff
         self.login_timeout = login_timeout
@@ -248,7 +251,7 @@ class IscsiSession:
 
         Used by consumers that keep their own durable state (e.g. the
         replication service's journal) and want the session back after
-        a `_fail_all` — the automatic path (``recover=True``) never
+        a `_fail_all` — the automatic path (:attr:`recover`) never
         reaches `_fail_all` unless every attempt was exhausted.
         Restarts the receive loop on success.
         """
@@ -278,7 +281,6 @@ class IscsiSession:
                 local_port=self.local_port,
                 mss=old.mss,
                 window=old.window,
-                reliable=old.reliable,
                 rto=old.rto,
                 max_retransmits=old.max_retransmits,
             )
@@ -365,10 +367,8 @@ class IscsiInitiator:
         initiator_iqn: str = "iqn.2016-01.org.repro:initiator",
         mss: int = 4096,
         window: int = 65536,
-        reliable: bool = False,
         rto: float = 0.05,
         max_retransmits: int = 8,
-        recover: bool = False,
         max_relogins: int = 5,
         relogin_backoff: float = 0.05,
     ):
@@ -378,10 +378,8 @@ class IscsiInitiator:
         self.initiator_iqn = initiator_iqn
         self.mss = mss
         self.window = window
-        self.reliable = reliable
         self.rto = rto
         self.max_retransmits = max_retransmits
-        self.recover = recover
         self.max_relogins = max_relogins
         self.relogin_backoff = relogin_backoff
         #: observability bus, propagated to every session this factory
@@ -400,7 +398,6 @@ class IscsiInitiator:
         target_ip: str,
         target_iqn: str,
         target_port: int = ISCSI_PORT,
-        recover: Optional[bool] = None,
     ):
         """Process: TCP connect + iSCSI login; returns an IscsiSession."""
         socket = TcpSocket(
@@ -410,7 +407,6 @@ class IscsiInitiator:
             local_port=self.stack.allocate_port(),
             mss=self.mss,
             window=self.window,
-            reliable=self.reliable,
             rto=self.rto,
             max_retransmits=self.max_retransmits,
         )
@@ -440,7 +436,6 @@ class IscsiInitiator:
             socket,
             target_iqn,
             initiator_iqn=self.initiator_iqn,
-            recover=self.recover if recover is None else recover,
             max_relogins=self.max_relogins,
             relogin_backoff=self.relogin_backoff,
             obs=obs,

@@ -42,7 +42,6 @@ class IscsiTarget:
         cpu=None,
         mss: int = 4096,
         window: int = 65536,
-        reliable: bool = False,
         rto: float = 0.05,
         max_retransmits: int = 8,
     ):
@@ -59,7 +58,6 @@ class IscsiTarget:
             port,
             mss=mss,
             window=window,
-            reliable=reliable,
             rto=rto,
             max_retransmits=max_retransmits,
         )

@@ -1,26 +1,26 @@
-"""A windowed, ACK-clocked TCP model.
+"""A windowed, ACK-clocked, loss-recovering TCP model.
 
 Faithful to the properties StorM's active-relay exploits, cheap on
-everything else: in-order lossless delivery (the simulated fabric
-preserves order), a fixed flow-control window, cumulative ACKs, a
-3-way handshake (which is what populates NAT conntrack during the
-atomic volume attach), and RST for failure injection.
+everything else: a fixed flow-control window, cumulative ACKs, a 3-way
+handshake (which is what populates NAT conntrack during the atomic
+volume attach), and RST for failure injection.
 
 Throughput of a connection is window/RTT-bound exactly like real TCP,
 which is the mechanism behind the paper's Figures 5–9: splitting one
 long connection into two short ones at the middle-box shortens each
 ACK loop and restores throughput.
 
-With ``reliable=True`` the socket additionally survives loss injected
-by :mod:`repro.faults`: go-back-N retransmission driven by a single
-lazy RTO timer with exponential backoff, 3-dup-ACK fast retransmit,
-sequence-checked receive (out-of-order segments are dropped and the
-cumulative ACK re-asserted), SYN retransmission, and black-hole
+Delivery is in order even when the fabric is not: loss injected by
+:mod:`repro.faults`, or segments overtaking each other while a chain is
+reprogrammed under live traffic.  The receive side is sequence-checked
+(an out-of-order segment or a duplicate is dropped and the cumulative
+ACK re-asserted), and the send side recovers by go-back-N
+retransmission driven by a single lazy RTO timer with exponential
+backoff, 3-dup-ACK fast retransmit, SYN retransmission, and black-hole
 detection (``max_retransmits`` consecutive timeouts reset the
-connection locally).  All of it is gated on the flag so the default
-lossless fast path executes exactly as before.  FIN is not
-retransmitted: teardown on a lossy link eventually falls back to RST
-semantics, which every consumer in this codebase already handles.
+connection locally).  FIN is not retransmitted: teardown on a lossy
+link eventually falls back to RST semantics, which every consumer in
+this codebase already handles.
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ class TcpSocket:
         remote_port: Optional[int] = None,
         mss: int = DEFAULT_MSS,
         window: int = DEFAULT_WINDOW,
-        reliable: bool = False,
         rto: float = 0.05,
         max_retransmits: int = 8,
     ) -> None:
@@ -124,7 +123,6 @@ class TcpSocket:
         self.remote_port = remote_port
         self.mss = mss
         self.window = window
-        self.reliable = reliable
         self.rto = rto
         self.max_retransmits = max_retransmits
         self.state = "closed"
@@ -154,7 +152,7 @@ class TcpSocket:
         #: consumers like the active relay); sentinels still arrive
         #: via :meth:`recv`
         self.chunk_listener: Optional[Callable[[TcpSegment], None]] = None
-        # retransmission state (only touched when ``reliable``)
+        # retransmission state
         self._retx_queue: deque[TcpSegment] = deque()
         self._rto_current = rto
         self._rto_deadline = 0.0
@@ -186,8 +184,7 @@ class TcpSocket:
         self.stack.bind_socket(self)
         self.state = "syn-sent"
         self._emit(TcpSegment(kind="syn"))
-        if self.reliable:
-            self._arm_rto()
+        self._arm_rto()
         return self.established_event
 
     def _start_sender(self) -> None:
@@ -385,11 +382,10 @@ class TcpSocket:
         self._sent_bytes += chunk
         self.bytes_sent += chunk
         self._emit(segment)
-        if self.reliable:
-            self._retx_queue.append(segment)
-            self._arm_rto()
+        self._retx_queue.append(segment)
+        self._arm_rto()
 
-    # -- retransmission (reliable mode only) --------------------------------
+    # -- retransmission ---------------------------------------------------------
 
     def _arm_rto(self) -> None:
         """Push the retransmission deadline out; start the (single,
@@ -457,15 +453,14 @@ class TcpSocket:
         if segment.kind == "ack":
             if segment.ack > self._acked_bytes:
                 acked = self._acked_bytes = segment.ack
-                if self.reliable:
-                    retx = self._retx_queue
-                    while retx and retx[0].seq + retx[0].length <= acked:
-                        retx.popleft()
-                    self._dup_acks = 0
-                    self._timeouts_in_row = 0
-                    self._rto_current = self.rto
-                    if retx:
-                        self._rto_deadline = self.sim.now + self._rto_current
+                retx = self._retx_queue
+                while retx and retx[0].seq + retx[0].length <= acked:
+                    retx.popleft()
+                self._dup_acks = 0
+                self._timeouts_in_row = 0
+                self._rto_current = self.rto
+                if retx:
+                    self._rto_deadline = self.sim.now + self._rto_current
                 waiter, self._window_waiter = self._window_waiter, None
                 if waiter is not None and not waiter.triggered:
                     waiter.succeed()
@@ -479,7 +474,7 @@ class TcpSocket:
                 express = self.sim.express
                 if express is not None and self._xpath is None:
                     express.on_ack(self)
-            elif self.reliable and self._retx_queue and segment.ack == self._acked_bytes:
+            elif self._retx_queue and segment.ack == self._acked_bytes:
                 self._dup_acks += 1
                 if self._dup_acks == 3:
                     # fast retransmit (once per loss event: the counter
@@ -491,7 +486,7 @@ class TcpSocket:
             return
         if segment.kind == "data":
             if self.state != "established":
-                if self.state == "syn-received" and self.reliable:
+                if self.state == "syn-received":
                     # the peer's handshake ACK was lost but it moved on
                     # to data — treat arrival as an implicit ACK
                     self.state = "established"
@@ -500,7 +495,7 @@ class TcpSocket:
                         self._on_established(self)
                 else:
                     return
-            if self.reliable and segment.seq != self._rx_bytes:
+            if segment.seq != self._rx_bytes:
                 # loss/reordering hole (or a duplicate): drop and
                 # re-assert the cumulative ACK so the sender converges
                 self._emit(TcpSegment(kind="ack", ack=self._rx_bytes))
@@ -520,7 +515,7 @@ class TcpSocket:
             if self.state == "syn-received":
                 self._emit(TcpSegment(kind="syn-ack"))  # ours was lost
                 return
-            if self.reliable and self.state == "established":
+            if self.state == "established":
                 # the peer restarted and is reconnecting with the same
                 # 4-tuple: this incarnation is dead — tear it down and
                 # hand the SYN to the listener (challenge-ACK shortcut)
@@ -589,7 +584,6 @@ class TcpListener:
         port: int,
         mss: int = DEFAULT_MSS,
         window: int = DEFAULT_WINDOW,
-        reliable: bool = False,
         rto: float = 0.05,
         max_retransmits: int = 8,
     ) -> None:
@@ -599,7 +593,6 @@ class TcpListener:
         self.port = port
         self.mss = mss
         self.window = window
-        self.reliable = reliable
         self.rto = rto
         self.max_retransmits = max_retransmits
         self.accept_queue = Store(sim)
@@ -623,7 +616,6 @@ class TcpListener:
             remote_port=packet.src_port,
             mss=self.mss,
             window=self.window,
-            reliable=self.reliable,
             rto=self.rto,
             max_retransmits=self.max_retransmits,
         )

@@ -66,6 +66,10 @@ class ReplicationService(StorageService):
     # -- configuration -------------------------------------------------------
 
     def add_replica(self, session: IscsiSession, name: str = "") -> ReplicaState:
+        # transport death must surface as SessionDead so this service
+        # ejects the replica and rejoins it from the journal; a session
+        # that re-logged-in on its own would hide the gap in its writes
+        session.recover = False
         state = ReplicaState(name or f"replica-{len(self.replicas) + 1}", session)
         self.replicas.append(state)
         return state

@@ -29,12 +29,6 @@ from repro.services import install_default_services
 from repro.sim import Simulator
 
 
-def recovery_params(**overrides: Any) -> CloudParams:
-    """CloudParams with the failure-recovery features on (reliable TCP,
-    iSCSI session recovery), plus ``overrides``."""
-    return CloudParams(**{"tcp_reliable": True, "iscsi_session_recovery": True, **overrides})
-
-
 def assert_at_rest(storm: StorM) -> None:
     """The state every scenario must end in: no saga left in flight, no
     drift between intent and the switch/NAT tables."""

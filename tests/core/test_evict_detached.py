@@ -1,15 +1,11 @@
-"""The ``evict_detached`` knob: detach leaves no per-session residue.
+"""Detach leaves no per-session residue.
 
-With the knob on (fleet mode) the detach saga gains an ``evict-state``
-step that forgets the attach's conntrack pins and attribution record,
-and — when the tenant's last flow is gone — releases the gateway pair
-and evicts the tenant's metric scope.  With the knob off (the
-default), detach behaves exactly as before the fleet work: gateways
-and conntrack persist, preserving bit-identity with recorded
-benchmarks.
+The detach saga ends in an ``evict-state`` step that forgets the
+attach's conntrack pins and attribution record, and — when the
+tenant's last flow is gone — releases the gateway pair and evicts the
+tenant's metric scope.
 """
 
-from repro.cloud import CloudParams
 from repro.obs import ObsBus, instrument
 
 from tests.core.conftest import storm_env
@@ -28,7 +24,7 @@ def _conntrack_total(env):
 
 
 def test_detach_evicts_conntrack_and_gateways():
-    env = storm_env(params=CloudParams(evict_detached=True))
+    env = storm_env()
     flow = _attach(env)
     assert env.storm.gateway_pairs != {}
     assert _conntrack_total(env) > 0
@@ -44,7 +40,7 @@ def test_detach_evicts_conntrack_and_gateways():
 
 
 def test_reattach_after_eviction_works():
-    env = storm_env(params=CloudParams(evict_detached=True))
+    env = storm_env()
     first = _attach(env)
     env.storm.detach(first)
     second = _attach(env)
@@ -55,7 +51,7 @@ def test_reattach_after_eviction_works():
 
 
 def test_gateways_survive_while_other_flows_remain():
-    env = storm_env(params=CloudParams(evict_detached=True))
+    env = storm_env()
     first = _attach(env)
     vm2 = env.cloud.boot_vm(env.tenant, "vm2", env.cloud.compute_hosts["compute2"])
     env.cloud.create_volume(env.tenant, "vol2", env.volume.size)
@@ -81,7 +77,7 @@ def test_gateways_survive_while_other_flows_remain():
 
 
 def test_detach_evicts_tenant_metric_scope():
-    env = storm_env(params=CloudParams(evict_detached=True))
+    env = storm_env()
     bus = ObsBus(env.sim)
     instrument(bus, storm=env.storm)
     flow = _attach(env)
@@ -90,14 +86,3 @@ def test_detach_evicts_tenant_metric_scope():
     env.storm.detach(flow)
     assert bus.metrics.scoped(env.tenant.name) == []
     assert bus.metrics.counter("plant.packets").value == 1
-
-
-def test_default_detach_keeps_prefleet_behavior():
-    env = storm_env()  # evict_detached defaults to False
-    flow = _attach(env)
-    pinned = _conntrack_total(env)
-    assert pinned > 0
-    env.storm.detach(flow)
-    # bit-identity guard: without the knob nothing extra is torn down
-    assert env.storm.gateway_pairs != {}
-    assert _conntrack_total(env) == pinned

@@ -111,5 +111,7 @@ def test_recovery_gives_up_after_max_attempts(env):
     killer_proc.interrupt()
     pair = relay.pairs[0]
     assert pair.reconnects == 2
-    # the flow was torn down toward the VM after exhausting retries
-    assert not flow.session.alive
+    # the relay abandoned the pair toward the VM after exhausting
+    # retries (the VM session then re-logs-in on a fresh pair)
+    assert pair.abandoned
+    assert pair.server.state == "reset"

@@ -69,7 +69,7 @@ from repro.net import (
 )
 from repro.obs import ObsBus, instrument
 from repro.sim import Simulator, Store
-from repro.testbed import Testbed, recovery_params
+from repro.testbed import Testbed
 
 from tests.obs.test_trace_determinism import traced_fio_export
 
@@ -200,7 +200,7 @@ def _round6(value: float) -> float:
 
 def ha_bed() -> Testbed:
     """The recoverable, instrumented bed with the replicated control plane."""
-    return Testbed(recovery_params(), ha=True, obs=True)
+    return Testbed(ha=True, obs=True)
 
 
 def election() -> dict:

@@ -9,7 +9,7 @@ runs, and a different injector seed produces a different run.
 """
 
 from repro.blockdev.disk import BLOCK_SIZE
-from repro.testbed import recovery_params
+from repro.cloud import CloudParams
 from repro.workloads import FioConfig, FioJob
 
 from tests.faults.conftest import fault_env
@@ -19,7 +19,7 @@ REGION = 512 * BLOCK_SIZE
 
 def faulted_fio(fault_seed):
     """One lossy fio run; returns a bit-comparable snapshot."""
-    env = fault_env(seed=fault_seed, params=recovery_params(tcp_rto=0.02))
+    env = fault_env(seed=fault_seed, params=CloudParams(tcp_rto=0.02))
     flow, _mbs = env.attach([env.spec(placement="compute3")])
     faults = env.injector.lossy_link(env.storage.storage_iface.link, drop=0.03)
 

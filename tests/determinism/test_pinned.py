@@ -1,18 +1,22 @@
 """Every pinned scenario still produces its recorded result, exactly.
 
 This is the one place simulated results are compared with a recording:
-kernel fast paths, default-off recovery machinery, passive obs hooks
-and control-plane journaling must all leave the loss-free event stream
-and every simulated-time figure bit-identical to ``pinned.json``.  The
+kernel fast paths, passive obs hooks and control-plane journaling must
+all leave the event stream and every simulated-time figure
+bit-identical to ``pinned.json``.  The
 scenarios, the golden file and the comparison live in
 ``tests/determinism/pinned.py``; its command line runs the same
 ``check`` (and the ``SLOW`` fleet tiers this file skips).
 """
 
 import copy
+from functools import partial
 
 import pytest
 
+from repro.cloud import CloudParams
+
+from tests.determinism import pinned
 from tests.determinism.pinned import PINNED, SCENARIOS, SLOW, check
 
 
@@ -23,6 +27,17 @@ def test_every_scenario_is_pinned_and_every_pin_has_a_scenario():
 @pytest.mark.parametrize("name", [n for n in SCENARIOS if n not in SLOW])
 def test_matches_pinned(name):
     assert check(name, SCENARIOS[name]()) == []
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_retired_recovery_switches_are_inert(monkeypatch, value):
+    """``CloudParams`` still accepts the fields that once switched
+    reliable TCP, iSCSI re-login and detach eviction; whatever they say,
+    ``fio_legacy`` gives its pinned result, recorded with
+    ``CloudParams()``."""
+    switches = dict.fromkeys(("tcp_reliable", "iscsi_session_recovery", "evict_detached"), value)
+    monkeypatch.setattr(pinned, "CloudParams", partial(CloudParams, **switches))
+    assert check("fio_legacy", SCENARIOS["fio_legacy"]()) == []
 
 
 @pytest.mark.parametrize("name", [n for n in SCENARIOS if n.endswith("_express")])

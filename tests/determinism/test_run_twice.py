@@ -7,14 +7,15 @@ own allocators, not from whatever ran before it in the process.
 """
 
 from repro.blockdev.disk import BLOCK_SIZE
-from repro.testbed import Testbed, recovery_params
+from repro.cloud import CloudParams
+from repro.testbed import Testbed
 
 
 def relogin_run():
     """A direct attach whose storage link is cut long enough to kill the
     session, so it re-logs in; returns the first write's task tag and
     the whole timeline."""
-    bed = Testbed(recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02), obs=True)
+    bed = Testbed(CloudParams(tcp_rto=0.02, iscsi_relogin_backoff=0.02), obs=True)
 
     def attach():
         return (yield bed.sim.process(bed.cloud.attach_volume(bed.vm, "vol1")))

@@ -1,18 +1,16 @@
-"""Shared fault-injection environment: the §V-A bed with every recovery
-knob on (reliable TCP, iSCSI session recovery) and one obs bus whose
-events are the fault/recovery timeline."""
+"""Shared fault-injection environment: the §V-A bed with one obs bus
+whose events are the fault/recovery timeline."""
 
 import pytest
 
-from repro.testbed import Testbed, recovery_params
+from repro.testbed import Testbed
 
 from tests.conftest import at_rest
 
 
 def fault_env(params=None, **kwargs):
-    """A recoverable, instrumented bed (``recovery_params()`` unless
-    ``params`` is given)."""
-    return Testbed(params or recovery_params(), obs=True, **kwargs)
+    """An instrumented bed."""
+    return Testbed(params, obs=True, **kwargs)
 
 
 @pytest.fixture

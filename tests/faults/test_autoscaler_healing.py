@@ -5,10 +5,10 @@ healing must return the dead VM's host capacity instead of leaking it."""
 import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.cloud import CloudParams
 from repro.core import Reconciler
 from repro.core.policy import PolicyError
 from repro.core.scaling import ScalingPool
-from repro.testbed import recovery_params
 
 from tests.conftest import at_rest
 from tests.faults.conftest import fault_env
@@ -16,7 +16,7 @@ from tests.faults.conftest import fault_env
 
 @pytest.fixture
 def env():
-    yield from at_rest(fault_env(params=recovery_params(tcp_rto=0.02)))
+    yield from at_rest(fault_env(params=CloudParams(tcp_rto=0.02)))
 
 
 def build_fwd_flows(env, n_flows=2):

@@ -7,16 +7,16 @@ faulted path stays fsck-clean, and the whole run is bit-reproducible
 
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.cloud import CloudParams
 from repro.core.policy import ServiceSpec
 from repro.fs import ExtFilesystem, SessionDevice
 from repro.fs.fsck import fsck
-from repro.testbed import recovery_params
 
 from tests.faults.conftest import fault_env
 
 
 def _params():
-    return recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02)
+    return CloudParams(tcp_rto=0.02, iscsi_relogin_backoff=0.02)
 
 
 def _block(value):
@@ -33,8 +33,10 @@ def chaos_run(seed):
 
     def setup():
         session = yield env.sim.process(
-            mb_host.initiator.connect(rhost.storage_iface.ip, rvol.iqn, recover=False)
+            mb_host.initiator.connect(rhost.storage_iface.ip, rvol.iqn)
         )
+        # add_replica turns the session's re-login off, so a replica
+        # crash ejects it and the monitor's rejoin resyncs it
         return mb.service.add_replica(session, "rep1")
 
     state = env.run(setup())

@@ -5,10 +5,11 @@ promoted flows losslessly — the workload finishes over the packet path
 import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.cloud import CloudParams
 from repro.core import Reconciler
 from repro.core.reconcile import FAIL_CLOSED, FAIL_OPEN
 from repro.fs import ExtFilesystem, SessionDevice, fsck
-from repro.testbed import assert_at_rest, recovery_params
+from repro.testbed import assert_at_rest
 from repro.workloads import FioConfig, FioJob, PostmarkConfig, PostmarkJob
 
 from tests.faults.conftest import fault_env
@@ -16,7 +17,7 @@ from tests.faults.conftest import fault_env
 
 def express_env(**kw):
     return fault_env(
-        params=recovery_params(express=True, tcp_rto=0.02, iscsi_relogin_backoff=0.02),
+        params=CloudParams(express=True, tcp_rto=0.02, iscsi_relogin_backoff=0.02),
         **kw,
     )
 
@@ -141,7 +142,7 @@ def _loop_tick_scenario(express, policy):
     fio results, the loop's timeline and, in express mode, the flows
     promoted before the first tick and left promoted after it."""
     env = fault_env(
-        params=recovery_params(express=express, tcp_rto=0.02, iscsi_relogin_backoff=0.02)
+        params=CloudParams(express=express, tcp_rto=0.02, iscsi_relogin_backoff=0.02)
     )
     storm = env.storm
     flow1, (mb_a, _mb_c) = env.attach(

@@ -89,10 +89,13 @@ def test_drop_next_is_deterministic():
     injector.drop_next(link, count=2)
     TcpListener(sim, b.stack, "10.0.0.2", 3260)
     client = TcpSocket(sim, a.stack, "10.0.0.1", a.stack.allocate_port())
-    client.connect("10.0.0.2", 3260)  # SYN is dropped (unreliable: hangs)
+    client.connect("10.0.0.2", 3260)
     sim.run()
-    assert link.faults.dropped == 1  # only the SYN was ever sent
-    assert link.faults.drop_next_count == 1
+    # the SYN and its retransmit consume both drops; the next one connects
+    assert link.faults.dropped == 2
+    assert link.faults.drop_next_count == 0
+    assert client.retransmits == 2
+    assert client.state == "established"
 
 
 def test_crash_resets_sockets_and_unplugs_interfaces():

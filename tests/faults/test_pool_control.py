@@ -6,10 +6,11 @@ pool flow."""
 import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.cloud import CloudParams
 from repro.core import Reconciler, ScalingPool
 from repro.core.reconcile import FAIL_OPEN
 from repro.core.scaling import healthy
-from repro.testbed import assert_at_rest, recovery_params
+from repro.testbed import assert_at_rest
 
 from tests.faults.conftest import fault_env
 from tests.faults.test_autoscaler_healing import build_fwd_flows
@@ -19,7 +20,7 @@ def pool_bed(n_spares=0, flows=2, **limits):
     """``flows`` volumes through one fwd box ``pool0``, declared as a
     pool with ``n_spares`` more boxes; the width never moves unless
     ``limits`` say so."""
-    env = fault_env(params=recovery_params(tcp_rto=0.02))
+    env = fault_env(params=CloudParams(tcp_rto=0.02))
     mb0, pool_flows = build_fwd_flows(env, flows)
     spares = [
         env.storm.provision_middlebox(env.tenant, env.spec(name=f"pool{i + 1}", relay="fwd"))

@@ -5,8 +5,8 @@ compaction with an ejected replica holding the retention floor."""
 import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.cloud import CloudParams
 from repro.core.policy import ServiceSpec
-from repro.testbed import recovery_params
 
 from tests.conftest import at_rest
 from tests.faults.conftest import fault_env
@@ -14,15 +14,12 @@ from tests.faults.conftest import fault_env
 
 @pytest.fixture
 def env():
-    yield from at_rest(fault_env(params=recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02)))
+    yield from at_rest(fault_env(params=CloudParams(tcp_rto=0.02, iscsi_relogin_backoff=0.02)))
 
 
 def make_env(env, n_replicas=1):
     """Replication middle-box with each replica volume on its *own*
-    storage host, so replicas can be crashed independently.  Replica
-    sessions use ``recover=False``: transport death must surface as
-    :class:`SessionDead` so the service's eject/rejoin logic (not the
-    session's own auto-relogin) is what gets exercised."""
+    storage host, so replicas can be crashed independently."""
     spec = ServiceSpec("rep", "replication", relay="active", placement="compute3")
     flow, (mb,) = env.attach([spec])
     mb_host = env.cloud.compute_hosts[mb.host_name]
@@ -32,10 +29,11 @@ def make_env(env, n_replicas=1):
         for i in range(1, n_replicas + 1):
             host, volume = env.add_replica_target(f"rstorage{i}")
             session = yield env.sim.process(
-                mb_host.initiator.connect(
-                    host.storage_iface.ip, volume.iqn, recover=False
-                )
+                mb_host.initiator.connect(host.storage_iface.ip, volume.iqn)
             )
+            # add_replica turns the session's re-login off: transport
+            # death must surface as SessionDead so the service's
+            # eject/rejoin logic is what gets exercised
             state = mb.service.add_replica(session, f"rep{i}")
             replicas.append((host, volume, state))
 

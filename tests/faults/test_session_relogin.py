@@ -3,8 +3,8 @@ port, and pending-command replay — instead of `_fail_all`."""
 
 import pytest
 
+from repro.cloud import CloudParams
 from repro.iscsi.initiator import SessionDead
-from repro.testbed import recovery_params
 
 from tests.conftest import at_rest
 from tests.faults.conftest import fault_env
@@ -13,7 +13,7 @@ from tests.faults.conftest import fault_env
 @pytest.fixture
 def env():
     # fast knobs so exhaustion tests stay quick
-    yield from at_rest(fault_env(params=recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02)))
+    yield from at_rest(fault_env(params=CloudParams(tcp_rto=0.02, iscsi_relogin_backoff=0.02)))
 
 
 def _legacy_session(env):

@@ -1,4 +1,4 @@
-"""Reliable-mode TCP under injected loss, plus the close() flush fix."""
+"""TCP under injected loss, plus the close() flush fix."""
 
 import pytest
 
@@ -8,17 +8,15 @@ from repro.net.tcp import ConnectionReset, EOF, TcpListener, TcpSocket
 from tests.net.helpers import two_hosts_one_switch
 
 
-def build_pair(reliable=True, rto=0.02, max_retransmits=8, window=65536, mss=4096):
+def build_pair(rto=0.02, max_retransmits=8, window=65536, mss=4096):
     sim, _arp, _switch, a, b = two_hosts_one_switch()
     listener = TcpListener(
         sim, b.stack, "10.0.0.2", 3260,
-        window=window, mss=mss,
-        reliable=reliable, rto=rto, max_retransmits=max_retransmits,
+        window=window, mss=mss, rto=rto, max_retransmits=max_retransmits,
     )
     client = TcpSocket(
         sim, a.stack, "10.0.0.1", a.stack.allocate_port(),
-        window=window, mss=mss,
-        reliable=reliable, rto=rto, max_retransmits=max_retransmits,
+        window=window, mss=mss, rto=rto, max_retransmits=max_retransmits,
     )
     return sim, a, b, listener, client
 
@@ -141,7 +139,7 @@ def test_syn_retransmission_survives_handshake_loss():
 
 
 def test_close_flushes_queued_data_before_fin():
-    sim, a, b, listener, client = build_pair(reliable=False)
+    sim, a, b, listener, client = build_pair()
     received = []
 
     def server():
@@ -163,7 +161,7 @@ def test_close_flushes_queued_data_before_fin():
 
 
 def test_send_after_close_raises():
-    sim, a, b, listener, client = build_pair(reliable=False)
+    sim, a, b, listener, client = build_pair()
 
     def server():
         sock = yield listener.accept()
@@ -185,7 +183,7 @@ def test_send_after_close_raises():
 
 
 def test_close_with_nothing_queued_is_immediate():
-    sim, a, b, listener, client = build_pair(reliable=False)
+    sim, a, b, listener, client = build_pair()
     order = []
 
     def server():

@@ -4,11 +4,12 @@ lands once, and a component built before the bus was attached still
 reports on it."""
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.cloud import CloudParams
 from repro.core import Reconciler
 from repro.core.reconcile import FAIL_OPEN
 from repro.faults import FaultInjector
 from repro.obs import ObsBus, events_of, instrument, validate_lines
-from repro.testbed import Testbed, recovery_params
+from repro.testbed import Testbed
 
 from tests.faults.conftest import fault_env
 from tests.faults.test_replication_resync import _block, make_env
@@ -18,7 +19,7 @@ def _ejection_then_relay_recovery():
     """A replicated active-relay chain: the replica host dies (one
     ejection), then the primary storage host dies mid-burst (the relay
     reconnects downstream and replays its NVM journal)."""
-    env = fault_env(params=recovery_params(tcp_rto=0.02, iscsi_relogin_backoff=0.02))
+    env = fault_env(params=CloudParams(tcp_rto=0.02, iscsi_relogin_backoff=0.02))
     flow, mb, [(rhost, _rvol, _state)] = make_env(env)
 
     def scenario():

@@ -6,8 +6,8 @@ re-promote after clean ACKs; the workload finishes with zero errors
 and the run is byte-identical when repeated."""
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.cloud import CloudParams
 from repro.core import Reconciler
-from repro.testbed import recovery_params
 from repro.workloads import FioConfig, FioJob
 
 from tests.ha.conftest import cluster_signature, ha_env, switch_rules
@@ -15,7 +15,7 @@ from tests.ha.conftest import cluster_signature, ha_env, switch_rules
 
 def run_fio_failover():
     env = ha_env(
-        params=recovery_params(
+        params=CloudParams(
             express=True, tcp_rto=0.02, iscsi_relogin_backoff=0.02
         )
     )

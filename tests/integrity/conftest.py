@@ -5,8 +5,8 @@ injector's ground truth."""
 
 import pytest
 
+from repro.cloud import CloudParams
 from repro.iscsi.pdu import volume_iqn
-from repro.testbed import recovery_params
 
 from tests.conftest import at_rest
 from tests.faults.conftest import fault_env
@@ -16,7 +16,7 @@ VOL_IQN = volume_iqn("vol1")
 
 def integrity_env(**overrides):
     """The recoverable bed with integrity verification on."""
-    return fault_env(recovery_params(integrity=True, **overrides))
+    return fault_env(CloudParams(integrity=True, **overrides))
 
 
 def layer(env):

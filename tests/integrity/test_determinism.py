@@ -3,7 +3,7 @@ pure function of its seed — detection ledgers, ground truth, event
 timelines, and final simulated time are all byte-identical."""
 
 from repro.blockdev.disk import BLOCK_SIZE
-from repro.testbed import recovery_params
+from repro.cloud import CloudParams
 
 from tests.faults.conftest import fault_env
 from tests.integrity.conftest import integrity_env
@@ -63,7 +63,7 @@ def test_different_seed_different_tamper_sites():
     flip index differs)."""
 
     def flip_index(seed):
-        env = fault_env(recovery_params(integrity=True), seed=seed)
+        env = fault_env(CloudParams(integrity=True), seed=seed)
         flow, (mb,) = env.attach([env.spec(name="noop", relay="passive")])
 
         def scenario():

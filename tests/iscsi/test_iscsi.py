@@ -123,17 +123,28 @@ def test_read_of_unwritten_space_returns_zeros():
 
 
 def test_session_reset_fails_pending_io():
+    """With the target down a reset session cannot re-login: its
+    pending I/O fails once every re-login attempt has timed out."""
     sim, initiator, target, volume = build_fabric()
     outcome = {}
 
     def client():
         session = yield sim.process(initiator.connect("10.0.0.2", volume_iqn("vol1")))
         event = session.write(0, 32 * BLOCK_SIZE)
+        target.listener.shutdown()
+        reset_at = sim.now
         session.reset()
         try:
             yield event
         except SessionDead:
             outcome["failed"] = True
+        backoffs = sum(
+            session.relogin_backoff * 2**k for k in range(session.max_relogins)
+        )
+        assert sim.now - reset_at == pytest.approx(
+            backoffs + session.max_relogins * session.login_timeout
+        )
+        assert session.relogins == 0
         assert not session.alive
         with pytest.raises(SessionDead):
             session.write(0, BLOCK_SIZE)

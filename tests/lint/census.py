@@ -520,6 +520,38 @@ def control_clocks(module: Module) -> Iterator[str]:
             yield cls.name
 
 
+#: always-on recovery: the ``CloudParams`` fields that once switched it
+#: off, and the constructor keywords that once carried them
+RETIRED_FIELDS = frozenset({"tcp_reliable", "iscsi_session_recovery", "evict_detached"})
+RETIRED_KEYWORDS = frozenset({"reliable", "recover"})
+RECOVERY_CLASSES = frozenset({
+    "TcpSocket", "TcpListener", "IscsiTarget", "IscsiInitiator", "IscsiSession",
+})
+
+
+def retired_switches(module: Module) -> Hits:
+    """No ``src/repro`` code reads or passes a retired recovery switch.
+
+    Failure scenario: a module reads ``params.tcp_reliable`` (or passes
+    ``reliable=`` to a socket) and grows back an off-branch: a lossless
+    TCP that silently accepts the segments a live chain change reorders,
+    a session that fails its I/O instead of re-logging-in, or a detach
+    that leaks conntrack and gateways.  The fields stay declared in
+    ``CloudParams`` (a dataclass field is a name, not an attribute), and
+    nothing may look at them.
+    """
+    for node in module.of(ast.Attribute):
+        if node.attr in RETIRED_FIELDS:
+            yield node.lineno, f"reads the retired switch .{node.attr}"
+    for call in module.of(ast.Call):
+        called = _callee(call)[1]
+        for keyword in call.keywords:
+            if keyword.arg in RETIRED_FIELDS or (
+                called in RECOVERY_CLASSES and keyword.arg in RETIRED_KEYWORDS
+            ):
+                yield call.lineno, f"passes the retired switch {keyword.arg}= to {called}"
+
+
 RULES = {
     "wall-clock": wall_clock,
     "global-random": global_random,

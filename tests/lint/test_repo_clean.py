@@ -1,8 +1,8 @@
 """The repo's own source tree must pass every census.
 
 ``src/repro`` is parsed once; the stormlint census, the dead-function
-census, the per-run-state census and the control-clock census all read
-that one parse, and any
+census, the per-run-state census, the control-clock census and the
+retired-switch census all read that one parse, and any
 new determinism, simulation-safety or contract hazard fails here with
 its location in the assertion message.
 """
@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from tests.lint.census import CONTROL_CLOCKS, Module, check, control_clocks
+from tests.lint.census import CONTROL_CLOCKS, Module, check, control_clocks, retired_switches
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -129,3 +129,16 @@ def test_one_control_clock(src):
     clock; anything else periodic is a policy in ``Reconciler.tick``."""
     clocks = sorted(name for module in src for name in control_clocks(module))
     assert clocks == sorted(CONTROL_CLOCKS)
+
+
+def test_no_retired_recovery_switch(src):
+    """Retired-switch census: reliable TCP, iSCSI re-login and detach
+    eviction are always on, so no module reads the ``CloudParams``
+    fields that once turned them off or passes ``reliable=`` /
+    ``recover=`` to a socket, target, initiator or session."""
+    found = [
+        f"{module.path}:{line} {message}"
+        for module in src
+        for line, message in retired_switches(module)
+    ]
+    assert not found, "retired recovery switches:\n" + "\n".join(found)

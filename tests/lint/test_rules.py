@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import textwrap
 
-from tests.lint.census import RULES, Module, check, control_clocks
+from tests.lint.census import RULES, Module, check, control_clocks, retired_switches
 from tests.lint.conftest import hits, suppressed
 
 # ---------------------------------------------------------------- wall-clock
@@ -334,3 +334,26 @@ def test_control_clock_found_in_core_only():
     )
     assert list(control_clocks(Module("src/repro/core/x.py", source))) == ["Scaler"]
     assert list(control_clocks(Module("src/repro/net/x.py", source))) == []
+
+
+# ----------------------------------------------------------- retired-switches
+
+
+def test_retired_switch_reads_and_keywords_found():
+    source = textwrap.dedent(
+        """
+        from dataclasses import dataclass
+
+        @dataclass
+        class CloudParams:
+            tcp_reliable: bool = True
+
+        def build(params, sim, stack):
+            socket = TcpSocket(sim, stack, reliable=params.tcp_reliable)
+            initiator = IscsiInitiator(sim, stack, recover=True)
+            relay = ActiveRelay(sim, recover=True)
+            return CloudParams(evict_detached=True), socket, initiator, relay
+        """
+    )
+    found = list(retired_switches(Module("src/repro/x.py", source)))
+    assert sorted(line for line, _message in found) == [9, 9, 10, 12]

@@ -194,7 +194,7 @@ def test_obs_promote_and_demote_events():
 # -- the learner: every refusal, and its lifecycle ---------------------
 
 
-def routed(express, reliable=False):
+def routed(express):
     """A client on host-a and a server on host-b of ``routed_pair``."""
     sim = Simulator()
     manager = ExpressManager(sim) if express else None
@@ -202,8 +202,8 @@ def routed(express, reliable=False):
     net = SimpleNamespace(
         sim=sim, manager=manager, switch=switch, a=a, router=router, b=b,
         last_link=last_link, received=[],
-        listener=TcpListener(sim, b.stack, "10.0.1.2", 3260, reliable=reliable),
-        client=TcpSocket(sim, a.stack, "10.0.0.1", a.stack.allocate_port(), reliable=reliable),
+        listener=TcpListener(sim, b.stack, "10.0.1.2", 3260),
+        client=TcpSocket(sim, a.stack, "10.0.0.1", a.stack.allocate_port()),
     )
 
     def server():
@@ -218,11 +218,11 @@ def routed(express, reliable=False):
     return net
 
 
-def armed(express, reliable=False):
+def armed(express):
     """Connect and exchange exactly PROMOTE_AFTER one-segment messages:
     the last ACK arms the socket and nothing is left to send, so the
     first segment sent afterwards is the learner."""
-    net = routed(express, reliable)
+    net = routed(express)
 
     def open_and_send():
         yield net.client.connect("10.0.1.2", 3260)
@@ -290,31 +290,31 @@ def learner_dropped(net):
     FaultInjector(net.sim, seed=3).drop_next(net.last_link)
 
 
-#: (what happens at the armed moment, reliable TCP, (promotions,
-#: probes_failed) once the learner has arrived, promoted at the end)
+#: (what happens at the armed moment, (promotions, probes_failed) once
+#: the learner has arrived, promoted at the end)
 LEARNER_CASES = [
-    (tap, False, (0, 1), False),
-    (forward_hook, False, (0, 1), False),
-    (flood, False, (0, 1), True),  # the retry finds the MAC learnt again
-    (to_controller, False, (0, 1), False),
-    (identity_nat, False, (0, 1), True),  # the retry goes through conntrack
-    (delayed, True, (0, 1), False),
-    (delayed_elsewhere, True, (1, 0), True),  # inert for this flow
-    (learner_dropped, True, (0, 0), True),  # a lost learner is not a failed one
+    (tap, (0, 1), False),
+    (forward_hook, (0, 1), False),
+    (flood, (0, 1), True),  # the retry finds the MAC learnt again
+    (to_controller, (0, 1), False),
+    (identity_nat, (0, 1), True),  # the retry goes through conntrack
+    (delayed, (0, 1), False),
+    (delayed_elsewhere, (1, 0), True),  # inert for this flow
+    (learner_dropped, (0, 0), True),  # a lost learner is not a failed one
 ]
 
 
 @pytest.mark.parametrize(
-    "case,reliable,after_learner,promoted_at_end",
+    "case,after_learner,promoted_at_end",
     LEARNER_CASES,
     ids=[case[0].__name__ for case in LEARNER_CASES],
 )
-def test_learner_outcome_per_element_decision(case, reliable, after_learner, promoted_at_end):
+def test_learner_outcome_per_element_decision(case, after_learner, promoted_at_end):
     """Whatever an element on the way did with the learning packet, the
     application sees packet mode: same deliveries at the same instants."""
     outcomes = {}
     for express in (False, True):
-        net = armed(express, reliable)
+        net = armed(express)
         faults = case(net)
         # 15 segments: the learner's verdict, and one ACK short of the retry
         burst(net.sim, net.client, 100, 3)
