@@ -91,9 +91,6 @@ class StorageService:
     def transform_downstream(self, pdu):
         return pdu
 
-    def on_flow_closed(self, reason: str) -> None:
-        """Called when a relayed connection ends (EOF/reset)."""
-
     def on_volume_attached(self, volume, flow) -> None:
         """Called by the platform once the spliced attach completes —
         the point where StorM supplies the initial filesystem view to
@@ -134,6 +131,9 @@ class MiddleBox(Node):
         #: tenant name of the scaling pool a committed provision or adopt
         #: step marked this box for (:mod:`repro.core.scaling`); None = no pool
         self.pool: Optional[str] = None
+        #: attach cookie of the one attachment a passive or active box
+        #: serves for life (set by the platform); None = unbound or ``fwd``
+        self.attachment: Optional[str] = None
 
     @property
     def instance_iface(self):

@@ -61,6 +61,10 @@ from repro.core.splicing import (
 from repro.core.steering import SteeringChain
 from repro.sim import Simulator
 
+#: relay modes that touch PDUs: such a box keeps per-box state and serves
+#: one attachment for life (DESIGN.md §8); ``fwd`` boxes carry many flows
+_INTERCEPTING = (RelayMode.PASSIVE, RelayMode.ACTIVE)
+
 
 @dataclass(eq=False)
 class StorMFlow:
@@ -183,11 +187,7 @@ class StorM:
         """Relay hops that stamp traversal marks, in upstream order.
         FWD-mode boxes forward at IP level without touching PDUs, so
         they cannot mark — the proof covers the intercepting hops."""
-        return [
-            mb.name
-            for mb in middleboxes
-            if mb.relay_mode in (RelayMode.PASSIVE, RelayMode.ACTIVE)
-        ]
+        return [mb.name for mb in middleboxes if mb.relay_mode in _INTERCEPTING]
 
     def _flow_iqn(self, flow: StorMFlow) -> Optional[str]:
         if flow.volume_name.startswith("objstore://"):
@@ -426,12 +426,11 @@ class StorM:
     def _configure_active_relay(
         self, mb: MiddleBox, gateways: GatewayPair, port: int
     ) -> None:
-        if mb.relay is not None:
-            if getattr(mb.relay, "egress_port", port) != port:
-                raise PolicyError(
-                    f"middle-box {mb.name} already relays port "
-                    f"{mb.relay.egress_port}; one service port per box"
-                )
+        relay = mb.relay
+        if relay is not None:
+            # re-attached since the tenant's last detach released its gateways
+            if relay.egress_ip != gateways.egress.instance_ip:
+                relay.retarget(gateways.egress.instance_ip)
             return
         mb.relay = ActiveRelay(
             self.sim,
@@ -439,66 +438,12 @@ class StorM:
             egress_ip=gateways.egress.instance_ip,
             params=self.cloud.params,
             egress_port=port,
-            cookie=f"redirect:{mb.name}",
         )
         mb.relay.integrity = self.integrity
         if self.obs is not None:
             mb.relay.obs = self.obs
 
     # -- the atomic attach -------------------------------------------------------
-
-    def _spliced_attach_steps(
-        self,
-        *,
-        host,
-        gateways: GatewayPair,
-        chain: SteeringChain,
-        cookie: str,
-        target_ip: str,
-        port: int,
-        connect: Callable[[], GeneratorType],
-        narrow: Callable[[dict], None],
-        register: Callable[[dict], StorMFlow],
-    ) -> tuple[list[SagaStep], dict]:
-        """The paper's atomic attach as a saga of idempotent steps.
-
-        Steps 1–5 hold the attach mutex (the wildcard window); the
-        ``narrow`` step is the pivot — once it is journaled, crash
-        recovery completes the attach instead of compensating it.
-        """
-        state: dict = {}
-
-        def do_close_session():
-            session = state.get("session")
-            if session is not None and session.alive:
-                session.close()
-
-        def do_narrow():
-            narrow(state)
-
-        def do_register():
-            return register(state)
-
-        steps = [
-            SagaStep(
-                "install-nat",
-                do=lambda: install_attach_nat(host, gateways, target_ip, cookie, port=port),
-                undo=lambda: remove_attach_nat(host, gateways, cookie),
-            ),
-            SagaStep(
-                "install-chain",
-                do=lambda: chain.install(src_port=None),
-                undo=chain.remove,
-            ),
-            SagaStep("connect", do=connect, undo=do_close_session, store="session"),
-            SagaStep("narrow", do=do_narrow, undo=chain.remove, pivot=True),
-            SagaStep(
-                "remove-nat",
-                do=lambda: remove_attach_nat(host, gateways, cookie),
-            ),
-            SagaStep("register-flow", do=do_register, locked=False),
-        ]
-        return steps, state
 
     def _attach_spliced_flow(
         self,
@@ -519,25 +464,44 @@ class StorM:
         volume=None,
         detail: Optional[dict] = None,
     ):
-        """Process: the steering/rollback core shared by both attach
-        paths (block volumes and object sessions).
+        """Process: the paper's atomic attach as a saga of idempotent
+        steps, shared by both attach paths (block volumes and object
+        sessions).
 
-        Ensures the tenant's gateways, configures active relays on the
-        service port, builds the steering chain, and runs the atomic
-        attach saga from :meth:`_spliced_attach_steps`.  ``attribute``
-        turns on connection attribution (block attach only — object
-        flows have no login hook to attribute); ``volume`` (when given)
-        is handed to each chained service's ``on_volume_attached``.
+        Refuses a passive or active box bound to another ``cookie``,
+        ensures the tenant's gateways, binds such boxes to ``cookie``,
+        configures active relays on the service port and builds the
+        steering chain.  Saga steps 1–5 hold the attach mutex (the
+        wildcard window); the ``narrow`` step is the pivot — once it is
+        journaled, crash recovery completes the attach instead of
+        compensating it.  ``attribute`` turns on connection attribution
+        (block attach only — object flows have no login hook to
+        attribute); ``volume`` (when given) is handed to each chained
+        service's ``on_volume_attached``.
         """
+        for mb in middleboxes:
+            if mb.attachment not in (None, cookie):
+                raise PolicyError(
+                    f"middle-box {mb.name} already serves {mb.attachment}; "
+                    f"a passive or active box carries one attachment"
+                )
         gateways = self.ensure_gateways(tenant, ingress_host, egress_host)
         for mb in middleboxes:
-            if mb.relay_mode is RelayMode.ACTIVE:
-                self._configure_active_relay(mb, gateways, port)
+            if mb.relay_mode in _INTERCEPTING:
+                mb.attachment = cookie
+                if mb.relay_mode is RelayMode.ACTIVE:
+                    self._configure_active_relay(mb, gateways, port)
         chain = SteeringChain(
             self.cloud.sdn, gateways, list(middleboxes), cookie, service_port=port
         )
+        state: dict = {}
 
-        def narrow(state):
+        def close_session():
+            session = state.get("session")
+            if session is not None and session.alive:
+                session.close()
+
+        def narrow():
             session = state["session"]
             if attribute:
                 state["attribution"] = self.attributor.attribute(
@@ -545,7 +509,7 @@ class StorM:
                 )
             chain.narrow(session.local_port)
 
-        def register(state):
+        def register():
             session = state["session"]
             flow = StorMFlow(
                 tenant_name=tenant.name,
@@ -571,17 +535,25 @@ class StorM:
                         mb.service.on_volume_attached(volume, flow)
             return flow
 
-        steps, state = self._spliced_attach_steps(
-            host=host,
-            gateways=gateways,
-            chain=chain,
-            cookie=cookie,
-            target_ip=target_ip,
-            port=port,
-            connect=connect,
-            narrow=narrow,
-            register=register,
-        )
+        steps = [
+            SagaStep(
+                "install-nat",
+                do=lambda: install_attach_nat(host, gateways, target_ip, cookie, port=port),
+                undo=lambda: remove_attach_nat(host, gateways, cookie),
+            ),
+            SagaStep(
+                "install-chain",
+                do=lambda: chain.install(src_port=None),
+                undo=chain.remove,
+            ),
+            SagaStep("connect", do=connect, undo=close_session, store="session"),
+            SagaStep("narrow", do=narrow, undo=chain.remove, pivot=True),
+            SagaStep(
+                "remove-nat",
+                do=lambda: remove_attach_nat(host, gateways, cookie),
+            ),
+            SagaStep("register-flow", do=register, locked=False),
+        ]
         saga = self.engine.begin(op, cookie, steps, state=state, **(detail or {}))
         pending = self._tenant_pending
         pending[tenant.name] = pending.get(tenant.name, 0) + 1
@@ -741,8 +713,9 @@ class StorM:
     ) -> None:
         """Add/remove middle-boxes on an existing flow by reprogramming
         the SDN switches (paper §III-A); the new chain becomes the flow's
-        desired one unless it is a control-loop ``detour``.  Restricted
-        to forwarding-mode chains: active relays hold per-flow TCP state.
+        desired one unless it is a control-loop ``detour``.  Refused for
+        active relays (split-TCP state) and for a passive box bound to
+        another flow; ``update-flow`` binds a fresh passive box.
 
         The swap is make-before-break: the new rule generation is
         staged (installed at a shadowing priority) before the old one
@@ -753,6 +726,11 @@ class StorM:
                 raise PolicyError(
                     "cannot reconfigure a chain containing active-relay "
                     "middle-boxes on a live flow"
+                )
+            if mb.attachment not in (None, flow.cookie):
+                raise PolicyError(
+                    f"middle-box {mb.name} already serves {mb.attachment}; "
+                    f"a passive box carries one attachment"
                 )
         chain = flow.chain
         old_middleboxes = list(flow.middleboxes)
@@ -772,6 +750,9 @@ class StorM:
         def do_update():
             self._untrack_flow(flow)
             flow.middleboxes = list(middleboxes)
+            for mb in middleboxes:
+                if mb.relay_mode in _INTERCEPTING:
+                    mb.attachment = flow.cookie
             if not detour:
                 flow.desired = tuple(middleboxes)
             self._track_flow(flow)
@@ -831,6 +812,10 @@ class StorM:
                 self.attributor.forget(
                     flow.host.storage_iface.ip, flow.src_port
                 )
+            # an abandoned pair's journal must not replay into the next session
+            for mb in flow.middleboxes:
+                if isinstance(mb.relay, ActiveRelay):
+                    mb.relay.clear_journal()
             # Then tenant-wide state, once the last flow is gone and no
             # attach is mid-saga: the per-tenant metrics scope and the
             # gateway pair itself.

@@ -13,6 +13,9 @@ Two designs, as evaluated in the paper:
   the same source port so the Fig. 3 steering rules keep matching.
   Received PDUs are journaled in simulated NVM until the next hop ACKs
   them, preserving consistency across the split.
+
+A box relays one attachment for its whole life (the platform refuses a
+second), so the journal is that one flow's and needs no flow key.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.cloud.params import CloudParams
 from repro.core.middlebox import MiddleBox
@@ -115,11 +118,6 @@ class NvmEntry:
     entry_id: int
     pdu: object
     direction: str
-    stored_at: float
-    #: (vm-side remote_ip, remote_port) — identifies the flow, so a
-    #: middle-box restart can replay exactly this flow's entries on the
-    #: re-established pair (NVM survives the crash)
-    flow: tuple = ()
 
 
 @dataclass
@@ -145,7 +143,10 @@ class ActiveRelay:
     still maps the same 4-tuple — and *replays* every journaled upstream
     PDU the next hop never acknowledged, in arrival order.  Duplicate writes
     are idempotent (same offset/payload) and duplicate responses are
-    dropped by the initiator's task-tag table.
+    dropped by the initiator's task-tag table.  Every pair (the first
+    login, a re-login after a crash) belongs to the box's one
+    attachment; the VM's close or the platform's detach empties the
+    journal (:meth:`clear_journal`).
     """
 
     def __init__(
@@ -155,16 +156,14 @@ class ActiveRelay:
         egress_ip: str,
         params: CloudParams,
         egress_port: int = ISCSI_PORT,
-        cookie: Optional[str] = None,
         max_reconnects: int = 3,
         reconnect_delay: float = 0.05,
     ):
         self.sim = sim
         self.middlebox = middlebox
-        self.egress_ip = egress_ip
         self.egress_port = egress_port
         self.params = params
-        self.cookie = cookie or f"active-relay:{middlebox.name}"
+        self.cookie = f"redirect:{middlebox.name}"
         self.max_reconnects = max_reconnects
         self.reconnect_delay = reconnect_delay
         #: observability bus hook: when set, relayed PDUs run under
@@ -194,18 +193,7 @@ class ActiveRelay:
         self.pdus_relayed = 0
         self.pdus_replayed = 0
         self.pairs: list[RelayPair] = []
-        # REDIRECT: flows addressed to the egress gateway land on the
-        # local pseudo-server instead (PREROUTING only — the
-        # pseudo-client's own connects toward egress must not loop back)
-        middlebox.stack.nat.install(
-            NatRule(
-                match_dst_ip=egress_ip,
-                match_dst_port=egress_port,
-                dnat_ip=middlebox.ip,
-                hook="prerouting",
-                cookie=self.cookie,
-            )
-        )
+        self.retarget(egress_ip)
         self.listener = TcpListener(
             sim,
             middlebox.stack,
@@ -218,6 +206,24 @@ class ActiveRelay:
         )
         self.listener.express_label = f"relay:{middlebox.name}"
         sim.process(self._accept_loop(), name=f"active-relay:{middlebox.name}")
+
+    def retarget(self, egress_ip: str) -> None:
+        """REDIRECT: flows addressed to the egress gateway land on the
+        local pseudo-server instead (PREROUTING only — the
+        pseudo-client's own connects toward egress must not loop back).
+        Re-run when the attachment returns through a re-created pair."""
+        nat = self.middlebox.stack.nat
+        nat.remove_by_cookie(self.cookie)
+        self.egress_ip = egress_ip
+        nat.install(
+            NatRule(
+                match_dst_ip=egress_ip,
+                match_dst_port=self.egress_port,
+                dnat_ip=self.middlebox.ip,
+                hook="prerouting",
+                cookie=self.cookie,
+            )
+        )
 
     # -- connection handling ---------------------------------------------
 
@@ -314,17 +320,13 @@ class ActiveRelay:
                 if direction == "upstream":
                     pair.closed = True  # the VM ended the flow
                     if not pair.abandoned:
-                        self._drop_flow_entries(
-                            (pair.server.remote_ip, pair.server.remote_port)
-                        )
+                        self.clear_journal()
                 if payload is RESET and other.state == "established":
                     if direction == "downstream":
                         pair.abandoned = True
                     other.reset()
                 if payload is EOF:
                     other.close()
-                if service is not None:
-                    service.on_flow_closed("reset" if payload is RESET else "eof")
                 return
             if kind == "msg":
                 # a whole message that arrived before the chunk listener
@@ -360,12 +362,11 @@ class ActiveRelay:
                     journal=len(self.nvm),
                 )
 
-    def _drop_flow_entries(self, flow) -> None:
-        """The VM side ended the flow: nobody is waiting for these."""
-        for entry in [e for e in self.nvm.values() if e.flow == flow]:
-            self.nvm.pop(entry.entry_id, None)
-            if isinstance(entry.pdu, ScsiCommandPdu):
-                self._command_entries.pop(entry.pdu.task_tag, None)
+    def clear_journal(self) -> None:
+        """The box's one flow ended (the VM closed it, or the platform
+        detached it): nobody is waiting for these entries.  Idempotent."""
+        self.nvm.clear()
+        self._command_entries.clear()
 
     def _relay_whole(self, pdu, pair: RelayPair, direction, service):
         is_login = direction == "upstream" and isinstance(pdu, LoginRequestPdu)
@@ -373,8 +374,7 @@ class ActiveRelay:
             pair.login_pdu = pdu  # needed again if the downstream leg fails
         if direction == "downstream" and isinstance(pdu, ScsiResponsePdu):
             self._retire_command(pdu)
-        flow = (pair.server.remote_ip, pair.server.remote_port)
-        entry = NvmEntry(next(self._entry_ids), pdu, direction, self.sim.now, flow)
+        entry = NvmEntry(next(self._entry_ids), pdu, direction)
         self.nvm[entry.entry_id] = entry
         self.nvm_peak = max(self.nvm_peak, len(self.nvm))
         self.pdus_relayed += 1
@@ -410,14 +410,13 @@ class ActiveRelay:
         if is_login and len(self.nvm) > 1:
             # a login on a flow with older journal entries means the
             # middle-box restarted: replay what the crash interrupted
-            self._replay_stale(pair, entry.entry_id, flow)
+            self._replay_stale(pair, entry.entry_id)
 
     def _relay_chunk(self, segment, pair: RelayPair, direction, service, streams):
         buffered = service is not None and service.requires_full_pdu
         state = streams.get(segment.message_id)
         if state is None:
-            flow = (pair.server.remote_ip, pair.server.remote_port)
-            entry = NvmEntry(next(self._entry_ids), None, direction, self.sim.now, flow)
+            entry = NvmEntry(next(self._entry_ids), None, direction)
             self.nvm[entry.entry_id] = entry
             self.nvm_peak = max(self.nvm_peak, len(self.nvm))
             if self.obs is not None:
@@ -459,17 +458,7 @@ class ActiveRelay:
         pdu = segment.message
         entry.pdu = pdu
         self.pdus_relayed += 1
-        if handle is None and opened_on is not None:
-            # journal-only mode: the socket was already dead when the
-            # stream opened — keep the transformed PDU journaled; the
-            # send fails quietly and recovery replays it
-            transformed = self._transform_only(pdu, direction, service)
-            self._hop_stamp(transformed)
-            entry.pdu = transformed
-            self._track_command(entry)
-            self._send_tracked_safe(self._dst_socket(pair, direction), transformed, entry)
-            return
-        if handle is None:
+        if handle is None and opened_on is None:
             # buffered mode: full classic processing (forward or reply)
             ctx = self._make_context(entry, pair, direction)
             yield from service.process(pdu, direction, ctx, charged=True)
@@ -478,9 +467,10 @@ class ActiveRelay:
             else:
                 self._track_command(entry)
             return
-        if opened_on.state == "reset":
-            # the outgoing socket died mid-stream; journal the completed
-            # PDU — recovery replays it on the fresh connection
+        if handle is None or opened_on.state == "reset":
+            # the outgoing socket was dead when the stream opened, or
+            # died mid-stream: keep the transformed PDU journaled; the
+            # send fails quietly and recovery replays it
             transformed = self._transform_only(pdu, direction, service)
             self._hop_stamp(transformed)
             entry.pdu = transformed
@@ -607,18 +597,18 @@ class ActiveRelay:
                 journal=len(self.nvm),
             )
 
-    def _replay_stale(self, pair: RelayPair, login_entry_id: int, flow) -> None:
+    def _replay_stale(self, pair: RelayPair, login_entry_id: int) -> None:
         """Middle-box crash recovery: the journal is NVM, so entries
         written before a crash survive the restart.  When the VM-side
-        session logs back in on the same 4-tuple, replay that flow's
-        un-ACKed upstream PDUs on the fresh pair (in arrival order,
+        session logs back in on the same 4-tuple, replay the un-ACKed
+        upstream PDUs on the fresh pair (in arrival order,
         right behind the just-forwarded login) and drop its stale
         downstream/login entries — the re-executed commands regenerate
         the responses, and duplicates are absorbed by idempotent
         writes plus the initiator's task-tag table."""
         replayed = 0
         for entry in list(self.nvm.values()):
-            if entry.entry_id >= login_entry_id or entry.flow != flow:
+            if entry.entry_id >= login_entry_id:
                 continue
             if (
                 entry.direction != "upstream"

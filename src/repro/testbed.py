@@ -23,6 +23,7 @@ from repro.blockdev.disk import BLOCK_SIZE
 from repro.cloud import CloudController, CloudParams
 from repro.core import Reconciler, StorM
 from repro.core.policy import ServiceSpec
+from repro.core.relay import ActiveRelay
 from repro.faults import FaultInjector
 from repro.obs import ObsBus, events_of, instrument
 from repro.services import install_default_services
@@ -31,11 +32,17 @@ from repro.sim import Simulator
 
 def assert_at_rest(storm: StorM) -> None:
     """The state every scenario must end in: no saga left in flight, no
-    drift between intent and the switch/NAT tables."""
+    drift between intent and the switch/NAT tables, and an empty relay
+    journal on every active box that no live chain holds."""
     in_flight = storm.intent_log.incomplete()
     assert in_flight == [], f"sagas still in flight: {in_flight}"
     drift = Reconciler(storm).audit()
     assert drift == [], f"reconciler audit found drift: {drift}"
+    for mb in storm.middleboxes.values():
+        relay = mb.relay
+        if isinstance(relay, ActiveRelay) and not storm.in_chain(mb):
+            leaked = relay.nvm or relay._command_entries
+            assert not leaked, f"{mb.name} journal outlived its flow: {leaked}"
 
 
 class Testbed:
