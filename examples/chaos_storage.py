@@ -88,7 +88,7 @@ def main():
     )
     print(
         f"recovery: session relogins={flow.session.relogins} "
-        f"relay reconnects={sum(p.reconnects for p in rep_mb.relay.pairs)} "
+        f"relay reconnects={rep_mb.relay.reconnects} "
         f"pdus replayed={sum(mb.relay.pdus_replayed for mb in chain)} "
         f"replica ejections={rep_mb.service.ejections} rejoins={replica.rejoins}"
     )

@@ -128,6 +128,10 @@ class RelayPair:
     server: TcpSocket
     client: TcpSocket
     reconnects: int = 0
+    #: pumps still running, a recovery in progress counting as the
+    #: downstream pump it replaces: a closed pair leaves
+    #: :attr:`ActiveRelay.pairs` when this reaches zero
+    pumps: int = 0
     closed: bool = False  # the VM side ended the flow; no recovery
     #: the relay itself reset the VM side (downstream unrecoverable) —
     #: the journal is kept, unlike a genuine VM-initiated close
@@ -192,6 +196,10 @@ class ActiveRelay:
         self.nvm_peak = 0
         self.pdus_relayed = 0
         self.pdus_replayed = 0
+        #: reconnect attempts over every pair the box has served
+        self.reconnects = 0
+        #: pairs still open or still pumping; a closed pair is dropped
+        #: once its last pump returns
         self.pairs: list[RelayPair] = []
         self.retarget(egress_ip)
         self.listener = TcpListener(
@@ -271,7 +279,7 @@ class ActiveRelay:
             if server_sock.state == "established":
                 server_sock.reset()
             return
-        pair = RelayPair(server_sock, client_sock)
+        pair = RelayPair(server_sock, client_sock, pumps=1)  # the upstream pump
         self.pairs.append(pair)
         self.sim.process(self._pump(up_queue, server_sock, pair, "upstream"))
         self._start_downstream_pump(pair)
@@ -281,8 +289,14 @@ class ActiveRelay:
 
         down_queue = Store(self.sim)
         pair.client.chunk_listener = lambda segment: down_queue.put(("chunk", segment))
+        pair.pumps += 1
         self.sim.process(self._sentinel_watcher(pair.client, down_queue))
         self.sim.process(self._pump(down_queue, pair.client, pair, "downstream"))
+
+    def _pump_returned(self, pair: RelayPair) -> None:
+        pair.pumps -= 1
+        if pair.closed and not pair.pumps:
+            self.pairs.remove(pair)
 
     def _dst_socket(self, pair: RelayPair, direction: str) -> TcpSocket:
         """Resolved at send time: recovery may swap ``pair.client``."""
@@ -315,7 +329,7 @@ class ActiveRelay:
                     and pair.reconnects < self.max_reconnects
                 ):
                     self.sim.process(self._recover(pair))
-                    return  # a fresh downstream pump starts on success
+                    return  # the recovery holds this pump's count
                 other = self._dst_socket(pair, direction)
                 if direction == "upstream":
                     pair.closed = True  # the VM ended the flow
@@ -327,6 +341,7 @@ class ActiveRelay:
                     other.reset()
                 if payload is EOF:
                     other.close()
+                self._pump_returned(pair)
                 return
             if kind == "msg":
                 # a whole message that arrived before the chunk listener
@@ -636,6 +651,7 @@ class ActiveRelay:
         """
         while pair.reconnects < self.max_reconnects:
             pair.reconnects += 1
+            self.reconnects += 1
             yield self.sim.timeout(self.reconnect_delay)
             self._log("relay.reconnect-attempt", attempt=pair.reconnects)
             client = self._new_client_socket(pair.server)
@@ -672,12 +688,14 @@ class ActiveRelay:
             if self.obs is not None:
                 self.obs.event("nvm.replay", target=self.middlebox.name,
                                count=replayed, reason="reconnect")
+            self._pump_returned(pair)  # a fresh downstream pump took over
             return
         # recovery exhausted: tear the flow down toward the VM
         self._log("relay.gave-up", reconnects=pair.reconnects)
         if pair.server.state == "established":
             pair.abandoned = True
             pair.server.reset()
+        self._pump_returned(pair)
 
     def shutdown(self) -> None:
         self.middlebox.stack.nat.remove_by_cookie(self.cookie)

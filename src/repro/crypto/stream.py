@@ -9,7 +9,7 @@ cost is ``CloudParams.stream_cipher_cpu_per_byte``.
 
 from __future__ import annotations
 
-try:  # vectorized keystream; the pure-Python path below is identical
+try:  # vectorized keystream and XOR; the pure-Python path below is identical
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy ships with the toolchain
     _np = None
@@ -51,12 +51,17 @@ class StreamCipher:
             x ^= x >> _np.uint64(7)
             x ^= x << _np.uint64(17)
             x *= _np.uint64(0x2545F4914F6CDD1D)
-            keystream = x.tobytes()  # little-endian on every platform we run
-        else:
-            word = self._word
-            keystream = b"".join(
-                word(base + i).to_bytes(8, "little") for i in range(nwords)
-            )
+            # XOR the payload as native uint64 words too (little-endian
+            # on every platform we run, like the Python path's words);
+            # a partial last word is zero-padded and cut off again.
+            tail = n % 8
+            padded = data + bytes(8 - tail) if tail else data
+            x ^= _np.frombuffer(padded, dtype=_np.uint64)
+            return x.tobytes()[:n]
+        word = self._word
+        keystream = b"".join(
+            word(base + i).to_bytes(8, "little") for i in range(nwords)
+        )
         # XOR whole buffers as big integers — C-speed instead of a
         # Python loop per byte; identical output to the per-byte XOR.
         mixed = int.from_bytes(data, "little") ^ int.from_bytes(

@@ -27,10 +27,20 @@ is bit-identical to an integrity-less build.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from hashlib import blake2s, sha256
 from typing import Any, Optional
 
-from repro.integrity.mac import derive_key, keyed_mac, u64
+from repro.integrity.mac import (
+    FRAMED_U64,
+    MAC_SIZE,
+    PAYLOAD_FIELDS,
+    U64_MASK,
+    derive_key,
+    frame,
+    hop_mark,
+)
 from repro.integrity.tag import HopMark, IntegrityTag
 
 DEFAULT_MASTER_KEY = b"repro-integrity-master-key"
@@ -55,14 +65,47 @@ class Detection:
     seq: int
 
 
+#: SHA-256 of the empty payload (commands that carry no data)
+_EMPTY_DIGEST = sha256(b"").digest()
+
+
 @dataclass
 class _RxWindow:
     """Receive-side sequence state for one (flow, direction)."""
 
     high: int = 0
-    #: accepted sequence numbers inside the window (dict, not set: the
-    #: trim below iterates it, and dict order is deterministic)
-    seen: dict[int, None] = field(default_factory=dict)
+    #: accepted sequence numbers inside the window, oldest first: they
+    #: are accepted in increasing order, so eviction pops the left end
+    seen: deque[int] = field(default_factory=deque)
+
+
+class _Flow:
+    """Everything the layer keeps for one flow, in one record so that
+    :meth:`IntegrityLayer.forget_flow` drops it in O(1): key material
+    derived once, the framed MAC-input prefixes that depend only on the
+    flow, and both directions' sequence counters and windows."""
+
+    __slots__ = ("data_key", "nonce", "ticket_prefix", "hop_keys", "headers",
+                 "tx_seq", "rx")
+
+    def __init__(self, master_key: bytes, flow: str) -> None:
+        self.data_key = derive_key(master_key, "data", flow)
+        self.nonce = derive_key(master_key, "nonce", flow)[:8]
+        #: the ticket's MAC input up to its seq: ``frame(b"tkt", nonce)``
+        self.ticket_prefix = frame(b"tkt", self.nonce)
+        self.hop_keys: dict[str, bytes] = {}
+        #: (origin, op) -> ``frame(origin, op, nonce)``, the variable-width
+        #: head of a payload MAC header
+        self.headers: dict[tuple[str, Optional[str]], bytes] = {}
+        #: direction -> last sequence number stamped
+        self.tx_seq: dict[str, int] = {}
+        #: direction -> receive window
+        self.rx: dict[str, _RxWindow] = {}
+
+    def ticket(self, framed_seq: bytes) -> bytes:
+        """The hop fold's seed, ``keyed_mac(data key, b"tkt", nonce, seq)``."""
+        framed = self.ticket_prefix + framed_seq
+        return blake2s(framed, key=self.data_key, digest_size=MAC_SIZE).digest()
 
 
 class TamperBreaker:
@@ -102,20 +145,12 @@ class TamperBreaker:
         self.trip_until.pop(flow, None)
 
 
-def _frame(pdu: Any) -> tuple[str, int, int, bytes]:
-    """(op, offset, length, payload) of a stamped PDU, duck-typed so
-    this module never imports :mod:`repro.iscsi.pdu` (the PDU module
-    must stay import-light; the tag slot there is typed ``Any``)."""
+def _op(pdu: Any) -> str:
+    """The op a PDU's MAC covers, duck-typed so this module never
+    imports :mod:`repro.iscsi.pdu` (the PDU module must stay
+    import-light; the tag slot there is typed ``Any``)."""
     op = getattr(pdu, "op", None)
-    if op is None:
-        op = "data-in"  # DataInPdu carries no op field
-    data = getattr(pdu, "data", None)
-    return (
-        str(op),
-        int(getattr(pdu, "offset", 0)),
-        int(getattr(pdu, "length", 0)),
-        data if isinstance(data, bytes) else b"",
-    )
+    return "data-in" if op is None else str(op)  # DataInPdu has no op
 
 
 class IntegrityLayer:
@@ -140,37 +175,25 @@ class IntegrityLayer:
         self.obs: Any = None
         #: flow IQN -> ordered upstream hop names the endpoint expects
         self.expected: dict[str, tuple[str, ...]] = {}
-        self._tx_seq: dict[tuple[str, str], int] = {}
-        self._rx: dict[tuple[str, str], _RxWindow] = {}
-        self._data_keys: dict[str, bytes] = {}
-        self._hop_keys: dict[tuple[str, str], bytes] = {}
-        self._nonces: dict[str, bytes] = {}
+        #: flow IQN -> its keys, counters and windows (opened on first use)
+        self._flows: dict[str, _Flow] = {}
         self.detections: list[Detection] = []
         self.stamped = 0
         self.verified = 0
         self.retries = 0
 
-    # -- key material --------------------------------------------------
+    # -- per-flow state --------------------------------------------------
 
-    def data_key(self, flow: str) -> bytes:
-        key = self._data_keys.get(flow)
-        if key is None:
-            key = self._data_keys[flow] = derive_key(self.master_key, "data", flow)
+    # the miss paths of ``self._flows.get(flow)`` and
+    # ``state.hop_keys.get(hop)``, which the datapath probes inline
+
+    def _open_flow(self, flow: str) -> _Flow:
+        state = self._flows[flow] = _Flow(self.master_key, flow)
+        return state
+
+    def _derive_hop_key(self, state: _Flow, flow: str, hop: str) -> bytes:
+        key = state.hop_keys[hop] = derive_key(self.master_key, "hop", flow, hop)
         return key
-
-    def hop_key(self, flow: str, hop: str) -> bytes:
-        cached = self._hop_keys.get((flow, hop))
-        if cached is None:
-            cached = self._hop_keys[(flow, hop)] = derive_key(
-                self.master_key, "hop", flow, hop
-            )
-        return cached
-
-    def nonce(self, flow: str) -> bytes:
-        nonce = self._nonces.get(flow)
-        if nonce is None:
-            nonce = self._nonces[flow] = derive_key(self.master_key, "nonce", flow)[:8]
-        return nonce
 
     # -- chain registration (platform control plane) -------------------
 
@@ -186,20 +209,13 @@ class IntegrityLayer:
         self.forget_flow(flow)
 
     def forget_flow(self, flow: str) -> None:
-        """Drop every per-flow registry entry — key material, sequence
-        counters, replay windows, breaker history — so integrity state
-        is O(active flows), not O(ever-attached).  Keys are pure
+        """Drop the flow's record — key material, sequence counters,
+        replay windows — and its breaker history, so integrity state is
+        O(active flows), not O(ever-attached).  Keys are pure
         derivations of (master key, flow), so a later re-attach of the
         same IQN rebuilds identical material; the ``detections`` audit
         log is deliberately kept."""
-        self._data_keys.pop(flow, None)
-        self._nonces.pop(flow, None)
-        for seq_key in [k for k in self._tx_seq if k[0] == flow]:
-            del self._tx_seq[seq_key]
-        for rx_key in [k for k in self._rx if k[0] == flow]:
-            del self._rx[rx_key]
-        for hop_key in [k for k in self._hop_keys if k[0] == flow]:
-            del self._hop_keys[hop_key]
+        self._flows.pop(flow, None)
         self.breaker.forget(flow)
 
     def expected_hops(self, flow: str) -> tuple[str, ...]:
@@ -207,29 +223,37 @@ class IntegrityLayer:
 
     # -- datapath: stamping --------------------------------------------
 
-    def _payload_mac(
-        self, key: bytes, origin: str, op: str, offset: int, length: int,
-        payload: bytes, flow: str, seq: int,
-    ) -> bytes:
-        return keyed_mac(
-            key, origin.encode("utf-8"), op.encode("utf-8"),
-            u64(offset), u64(length), payload, self.nonce(flow), u64(seq),
+    def _payload_mac(self, state: _Flow, key: bytes, origin: str, pdu: Any, seq: int) -> bytes:
+        """Hash-then-MAC over the PDU: one keyed BLAKE2s of
+        ``frame(origin, op, nonce) || offset || length || seq`` (64-bit
+        big-endian each) followed by the payload's SHA-256."""
+        op = getattr(pdu, "op", None)
+        header = state.headers.get((origin, op))
+        if header is None:
+            header = state.headers[(origin, op)] = frame(
+                origin.encode("utf-8"), _op(pdu).encode("utf-8"), state.nonce
+            )
+        data = getattr(pdu, "data", None)
+        digest = sha256(data).digest() if isinstance(data, bytes) else _EMPTY_DIGEST
+        fields = PAYLOAD_FIELDS.pack(
+            getattr(pdu, "offset", 0) & U64_MASK,
+            getattr(pdu, "length", 0) & U64_MASK,
+            seq & U64_MASK,
         )
+        return blake2s(header + fields + digest, key=key, digest_size=MAC_SIZE).digest()
 
     def stamp(self, pdu: Any, flow: str, direction: str, origin: str) -> IntegrityTag:
         """Attach a fresh tag; sequence numbers never repeat per
         (flow, direction), so a retried command gets a new stamp."""
-        seq = self._tx_seq.get((flow, direction), 0) + 1
-        self._tx_seq[(flow, direction)] = seq
-        op, offset, length, payload = _frame(pdu)
+        state = self._flows.get(flow) or self._open_flow(flow)
+        seq = state.tx_seq.get(direction, 0) + 1
+        state.tx_seq[direction] = seq
         tag = IntegrityTag(
             flow=flow,
             seq=seq,
             origin=origin,
-            payload_mac=self._payload_mac(
-                self.data_key(flow), origin, op, offset, length, payload, flow, seq
-            ),
-            ticket=keyed_mac(self.data_key(flow), b"tkt", self.nonce(flow), u64(seq)),
+            payload_mac=self._payload_mac(state, state.data_key, origin, pdu, seq),
+            ticket=state.ticket(FRAMED_U64.pack(8, seq & U64_MASK)),
         )
         pdu.tag = tag
         self.stamped += 1
@@ -242,14 +266,13 @@ class IntegrityLayer:
         tag = getattr(pdu, "tag", None)
         if not isinstance(tag, IntegrityTag):
             return
+        flow = tag.flow
+        state = self._flows.get(flow) or self._open_flow(flow)
+        key = state.hop_keys.get(hop) or self._derive_hop_key(state, flow, hop)
         prev = tag.hops[-1].mac if tag.hops else tag.ticket
-        mark = keyed_mac(self.hop_key(tag.flow, hop), prev, u64(tag.seq))
+        mark = hop_mark(key, prev, FRAMED_U64.pack(8, tag.seq & U64_MASK))
         if transformed:
-            op, offset, length, payload = _frame(pdu)
-            tag.payload_mac = self._payload_mac(
-                self.hop_key(tag.flow, hop), tag.origin, op, offset, length,
-                payload, tag.flow, tag.seq,
-            )
+            tag.payload_mac = self._payload_mac(state, key, tag.origin, pdu, tag.seq)
         tag.hops.append(HopMark(hop, mark, restamped=transformed))
 
     # -- datapath: endpoint verification -------------------------------
@@ -260,61 +283,63 @@ class IntegrityLayer:
         """Check one arriving PDU; returns the Detection on violation
         (already recorded/emitted), or None when the PDU is clean."""
         self.verified += 1
-        op, offset, length, payload = _frame(pdu)
         tag = getattr(pdu, "tag", None)
         if not isinstance(tag, IntegrityTag) or tag.flow != flow:
-            return self._detect("unstamped", flow, direction, where, op, offset, -1)
+            return self._detect("unstamped", flow, direction, where, pdu, -1)
         seq = tag.seq
+        state = self._flows.get(flow) or self._open_flow(flow)
+        hop_keys = state.hop_keys
         # 1. payload MAC — under the data key, unless a transforming
         # hop re-stamped it (the last restamp wins; its mark's own
         # authenticity is checked by the fold below)
-        key = self.data_key(flow)
+        key = state.data_key
         for hopmark in tag.hops:
             if hopmark.restamped:
-                key = self.hop_key(flow, hopmark.hop)
-        expect = self._payload_mac(key, tag.origin, op, offset, length, payload, flow, seq)
-        if expect != tag.payload_mac:
-            return self._detect("tamper", flow, direction, where, op, offset, seq)
-        # 2. traversal proof — the configured chain, in path order
-        expected = self.expected_hops(flow)
-        want = expected if direction == "upstream" else tuple(reversed(expected))
-        if tag.hop_names() != want:
-            return self._detect(
-                "chain-violation", flow, direction, where, op, offset, seq
-            )
-        if tag.ticket != keyed_mac(self.data_key(flow), b"tkt", self.nonce(flow), u64(seq)):
-            return self._detect(
-                "chain-violation", flow, direction, where, op, offset, seq
-            )
+                key = hop_keys.get(hopmark.hop) or self._derive_hop_key(state, flow, hopmark.hop)
+        if self._payload_mac(state, key, tag.origin, pdu, seq) != tag.payload_mac:
+            return self._detect("tamper", flow, direction, where, pdu, seq)
+        # 2. traversal proof — the configured chain, in path order, and
+        # the fold of (ticket, seq) through every hop's key
+        expected = self.expected.get(flow, ())
+        want = expected if direction == "upstream" else expected[::-1]
+        framed_seq = FRAMED_U64.pack(8, seq & U64_MASK)
         prev = tag.ticket
-        for hopmark in tag.hops:
-            prev = keyed_mac(self.hop_key(flow, hopmark.hop), prev, u64(seq))
+        if len(tag.hops) != len(want) or prev != state.ticket(framed_seq):
+            return self._detect("chain-violation", flow, direction, where, pdu, seq)
+        for hopmark, hop in zip(tag.hops, want):
+            if hopmark.hop != hop:
+                return self._detect("chain-violation", flow, direction, where, pdu, seq)
+            key = hop_keys.get(hop) or self._derive_hop_key(state, flow, hop)
+            prev = hop_mark(key, prev, framed_seq)
             if prev != hopmark.mac:
-                return self._detect(
-                    "chain-violation", flow, direction, where, op, offset, seq
-                )
+                return self._detect("chain-violation", flow, direction, where, pdu, seq)
         # 3. sequence window — duplicates are replays, late arrivals of
         # never-seen sequence numbers are reorders (delivery is in-order
         # per TCP connection, so fresh traffic only moves forward)
-        state = self._rx.get((flow, direction))
-        if state is None:
-            state = self._rx[(flow, direction)] = _RxWindow()
-        if seq <= state.high:
-            kind = "replay" if seq in state.seen else "reorder"
-            return self._detect(kind, flow, direction, where, op, offset, seq)
-        state.seen[seq] = None
-        state.high = seq
-        if len(state.seen) > self.replay_window:
-            low = state.high - self.replay_window
-            state.seen = {s: None for s in state.seen if s > low}
+        window = state.rx.get(direction)
+        if window is None:
+            window = state.rx[direction] = _RxWindow()
+        seen = window.seen
+        if seq <= window.high:
+            kind = "replay" if seq in seen else "reorder"
+            return self._detect(kind, flow, direction, where, pdu, seq)
+        seen.append(seq)
+        window.high = seq
+        if len(seen) > self.replay_window:
+            # keep what lies inside (high - window, high]: the oldest
+            # entries are on the left, so eviction is a pop each
+            low = seq - self.replay_window
+            while seen[0] <= low:
+                seen.popleft()
         return None
 
     # -- detection plumbing --------------------------------------------
 
     def _detect(
-        self, kind: str, flow: str, direction: str, where: str,
-        op: str, offset: int, seq: int,
+        self, kind: str, flow: str, direction: str, where: str, pdu: Any, seq: int,
     ) -> Detection:
+        op = _op(pdu)
+        offset = int(getattr(pdu, "offset", 0))
         detection = Detection(
             when=self.sim.now, kind=kind, flow=flow, direction=direction,
             where=where, op=op, offset=offset, seq=seq,

@@ -56,6 +56,3 @@ class IntegrityTag:
     @property
     def wire_size(self) -> int:
         return TAG_BASE_SIZE + HOP_MARK_SIZE * len(self.hops)
-
-    def hop_names(self) -> tuple[str, ...]:
-        return tuple(mark.hop for mark in self.hops)

@@ -185,7 +185,7 @@ class NatTable:
                     counter = self._hit_counter = obs.metrics.counter(
                         "nat.conntrack_hit", self.scope
                     )
-                counter.inc()
+                counter.value += 1  # a plain add: no call into repro.obs
                 if packet.plan is not None:
                     packet.plan.counters.append((counter, False))
         else:

@@ -319,7 +319,7 @@ class Switch:
                 counter = self._l2_counter
                 if counter is None:
                     counter = self._l2_counter = obs.metrics.counter("switch.l2", self.name)
-                counter.inc()
+                counter.value += 1  # a plain add: no call into repro.obs
         else:
             rule.hits += 1
             if obs is not None:
@@ -328,7 +328,7 @@ class Switch:
                     counter = self._hit_counter = obs.metrics.counter(
                         "switch.flow_hit", self.name
                     )
-                counter.inc()
+                counter.value += 1
                 if ctx is not None:
                     ctx.event("switch.steer", target=self.name, cookie=rule.cookie)
             for action in rule.actions:

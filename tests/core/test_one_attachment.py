@@ -147,9 +147,11 @@ def abandon_in_flight_write(env, flow, mb, payload):
     mb.relay.max_reconnects = 0
     flow.session.write(0, BLOCK_SIZE, payload)
     env.sim.run(until=env.sim.now + 0.0005)
-    mb.relay.pairs[0].client.reset()
+    pair = mb.relay.pairs[0]
+    pair.client.reset()
     env.sim.run(until=env.sim.now + 0.001)
-    assert mb.relay.pairs[0].abandoned
+    assert pair.abandoned
+    assert pair not in mb.relay.pairs  # closed, both pumps returned
     assert mb.relay.nvm and mb.relay._command_entries
 
 
@@ -190,6 +192,7 @@ def test_reattach_through_the_same_box_replays_nothing_stale(env):
         )
     )
     assert again.cookie == flow.cookie == mb.attachment
+    assert len(mb.relay.pairs) == 1  # the detached session's pair is gone
     newer = bytes([0x02]) * BLOCK_SIZE
 
     def scenario():

@@ -73,6 +73,7 @@ def test_nvm_retains_entries_while_disconnected(env):
 
 def test_vm_initiated_close_does_not_trigger_recovery(env):
     flow, mb = attach_active(env)
+    pair = mb.relay.pairs[0]
 
     def scenario():
         yield flow.session.write(0, BLOCK_SIZE, bytes(BLOCK_SIZE))
@@ -80,9 +81,9 @@ def test_vm_initiated_close_does_not_trigger_recovery(env):
         yield env.sim.timeout(0.5)
 
     env.run(scenario())
-    pair = mb.relay.pairs[0]
     assert pair.closed
     assert pair.reconnects == 0
+    assert pair not in mb.relay.pairs  # closed, both pumps returned
 
 
 def test_recovery_gives_up_after_max_attempts(env):
@@ -92,6 +93,7 @@ def test_recovery_gives_up_after_max_attempts(env):
     # target listener — simplest is to reset and keep resetting via a
     # guard process that kills any new downstream connection
     relay = mb.relay
+    first = relay.pairs[0]
 
     def killer():
         seen = set()
@@ -109,9 +111,9 @@ def test_recovery_gives_up_after_max_attempts(env):
 
     env.run(scenario())
     killer_proc.interrupt()
-    pair = relay.pairs[0]
-    assert pair.reconnects == 2
+    assert first.reconnects == 2
     # the relay abandoned the pair toward the VM after exhausting
     # retries (the VM session then re-logs-in on a fresh pair)
-    assert pair.abandoned
-    assert pair.server.state == "reset"
+    assert first.abandoned
+    assert first.server.state == "reset"
+    assert first not in relay.pairs  # closed, its pumps and recovery returned

@@ -234,6 +234,19 @@ def test_stream_cipher_property(data, chunk):
     assert cipher.transform(cipher.transform(data, offset), offset) == data
 
 
+@pytest.mark.skipif(repro.crypto.stream._np is None, reason="no numpy: only one path")
+def test_stream_cipher_numpy_path_equals_python_path(monkeypatch):
+    """The numpy keystream-and-XOR path and the pure-Python fallback
+    (what a numpy-less install runs) produce the same bytes, whole
+    words and partial last words alike."""
+    cipher = StreamCipher(key=0x0123456789ABCDEF)
+    data = bytes((7 * i + 3) & 0xFF for i in range(64))
+    cases = [(n, offset) for n in range(1, 65) for offset in (0, 8, 4096, 8 * 12345)]
+    vectorized = [cipher.transform(data[:n], offset) for n, offset in cases]
+    monkeypatch.setattr(repro.crypto.stream, "_np", None)
+    assert [cipher.transform(data[:n], offset) for n, offset in cases] == vectorized
+
+
 def test_stream_cipher_rejects_bad_args():
     with pytest.raises(ValueError, match="non-zero"):
         StreamCipher(key=0)

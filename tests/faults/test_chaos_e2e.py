@@ -68,7 +68,7 @@ def chaos_run(seed):
         "primary": env.volume.read_sync(0, n_writes * BLOCK_SIZE),
         "replica": rvol.read_sync(0, n_writes * BLOCK_SIZE),
         "relogins": flow.session.relogins,
-        "reconnects": sum(p.reconnects for p in mb.relay.pairs),
+        "reconnects": mb.relay.reconnects,
         "replayed": mb.relay.pdus_replayed,
         "ejections": mb.service.ejections,
         "resyncs": mb.service.resyncs,

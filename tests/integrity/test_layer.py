@@ -133,7 +133,7 @@ def test_replay_window_trims_bounded():
         pdu = write_pdu(tag_num=i + 1)
         layer.stamp(pdu, FLOW, "upstream", "initiator")
         assert layer.verify(pdu, FLOW, "upstream", "target") is None
-    state = layer._rx[(FLOW, "upstream")]
+    state = layer._flows[FLOW].rx["upstream"]
     assert state.high == 50
     assert len(state.seen) <= 8
 
@@ -260,3 +260,109 @@ def test_detection_ledger_and_counters():
     assert [d.kind for d in layer.detections_for(FLOW)] == ["tamper"]
     assert layer.detections_for("iqn.2016-01.org.repro:other") == []
     assert isinstance(layer.stamp(write_pdu(), FLOW, "upstream", "initiator"), IntegrityTag)
+
+
+def test_replay_window_evicts_in_place_one_per_pdu():
+    window = 64
+    layer = fresh_layer(replay_window=window)
+    pdus = [write_pdu(data=b"w", offset=i, tag_num=i + 1) for i in range(3 * window)]
+    first = None
+    previous = 0
+    for pdu in pdus:
+        layer.stamp(pdu, FLOW, "upstream", "initiator")
+        assert layer.verify(pdu, FLOW, "upstream", "target") is None
+        seen = layer._flows[FLOW].rx["upstream"].seen
+        first = seen if first is None else first
+        assert seen is first  # trimmed in place, never rebuilt
+        assert len(seen) <= window
+        assert len(seen) >= previous  # one accepted, at most one evicted
+        previous = len(seen)
+    assert list(seen) == list(range(2 * window + 1, 3 * window + 1))
+    # the window's edge: its oldest member replays, the one just
+    # evicted before it reads as a never-seen late arrival
+    replay = layer.verify(pdus[2 * window], FLOW, "upstream", "target")
+    reorder = layer.verify(pdus[2 * window - 1], FLOW, "upstream", "target")
+    assert (replay.kind, replay.seq) == ("replay", 2 * window + 1)
+    assert (reorder.kind, reorder.seq) == ("reorder", 2 * window)
+
+
+def test_forget_flow_leaves_other_flows_intact():
+    other = "iqn.2016-01.org.repro:vol2"
+    layer = fresh_layer()
+    layer.register_chain(other, ["enc"])
+    sent = []
+    for flow in (FLOW, other, FLOW, other):
+        pdu = write_pdu(offset=4096 * len(sent))
+        layer.stamp(pdu, flow, "upstream", "initiator")
+        if flow == other:
+            layer.hop_process(pdu, "enc")
+        assert layer.verify(pdu, flow, "upstream", "target") is None
+        sent.append(pdu)
+    in_flight = write_pdu(offset=1 << 20)
+    layer.stamp(in_flight, other, "upstream", "initiator")
+    layer.hop_process(in_flight, "enc")
+
+    layer.forget_flow(FLOW)
+
+    assert FLOW not in layer._flows
+    # the other flow's keys verify what it stamped before the detach...
+    assert layer.verify(in_flight, other, "upstream", "target") is None
+    # ...its window still knows what it accepted...
+    replay = layer.verify(sent[3], other, "upstream", "target")
+    assert replay is not None and replay.kind == "replay"
+    # ...and its sequence counter carries on, while the forgotten flow
+    # starts again from 1
+    assert layer.stamp(write_pdu(), other, "upstream", "initiator").seq == 4
+    assert layer.stamp(write_pdu(), FLOW, "upstream", "initiator").seq == 1
+
+
+def payload_mac_of(layer, pdu, *, origin="initiator", seq=1, nonce=None):
+    """The payload MAC of ``pdu`` under FLOW's data key, optionally with
+    the flow's nonce replaced."""
+    state = layer._flows.get(FLOW) or layer._open_flow(FLOW)
+    if nonce is not None:
+        state.nonce = nonce
+        state.headers.clear()
+    return layer._payload_mac(state, state.data_key, origin, pdu, seq)
+
+
+def test_payload_mac_covers_every_field():
+    base_data = b"p" * 4096
+    base = payload_mac_of(fresh_layer(), write_pdu(base_data))
+    assert len(base) == MAC_SIZE
+    assert payload_mac_of(fresh_layer(), write_pdu(base_data)) == base
+    variants = {
+        "payload byte": payload_mac_of(fresh_layer(), write_pdu(base_data[:-1] + b"q")),
+        "offset": payload_mac_of(fresh_layer(), write_pdu(base_data, offset=512)),
+        "length": payload_mac_of(
+            fresh_layer(), ScsiCommandPdu("write", 0, 4095, 1, base_data)
+        ),
+        "seq": payload_mac_of(fresh_layer(), write_pdu(base_data), seq=2),
+        "origin": payload_mac_of(fresh_layer(), write_pdu(base_data), origin="target"),
+        "op": payload_mac_of(
+            fresh_layer(), ScsiCommandPdu("read", 0, 4096, 1, base_data)
+        ),
+        "nonce": payload_mac_of(
+            fresh_layer(), write_pdu(base_data), nonce=b"\x01" * 8
+        ),
+    }
+    for field_name, mac in variants.items():
+        assert mac != base, field_name
+    assert len(set(variants.values())) == len(variants)
+
+
+def test_ticket_and_hop_marks_are_the_framed_keyed_mac():
+    """The one-buffer ticket and hop-mark MACs equal :func:`keyed_mac`
+    over the same length-prefixed parts."""
+    layer = fresh_layer()
+    layer.register_chain(FLOW, ["enc"])
+    pdu = write_pdu()
+    tag = layer.stamp(pdu, FLOW, "upstream", "initiator")
+    layer.hop_process(pdu, "enc")
+    master = layer.master_key
+    data_key = derive_key(master, "data", FLOW)
+    nonce = derive_key(master, "nonce", FLOW)[:8]
+    seq = tag.seq.to_bytes(8, "big")
+    assert tag.ticket == keyed_mac(data_key, b"tkt", nonce, seq)
+    hop_key = derive_key(master, "hop", FLOW, "enc")
+    assert tag.hops[0].mac == keyed_mac(hop_key, tag.ticket, seq)
