@@ -1,12 +1,12 @@
 """AES (FIPS-197) implemented from scratch.
 
-Supports 128/192/256-bit keys.  Byte-oriented and table-driven: besides
-the S-boxes, one 256-entry product table per MixColumns coefficient
-(2 and 3 forward; 9, 11, 13 and 14 inverse) is built at import, so a
-round is list indexing and XOR, with no Python call per byte or per
-column.  The state stays 16 separate bytes (no T-tables, no numpy).
-The simulator charges cipher CPU time via the cloud's CPU model, not
-via wall-clock.
+Supports 128/192/256-bit keys, encryption only: the services run the
+block cipher in CTR mode, which never inverts it.  Byte-oriented and
+table-driven: besides the S-box, one 256-entry product table per
+MixColumns coefficient (2 and 3) is built at import, so a round is list
+indexing and XOR, with no Python call per byte or per column.  The
+state stays 16 separate bytes (no T-tables, no numpy).  The simulator
+charges cipher CPU time via the cloud's CPU model, not via wall-clock.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ _SBOX = [
     0x8C, 0xA1, 0x89, 0x0D, 0xBF, 0xE6, 0x42, 0x68, 0x41, 0x99, 0x2D, 0x0F, 0xB0, 0x54, 0xBB, 0x16,
 ]
 
-_INV_SBOX = [0] * 256
-for _i, _v in enumerate(_SBOX):
-    _INV_SBOX[_v] = _i
-
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D]
 
 
@@ -50,22 +46,11 @@ def _gmul(a: int, b: int) -> int:
     return result
 
 
-_MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14 = (
-    [_gmul(x, c) for x in range(256)] for c in (2, 3, 9, 11, 13, 14)
-)
+_MUL2, _MUL3 = ([_gmul(x, c) for x in range(256)] for c in (2, 3))
 
 # The state is column-major, state[row + 4*col].  ShiftRows rotates row
 # r left by r columns; these are the source index of each output byte.
 _SHIFT = tuple(r + 4 * ((c + r) % 4) for c in range(4) for r in range(4))
-_INV_SHIFT = tuple(r + 4 * ((c - r) % 4) for c in range(4) for r in range(4))
-
-# InvMixColumns coefficient tables, one row of the matrix per output byte
-_INV_MIX_ROWS = (
-    (_MUL14, _MUL11, _MUL13, _MUL9),
-    (_MUL9, _MUL14, _MUL11, _MUL13),
-    (_MUL13, _MUL9, _MUL14, _MUL11),
-    (_MUL11, _MUL13, _MUL9, _MUL14),
-)
 
 
 class AES:
@@ -78,17 +63,6 @@ class AES:
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key()
         self._inner_keys = self._round_keys[1:-1]
-        # Equivalent inverse cipher (FIPS-197 5.3.5): InvMixColumns is
-        # linear, so applying it to the inner round keys lets decryption
-        # add the key after the mix, folded into the same expression.
-        self._inv_inner_keys = [
-            [
-                m0[k[c]] ^ m1[k[c + 1]] ^ m2[k[c + 2]] ^ m3[k[c + 3]]
-                for c in (0, 4, 8, 12)
-                for m0, m1, m2, m3 in _INV_MIX_ROWS
-            ]
-            for k in reversed(self._inner_keys)
-        ]
 
     # -- key schedule ----------------------------------------------------
 
@@ -139,31 +113,3 @@ class AES:
                 m3[t[12]] ^ t[13] ^ t[14] ^ m2[t[15]] ^ k[15],
             ]
         return bytes([sbox[s[i]] ^ k for i, k in zip(_SHIFT, self._round_keys[-1])])
-
-    def decrypt_block(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) != 16:
-            raise ValueError("AES block must be 16 bytes")
-        inv, m9, m11, m13, m14 = _INV_SBOX, _MUL9, _MUL11, _MUL13, _MUL14
-        s = [b ^ k for b, k in zip(ciphertext, self._round_keys[-1])]
-        for k in self._inv_inner_keys:
-            # InvShiftRows + InvSubBytes, then InvMixColumns + mixed key
-            t = [inv[s[i]] for i in _INV_SHIFT]
-            s = [
-                m14[t[0]] ^ m11[t[1]] ^ m13[t[2]] ^ m9[t[3]] ^ k[0],
-                m9[t[0]] ^ m14[t[1]] ^ m11[t[2]] ^ m13[t[3]] ^ k[1],
-                m13[t[0]] ^ m9[t[1]] ^ m14[t[2]] ^ m11[t[3]] ^ k[2],
-                m11[t[0]] ^ m13[t[1]] ^ m9[t[2]] ^ m14[t[3]] ^ k[3],
-                m14[t[4]] ^ m11[t[5]] ^ m13[t[6]] ^ m9[t[7]] ^ k[4],
-                m9[t[4]] ^ m14[t[5]] ^ m11[t[6]] ^ m13[t[7]] ^ k[5],
-                m13[t[4]] ^ m9[t[5]] ^ m14[t[6]] ^ m11[t[7]] ^ k[6],
-                m11[t[4]] ^ m13[t[5]] ^ m9[t[6]] ^ m14[t[7]] ^ k[7],
-                m14[t[8]] ^ m11[t[9]] ^ m13[t[10]] ^ m9[t[11]] ^ k[8],
-                m9[t[8]] ^ m14[t[9]] ^ m11[t[10]] ^ m13[t[11]] ^ k[9],
-                m13[t[8]] ^ m9[t[9]] ^ m14[t[10]] ^ m11[t[11]] ^ k[10],
-                m11[t[8]] ^ m13[t[9]] ^ m9[t[10]] ^ m14[t[11]] ^ k[11],
-                m14[t[12]] ^ m11[t[13]] ^ m13[t[14]] ^ m9[t[15]] ^ k[12],
-                m9[t[12]] ^ m14[t[13]] ^ m11[t[14]] ^ m13[t[15]] ^ k[13],
-                m13[t[12]] ^ m9[t[13]] ^ m14[t[14]] ^ m11[t[15]] ^ k[14],
-                m11[t[12]] ^ m13[t[13]] ^ m9[t[14]] ^ m14[t[15]] ^ k[15],
-            ]
-        return bytes([inv[s[i]] ^ k for i, k in zip(_INV_SHIFT, self._round_keys[0])])

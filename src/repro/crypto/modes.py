@@ -1,4 +1,4 @@
-"""Block cipher modes of operation.
+"""CTR mode, the one block cipher mode of operation.
 
 CTR with an offset-derived counter is what the encryption middle-box
 uses: any 16-byte-aligned byte range of the volume can be encrypted or
@@ -8,8 +8,6 @@ decrypted independently, which is the property a block device needs
 
 from __future__ import annotations
 
-from operator import xor
-
 from repro.crypto.aes import AES
 
 BLOCK = 16
@@ -18,47 +16,6 @@ BLOCK = 16
 def _check_aligned(data: bytes) -> None:
     if len(data) % BLOCK:
         raise ValueError(f"data length {len(data)} is not a multiple of {BLOCK}")
-
-
-def ecb_encrypt(cipher: AES, data: bytes) -> bytes:
-    _check_aligned(data)
-    return b"".join(
-        cipher.encrypt_block(data[i : i + BLOCK]) for i in range(0, len(data), BLOCK)
-    )
-
-
-def ecb_decrypt(cipher: AES, data: bytes) -> bytes:
-    _check_aligned(data)
-    return b"".join(
-        cipher.decrypt_block(data[i : i + BLOCK]) for i in range(0, len(data), BLOCK)
-    )
-
-
-def cbc_encrypt(cipher: AES, iv: bytes, data: bytes) -> bytes:
-    _check_aligned(data)
-    if len(iv) != BLOCK:
-        raise ValueError("IV must be 16 bytes")
-    out = []
-    previous = iv
-    for i in range(0, len(data), BLOCK):
-        block = bytes(map(xor, data[i : i + BLOCK], previous))
-        previous = cipher.encrypt_block(block)
-        out.append(previous)
-    return b"".join(out)
-
-
-def cbc_decrypt(cipher: AES, iv: bytes, data: bytes) -> bytes:
-    _check_aligned(data)
-    if len(iv) != BLOCK:
-        raise ValueError("IV must be 16 bytes")
-    out = []
-    previous = iv
-    for i in range(0, len(data), BLOCK):
-        block = data[i : i + BLOCK]
-        plain = cipher.decrypt_block(block)
-        out.append(bytes(map(xor, plain, previous)))
-        previous = block
-    return b"".join(out)
 
 
 def ctr_transform(cipher: AES, data: bytes, start_counter: int = 0) -> bytes:

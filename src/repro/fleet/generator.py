@@ -38,9 +38,8 @@ class FleetRun:
         config.validate()
         self.config = config
         self.kernel = ShardedKernel(config.shards)
-        #: shared passive registry (keep_samples: the benchmarks read
-        #: attach-latency percentiles out of it)
-        self.metrics = MetricsRegistry(keep_samples=True)
+        #: shared passive registry (attach latency, I/O ticks)
+        self.metrics = MetricsRegistry()
         #: session records in attach-completion order (filled by
         #: :meth:`run`) — the deterministic byte stream the tiers digest
         self.trace: list[dict] = []

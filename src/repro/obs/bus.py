@@ -92,14 +92,12 @@ class Span:
 class ObsBus:
     """Per-simulator trace/metrics bus with pluggable sinks."""
 
-    def __init__(self, sim: "Simulator", keep_samples: bool = False):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
         self._seq = itertools.count(1)
-        #: keep_samples: histograms retain raw samples for percentile
-        #: reads (benchmark harnesses); default stays streaming-only
-        self.metrics = MetricsRegistry(keep_samples=keep_samples)
+        self.metrics = MetricsRegistry()
         #: default store every record lands in; exports read from it
         self.collector = CollectorSink()
         self.sinks: list[Sink] = [self.collector]

@@ -13,7 +13,16 @@ so two identical runs export byte-identical metric sections.
 
 from __future__ import annotations
 
+from math import ceil, frexp, ldexp
 from typing import Union
+
+#: linear sub-buckets per octave of a :class:`Histogram` (a power of
+#: two, so bucket edges are exact floats); a percentile reads at most
+#: ``1/S`` high
+S = 128
+_TWO_S = 2 * S
+#: below every positive bucket (the least subnormal's is -1072 * S)
+_ZERO = -1 << 20
 
 
 class Counter:
@@ -53,52 +62,68 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming summary: count / sum / min / max of observed values.
+    """Streaming summary: count / sum / min / max, and percentiles from
+    fixed log-scale buckets in O(1) memory.
 
-    With ``keep_samples`` (opt-in, for benchmark harnesses that need
-    percentiles) every observed value is also retained, at O(n) memory
-    — the default streaming mode stays O(1)."""
+    A positive value lands in bucket ``e * S + q`` for
+    ``math.frexp(value) == (m, e)`` and ``q = int(m * 2 * S)``: one
+    octave per exponent, ``S`` linear sub-buckets of the mantissa.
+    ``frexp`` and the power-of-two scaling are exact, so a value's
+    bucket is the same on every platform.  ``0.0`` has its own bucket
+    below every positive one; a negative, NaN or infinite value is
+    refused."""
 
-    __slots__ = ("name", "scope", "count", "total", "min", "max", "samples")
+    __slots__ = ("name", "scope", "count", "total", "min", "max", "buckets")
 
-    def __init__(self, name: str, scope: str, keep_samples: bool = False):
+    def __init__(self, name: str, scope: str):
         self.name = name
         self.scope = scope
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self.samples: Union[list, None] = [] if keep_samples else None
+        #: sparse bucket key -> number of observed values in it
+        self.buckets: dict[int, int] = {}
 
     def observe(self, value: float) -> None:
+        if value > 0.0:
+            mantissa, exponent = frexp(value)
+            key = exponent * S + int(mantissa * _TWO_S)
+        elif value == 0.0:
+            key = _ZERO
+        else:
+            raise ValueError(f"histogram {self.name!r} observes only values >= 0, got {value}")
+        self.buckets[key] = self.buckets.get(key, 0) + 1
         self.count += 1
         self.total += value
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        if self.samples is not None:
-            self.samples.append(value)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over retained samples (0 while a
-        sample-keeping histogram is still empty).  Without
-        ``keep_samples`` there is nothing to rank, and an answer of 0
-        would read as a measured zero."""
-        if self.samples is None:
-            raise ValueError(
-                f"histogram {self.name!r} keeps no samples; build its "
-                "registry with keep_samples=True to read percentiles"
-            )
-        if not self.samples:
+        """Nearest-rank percentile (rank ``max(1, ceil(p/100 * n))``, as
+        :func:`repro.workloads.stats.percentile`), reported as the upper
+        edge of the rank's bucket clamped to ``max``: never below the
+        exact value and at most a factor ``1 + 1/S`` above it.  0.0
+        while nothing has been observed."""
+        if not self.count:
             return 0.0
-        ordered = sorted(self.samples)
-        rank = min(len(ordered) - 1, max(0, int(p / 100.0 * len(ordered))))
-        return ordered[rank]
+        rank = max(1, ceil(p / 100 * self.count))
+        seen = 0
+        for key in sorted(self.buckets):
+            seen += self.buckets[key]
+            if seen >= rank:
+                break
+        if key == _ZERO:
+            return 0.0
+        # bucket e * S + q holds the mantissas [q, q + 1) / 2S of exponent e
+        q, exponent = key % S + S, key // S - 1
+        return min(ldexp((q + 1) / _TWO_S, exponent), self.max)
 
     def record(self) -> dict:
         return {
@@ -116,14 +141,10 @@ Metric = Union[Counter, Gauge, Histogram]
 
 
 class MetricsRegistry:
-    """Lazy-created metrics, one instance per (kind, name, scope).
+    """Lazy-created metrics, one instance per (kind, name, scope)."""
 
-    ``keep_samples`` makes every histogram retain raw samples so
-    benchmark harnesses can read percentiles; off by default."""
-
-    def __init__(self, keep_samples: bool = False):
+    def __init__(self) -> None:
         self._metrics: dict[tuple[str, str, str], Metric] = {}
-        self.keep_samples = keep_samples
 
     def counter(self, name: str, scope: str = "") -> Counter:
         key = ("counter", name, scope)
@@ -143,9 +164,7 @@ class MetricsRegistry:
         key = ("histogram", name, scope)
         metric = self._metrics.get(key)
         if metric is None:
-            metric = self._metrics[key] = Histogram(
-                name, scope, keep_samples=self.keep_samples
-            )
+            metric = self._metrics[key] = Histogram(name, scope)
         return metric  # type: ignore[return-value]
 
     def scoped(self, scope: str) -> list[Metric]:

@@ -8,7 +8,7 @@ function of its seed.
 from __future__ import annotations
 
 import random
-from typing import MutableSequence, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -39,17 +39,8 @@ class SeededRNG:
     def expovariate(self, rate: float) -> float:
         return self._random.expovariate(rate)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._random.gauss(mu, sigma)
-
     def choice(self, seq: Sequence[T]) -> T:
         return self._random.choice(seq)
-
-    def shuffle(self, seq: MutableSequence[T]) -> None:
-        self._random.shuffle(seq)
-
-    def sample(self, seq: Sequence[T], k: int) -> list[T]:
-        return self._random.sample(seq, k)
 
     def randbytes(self, n: int) -> bytes:
         return self._random.randbytes(n)

@@ -1,5 +1,5 @@
 """Cipher correctness: FIPS-197 and SP 800-38A vectors, a textbook
-oracle, modes, the stream cipher, and the per-block call budget."""
+oracle, CTR mode, the stream cipher, and the per-block call budget."""
 
 import sys
 from pathlib import Path
@@ -9,15 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.crypto
-from repro.crypto import (
-    AES,
-    StreamCipher,
-    cbc_decrypt,
-    cbc_encrypt,
-    ctr_transform,
-    ecb_decrypt,
-    ecb_encrypt,
-)
+from repro.crypto import AES, StreamCipher, ctr_transform
 from tests.crypto import reference_aes
 
 
@@ -31,7 +23,6 @@ def test_aes128_fips_vector():
     expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
     cipher = AES(key)
     assert cipher.encrypt_block(FIPS_PLAINTEXT) == expected
-    assert cipher.decrypt_block(expected) == FIPS_PLAINTEXT
 
 
 def test_aes192_fips_vector():
@@ -39,7 +30,6 @@ def test_aes192_fips_vector():
     expected = bytes.fromhex("dda97ca4864cdfe06eaf70a0ec0d7191")
     cipher = AES(key)
     assert cipher.encrypt_block(FIPS_PLAINTEXT) == expected
-    assert cipher.decrypt_block(expected) == FIPS_PLAINTEXT
 
 
 def test_aes256_fips_vector():
@@ -49,7 +39,6 @@ def test_aes256_fips_vector():
     expected = bytes.fromhex("8ea2b7ca516745bfeafc49904b496089")
     cipher = AES(key)
     assert cipher.encrypt_block(FIPS_PLAINTEXT) == expected
-    assert cipher.decrypt_block(expected) == FIPS_PLAINTEXT
 
 
 def test_bad_key_length_rejected():
@@ -63,49 +52,17 @@ def test_bad_block_length_rejected():
         cipher.encrypt_block(b"too short")
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.binary(min_size=16, max_size=16), st.sampled_from([16, 24, 32]))
-def test_aes_roundtrip_property(block, key_len):
-    cipher = AES(bytes(range(key_len)))
-    assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([16, 24, 32]).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
        st.binary(min_size=16, max_size=16))
 def test_aes_matches_textbook_oracle(key, block):
     cipher = AES(key)
     assert cipher.encrypt_block(block) == reference_aes.encrypt_block(key, block)
-    assert cipher.decrypt_block(block) == reference_aes.decrypt_block(key, block)
 
 
-# -- modes ------------------------------------------------------------------
+# -- CTR mode ---------------------------------------------------------------
 
 KEY = bytes(range(32))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.binary(min_size=0, max_size=256).map(lambda b: b.ljust((len(b) + 15) // 16 * 16, b"\x00")))
-def test_ecb_roundtrip(data):
-    cipher = AES(KEY)
-    assert ecb_decrypt(cipher, ecb_encrypt(cipher, data)) == data
-
-
-def test_ecb_leaks_patterns_cbc_does_not():
-    cipher = AES(KEY)
-    data = b"\x00" * 32
-    ecb = ecb_encrypt(cipher, data)
-    assert ecb[:16] == ecb[16:]
-    cbc = cbc_encrypt(cipher, b"\x01" * 16, data)
-    assert cbc[:16] != cbc[16:]
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.binary(min_size=16, max_size=128).map(lambda b: b[: len(b) // 16 * 16]))
-def test_cbc_roundtrip(data):
-    cipher = AES(KEY)
-    iv = b"\x42" * 16
-    assert cbc_decrypt(cipher, iv, cbc_encrypt(cipher, iv, data)) == data
 
 
 def test_ctr_is_self_inverse_and_positional():
@@ -121,8 +78,8 @@ def test_ctr_is_self_inverse_and_positional():
     assert ctr_transform(cipher, enc, start_counter=0) != data
 
 
-# SP 800-38A Appendix F: the four-block plaintext shared by every mode,
-# under the AES-256 key of F.2.5 / F.5.5
+# SP 800-38A Appendix F.5.5 (CTR-AES256.Encrypt): the four-block
+# plaintext shared by every mode, under its AES-256 key
 SP800_KEY256 = bytes.fromhex(
     "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4"
 )
@@ -132,19 +89,6 @@ SP800_PLAINTEXT = bytes.fromhex(
     "30c81c46a35ce411e5fbc1191a0a52ef"
     "f69f2445df4f9b17ad2b417be66c3710"
 )
-
-
-def test_cbc_aes256_sp800_38a_vector():
-    iv = bytes(range(16))
-    expected = bytes.fromhex(
-        "f58c4c04d6e5f1ba779eabfb5f7bfbd6"
-        "9cfc4e967edb808d679f777bc6702c7d"
-        "39f23369a9d9bacfa530e26304231461"
-        "b2eb05e2c39be9fcda6c19078c6a9d1b"
-    )
-    cipher = AES(SP800_KEY256)
-    assert cbc_encrypt(cipher, iv, SP800_PLAINTEXT) == expected
-    assert cbc_decrypt(cipher, iv, expected) == SP800_PLAINTEXT
 
 
 def test_ctr_aes256_sp800_38a_vector():
@@ -201,9 +145,7 @@ def test_ctr_empty_and_counter_overflow():
 def test_mode_validation():
     cipher = AES(KEY)
     with pytest.raises(ValueError, match="multiple"):
-        ecb_encrypt(cipher, b"123")
-    with pytest.raises(ValueError, match="IV"):
-        cbc_encrypt(cipher, b"short", b"\x00" * 16)
+        ctr_transform(cipher, b"123")
 
 
 # -- stream cipher -------------------------------------------------------------

@@ -286,7 +286,7 @@ def ship_lag() -> dict:
     env = ha_bed()
     storm = env.storm
     cluster = storm.ha
-    bus = ObsBus(env.sim, keep_samples=True)
+    bus = ObsBus(env.sim)
     instrument(bus, storm=storm)
     cluster.start()
 

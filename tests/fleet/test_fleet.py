@@ -9,8 +9,10 @@ import pytest
 from repro.core.saga import COMMITTED
 from repro.fleet import FleetConfig, FleetRun
 from repro.fleet.generator import FleetRunError, run_fleet
+from repro.obs.metrics import S
 from repro.sim import ShardedKernel, SimulationError
 from repro.testbed import assert_at_rest
+from repro.workloads.stats import percentile
 
 
 def _config(**overrides):
@@ -163,6 +165,19 @@ def test_ha_shipping_rtt_lands_in_attach_latency():
     # quorum shipping adds a strictly positive round trip to every attach
     assert ha_hist.min > plain_hist.min
     assert ha_hist.mean > plain_hist.mean
+
+
+def test_attach_percentiles_bound_the_exact_ones():
+    """The report's bucketed attach percentiles sit within the
+    histogram's error bound of the exact nearest-rank values over the
+    trace (both sides rounded as the report rounds)."""
+    run = FleetRun(_config(sessions=400))
+    report = run.run()
+    latencies = [t["lat"] for t in run.trace]
+    for p in (50, 99):
+        exact = percentile(latencies, p)
+        got = report[f"attach_p{p}"]
+        assert round(exact, 9) <= got <= round(exact * (1 + 1 / S), 9)
 
 
 def test_incomplete_run_is_an_error(monkeypatch):

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.obs import (
     CollectorSink,
     JsonlSink,
@@ -15,6 +13,7 @@ from repro.obs import (
     validate_lines,
     validate_record,
 )
+from repro.obs.metrics import S
 from repro.sim import Simulator
 
 
@@ -123,18 +122,13 @@ def test_metrics_registry_lazy_and_scoped():
     assert h["min"] == 0.001 and h["max"] == 0.003
 
 
-def test_percentile_needs_retained_samples():
-    streaming = make_bus().metrics.histogram("disk.service_time", "disk1")
-    streaming.observe(0.001)
-    with pytest.raises(ValueError, match="disk.service_time"):
-        streaming.percentile(50)
-
-    keeping = ObsBus(Simulator(), keep_samples=True).metrics.histogram("lag")
-    assert keeping.percentile(99) == 0.0  # nothing observed yet
+def test_percentile_needs_no_opt_in():
+    hist = make_bus().metrics.histogram("disk.service_time", "disk1")
+    assert hist.percentile(99) == 0.0  # nothing observed yet
     for value in (0.003, 0.001, 0.002):
-        keeping.observe(value)
-    assert keeping.percentile(50) == 0.002
-    assert keeping.percentile(99) == 0.003
+        hist.observe(value)
+    assert 0.002 <= hist.percentile(50) <= 0.002 * (1 + 1 / S)
+    assert hist.percentile(99) == 0.003  # the max's bucket, clamped to max
 
 
 def test_metrics_snapshot_is_sorted_and_stable():
