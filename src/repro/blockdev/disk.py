@@ -2,16 +2,16 @@
 
 Service time = fixed access latency (+ a seek penalty when the request
 is not sequential with the previous one) + transfer at the device's
-bandwidth.  A queue-depth resource serializes requests like a real
-device queue.  Contents are stored sparsely at :data:`BLOCK_SIZE`
-granularity; unwritten space reads back as zeros.
+bandwidth.  A queue-depth :class:`~repro.sim.Slots` horizon serializes
+requests like a real device queue.  Contents are stored sparsely at
+:data:`BLOCK_SIZE` granularity; unwritten space reads back as zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim import Resource, Simulator
+from repro.sim import Simulator, Slots
 
 BLOCK_SIZE = 4096
 
@@ -59,7 +59,7 @@ class Disk:
         self.access_latency = access_latency
         self.seek_penalty = seek_penalty
         self.queue_depth = queue_depth
-        self._queue = Resource(sim, capacity=queue_depth)
+        self._queue = Slots(queue_depth)
         self._blocks: dict[int, bytes] = {}
         self._last_end_offset = 0
         self.stats = DiskStats()
@@ -74,43 +74,36 @@ class Disk:
     def set_queue_depth(self, depth: int) -> None:
         """Replace the device queue (only while idle) — used to model a
         cache-backed target that services requests in parallel."""
-        if self._queue.count or self._queue.waiting:
+        if max(self._queue.busy) > self.sim.now:
             raise RuntimeError("cannot resize a busy device queue")
         self.queue_depth = depth
-        self._queue = Resource(self.sim, capacity=depth)
+        self._queue = Slots(depth)
 
     # -- simulated I/O ---------------------------------------------------
 
     def submit(self, op: str, offset: int, length: int, data: bytes | None = None):
-        """Generator process performing one I/O; returns bytes for reads."""
+        """Generator process performing one I/O, committed when made; returns bytes for reads."""
         self._check_bounds(op, offset, length, data)
-        grant = self._queue.request()
-        yield grant
-        try:
-            service = self.access_latency + length / self.bandwidth
-            if offset != self._last_end_offset:
-                service += self.seek_penalty
-            self._last_end_offset = offset + length
-            self.stats.busy_time += service
-            if self.obs is not None:
-                self.obs.metrics.histogram("disk.service_time", self.name).observe(
-                    service
-                )
-            yield self.sim.timeout(service)
-            if self.fault_hook is not None and self.fault_hook(op, offset, length):
-                self.stats.errors += 1
-                raise DiskIOError(f"{op} error at offset {offset} on {self.name}")
-            if op == "write":
-                self.stats.writes += 1
-                self.stats.bytes_written += length
-                if data is not None:
-                    self._store(offset, data)
-                return None
-            self.stats.reads += 1
-            self.stats.bytes_read += length
-            return self._load(offset, length)
-        finally:
-            self._queue.release(grant)
+        service = self.access_latency + length / self.bandwidth
+        if offset != self._last_end_offset:
+            service += self.seek_penalty
+        self._last_end_offset = offset + length
+        self.stats.busy_time += service
+        if self.obs is not None:
+            self.obs.metrics.histogram("disk.service_time", self.name).observe(service)
+        yield self.sim.wake_at(self._queue.commit(self.sim.now, service))
+        if self.fault_hook is not None and self.fault_hook(op, offset, length):
+            self.stats.errors += 1
+            raise DiskIOError(f"{op} error at offset {offset} on {self.name}")
+        if op == "write":
+            self.stats.writes += 1
+            self.stats.bytes_written += length
+            if data is not None:
+                self._store(offset, data)
+            return None
+        self.stats.reads += 1
+        self.stats.bytes_read += length
+        return self._load(offset, length)
 
     # -- synchronous content access (no simulated time; used by tooling
     # like mkfs and the dumpe2fs-style layout dump) ------------------------

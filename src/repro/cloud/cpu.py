@@ -1,14 +1,14 @@
 """vCPU metering.
 
-Each VM (and host-side service) owns a :class:`CpuMeter`: a
-capacity-limited resource whose busy time is accounted per window, so
-the benchmarks can report utilization breakdowns like the paper's
-Figure 10.
+Each VM (and host-side service) owns a :class:`CpuMeter`: FIFO cores
+(one :class:`~repro.sim.Slots` horizon) whose busy time is accounted
+per window, so the benchmarks can report utilization breakdowns like
+the paper's Figure 10.
 """
 
 from __future__ import annotations
 
-from repro.sim import Resource, Simulator
+from repro.sim import Simulator, Slots
 
 
 class CpuMeter:
@@ -20,23 +20,18 @@ class CpuMeter:
         self.sim = sim
         self.name = name
         self.cores = cores
-        self._resource = Resource(sim, capacity=cores)
+        self._cores = Slots(cores)
         self.busy_time = 0.0
         self._window_start = 0.0
         self._window_busy = 0.0
 
     def consume(self, seconds: float):
-        """Process generator: hold one core for ``seconds`` of CPU time."""
+        """Process generator: hold one core for ``seconds``, FIFO behind earlier charges."""
         if seconds <= 0:
             return
-        grant = self._resource.request()
-        yield grant
-        try:
-            yield self.sim.timeout(seconds)
-            self.busy_time += seconds
-            self._window_busy += seconds
-        finally:
-            self._resource.release(grant)
+        yield self.sim.wake_at(self._cores.commit(self.sim.now, seconds))
+        self.busy_time += seconds
+        self._window_busy += seconds
 
     def begin_window(self) -> None:
         """Start a fresh measurement window at the current time."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.cloud.params import CloudParams
@@ -31,7 +32,7 @@ from repro.iscsi.pdu import ISCSI_PORT, LoginRequestPdu, ScsiCommandPdu, ScsiRes
 from repro.net.nat import NatRule
 from repro.net.packet import Packet
 from repro.net.tcp import ConnectionReset, EOF, RESET, TcpListener, TcpSegment, TcpSocket
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 
 class RelayMode(str, enum.Enum):
@@ -459,9 +460,8 @@ class ActiveRelay:
                     # mode — the completed PDU stays in NVM for replay
                     state = (None, entry, dst)
                 else:
-                    self.sim.process(
-                        self._discard_when_delivered(dst, handle.message_id, entry.entry_id)
-                    )
+                    retire = partial(self._discard, entry.entry_id)
+                    dst.when_delivered(handle.message_id).callbacks.append(retire)
                     state = (handle, entry, dst)
             streams[segment.message_id] = state
         handle, entry, opened_on = state
@@ -594,10 +594,10 @@ class ActiveRelay:
             message_id = socket.send(out_pdu, out_pdu.wire_size)
         except ConnectionReset:
             return
-        self.sim.process(self._discard_when_delivered(socket, message_id, entry.entry_id))
+        socket.when_delivered(message_id).callbacks.append(partial(self._discard, entry.entry_id))
 
-    def _discard_when_delivered(self, socket: TcpSocket, message_id: int, entry_id: int):
-        yield socket.when_delivered(message_id)
+    def _discard(self, entry_id: int, _delivered: Event) -> None:
+        """Delivery callback: the peer ACKed the entry's whole message."""
         entry = self.nvm.get(entry_id)
         if entry is None:
             return

@@ -370,15 +370,7 @@ class TcpSocket:
     def _emit_data(
         self, message_id: int, chunk: int, size: int, message: Any, is_last: bool
     ) -> None:
-        segment = TcpSegment(
-            kind="data",
-            seq=self._sent_bytes,
-            length=chunk,
-            message_id=message_id,
-            message=message,
-            message_size=size,
-            is_last=is_last,
-        )
+        segment = TcpSegment("data", self._sent_bytes, 0, chunk, message_id, message, size, is_last)
         self._sent_bytes += chunk
         self.bytes_sent += chunk
         self._emit(segment)
@@ -504,7 +496,7 @@ class TcpSocket:
             self.bytes_received += segment.length
             # ACK on arrival, independent of app consumption — in the
             # active relay this IS the short-circuited acknowledgment
-            self._emit(TcpSegment(kind="ack", ack=self._rx_bytes))
+            self._emit(TcpSegment("ack", 0, self._rx_bytes))
             if self.chunk_listener is not None:
                 self.chunk_listener(segment)
                 return
@@ -541,17 +533,9 @@ class TcpSocket:
     # -- wire output ------------------------------------------------------------
 
     def _emit(self, segment: TcpSegment) -> None:
-        packet = Packet(
-            src_mac="",
-            dst_mac="",
-            src_ip=self.local_ip,
-            dst_ip=self.remote_ip or "",
-            src_port=self.local_port,
-            dst_port=self.remote_port or 0,
-            protocol="tcp",
-            size=HEADER_BYTES + segment.length,
-            payload=segment,
-        )
+        # positional arguments (field order): keywords double the cost per packet
+        packet = Packet("", "", self.local_ip, self.remote_ip or "", self.local_port,
+                        self.remote_port or 0, "tcp", HEADER_BYTES + segment.length, segment)
         # Trace-context propagation: a message object (e.g. an iSCSI
         # PDU) stamped with a context spreads it to every packet that
         # carries a piece of it, joining per-hop telemetry to the

@@ -22,7 +22,7 @@ from repro.sim.core import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource, Slots, Store
 from repro.sim.rng import SeededRNG
 from repro.sim.shard import ShardedKernel
 
@@ -37,6 +37,7 @@ __all__ = [
     "ShardedKernel",
     "SimulationError",
     "Simulator",
+    "Slots",
     "Store",
     "Timeout",
 ]

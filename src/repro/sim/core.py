@@ -106,13 +106,12 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` seconds after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
         super().__init__(sim)
-        self.delay = delay
         self._value = value
         self.ok = True
         sim._schedule(self, delay)
@@ -334,6 +333,18 @@ class Simulator:
         seq = self._sequence
         self._sequence = seq + 1
         heapq.heappush(self._heap, (when, seq, fn, args))
+
+    def wake_at(self, when: float) -> Event:
+        """An event firing at ``when >= now``: a :class:`Timeout`'s seq and
+        heap tuple, with no ``now + (when - now)`` round trip."""
+        if when < self.now:
+            raise SimulationError("wake_at into the past")
+        event = Event(self)
+        event._value = None
+        seq = self._sequence
+        self._sequence = seq + 1
+        heapq.heappush(self._heap, (when, seq, None, event))
+        return event
 
     def disarm_calls(
         self,

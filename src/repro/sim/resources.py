@@ -1,9 +1,10 @@
 """Shared-resource primitives built on the event kernel.
 
-:class:`Resource` models a capacity-limited server pool (vCPUs, disk
-queue slots).  :class:`Store` is an unbounded FIFO of items with
-blocking ``get`` — the building block for mailboxes, NIC queues, and
-socket receive buffers.
+:class:`Slots` models FIFO servers held for a time known up front;
+:class:`Resource` a pool held until released (the saga mutex).
+:class:`Store` is an unbounded FIFO of items with blocking ``get`` —
+the building block for mailboxes, NIC queues, and socket receive
+buffers.
 
 Grant/release bookkeeping is O(1) amortized: requests carry their own
 state instead of being searched for in lists, and a request released
@@ -13,6 +14,7 @@ is skipped when it reaches the front.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Any, Deque
 
@@ -25,21 +27,40 @@ _RELEASED = 2
 _CANCELLED = 3
 
 
+class Slots:
+    """``k`` FIFO servers as a min-heap of busy-until instants (a k-slot
+    :class:`repro.net.link.Horizon`): a claim commits when made, at
+    ``max(min(busy), now)``, in a FIFO :class:`Resource`'s grant order."""
+
+    __slots__ = ("busy",)
+
+    def __init__(self, k: int) -> None:
+        if k < 1:
+            raise SimulationError(f"slot count must be >= 1, got {k}")
+        self.busy = [0.0] * k
+
+    def commit(self, now: float, seconds: float) -> float:
+        """Claim the earliest-free slot for ``seconds``; return its end."""
+        free = self.busy[0]
+        end = (free if free > now else now) + seconds
+        heapq.heapreplace(self.busy, end)
+        return end
+
+
 class Request(Event):
     """A pending claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "_state")
+    __slots__ = ("_state",)
 
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.sim)
-        self.resource = resource
         self._state = _QUEUED
 
 
 class Resource:
     """``capacity`` interchangeable slots, granted FIFO."""
 
-    __slots__ = ("sim", "capacity", "count", "queue", "_waiting")
+    __slots__ = ("sim", "capacity", "count", "queue")
 
     def __init__(self, sim: Simulator, capacity: int = 1) -> None:
         if capacity < 1:
@@ -49,13 +70,11 @@ class Resource:
         #: number of slots currently held
         self.count = 0
         self.queue: Deque[Request] = deque()
-        #: live (non-cancelled) queued requests; ``queue`` may be longer
-        self._waiting = 0
 
     @property
     def waiting(self) -> int:
         """Number of requests still queued (cancelled ones excluded)."""
-        return self._waiting
+        return sum(request._state == _QUEUED for request in self.queue)
 
     def request(self) -> Request:
         req = Request(self)
@@ -65,7 +84,6 @@ class Resource:
             req.succeed()
         else:
             self.queue.append(req)
-            self._waiting += 1
         return req
 
     def release(self, request: Request) -> None:
@@ -79,13 +97,11 @@ class Resource:
                 if nxt._state != _QUEUED:
                     continue  # released while waiting: lazily dropped here
                 nxt._state = _GRANTED
-                self._waiting -= 1
                 self.count += 1
                 nxt.succeed()
         elif state == _QUEUED:
             # cancel-in-place; the entry is skipped when it surfaces
             request._state = _CANCELLED
-            self._waiting -= 1
         else:
             raise SimulationError("releasing a request that was never granted")
 

@@ -1,6 +1,8 @@
 """Active-relay NVM journal and downstream-failure recovery."""
 
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.core import relay as relay_module
+from repro.sim import Process
 
 
 def attach_active(env, **relay_kw):
@@ -117,3 +119,31 @@ def test_recovery_gives_up_after_max_attempts(env):
     assert first.abandoned
     assert first.server.state == "reset"
     assert first not in relay.pairs  # closed, its pumps and recovery returned
+
+
+def test_relayed_pdus_start_no_process(env, monkeypatch):
+    """Journal retirement is a callback on the peer's delivery event:
+    relaying whole and streamed PDUs both ways starts no process, and
+    every entry still retires once its bytes are ACKed."""
+    flow, mb = attach_active(env)
+    started = []
+    bootstrap = Process.__init__
+
+    def counting_init(self, sim, generator, name=None):
+        started.append(generator.gi_code.co_filename)
+        bootstrap(self, sim, generator, name)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    payload = bytes([0x3C] * 16 * BLOCK_SIZE)  # many segments: a streamed PDU
+
+    def scenario():
+        yield flow.session.write(0, len(payload), payload)
+        assert (yield flow.session.read(0, len(payload))) == payload
+        yield flow.session.write(0, BLOCK_SIZE, payload[:BLOCK_SIZE])
+
+    relayed = mb.relay.pdus_relayed
+    env.run(scenario())
+    env.sim.run(until=env.sim.now + 0.1)  # the last ACKs land
+    assert mb.relay.pdus_relayed - relayed >= 6
+    assert not [path for path in started if path == relay_module.__file__]
+    assert not mb.relay.nvm

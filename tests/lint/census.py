@@ -38,7 +38,7 @@ WALL_CLOCK_CALLS = frozenset({
 ENTROPY_CALLS = frozenset({("os", "urandom"), ("uuid", "uuid1"), ("uuid", "uuid4")})
 #: Simulator methods that schedule or drive kernel events
 KERNEL_METHODS = frozenset({
-    "disarm_calls", "call_at", "_schedule", "timeout", "process", "event",
+    "disarm_calls", "call_at", "wake_at", "_schedule", "timeout", "process", "event",
     "all_of", "any_of", "run", "step", "_defer_resume", "_defer_interrupt",
 })
 #: identifier fragments marking a container as keyed per session

@@ -1,8 +1,9 @@
 """The kernel's firing order is one heap keyed by ``(time, seq)``.
 
 Random programs of timeouts (zero-delay included), ``call_at`` calls,
-``succeed``/``fail``, processes that sleep or yield an already-processed
-event, interrupts and disarmed calls run four ways: ``run()``,
+``wake_at`` wakes (at ``now`` included), ``succeed``/``fail``,
+processes that sleep or yield an already-processed event, interrupts
+and disarmed calls run four ways: ``run()``,
 ``run(until=Event)``, ``run(until=t)`` twice, and repeated ``step()``.
 All four must log the same firings at the same instants, end at the
 same ``now``, and match :func:`reference`: every occurrence the kernel
@@ -14,12 +15,13 @@ optimisations of that heap.
 import heapq
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Interrupt, SimulationError, Simulator
 
-KINDS = ("timeout", "call", "succeed", "fail", "processed", "sleep", "interrupt", "disarm")
+KINDS = ("timeout", "call", "wake", "succeed", "fail", "processed", "sleep", "interrupt", "disarm")
 #: few distinct, exactly representable delays, so that ties are common
 DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
 
@@ -73,7 +75,7 @@ def reference(nodes, stop):
             fire(n, t)
             push(t, noop)
 
-        if kind in ("timeout", "call"):
+        if kind in ("timeout", "call", "wake"):
             push(now + d, lambda t: fire(n, t))
         elif kind in ("succeed", "fail"):
             push(now, lambda t: fire(n, t))
@@ -131,6 +133,8 @@ def run_kernel(nodes, stop, drive, t_mid, t_end):
             sim.timeout(d).callbacks.append(lambda _e: fire(n))
         elif kind == "call":
             sim.call_at(sim.now + d, fire, n)
+        elif kind == "wake":
+            sim.wake_at(sim.now + d).callbacks.append(lambda _e: fire(n))
         elif kind in ("succeed", "fail"):
             event = sim.event()
             event.callbacks.append(lambda _e: fire(n))
@@ -171,3 +175,13 @@ def test_every_drive_fires_in_one_heap_order(program, t_mid):
     for drive in ("run", "until-event", "until-time", "step"):
         got = run_kernel(nodes, stop, drive, min(t_mid, t_end), t_end)
         assert got == (expected_log, t_end), drive
+
+
+def test_wake_at_refuses_the_past():
+    sim = Simulator()
+    sim.run(until=1.0)
+    with pytest.raises(SimulationError):
+        sim.wake_at(0.5)
+    wake = sim.wake_at(1.0)  # now itself is allowed
+    sim.run()
+    assert wake.processed and wake.value is None and sim.now == 1.0
