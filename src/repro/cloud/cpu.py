@@ -8,6 +8,8 @@ the paper's Figure 10.
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from repro.sim import Simulator, Slots
 
 
@@ -32,6 +34,18 @@ class CpuMeter:
         yield self.sim.wake_at(self._cores.commit(self.sim.now, seconds))
         self.busy_time += seconds
         self._window_busy += seconds
+
+    def charge(self, seconds: float, fn: Callable[..., None], *args: Any) -> None:
+        """Callback form of :meth:`consume` for ``seconds > 0``: claim the
+        core now, FIFO behind earlier charges, and call ``fn(*args)`` when
+        the claim ends (one ``call_at``, no process)."""
+        end = self._cores.commit(self.sim.now, seconds)
+        self.sim.call_at(end, self._charged, seconds, fn, args)
+
+    def _charged(self, seconds: float, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        self.busy_time += seconds
+        self._window_busy += seconds
+        fn(*args)
 
     def begin_window(self) -> None:
         """Start a fresh measurement window at the current time."""

@@ -21,7 +21,7 @@ flow to its desired chain and every scaling pool
 """
 
 from repro.core.attribution import AttributionRecord, ConnectionAttributor
-from repro.core.middlebox import MiddleBox, StorageService, payload_bytes
+from repro.core.middlebox import MiddleBox, StorageService
 from repro.core.relay import ActiveRelay, PassiveRelay, RelayMode
 from repro.core.splicing import GatewayPair, StorageGateway
 from repro.core.steering import SteeringChain, build_chain_rules
@@ -74,5 +74,4 @@ __all__ = [
     "StorageService",
     "TenantPolicy",
     "build_chain_rules",
-    "payload_bytes",
 ]

@@ -13,21 +13,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.cloud.cpu import CpuMeter
-from repro.iscsi.pdu import DataInPdu, ScsiCommandPdu
 from repro.net.stack import Node
 from repro.sim import Simulator
 
 if TYPE_CHECKING:
     from repro.cloud.tenant import Tenant
-
-
-def payload_bytes(pdu) -> int:
-    """Data bytes a service actually processes in a PDU."""
-    if isinstance(pdu, ScsiCommandPdu) and pdu.op == "write":
-        return pdu.length
-    if isinstance(pdu, DataInPdu):
-        return pdu.length
-    return 0
 
 
 class StorageService:
@@ -65,18 +55,14 @@ class StorageService:
 
     # -- default pipeline ------------------------------------------------
 
-    def process(self, pdu, direction: str, ctx, charged: bool = False):
+    def process(self, pdu, direction: str, ctx) -> None:
         """Process one PDU; ``direction`` is "upstream" (toward storage)
         or "downstream" (toward the VM).  ``ctx`` is a
         :class:`~repro.core.relay.RelayContext`: call ``ctx.forward(pdu)``
         to continue along the chain or ``ctx.reply(pdu)`` to answer the
-        sender directly (active relay only).  ``charged`` is True when
-        the relay already billed this PDU's per-byte CPU (it charges per
-        chunk as segments arrive).  Default: charge CPU, apply the
-        transform, forward."""
-        cost = 0.0 if charged else self.cpu_per_byte * payload_bytes(pdu)
-        if cost and self.middlebox is not None:
-            yield from self.middlebox.cpu.consume(cost)
+        sender directly (active relay only).  The relay has already
+        billed the PDU's per-byte CPU (it charges per chunk as segments
+        arrive).  Default: apply the transform, forward."""
         self.pdus_processed += 1
         if direction == "upstream":
             pdu = self.transform_upstream(pdu)

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Any, Callable, Optional
 
 from repro.cloud.params import CloudParams
 from repro.core.middlebox import MiddleBox
@@ -138,6 +139,79 @@ class RelayPair:
     #: the journal is kept, unlike a genuine VM-initiated close
     abandoned: bool = False
     login_pdu: object = None  # remembered for session re-establishment
+
+
+class _Pump:
+    """One direction of a relay pair, run by callbacks (no process).
+
+    Data segments (the source socket's ``chunk_listener``), whole
+    messages and the RESET/EOF sentinel (its receive queue) are relayed
+    in arrival order.  A segment that needs the service's CPU holds the
+    pump until its slot ends, so each slot is claimed at ``max(arrival,
+    previous item's end)``: one direction never overlaps itself on a
+    multi-core box.  Multi-segment PDUs are *streamed*: each chunk is
+    credited to an outgoing copy once processed, so a large write
+    pipelines through the box; the final chunk carries the PDU, which
+    the service may transform before it is attached to the stream.
+    """
+
+    __slots__ = ("relay", "pair", "direction", "service", "items", "busy", "streams")
+
+    def __init__(self, relay: "ActiveRelay", pair: RelayPair, direction: str) -> None:
+        self.relay = relay
+        self.pair = pair
+        self.direction = direction
+        self.service = relay.middlebox.service
+        self.items: deque[Any] = deque()
+        self.busy = True  # a segment holds the CPU; or not run yet, or ended
+        #: message_id -> (handle, entry, socket) of multi-segment PDUs
+        self.streams: dict[int, tuple] = {}
+        src = relay._src_socket(pair, direction)
+        src.chunk_listener = self.push
+        src.recv().callbacks.append(self._on_recv)
+
+    def push(self, item: Any) -> None:
+        self.items.append(item)
+        if not self.busy:
+            self.run()
+
+    def _on_recv(self, event: Event) -> None:
+        self.push(event.value)
+        if event.value is not RESET and event.value is not EOF:
+            # a whole message delivered before the chunk listener existed
+            self.relay._src_socket(self.pair, self.direction).recv().callbacks.append(self._on_recv)
+
+    def run(self, segment: Optional[TcpSegment] = None) -> None:
+        """Relay ``segment`` (whose CPU slot just ended), then queued
+        items in arrival order until one needs the CPU."""
+        self.busy = True
+        relay, pair, direction, service = self.relay, self.pair, self.direction, self.service
+        items = self.items
+        while True:
+            if segment is not None:
+                streams = self.streams
+                if segment.message_size <= segment.length and segment.message_id not in streams:
+                    relay._relay_whole(segment.message, pair, direction, service)
+                else:
+                    relay._relay_chunk(segment, pair, direction, service, streams)
+            if not items:
+                self.busy = False
+                return
+            item = items.popleft()
+            if item.__class__ is TcpSegment:
+                segment = item
+                if service is not None and service.cpu_per_byte and segment.length:
+                    # off the ACK path but before forwarding: run() again at the slot's end
+                    cost = service.cpu_per_byte * segment.length
+                    relay.middlebox.cpu.charge(cost, self.run, segment)
+                    return
+                continue
+            segment = None
+            if item is RESET or item is EOF:
+                relay._pump_ended(pair, direction, item)
+                return  # busy for good: nothing runs this pump again
+            # a whole message, e.g. the login PDU during attach
+            relay._relay_whole(item[0], pair, direction, service)
 
 
 class ActiveRelay:
@@ -263,16 +337,12 @@ class ActiveRelay:
             self.obs.event(kind, target=self.middlebox.name, **detail)
 
     def _relay_pair(self, server_sock: TcpSocket):
-        from repro.sim import Store
-
+        pair = RelayPair(server_sock, self._new_client_socket(server_sock), pumps=1)
         # capture chunks from the VM side immediately — data may follow
         # the handshake before the onward connection is up
-        up_queue = Store(self.sim)
-        server_sock.chunk_listener = lambda segment: up_queue.put(("chunk", segment))
-        self.sim.process(self._sentinel_watcher(server_sock, up_queue))
-        client_sock = self._new_client_socket(server_sock)
+        upstream = _Pump(self, pair, "upstream")
         try:
-            yield client_sock.connect(self.egress_ip, self.egress_port)
+            yield pair.client.connect(self.egress_ip, self.egress_port)
         except ConnectionReset:
             # next hop unreachable: refuse the flow so the VM side can
             # run its own recovery instead of waiting forever
@@ -280,19 +350,15 @@ class ActiveRelay:
             if server_sock.state == "established":
                 server_sock.reset()
             return
-        pair = RelayPair(server_sock, client_sock, pumps=1)  # the upstream pump
         self.pairs.append(pair)
-        self.sim.process(self._pump(up_queue, server_sock, pair, "upstream"))
+        # both pumps count before either runs: what already queued
+        # upstream may end the flow
         self._start_downstream_pump(pair)
+        upstream.run()
 
     def _start_downstream_pump(self, pair: RelayPair) -> None:
-        from repro.sim import Store
-
-        down_queue = Store(self.sim)
-        pair.client.chunk_listener = lambda segment: down_queue.put(("chunk", segment))
         pair.pumps += 1
-        self.sim.process(self._sentinel_watcher(pair.client, down_queue))
-        self.sim.process(self._pump(down_queue, pair.client, pair, "downstream"))
+        _Pump(self, pair, "downstream").run()
 
     def _pump_returned(self, pair: RelayPair) -> None:
         pair.pumps -= 1
@@ -306,59 +372,29 @@ class ActiveRelay:
     def _src_socket(self, pair: RelayPair, direction: str) -> TcpSocket:
         return pair.server if direction == "upstream" else pair.client
 
-    def _pump(self, queue, src: TcpSocket, pair: RelayPair, direction: str):
-        """Cut-through relay loop for one direction.
-
-        Data arrives one TCP segment at a time (``chunk_listener``):
-        single-segment PDUs take the classic receive→process→forward
-        path; multi-segment PDUs are *streamed* — each received chunk
-        is credited to an outgoing copy immediately after the service's
-        per-byte CPU charge, so a large write pipelines through the
-        middle-box instead of being stored and forwarded whole.  The
-        final chunk carries the PDU object, which the service may
-        transform before it is attached to the outgoing stream.
-        """
-        service = self.middlebox.service
-        streams: dict[int, tuple] = {}  # message_id -> (handle, entry, socket)
-        while True:
-            kind, payload = yield queue.get()
-            if kind == "ctrl":
-                if (
-                    payload is RESET
-                    and direction == "downstream"
-                    and not pair.closed
-                    and pair.reconnects < self.max_reconnects
-                ):
-                    self.sim.process(self._recover(pair))
-                    return  # the recovery holds this pump's count
-                other = self._dst_socket(pair, direction)
-                if direction == "upstream":
-                    pair.closed = True  # the VM ended the flow
-                    if not pair.abandoned:
-                        self.clear_journal()
-                if payload is RESET and other.state == "established":
-                    if direction == "downstream":
-                        pair.abandoned = True
-                    other.reset()
-                if payload is EOF:
-                    other.close()
-                self._pump_returned(pair)
-                return
-            if kind == "msg":
-                # a whole message that arrived before the chunk listener
-                # was installed (e.g. the login PDU during attach)
-                yield from self._relay_whole(payload[0], pair, direction, service)
-                continue
-            segment = payload
-            if service is not None and service.cpu_per_byte and segment.length:
-                # processing happens off the ACK path but before forwarding
-                yield from self.middlebox.cpu.consume(
-                    service.cpu_per_byte * segment.length
-                )
-            if segment.message_size <= segment.length and segment.message_id not in streams:
-                yield from self._relay_whole(segment.message, pair, direction, service)
-                continue
-            yield from self._relay_chunk(segment, pair, direction, service, streams)
+    def _pump_ended(self, pair: RelayPair, direction: str, sentinel: object) -> None:
+        """A direction's source socket reset or reached EOF: recover the
+        downstream leg, or pass the end on and let the pump go."""
+        if (
+            sentinel is RESET
+            and direction == "downstream"
+            and not pair.closed
+            and pair.reconnects < self.max_reconnects
+        ):
+            self.sim.process(self._recover(pair))
+            return  # the recovery holds this pump's count
+        other = self._dst_socket(pair, direction)
+        if direction == "upstream":
+            pair.closed = True  # the VM ended the flow
+            if not pair.abandoned:
+                self.clear_journal()
+        if sentinel is RESET and other.state == "established":
+            if direction == "downstream":
+                pair.abandoned = True
+            other.reset()
+        if sentinel is EOF:
+            other.close()
+        self._pump_returned(pair)
 
     def _track_command(self, entry: NvmEntry) -> None:
         """Journaled upstream commands are retired by their downstream
@@ -384,7 +420,7 @@ class ActiveRelay:
         self.nvm.clear()
         self._command_entries.clear()
 
-    def _relay_whole(self, pdu, pair: RelayPair, direction, service):
+    def _relay_whole(self, pdu, pair: RelayPair, direction, service) -> None:
         is_login = direction == "upstream" and isinstance(pdu, LoginRequestPdu)
         if is_login:
             pair.login_pdu = pdu  # needed again if the downstream leg fails
@@ -412,7 +448,7 @@ class ActiveRelay:
             if span is not None:
                 svc_span = obs.span(f"service.{service.name}", parent=span,
                                     target=self.middlebox.name)
-            yield from service.process(pdu, direction, ctx, charged=True)
+            service.process(pdu, direction, ctx)
             if svc_span is not None:
                 svc_span.finish()
         else:
@@ -428,7 +464,7 @@ class ActiveRelay:
             # middle-box restarted: replay what the crash interrupted
             self._replay_stale(pair, entry.entry_id)
 
-    def _relay_chunk(self, segment, pair: RelayPair, direction, service, streams):
+    def _relay_chunk(self, segment, pair: RelayPair, direction, service, streams) -> None:
         buffered = service is not None and service.requires_full_pdu
         state = streams.get(segment.message_id)
         if state is None:
@@ -476,7 +512,7 @@ class ActiveRelay:
         if handle is None and opened_on is None:
             # buffered mode: full classic processing (forward or reply)
             ctx = self._make_context(entry, pair, direction)
-            yield from service.process(pdu, direction, ctx, charged=True)
+            service.process(pdu, direction, ctx)
             if not ctx.consumed:
                 self.nvm.pop(entry.entry_id, None)
             else:
@@ -508,7 +544,7 @@ class ActiveRelay:
                 forward=finish_streamed,
                 reply=self._reject_streamed_reply,
             )
-            yield from service.process(pdu, direction, ctx, charged=True)
+            service.process(pdu, direction, ctx)
             if not handle.finished:
                 # service neither forwarded nor transformed: pass through
                 finish_streamed(pdu)
@@ -556,15 +592,6 @@ class ActiveRelay:
             "reply() is not available for streamed (multi-segment) PDUs: "
             "their leading chunks were already forwarded cut-through"
         )
-
-    def _sentinel_watcher(self, src: TcpSocket, queue):
-        while True:
-            got = yield src.recv()
-            if got is RESET or got is EOF:
-                queue.put(("ctrl", got))
-                return
-            # a full message delivered before the chunk listener existed
-            queue.put(("msg", got))
 
     def _make_context(self, entry: NvmEntry, pair: RelayPair, direction: str) -> RelayContext:
         def forward(out_pdu) -> None:

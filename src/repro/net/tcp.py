@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional, Union
 
 from repro.sim import Event, Simulator, Store
 from repro.net.packet import HEADER_BYTES, Packet
@@ -65,38 +65,37 @@ class StreamHandle:
     (cut-through at segment granularity): each received chunk
     :meth:`credit`\\ s bytes to the outgoing copy, and :meth:`finish`
     attaches the (possibly transformed) message object carried by the
-    final segment.
+    final segment.  Either wakes the socket if its queue's head waits
+    for this stream's bytes.
     """
 
-    def __init__(self, sim: Simulator, message_id: int, total_size: int) -> None:
-        self.sim = sim
+    __slots__ = ("socket", "message_id", "total_size", "credited", "finished", "message")
+
+    def __init__(self, socket: "TcpSocket", message_id: int, total_size: int) -> None:
+        self.socket = socket
         self.message_id = message_id
         self.total_size = total_size
         self.credited = 0
         self.finished = False
         self.message: Any = None
-        self._waiters: list[Event] = []
 
     def credit(self, nbytes: int) -> None:
         self.credited = min(self.total_size, self.credited + nbytes)
-        self._wake()
+        if self.socket._waiting is self:
+            self.socket._wake()
 
     def finish(self, message: Any) -> None:
         self.message = message
         self.finished = True
         self.credited = self.total_size
-        self._wake()
+        if self.socket._waiting is self:
+            self.socket._wake()
 
-    def _wake(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            if not waiter.triggered:
-                waiter.succeed()
 
-    def wait(self) -> Event:
-        event = Event(self.sim)
-        self._waiters.append(event)
-        return event
+#: a send queue entry: a whole ``(message_id, message, size)``, a stream, or a close
+_Pending = Union[tuple[int, Any, int], StreamHandle, None]
+_WINDOW = "window"  # the queue's head waits for an ACK (window, or the close's flush)
+_WOKEN = "woken"  # the queue's drain is scheduled
 
 
 class TcpSocket:
@@ -127,21 +126,24 @@ class TcpSocket:
         self.max_retransmits = max_retransmits
         self.state = "closed"
         self.established_event: Event = sim.event()
-        self._tx_queue = Store(sim)
         self._rx_store = Store(sim)
-        # sender-side accounting.  At most one process (the sender) ever
-        # blocks on the window, so a single waiter slot suffices.
+        # sender-side accounting: ``_head_sent`` bytes of the queue's head
+        # are out; ``_head_chunk`` is the segment it was about to emit when
+        # the window closed (sized while those bytes were there); ``_waiting``
+        # is what wakes it (``_WINDOW``, the head stream, ``_WOKEN``, or None)
+        self._pending: deque[_Pending] = deque()
+        self._head_sent = 0
+        self._head_chunk = 0
+        self._waiting: Union[str, StreamHandle, None] = None
         self._sent_bytes = 0
         self._acked_bytes = 0
-        self._window_waiter: Optional[Event] = None
         # receiver-side accounting
         self._rx_bytes = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        self._sender_started = False
         # delivery notification (peer ACKed a whole message) — used by
         # the active relay's NVM buffer to know when it may discard.
-        # Thresholds are monotone (the sender records them in byte
+        # Thresholds are monotone (:meth:`_drain` records them in byte
         # order), so an ordered deque is popped from the left per ACK
         # instead of scanning every in-flight message.
         self._message_thresholds: deque[tuple[int, int]] = deque()  # (threshold, id)
@@ -160,13 +162,9 @@ class TcpSocket:
         self._timeouts_in_row = 0
         self._dup_acks = 0
         self.retransmits = 0
-        # graceful-close state: close() with queued/unACKed data defers
-        # the FIN to the sender so nothing is silently abandoned.
-        # ``_tx_outstanding`` counts messages handed to the sender but
-        # not yet fully emitted (the Store hands items straight to the
-        # blocked sender, so the queue itself can look empty).
+        # graceful-close state: close() with queued/unACKed data queues
+        # the FIN behind them so nothing is silently abandoned.
         self._closing = False
-        self._tx_outstanding = 0
 
     # -- identity ------------------------------------------------------
 
@@ -187,22 +185,18 @@ class TcpSocket:
         self._arm_rto()
         return self.established_event
 
-    def _start_sender(self) -> None:
-        if not self._sender_started:
-            self._sender_started = True
-            self.sim.process(self._sender(), name=f"tcp-sender:{self.local_ip}:{self.local_port}")
-
     def close(self) -> None:
         if self.state in ("closed", "reset") or self._closing:
             return
-        if self.state == "established" and (
-            self._tx_outstanding or self._acked_bytes < self._sent_bytes
-        ):
-            # data is still queued or in flight: the sender drains it,
-            # waits for the ACKs, and only then sequences the FIN
+        if self.state == "established" and (self._pending or self._acked_bytes < self._sent_bytes):
+            # data is still queued or in flight: the FIN goes out once
+            # it is all emitted and ACKed
             self._closing = True
-            self._tx_queue.put(("close",))
+            self._enqueue(None)
             return
+        self._finish_close()
+
+    def _finish_close(self) -> None:
         express = self.sim.express
         if express is not None:
             express.demote(self, "close")
@@ -227,9 +221,8 @@ class TcpSocket:
         # free the 4-tuple so a reconnection can bind it
         self.stack.unbind_socket(self)
         self._deliver_sentinel(RESET)
-        waiter, self._window_waiter = self._window_waiter, None
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed()
+        self._pending.clear()  # nothing queued will ever be sent
+        self._waiting = None
         if not self.established_event.triggered:
             self.established_event.fail(ConnectionReset("reset during handshake"))
 
@@ -248,8 +241,7 @@ class TcpSocket:
         if self._closing:
             raise ConnectionReset("send after close()")
         message_id = next(self.sim.message_ids)
-        self._tx_outstanding += 1
-        self._tx_queue.put(("msg", message_id, message, size))
+        self._enqueue((message_id, message, size))
         return message_id
 
     def send_stream(self, total_size: int) -> StreamHandle:
@@ -259,9 +251,8 @@ class TcpSocket:
             raise ConnectionReset("send on reset connection")
         if self._closing:
             raise ConnectionReset("send after close()")
-        handle = StreamHandle(self.sim, next(self.sim.message_ids), total_size)
-        self._tx_outstanding += 1
-        self._tx_queue.put(("stream", handle))
+        handle = StreamHandle(self, next(self.sim.message_ids), total_size)
+        self._enqueue(handle)
         return handle
 
     def recv(self) -> Event:
@@ -283,89 +274,79 @@ class TcpSocket:
                 event.succeed()
         return event
 
-    # -- sender process -----------------------------------------------------
+    # -- sending --------------------------------------------------------------
 
-    def _sender(self) -> Generator[Event, Any, None]:
-        while True:
-            item = yield self._tx_queue.get()
-            if self.state == "reset":
+    def _enqueue(self, item: _Pending) -> None:
+        self._pending.append(item)
+        if self._waiting is None and self.state == "established":
+            self._wake()
+
+    def _start_sender(self) -> None:
+        if self._pending:  # queued during the handshake
+            self._wake()
+
+    def _wake(self) -> None:
+        """Drain one kernel occurrence later, at this instant: the hop
+        the sender process took after every wake-up.  Kept, because
+        sockets that share a NIC interleave their segments by it."""
+        self._waiting = _WOKEN
+        self.sim.call_at(self.sim.now, self._drain)
+
+    def _drain(self) -> None:
+        """Emit from the head of the send queue while the window and a
+        streamed message's credit allow, recording each message's
+        delivery threshold as its last byte goes out; note what the head
+        waits for when blocked, so that only that wakes it."""
+        self._waiting = None
+        if self.state != "established":
+            return
+        pending = self._pending
+        while pending:
+            head = pending[0]
+            if head is None:
+                # close(): the FIN waits until every emitted byte is ACKed
+                if self._acked_bytes < self._sent_bytes:
+                    self._waiting = _WINDOW
+                    return
+                pending.popleft()
+                self._finish_close()
                 return
-            tag = item[0]
-            if tag == "msg":
-                _tag, message_id, message, size = item
-                sent = yield from self._send_message(message_id, message, size)
-            elif tag == "close":
-                yield from self._finish_close()
-                return
+            handle: Optional[StreamHandle] = None
+            message: Any = None
+            if isinstance(head, StreamHandle):
+                handle = head
+                message_id, size, available = head.message_id, head.total_size, head.credited
             else:
-                handle: StreamHandle = item[1]
-                message_id = handle.message_id
-                sent = yield from self._send_streamed(handle)
-            self._tx_outstanding -= 1
-            if not sent:
-                return  # connection reset mid-message
+                message_id, message, size = head
+                available = size
+            sent = self._head_sent
+            while sent < size:
+                chunk = self._head_chunk
+                if not chunk:
+                    if available <= sent:
+                        self._head_sent = sent
+                        self._waiting = handle
+                        return
+                    chunk = min(self.mss, available - sent)
+                if self._sent_bytes - self._acked_bytes + chunk > self.window:
+                    self._head_sent = sent
+                    self._head_chunk = chunk
+                    self._waiting = _WINDOW
+                    return
+                self._head_chunk = 0
+                is_last = sent + chunk >= size
+                if handle is not None:
+                    is_last = is_last and handle.finished
+                    message = handle.message if is_last else None
+                self._emit_data(message_id, chunk, size, message, is_last)
+                sent += chunk
+            pending.popleft()
+            self._head_sent = 0
             self._message_thresholds.append((self._sent_bytes, message_id))
             self._threshold_by_id[message_id] = self._sent_bytes
-
-    def _finish_close(self) -> Generator[Event, Any, None]:
-        # flush: every emitted byte must be ACKed before the FIN goes out
-        while self._acked_bytes < self._sent_bytes:
-            waiter = self.sim.event()
-            self._window_waiter = waiter
-            yield waiter
-            if self.state == "reset":
+            if pending:
+                self._wake()  # the process's next look at its queue
                 return
-        express = self.sim.express
-        if express is not None:
-            express.demote(self, "close")
-        self._emit(TcpSegment(kind="fin"))
-        self.state = "closed"
-        self._deliver_sentinel(EOF)
-        self.stack.unbind_socket(self)
-
-    def _send_message(
-        self, message_id: int, message: Any, size: int
-    ) -> Generator[Event, Any, bool]:
-        offset = 0
-        while offset < size:
-            chunk = min(self.mss, size - offset)
-            if not (yield from self._await_window(chunk)):
-                return False
-            self._emit_data(
-                message_id, chunk, size, message, is_last=offset + chunk >= size
-            )
-            offset += chunk
-        return True
-
-    def _send_streamed(self, handle: StreamHandle) -> Generator[Event, Any, bool]:
-        sent = 0
-        while sent < handle.total_size:
-            while handle.credited <= sent:
-                yield handle.wait()
-                if self.state == "reset":
-                    return False
-            chunk = min(self.mss, handle.credited - sent)
-            if not (yield from self._await_window(chunk)):
-                return False
-            is_last = handle.finished and sent + chunk >= handle.total_size
-            self._emit_data(
-                handle.message_id,
-                chunk,
-                handle.total_size,
-                handle.message if is_last else None,
-                is_last=is_last,
-            )
-            sent += chunk
-        return True
-
-    def _await_window(self, chunk: int) -> Generator[Event, Any, bool]:
-        while self._sent_bytes - self._acked_bytes + chunk > self.window:
-            waiter = self.sim.event()
-            self._window_waiter = waiter
-            yield waiter
-            if self.state == "reset":
-                return False
-        return True
 
     def _emit_data(
         self, message_id: int, chunk: int, size: int, message: Any, is_last: bool
@@ -453,9 +434,8 @@ class TcpSocket:
                 self._rto_current = self.rto
                 if retx:
                     self._rto_deadline = self.sim.now + self._rto_current
-                waiter, self._window_waiter = self._window_waiter, None
-                if waiter is not None and not waiter.triggered:
-                    waiter.succeed()
+                if self._waiting is _WINDOW:
+                    self._wake()
                 thresholds = self._message_thresholds
                 while thresholds and thresholds[0][0] <= acked:
                     _threshold, message_id = thresholds.popleft()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.middlebox import StorageService, payload_bytes
+from repro.core.middlebox import StorageService
 from repro.core.semantics import SemanticsEngine
 from repro.fs.view import dump_layout
 from repro.iscsi.pdu import ScsiCommandPdu, ScsiResponsePdu
@@ -124,10 +124,7 @@ class AccessControlService(StorageService):
                     return rule
         return None
 
-    def process(self, pdu, direction: str, ctx, charged: bool = False):
-        cost = 0.0 if charged else self.cpu_per_byte * payload_bytes(pdu)
-        if cost and self.middlebox is not None:
-            yield from self.middlebox.cpu.consume(cost)
+    def process(self, pdu, direction: str, ctx) -> None:
         self.pdus_processed += 1
         if direction != "upstream" or not isinstance(pdu, ScsiCommandPdu):
             ctx.forward(pdu)

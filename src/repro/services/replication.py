@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.middlebox import StorageService, payload_bytes
+from repro.core.middlebox import StorageService
 from repro.iscsi.initiator import IscsiSession, SessionDead
 from repro.iscsi.pdu import DataInPdu, ScsiCommandPdu, ScsiResponsePdu
 
@@ -84,10 +84,7 @@ class ReplicationService(StorageService):
 
     # -- data path --------------------------------------------------------------
 
-    def process(self, pdu, direction: str, ctx, charged: bool = False):
-        cost = 0.0 if charged else self.cpu_per_byte * payload_bytes(pdu)
-        if cost and self.middlebox is not None:
-            yield from self.middlebox.cpu.consume(cost)
+    def process(self, pdu, direction: str, ctx) -> None:
         self.pdus_processed += 1
         if direction == "downstream" or not isinstance(pdu, ScsiCommandPdu):
             ctx.forward(pdu)

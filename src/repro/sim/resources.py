@@ -2,9 +2,9 @@
 
 :class:`Slots` models FIFO servers held for a time known up front;
 :class:`Resource` a pool held until released (the saga mutex).
-:class:`Store` is an unbounded FIFO of items with blocking ``get`` —
-the building block for mailboxes, NIC queues, and socket receive
-buffers.
+:class:`Store` is an unbounded FIFO of items with blocking ``get``,
+for a consumer process that really blocks: a socket's receive queue, a
+listener's accept queue, the passive relay's hook queue.
 
 Grant/release bookkeeping is O(1) amortized: requests carry their own
 state instead of being searched for in lists, and a request released

@@ -2,23 +2,11 @@
 
 
 from repro.blockdev.disk import BLOCK_SIZE
-from repro.core.middlebox import NoopService, StorageService, payload_bytes
+from repro.core.middlebox import NoopService, StorageService
 from repro.core.relay import RelayContext
-from repro.iscsi.pdu import DataInPdu, LoginRequestPdu, ScsiCommandPdu, ScsiResponsePdu
+from repro.iscsi.pdu import ScsiCommandPdu, ScsiResponsePdu
 from repro.services import ReplicationService, StorageAccessMonitor
 from repro.sim import Simulator
-
-
-def test_payload_bytes_only_counts_data():
-    assert payload_bytes(ScsiCommandPdu("write", 0, 4096, 1)) == 4096
-    assert payload_bytes(ScsiCommandPdu("read", 0, 4096, 2)) == 0
-    assert payload_bytes(DataInPdu(3, 8192)) == 8192
-    assert payload_bytes(ScsiResponsePdu(4, "good")) == 0
-    assert payload_bytes(LoginRequestPdu("a", "b")) == 0
-
-
-def run_process(sim, gen):
-    return sim.run(until=sim.process(gen))
 
 
 def make_ctx():
@@ -38,22 +26,20 @@ def make_ctx():
 
 
 def test_noop_service_forwards_everything():
-    sim = Simulator()
     service = NoopService()
     ctx, forwarded, _ = make_ctx()
     pdu = ScsiCommandPdu("read", 0, 4096, 9)
-    run_process(sim, service.process(pdu, "upstream", ctx))
+    service.process(pdu, "upstream", ctx)
     assert forwarded == [pdu]
     assert service.pdus_processed == 1
 
 
 def test_monitor_without_view_passes_through():
     """A monitor that never received a view must not crash the flow."""
-    sim = Simulator()
     monitor = StorageAccessMonitor()
     ctx, forwarded, _ = make_ctx()
     pdu = ScsiCommandPdu("write", 0, BLOCK_SIZE, 1, b"\x00" * BLOCK_SIZE)
-    run_process(sim, monitor.process(pdu, "upstream", ctx))
+    monitor.process(pdu, "upstream", ctx)
     assert forwarded == [pdu]
     assert monitor.access_log == []
 
@@ -65,27 +51,23 @@ def test_replication_without_replicas_behaves_like_noop():
     class FakeMb:
         def __init__(self):
             self.sim = sim
-            from repro.cloud import CpuMeter
-
-            self.cpu = CpuMeter(sim, "fake", cores=1)
 
     service.attach(FakeMb())
     ctx, forwarded, _ = make_ctx()
     write = ScsiCommandPdu("write", 0, BLOCK_SIZE, 1, b"\x01" * BLOCK_SIZE)
-    run_process(sim, service.process(write, "upstream", ctx))
+    service.process(write, "upstream", ctx)
     read = ScsiCommandPdu("read", 0, BLOCK_SIZE, 2)
     ctx2, forwarded2, _ = make_ctx()
-    run_process(sim, service.process(read, "upstream", ctx2))
+    service.process(read, "upstream", ctx2)
     assert forwarded == [write] and forwarded2 == [read]
     assert service.replication_factor == 1
 
 
 def test_replication_downstream_passthrough():
-    sim = Simulator()
     service = ReplicationService()
     ctx, forwarded, _ = make_ctx()
     response = ScsiResponsePdu(1, "good")
-    run_process(sim, service.process(response, "downstream", ctx))
+    service.process(response, "downstream", ctx)
     assert forwarded == [response]
 
 
@@ -95,11 +77,10 @@ def test_custom_service_transform_hooks():
             pdu.task_tag += 1000
             return pdu
 
-    sim = Simulator()
     service = UppercaseTags()
     ctx, forwarded, _ = make_ctx()
     pdu = ScsiCommandPdu("read", 0, 4096, 7)
-    run_process(sim, service.process(pdu, "upstream", ctx))
+    service.process(pdu, "upstream", ctx)
     assert forwarded[0].task_tag == 1007
 
 
@@ -108,8 +89,7 @@ def test_service_dropping_pdu_forwards_nothing():
         def transform_upstream(self, pdu):
             return None  # swallow
 
-    sim = Simulator()
     ctx, forwarded, _ = make_ctx()
-    run_process(sim, BlackHole().process(ScsiCommandPdu("read", 0, 4096, 1), "upstream", ctx))
+    BlackHole().process(ScsiCommandPdu("read", 0, 4096, 1), "upstream", ctx)
     assert forwarded == []
     assert not ctx.consumed
