@@ -812,7 +812,7 @@ class StorM:
                 self.attributor.forget(
                     flow.host.storage_iface.ip, flow.src_port
                 )
-            # an abandoned pair's journal must not replay into the next session
+            # the relay journal is this flow's: none of it may replay into the next session
             for mb in flow.middleboxes:
                 if isinstance(mb.relay, ActiveRelay):
                     mb.relay.clear_journal()

@@ -135,9 +135,6 @@ class RelayPair:
     #: :attr:`ActiveRelay.pairs` when this reaches zero
     pumps: int = 0
     closed: bool = False  # the VM side ended the flow; no recovery
-    #: the relay itself reset the VM side (downstream unrecoverable) —
-    #: the journal is kept, unlike a genuine VM-initiated close
-    abandoned: bool = False
     login_pdu: object = None  # remembered for session re-establishment
 
 
@@ -222,10 +219,12 @@ class ActiveRelay:
     still maps the same 4-tuple — and *replays* every journaled upstream
     PDU the next hop never acknowledged, in arrival order.  Duplicate writes
     are idempotent (same offset/payload) and duplicate responses are
-    dropped by the initiator's task-tag table.  Every pair (the first
-    login, a re-login after a crash) belongs to the box's one
-    attachment; the VM's close or the platform's detach empties the
-    journal (:meth:`clear_journal`).
+    dropped by the initiator's task-tag table.  That replay is the
+    journal's only reader.  Every end of a pair's VM side — the VM's
+    close, a box crash's local reset, or the relay giving up on the
+    storage leg — empties the journal (:meth:`clear_journal`), as does
+    the platform's detach: the initiator's re-login re-issues whatever
+    it never saw answered, so nothing stale is ever replayed.
     """
 
     def __init__(
@@ -251,7 +250,7 @@ class ActiveRelay:
         self.obs = None
         #: :class:`repro.integrity.IntegrityLayer` — when set, every
         #: forwarded PDU gets this hop's traversal mark stamped at
-        #: egress (crash replays re-send already-stamped journal
+        #: egress (recovery replays re-send already-stamped journal
         #: entries and are *not* re-marked).  None = off.
         self.integrity = None
         #: adversarial egress hook (repro.faults RelayAdversary),
@@ -385,12 +384,9 @@ class ActiveRelay:
             return  # the recovery holds this pump's count
         other = self._dst_socket(pair, direction)
         if direction == "upstream":
-            pair.closed = True  # the VM ended the flow
-            if not pair.abandoned:
-                self.clear_journal()
+            pair.closed = True  # the VM side ended the flow
+            self.clear_journal()
         if sentinel is RESET and other.state == "established":
-            if direction == "downstream":
-                pair.abandoned = True
             other.reset()
         if sentinel is EOF:
             other.close()
@@ -415,14 +411,13 @@ class ActiveRelay:
                 )
 
     def clear_journal(self) -> None:
-        """The box's one flow ended (the VM closed it, or the platform
+        """The box's one flow ended (its VM side ended, or the platform
         detached it): nobody is waiting for these entries.  Idempotent."""
         self.nvm.clear()
         self._command_entries.clear()
 
     def _relay_whole(self, pdu, pair: RelayPair, direction, service) -> None:
-        is_login = direction == "upstream" and isinstance(pdu, LoginRequestPdu)
-        if is_login:
+        if direction == "upstream" and isinstance(pdu, LoginRequestPdu):
             pair.login_pdu = pdu  # needed again if the downstream leg fails
         if direction == "downstream" and isinstance(pdu, ScsiResponsePdu):
             self._retire_command(pdu)
@@ -459,10 +454,6 @@ class ActiveRelay:
             self.nvm.pop(entry.entry_id, None)
         else:
             self._track_command(entry)
-        if is_login and len(self.nvm) > 1:
-            # a login on a flow with older journal entries means the
-            # middle-box restarted: replay what the crash interrupted
-            self._replay_stale(pair, entry.entry_id)
 
     def _relay_chunk(self, segment, pair: RelayPair, direction, service, streams) -> None:
         buffered = service is not None and service.requires_full_pdu
@@ -550,8 +541,8 @@ class ActiveRelay:
                 finish_streamed(pdu)
         else:
             finish_streamed(pdu)
-        # journal what actually went on the wire, so a replay after a
-        # crash re-sends the transformed PDU
+        # journal what actually went on the wire, so a recovery replay
+        # re-sends the transformed PDU
         entry.pdu = handle.message
         self._track_command(entry)
 
@@ -639,35 +630,6 @@ class ActiveRelay:
                 journal=len(self.nvm),
             )
 
-    def _replay_stale(self, pair: RelayPair, login_entry_id: int) -> None:
-        """Middle-box crash recovery: the journal is NVM, so entries
-        written before a crash survive the restart.  When the VM-side
-        session logs back in on the same 4-tuple, replay the un-ACKed
-        upstream PDUs on the fresh pair (in arrival order,
-        right behind the just-forwarded login) and drop its stale
-        downstream/login entries — the re-executed commands regenerate
-        the responses, and duplicates are absorbed by idempotent
-        writes plus the initiator's task-tag table."""
-        replayed = 0
-        for entry in list(self.nvm.values()):
-            if entry.entry_id >= login_entry_id:
-                continue
-            if (
-                entry.direction != "upstream"
-                or entry.pdu is None
-                or isinstance(entry.pdu, LoginRequestPdu)
-            ):
-                self.nvm.pop(entry.entry_id, None)
-                continue
-            self.pdus_replayed += 1
-            replayed += 1
-            self._send_tracked_safe(pair.client, entry.pdu, entry)
-        if replayed:
-            self._log("relay.replay-stale", replayed=replayed)
-            if self.obs is not None:
-                self.obs.event("nvm.replay", target=self.middlebox.name,
-                               count=replayed, reason="restart")
-
     # -- downstream failure recovery --------------------------------------
 
     def _recover(self, pair: RelayPair):
@@ -717,10 +679,10 @@ class ActiveRelay:
                                count=replayed, reason="reconnect")
             self._pump_returned(pair)  # a fresh downstream pump took over
             return
-        # recovery exhausted: tear the flow down toward the VM
+        # recovery exhausted: tear the flow down toward the VM, whose
+        # pump then empties the journal
         self._log("relay.gave-up", reconnects=pair.reconnects)
         if pair.server.state == "established":
-            pair.abandoned = True
             pair.server.reset()
         self._pump_returned(pair)
 

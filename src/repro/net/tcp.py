@@ -163,7 +163,7 @@ class TcpSocket:
         self._dup_acks = 0
         self.retransmits = 0
         # graceful-close state: close() with queued/unACKed data queues
-        # the FIN behind them so nothing is silently abandoned.
+        # the FIN behind them so nothing is silently dropped.
         self._closing = False
 
     # -- identity ------------------------------------------------------

@@ -85,7 +85,7 @@ KNOWN_NAME_PREFIXES: dict = {
         "pool.",
         "reconcile.",
         "recover.",
-        "relay.",  # relay.recovered / .gave-up / .replay-stale ...
+        "relay.",  # relay.recovered / .gave-up / .reconnect-attempt ...
         "replica.",  # replica.eject / .resync / .rejoin
         "saga.",
         "switch.",

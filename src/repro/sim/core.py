@@ -180,8 +180,8 @@ class Process(Event):
     having the event's exception thrown in, if it failed).
 
     Waits are cancelled lazily: :meth:`interrupt` clears
-    ``_waiting_on`` and bumps ``_epoch``; a later trigger from an
-    abandoned event (identity mismatch) or a stale deferred resume
+    ``_waiting_on`` and bumps ``_epoch``; a later trigger from a
+    cancelled wait's event (identity mismatch) or a stale deferred resume
     (epoch mismatch) is simply ignored.
     """
 
@@ -210,7 +210,7 @@ class Process(Event):
 
     def _resume(self, trigger: Event) -> None:
         if trigger is not self._waiting_on:
-            return  # lazily-cancelled wait: this trigger was abandoned
+            return  # lazily-cancelled wait: this trigger is stale
         self._waiting_on = None
         if trigger.ok:
             value = trigger._value

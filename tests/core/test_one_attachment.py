@@ -142,23 +142,32 @@ def test_object_session_through_a_block_flows_box_is_refused(env):
 
 def abandon_in_flight_write(env, flow, mb, payload):
     """A write in flight when the relay's storage leg dies with no
-    reconnect left: the relay abandons the pair and keeps the write
-    journaled for a recovery that never comes."""
+    reconnect left: the relay gives up and resets the VM side, which
+    ends the pair and empties the journal (the initiator re-issues the
+    write on a fresh pair).  Returns the journal and the command map as
+    they stood while the write was in flight."""
     mb.relay.max_reconnects = 0
     flow.session.write(0, BLOCK_SIZE, payload)
     env.sim.run(until=env.sim.now + 0.0005)
+    in_flight = dict(mb.relay.nvm), dict(mb.relay._command_entries)
+    assert in_flight[0] and in_flight[1]
     pair = mb.relay.pairs[0]
     pair.client.reset()
     env.sim.run(until=env.sim.now + 0.001)
-    assert pair.abandoned
+    assert pair.closed
     assert pair not in mb.relay.pairs  # closed, both pumps returned
-    assert mb.relay.nvm and mb.relay._command_entries
+    assert mb.relay.nvm == {}
+    assert mb.relay._command_entries == {}
+    return in_flight
 
 
-def test_detach_empties_the_journal_of_an_abandoned_pair(env):
+def test_detach_empties_the_journal_of_a_live_pair(env):
     flow, (mb,) = env.attach([env.spec(relay="active")])
-    abandon_in_flight_write(env, flow, mb, bytes([0x0D]) * BLOCK_SIZE)
+    flow.session.write(0, BLOCK_SIZE, bytes([0x0D]) * BLOCK_SIZE)
+    env.sim.run(until=env.sim.now + 0.0005)
+    assert mb.relay.nvm and mb.relay._command_entries
     env.storm.detach(flow)
+    # evict-state ran before the VM's close reached the relay
     assert mb.relay.nvm == {}
     assert mb.relay._command_entries == {}
     assert_at_rest(env.storm)
@@ -166,8 +175,7 @@ def test_detach_empties_the_journal_of_an_abandoned_pair(env):
 
 def test_at_rest_flags_a_journal_that_outlived_its_flow(env):
     flow, (mb,) = env.attach([env.spec(relay="active")])
-    abandon_in_flight_write(env, flow, mb, bytes([0x0E]) * BLOCK_SIZE)
-    kept = dict(mb.relay.nvm), dict(mb.relay._command_entries)
+    kept = abandon_in_flight_write(env, flow, mb, bytes([0x0E]) * BLOCK_SIZE)
     env.storm.detach(flow)
     mb.relay.nvm.update(kept[0])
     mb.relay._command_entries.update(kept[1])
@@ -178,7 +186,7 @@ def test_at_rest_flags_a_journal_that_outlived_its_flow(env):
 
 def test_reattach_through_the_same_box_replays_nothing_stale(env):
     """Detach and re-attach of one VM volume through one active box: the
-    first session's abandoned write must not replay over the second
+    first session's given-up write must not replay over the second
     session's newer write when the second session's storage leg fails."""
     flow, (mb,) = env.attach([env.spec(relay="active")])
     abandon_in_flight_write(env, flow, mb, bytes([0x01]) * BLOCK_SIZE)

@@ -1,6 +1,7 @@
 """ActiveRelay recovery driven by the fault injector: storage-host
 crashes (downstream `_recover` + NVM replay) and middle-box
-crash/restart (session re-login through the relay + stale-NVM replay)."""
+crash/restart (the crash empties the journal; the VM session re-logs
+in through the relay and re-issues its un-responded commands)."""
 
 import pytest
 
@@ -123,15 +124,25 @@ def test_middlebox_crash_mid_burst_loses_no_acked_write(env):
     flow, mb = _attach_active(env)
     session = flow.session
 
+    journal = {}
+
     def scenario():
         events = _write_burst(env, session, 10)
         yield env.sim.timeout(0.001)
+        journal["before"] = len(mb.relay.nvm)
         env.injector.crash(mb, restart_after=0.2)
+        yield env.sim.timeout(0.00001)
+        # the crash's local reset ends the VM side: nothing stale is kept
+        journal["after"] = len(mb.relay.nvm)
         for event in events:
             yield event
 
     env.run(scenario())
+    assert journal["before"] > 0 and journal["after"] == 0
     assert session.relogins >= 1
+    # the initiator owns the retry: it re-issued what the crash cut off
+    assert mb.relay.pdus_replayed == 0
+    assert session.commands_reissued > 0
     _verify_blocks(env, 10)
 
 
