@@ -637,11 +637,14 @@ class ActiveRelay:
 
         The gateways' conntrack entries key on the 4-tuple, which the
         fresh connection reuses, so no control-plane action is needed.
+        Once the VM side ends the pair during a wait, it stops there.
         """
         while pair.reconnects < self.max_reconnects:
             pair.reconnects += 1
             self.reconnects += 1
             yield self.sim.timeout(self.reconnect_delay)
+            if pair.closed:
+                break
             self._log("relay.reconnect-attempt", attempt=pair.reconnects)
             client = self._new_client_socket(pair.server)
             try:
@@ -651,6 +654,9 @@ class ActiveRelay:
                 )
             except ConnectionReset:
                 continue
+            if pair.closed:
+                client.reset()
+                break
             if established not in result or client.state != "established":
                 client.reset()
                 continue
@@ -679,11 +685,12 @@ class ActiveRelay:
                                count=replayed, reason="reconnect")
             self._pump_returned(pair)  # a fresh downstream pump took over
             return
-        # recovery exhausted: tear the flow down toward the VM, whose
-        # pump then empties the journal
-        self._log("relay.gave-up", reconnects=pair.reconnects)
-        if pair.server.state == "established":
-            pair.server.reset()
+        if not pair.closed:
+            # recovery exhausted: tear the flow down toward the VM, whose
+            # pump then empties the journal
+            self._log("relay.gave-up", reconnects=pair.reconnects)
+            if pair.server.state == "established":
+                pair.server.reset()
         self._pump_returned(pair)
 
     def shutdown(self) -> None:

@@ -46,6 +46,7 @@ O(active operations).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -53,7 +54,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from repro.net.link import Interface
 from repro.net.packet import Packet
 from repro.net.stack import Node
-from repro.sim import Resource, Simulator
+from repro.sim import Event, Simulator
 
 #: Saga lifecycle states.
 IN_FLIGHT = "in-flight"
@@ -269,8 +270,9 @@ class SagaEngine:
         self.sim = sim
         self.log = IntentLog()
         #: serializes the ``locked`` step prefixes (the attach's
-        #: wildcard-rule window) platform-wide
-        self.mutex = Resource(sim, capacity=1)
+        #: wildcard-rule window) platform-wide: the holder's grant at
+        #: the head, then the waiting grants in FIFO order
+        self.mutex: deque[Event] = deque()
         #: may the executor of this saga still act?  Checked at every
         #: step boundary; ``False`` raises :class:`ControllerCrashed`.
         #: ``StorM`` points it at ``not node.crashed`` or at
@@ -331,14 +333,15 @@ class SagaEngine:
         outcome = "aborted"
         grant = None
         if may_yield and any(step.locked for step in steps):
-            grant = self.mutex.request()
-            yield grant
+            grant = self._acquire()
         try:
+            if grant is not None:
+                yield grant
             for step in steps:
                 if resume and saga.done(step.name):
                     continue
                 if grant is not None and not step.locked:
-                    self.mutex.release(grant)
+                    self._release(grant)
                     grant = None
                 self._boundary(saga, step, "before")
                 saga.mark(f"start:{step.name}")
@@ -368,7 +371,26 @@ class SagaEngine:
             if span is not None:
                 span.finish(outcome)
             if grant is not None:
-                self.mutex.release(grant)
+                self._release(grant)
+
+    def _acquire(self) -> Event:
+        """Queue a grant of the attach mutex; it succeeds at the head."""
+        grant = Event(self.sim)
+        self.mutex.append(grant)
+        if len(self.mutex) == 1:
+            grant.succeed()
+        return grant
+
+    def _release(self, grant: Event) -> None:
+        """Pass the mutex on, or drop a grant that never reached the
+        head (its run generator was closed while it waited)."""
+        mutex = self.mutex
+        if mutex[0] is grant:
+            mutex.popleft()
+            if mutex:
+                mutex[0].succeed()
+        else:
+            mutex.remove(grant)
 
     def run_now(self, saga: Saga, resume: bool = False) -> Any:
         """Run (or resume) a saga that must not wait — detach,

@@ -252,8 +252,3 @@ class SemanticsEngine:
                 record.ino = ino
                 for hook in self.reconcile_hooks:
                     hook(record)
-
-    # -- convenience for tests/benchmarks -----------------------------------------
-
-    def log_rows(self) -> list[tuple]:
-        return [record.as_row() for record in self.records]

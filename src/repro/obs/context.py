@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from repro.obs.bus import ObsBus, Span
+    from repro.obs.bus import ObsBus
 
 
 class TraceContext:
@@ -34,10 +34,6 @@ class TraceContext:
         self.bus = bus
         self.trace_id = trace_id
         self.span_id = span_id
-
-    def child(self, name: str, **attrs: Any) -> "Span":
-        """Open a child span under this context's span."""
-        return self.bus.span(name, parent=self, **attrs)
 
     def event(self, kind: str, target: str = "", **attrs: Any) -> None:
         """Emit a point event attached to this context."""

@@ -8,17 +8,16 @@ true timeouts pay ``heapq`` cost.  One global sequence counter spans
 both queues, so the execution order is the exact FIFO order a pure
 heap would produce and runs stay reproducible.
 
-A heap entry is a plain tuple ``(when, seq, fn, args)``: a scheduled
-call (:meth:`Simulator.call_at`) fires as ``fn(*args)``, and a timeout
-is ``(when, seq, None, event)`` and fires the event's callbacks.  A call
-is therefore no object at all, and the ``seq`` is unique, so heap
-comparisons never reach the third field.
+Both queues hold one entry shape.  A heap entry is a plain tuple
+``(when, seq, fn, args)`` and a deferred entry the same without the
+``when``: a call (:meth:`Simulator.call_at`, a process bootstrap or a
+resume off an already-processed event) fires as ``fn(*args)``, and an
+event entry has ``fn`` None and the event in place of ``args`` and
+fires the event's callbacks.  A call is therefore no object at all, and
+the ``seq`` is unique, so heap comparisons never reach ``fn``.
 
-Process bookkeeping is allocation-light: bootstraps, resumes off
-already-processed events, and interrupts are entries on the deferred
-queue rather than throwaway ``Event`` objects, and an interrupted wait
-is *lazily* cancelled (the stale trigger is ignored on arrival)
-instead of paying ``list.remove`` on the event's callback list.
+A process waits on one event at a time and nothing cancels a wait, so
+every trigger it receives is the one it is waiting for.
 """
 
 from __future__ import annotations
@@ -31,25 +30,9 @@ from typing import Any, Callable, Generator, Iterable
 
 _UNSET = object()
 
-# Deferred-queue entry kinds (index 1 of each entry tuple).
-_DEFERRED_EVENT = 0      # (seq, kind, event)
-_DEFERRED_RESUME = 1     # (seq, kind, process, value, ok, epoch)
-_DEFERRED_INTERRUPT = 2  # (seq, kind, process, cause)
-
-#: Epoch marker for resumes that must never be invalidated (bootstrap).
-_ANY_EPOCH = -1
-
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -117,59 +100,38 @@ class Timeout(Event):
         sim._schedule(self, delay)
 
 
-class _ConditionBase(Event):
-    """Shared machinery for AllOf/AnyOf."""
+class AnyOf(Event):
+    """Fires once any constituent event has fired (at once when there
+    are none), with the values of those that fired by then; fails with
+    the first failure it sees."""
 
-    __slots__ = ("events", "_fired")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self.events = list(events)
-        self._fired = 0
+        fired = not self.events
         for event in self.events:
-            if event.processed:
+            if event._processed:
                 if not event.ok:
-                    self.fail(event.value)
+                    self.fail(event._value)
                     return
-                self._fired += 1
+                fired = True
             else:
                 event.callbacks.append(self._observe)
-        self._check_done()
+        if fired:
+            self.succeed(self._results())
 
     def _observe(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _UNSET:
             return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._fired += 1
-        self._check_done()
+        if event.ok:
+            self.succeed(self._results())
+        else:
+            self.fail(event._value)
 
     def _results(self) -> dict[Event, Any]:
-        return {e: e.value for e in self.events if e.processed and e.ok}
-
-    def _check_done(self) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_ConditionBase):
-    """Fires once every constituent event has fired."""
-
-    __slots__ = ()
-
-    def _check_done(self) -> None:
-        if self._fired == len(self.events):
-            self.succeed(self._results())
-
-
-class AnyOf(_ConditionBase):
-    """Fires once any constituent event has fired."""
-
-    __slots__ = ()
-
-    def _check_done(self) -> None:
-        if self._fired >= 1 or not self.events:
-            self.succeed(self._results())
+        return {e: e._value for e in self.events if e._processed and e.ok}
 
 
 class Process(Event):
@@ -178,14 +140,9 @@ class Process(Event):
     The generator yields :class:`Event` objects; the process resumes
     when the yielded event triggers, receiving the event's value (or
     having the event's exception thrown in, if it failed).
-
-    Waits are cancelled lazily: :meth:`interrupt` clears
-    ``_waiting_on`` and bumps ``_epoch``; a later trigger from a
-    cancelled wait's event (identity mismatch) or a stale deferred resume
-    (epoch mismatch) is simply ignored.
     """
 
-    __slots__ = ("_generator", "name", "_waiting_on", "_epoch")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self, sim: "Simulator", generator: Generator[Event, Any, Any], name: str | None = None
@@ -193,59 +150,20 @@ class Process(Event):
         super().__init__(sim)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Event | None = None
-        self._epoch = 0
         # Kick off on the next tick of the loop at the current time.
-        sim._defer_resume(self, None, True, _ANY_EPOCH)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._value is not _UNSET:
-            return
-        # Abandon whatever we were waiting on; the stale trigger (event
-        # callback or deferred resume) is discarded when it arrives.
-        self._waiting_on = None
-        self._epoch += 1
-        self.sim._defer_interrupt(self, cause)
+        sim._defer_resume(self, None, True)
 
     def _resume(self, trigger: Event) -> None:
-        if trigger is not self._waiting_on:
-            return  # lazily-cancelled wait: this trigger is stale
-        self._waiting_on = None
-        if trigger.ok:
-            value = trigger._value
-            self._step(None if value is _UNSET else value, True, None)
-        else:
-            self._step(trigger._value, False, None)
+        self._step(trigger._value, trigger.ok)
 
-    def _deferred_resume(self, value: Any, ok: bool, epoch: int) -> None:
-        if epoch != _ANY_EPOCH and epoch != self._epoch:
-            return  # interrupted after this resume was queued
-        if self._value is not _UNSET:
-            return
-        self._waiting_on = None
-        self._step(value, ok, None)
-
-    def _deliver_interrupt(self, cause: Any) -> None:
-        if self._value is not _UNSET:
-            return
-        self._waiting_on = None
-        self._epoch += 1  # invalidate any resume queued before the throw
-        self._step(None, True, Interrupt(cause))
-
-    def _step(self, value: Any, ok: bool, interrupt: Interrupt | None) -> None:
+    def _step(self, value: Any, ok: bool) -> None:
         try:
-            if interrupt is not None:
-                target = self._generator.throw(interrupt)
-            elif ok:
+            if ok:
                 target = self._generator.send(value)
             else:
                 target = self._generator.throw(value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt as exc:
-            self.fail(exc)
             return
         except Exception as exc:
             if self.callbacks:
@@ -259,9 +177,8 @@ class Process(Event):
         if target._processed:
             # Already-processed event: resume at the current time via the
             # deferred queue — no throwaway Event allocation.
-            self.sim._defer_resume(self, target._value, target.ok, self._epoch)
+            self.sim._defer_resume(self, target._value, target.ok)
             return
-        self._waiting_on = target
         target.callbacks.append(self._resume)
 
 
@@ -281,9 +198,9 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         #: ``(when, seq, fn, args)`` calls and ``(when, seq, None, event)``
-        #: timed events
+        #: timed events; :attr:`_deferred` holds the same without ``when``
         self._heap: list[tuple[float, int, Any, Any]] = []
-        self._deferred: deque[tuple[Any, ...]] = deque()
+        self._deferred: deque[tuple[int, Any, Any]] = deque()
         self._sequence = 0
         #: flow-level fast path (:class:`repro.net.express.ExpressManager`)
         #: — installed by the cloud controller when express mode is on;
@@ -305,19 +222,15 @@ class Simulator:
         seq = self._sequence
         self._sequence = seq + 1
         if delay == 0.0:
-            self._deferred.append((seq, _DEFERRED_EVENT, event))
+            self._deferred.append((seq, None, event))
         else:
             heapq.heappush(self._heap, (self.now + delay, seq, None, event))
 
-    def _defer_resume(self, process: Process, value: Any, ok: bool, epoch: int) -> None:
+    def _defer_resume(self, process: Process, value: Any, ok: bool) -> None:
         seq = self._sequence
         self._sequence = seq + 1
-        self._deferred.append((seq, _DEFERRED_RESUME, process, value, ok, epoch))
-
-    def _defer_interrupt(self, process: Process, cause: Any) -> None:
-        seq = self._sequence
-        self._sequence = seq + 1
-        self._deferred.append((seq, _DEFERRED_INTERRUPT, process, cause))
+        # the unbound function: queueing a resume allocates no bound method
+        self._deferred.append((seq, Process._step, (process, value, ok)))
 
     def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at the absolute time ``when``: the one
@@ -381,9 +294,6 @@ class Simulator:
     ) -> Process:
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
@@ -398,23 +308,12 @@ class Simulator:
         # Deferred entries always sit at the current time; a heap entry
         # only goes first if it fires now with an older seq.
         if deferred and not (heap and heap[0][0] <= self.now and heap[0][1] < deferred[0][0]):
-            entry = deferred.popleft()
-            kind = entry[1]
-            if kind == _DEFERRED_EVENT:
-                event = entry[2]
-                event._processed = True
-                callbacks, event.callbacks = event.callbacks, []
-                for callback in callbacks:
-                    callback(event)
-            elif kind == _DEFERRED_RESUME:
-                entry[2]._deferred_resume(entry[3], entry[4], entry[5])
-            else:
-                entry[2]._deliver_interrupt(entry[3])
-            return
-        when, _seq, fn, arg = heapq.heappop(heap)
-        if when < self.now:
-            raise SimulationError("time went backwards")
-        self.now = when
+            _seq, fn, arg = deferred.popleft()
+        else:
+            when, _seq, fn, arg = heapq.heappop(heap)
+            if when < self.now:
+                raise SimulationError("time went backwards")
+            self.now = when
         if fn is not None:
             fn(*arg)
             return
@@ -443,25 +342,13 @@ class Simulator:
         heappop = heapq.heappop
         now = self.now
         while not stop._processed:
-            if deferred:
-                if not (heap and heap[0][0] <= now and heap[0][1] < deferred[0][0]):
-                    entry = popleft()
-                    kind = entry[1]
-                    if kind == _DEFERRED_EVENT:
-                        event = entry[2]
-                        event._processed = True
-                        callbacks, event.callbacks = event.callbacks, []
-                        for callback in callbacks:
-                            callback(event)
-                    elif kind == _DEFERRED_RESUME:
-                        entry[2]._deferred_resume(entry[3], entry[4], entry[5])
-                    else:
-                        entry[2]._deliver_interrupt(entry[3])
-                    continue
-            elif not heap or heap[0][0] > horizon:
+            if deferred and not (heap and heap[0][0] <= now and heap[0][1] < deferred[0][0]):
+                _seq, fn, arg = popleft()
+            elif deferred or (heap and heap[0][0] <= horizon):
+                when, _seq, fn, arg = heappop(heap)
+                self.now = now = when
+            else:
                 break
-            when, _seq, fn, arg = heappop(heap)
-            self.now = now = when
             if fn is not None:
                 fn(*arg)
                 continue

@@ -50,11 +50,6 @@ class FioResult:
     def iops(self) -> float:
         return self.completed / self.elapsed if self.elapsed > 0 else 0.0
 
-    @property
-    def bandwidth(self) -> float:
-        """Not meaningful on mixed sizes; callers know their io_size."""
-        return self.iops
-
 
 def issue_io(device, op: str, offset: int, length: int, data: Optional[bytes] = None):
     """Run one I/O against either an event-style device (IscsiSession)

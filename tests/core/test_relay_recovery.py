@@ -156,6 +156,37 @@ def test_vm_initiated_close_does_not_trigger_recovery(env):
     assert pair not in mb.relay.pairs  # closed, both pumps returned
 
 
+def test_recovery_stops_when_the_vm_side_ends_during_it(env):
+    """The VM side ends the pair inside the reconnect delay: the
+    recovery must not log a fresh pseudo-client in or replay onto it,
+    and the pair must leave the relay's pairs."""
+    flow, mb = attach_active(env)
+    relay = mb.relay
+    clients = []
+    new_client = relay._new_client_socket
+
+    def recording(server):
+        client = new_client(server)
+        clients.append((server, client))
+        return client
+
+    relay._new_client_socket = recording
+
+    def scenario():
+        yield flow.session.write(0, BLOCK_SIZE, bytes([0x5C]) * BLOCK_SIZE)
+        pair = kill_downstream(env, mb)
+        replayed = relay.pdus_replayed
+        yield env.sim.timeout(0.01)  # inside the 50 ms reconnect delay
+        flow.session.reset()
+        yield env.sim.timeout(1.0)
+        return pair, replayed
+
+    pair, replayed = env.run(scenario())
+    assert pair.closed and pair not in relay.pairs
+    assert not [c for s, c in clients if s is pair.server and c.state == "established"]
+    assert relay.pdus_replayed == replayed
+
+
 def test_recovery_gives_up_after_max_attempts(env):
     flow, mb = attach_active(env, max_reconnects=2, reconnect_delay=0.01)
     # make the egress unreachable: remove the relay's path to it by
@@ -165,22 +196,24 @@ def test_recovery_gives_up_after_max_attempts(env):
     relay = mb.relay
     first = relay.pairs[0]
 
+    killing = [True]
+
     def killer():
         seen = set()
-        while True:
+        while killing[0]:
             for pair in relay.pairs:
                 if pair.client.state == "established" and id(pair.client) not in seen:
                     seen.add(id(pair.client))
                     pair.client.reset()
             yield env.sim.timeout(0.005)
 
-    killer_proc = env.sim.process(killer())
+    env.sim.process(killer())
 
     def scenario():
         yield env.sim.timeout(0.5)
+        killing[0] = False
 
     env.run(scenario())
-    killer_proc.interrupt()
     assert first.reconnects == 2
     # the relay reset the pair toward the VM after exhausting retries
     # (the VM session then re-logs-in on a fresh pair), ending it

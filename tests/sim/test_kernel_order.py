@@ -2,8 +2,9 @@
 
 Random programs of timeouts (zero-delay included), ``call_at`` calls,
 ``wake_at`` wakes (at ``now`` included), ``succeed``/``fail``,
-processes that sleep or yield an already-processed event, interrupts
-and disarmed calls run four ways: ``run()``,
+processes that sleep or yield an already-processed event, an ``AnyOf``
+over a timeout and a sibling event succeeded at once (the wait of a
+connect with a deadline) and disarmed calls run four ways: ``run()``,
 ``run(until=Event)``, ``run(until=t)`` twice, and repeated ``step()``.
 All four must log the same firings at the same instants, end at the
 same ``now``, and match :func:`reference`: every occurrence the kernel
@@ -19,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 
-KINDS = ("timeout", "call", "wake", "succeed", "fail", "processed", "sleep", "interrupt", "disarm")
+KINDS = ("timeout", "call", "wake", "succeed", "fail", "processed", "sleep", "anyof", "disarm")
 #: few distinct, exactly representable delays, so that ties are common
 DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
 
@@ -83,9 +84,16 @@ def reference(nodes, stop):
             push(now, lambda t: push(t, fire_and_exit))
         elif kind == "sleep":  # bootstrap, then the timeout
             push(now, lambda t: push(t + d, fire_and_exit))
-        elif kind == "interrupt":  # bootstrap arms a timeout that fires stale
-            push(now, lambda t: push(t + d, noop))
-            push(now, fire_and_exit)
+        elif kind == "anyof":  # the timeout, then the sibling; the first wins
+            won = []
+
+            def observe(t):
+                if not won:
+                    won.append(t)
+                    push(t, lambda t: fire(n, t))  # the AnyOf's succeed
+
+            push(now + d, observe)
+            push(now, observe)
         else:  # disarm: the slot stays, the call is gone
             push(now + d, noop)
 
@@ -121,12 +129,6 @@ def run_kernel(nodes, stop, drive, t_mid, t_end):
         yield sim.timeout(d)
         fire(n)
 
-    def victim(n, d):
-        try:
-            yield sim.timeout(d)
-        except Interrupt:
-            fire(n)
-
     def start(n):
         _parent, kind, d = nodes[n]
         if kind == "timeout":
@@ -143,8 +145,10 @@ def run_kernel(nodes, stop, drive, t_mid, t_end):
             sim.process(wait_then_fire(n, done))
         elif kind == "sleep":
             sim.process(sleep_then_fire(n, d))
-        elif kind == "interrupt":
-            sim.process(victim(n, d)).interrupt()
+        elif kind == "anyof":
+            sibling = sim.event()
+            sim.any_of([sim.timeout(d), sibling]).callbacks.append(lambda _e: fire(n))
+            sibling.succeed()
         else:
             sim.call_at(sim.now + d, fire, n)
             assert sim.disarm_calls(fire, lambda args: args == (n,)) == [(n,)]

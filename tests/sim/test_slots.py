@@ -3,7 +3,7 @@
 ``CpuMeter.consume`` and ``Disk.submit`` commit a :class:`Slots` claim
 when the request is made and wait for one ``wake_at``.  The property
 below runs each against the ``Resource``-based code it replaced (kept
-here as the reference) on drawn request instants, costs and offsets:
+here, over ``tests/sim/reference_resource.py``, as the reference) on drawn request instants, costs and offsets:
 completion instants, accounting and resume order must be identical to
 the last bit.  The budget tests pin the one occurrence per claim.
 """
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro.blockdev.disk import BLOCK_SIZE, Disk
 from repro.cloud import CpuMeter
-from repro.sim import Resource, SimulationError, Simulator, Slots
+from repro.sim import SimulationError, Simulator, Slots
+from tests.sim.reference_resource import Resource
 
 
 class ResourceCpu(CpuMeter):
