@@ -217,34 +217,28 @@ class CloudController:
         return iface
 
     def unplug_instance_iface(self, node: Node, host: ComputeHost) -> None:
-        """Reverse of :meth:`plug_instance_iface`: detach the service
-        node's NIC from the host OVS and retire its addresses.  Works
-        on crashed nodes too (their ``iface.link`` is already None)."""
+        """Reverse of :meth:`plug_instance_iface`, run when the service
+        node is deleted: remove its port from the host OVS, sever the NIC
+        cabled to it on both ends (:meth:`Interface.sever`) and retire its
+        addresses.  Works on crashed nodes too (a crash keeps the far end)."""
         port = host.ovs.remove_port(f"svc-{node.name}")
         for iface in node.interfaces:
-            link = iface.link
-            if link is not None and port is not None and (
-                link.a is port or link.b is port
-            ):
-                iface.link = None
+            if port is not None and iface._peer is port:
+                iface.sever()
             if iface.ip is not None:
                 self.instance_arp.unregister(iface.ip)
-        if port is not None:
-            port.link = None
 
     def unplug_storage_iface(self, node: Node) -> None:
-        """Reverse of :meth:`plug_storage_iface`: detach the service
-        node's storage-network NICs from the storage switch and retire
-        their addresses.  Idempotent — a NIC with no matching switch
-        port is skipped."""
+        """Reverse of :meth:`plug_storage_iface`, run when the service
+        node is deleted: remove its storage-switch ports, sever the NICs
+        cabled to them on both ends and retire their addresses.
+        Idempotent — a NIC with no matching switch port is skipped."""
         for iface in node.interfaces:
             port = self.storage_switch.remove_port(f"to-{node.name}-{iface.name}")
             if port is None:
                 continue
-            link = iface.link
-            if link is not None and (link.a is port or link.b is port):
-                iface.link = None
-            port.link = None
+            if iface._peer is port:
+                iface.sever()
             if iface.ip is not None:
                 self.storage_arp.unregister(iface.ip)
 

@@ -185,15 +185,16 @@ class ReplicaLog:
     def resolved_count(self) -> int:
         return sum(1 for r in self.records.values() if not r.saga.incomplete)
 
-    def compact(self) -> int:
-        """Snapshot resolved sagas out of the log; O(active) remains."""
-        resolved = [
-            saga_id for saga_id, r in self.records.items() if not r.saga.incomplete
-        ]
-        for saga_id in resolved:
-            del self.records[saga_id]
-        self.compacted += len(resolved)
-        return len(resolved)
+    def compact(self, settled: list[Saga]) -> None:
+        """Snapshot the settled sagas' records out of the log (the ones
+        present: a snapshot or a failed ship may have dropped some
+        already); O(active) remains."""
+        records = self.records
+        for saga in settled:
+            record = records.get(saga.saga_id)
+            if record is not None and record.saga is saga:
+                del records[saga.saga_id]
+                self.compacted += 1
 
     def install_snapshot(self, source: "ReplicaLog") -> int:
         """Catch up from ``source`` in O(active sagas): replace our
@@ -660,13 +661,13 @@ class HaCluster:
             if self._reachable(peer, iface) and peer_log.last_index < leader_log.last_index:
                 self._catch_up(leader, peer)
 
-    def compact(self) -> None:
-        """Drop resolved sagas from every replica log.  Called by
-        :meth:`~repro.core.saga.IntentLog.compact`, so the replicas
-        compact exactly when the logical log does.  Local-only state
-        surgery — always safe, any time."""
+    def compact(self, settled: list[Saga]) -> None:
+        """Drop the sagas settled since the last compaction from every
+        replica log.  Called by :meth:`~repro.core.saga.IntentLog.compact`,
+        so the replicas compact exactly when the logical log does.
+        Local-only state surgery — always safe, any time."""
         for log in self.logs.values():
-            log.compact()
+            log.compact(settled)
 
     # -- takeover -----------------------------------------------------------
 

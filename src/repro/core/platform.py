@@ -417,6 +417,8 @@ class StorM:
             mb.relay.shutdown()
         mb.relay = None
         mb.stack.forward_hook = None
+        if mb.service is not None:
+            mb.service.middlebox = None  # the back-reference of a cycle
         host = self.cloud.compute_hosts.get(mb.host_name)
         if host is not None:
             self.cloud.unplug_instance_iface(mb, host)

@@ -193,7 +193,15 @@ class IntentLog:
     """
 
     def __init__(self) -> None:
+        #: every saga begun since the last compaction, in begin order
         self.sagas: list[Saga] = []
+        #: the in-flight ones, by id, in begin order
+        self._in_flight: dict[int, Saga] = {}
+        #: every saga :meth:`SagaEngine.settle` settled since the last
+        #: compaction (a straggler of a replaced log included), and how
+        #: many of this log's committed
+        self._settled: list[Saga] = []
+        self._settled_committed = 0
         self._ids = itertools.count(1)
         #: HA hook (:class:`repro.core.ha.HaCluster`): when set, every
         #: new saga is quorum-replicated at creation (``ship_begin``),
@@ -213,22 +221,33 @@ class IntentLog:
     ) -> Saga:
         saga = Saga(next(self._ids), op, cookie, steps, detail)
         self.sagas.append(saga)
+        self._in_flight[saga.saga_id] = saga
         if self.shipper is not None:
             self.shipper.ship_begin(saga)  # may raise QuorumLost
         return saga
 
     def incomplete(self) -> list[Saga]:
-        """Sagas with neither a commit nor an abort record."""
-        return [s for s in self.sagas if s.incomplete]
+        """Sagas with neither a commit nor an abort record, in begin
+        order."""
+        return list(self._in_flight.values())
 
     def in_flight_cookies(self) -> set[str]:
         """Cookies of live operations — the reconciler must not treat
         their transient rules as drift.  Assumes recovery has already
         resolved any crash-orphaned sagas."""
-        return {s.cookie for s in self.sagas if s.incomplete}
+        return {s.cookie for s in self._in_flight.values()}
 
     def by_op(self, op: str) -> list[Saga]:
         return [s for s in self.sagas if s.op == op]
+
+    def settled(self, saga: Saga) -> None:
+        """``saga`` is resolved for good (:meth:`SagaEngine.settle`):
+        move it from the in-flight map to the window's settled list."""
+        if self._in_flight.get(saga.saga_id) is saga:
+            del self._in_flight[saga.saga_id]
+            if saga.status == COMMITTED:
+                self._settled_committed += 1
+        self._settled.append(saga)
 
     def compact(self) -> int:
         """Snapshot resolved sagas out of the log (and, under HA, out
@@ -237,17 +256,20 @@ class IntentLog:
         O(active sagas) instead of O(all history).  Only counters
         remain for the dropped sagas; in-flight sagas — the only ones
         recovery can act on — are untouched, so replay after
-        compaction resolves exactly what replay without it would."""
+        compaction resolves exactly what replay without it would.
+
+        Moves the window's settled sagas instead of scanning for them:
+        :attr:`sagas` becomes the in-flight map in begin order, and each
+        replica log pops exactly the settled ids."""
+        settled, self._settled = self._settled, []
         if self.shipper is not None:
-            self.shipper.compact()
-        resolved = [s for s in self.sagas if not s.incomplete]
-        for saga in resolved:
-            if saga.status == COMMITTED:
-                self.compacted_committed += 1
-            else:
-                self.compacted_aborted += 1
-        self.sagas = [s for s in self.sagas if s.incomplete]
-        return len(resolved)
+            self.shipper.compact(settled)
+        dropped = len(self.sagas) - len(self._in_flight)
+        self.compacted_committed += self._settled_committed
+        self.compacted_aborted += dropped - self._settled_committed
+        self._settled_committed = 0
+        self.sagas = list(self._in_flight.values())
+        return dropped
 
     @property
     def compacted(self) -> int:
@@ -484,6 +506,7 @@ class SagaEngine:
         The engine's commit and rollback settle here, and so does an
         HA ``ship_begin`` whose first entry found no quorum."""
         saga.status = status
+        self.log.settled(saga)
         saga.steps, saga.state, saga.results = [], {}, {}
         saga.mark("commit" if status == COMMITTED else "abort")
         self._resolved += 1

@@ -391,15 +391,21 @@ class FaultInjector:
             self.at(self.sim.now + restart_after, self.restart, node)
 
     def restart(self, node: Any) -> None:
-        """Re-plug a crashed node's interfaces and mark it healthy."""
+        """Re-plug a crashed node's interfaces and mark it healthy.
+
+        Deleting a node severs its NICs and discards the wiring its crash
+        saved (:meth:`repro.net.link.Interface.sever`), so a node that has
+        NICs but no saved wiring was deleted while down: it stays down,
+        and nothing is re-plugged."""
         if not node.crashed:
             return
+        saved = [iface for iface in node.interfaces if iface._saved_wiring is not None]
+        if node.interfaces and not saved:
+            return
         self._demote_express("restart")
-        for iface in node.interfaces:
-            saved = getattr(iface, "_saved_wiring", None)
-            if saved is not None:
-                iface.link, iface.owner = saved
-                iface._saved_wiring = None
+        for iface in saved:
+            iface.link, iface.owner = iface._saved_wiring
+            iface._saved_wiring = None
         node.crashed = False
         self._record("fault.restart", node.name)
         # crash-recovery hook (e.g. the StorM controller replays its

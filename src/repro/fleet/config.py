@@ -50,7 +50,8 @@ class FleetConfig:
     #: mean session lifetime (exponential), floored at ``min_hold``
     mean_hold: float = 5.0
     min_hold: float = 0.5
-    #: synthetic I/O ticks spread across the hold window
+    #: synthetic I/Os a session counts over its hold (``fleet.io.ops``);
+    #: the hold is one wake, so they cost no events
     ios_per_session: int = 4
     #: simulated latency of the session connect step
     connect_latency: float = 0.002

@@ -13,10 +13,10 @@ Sessions are *control-plane-faithful, data-plane-synthetic*: each one
 runs the real atomic-attach saga (transient NAT rules, steering-chain
 install/narrow under the mutex, intent-log journaling, HA quorum
 shipping) against a lightweight session object instead of a full
-TCP/iSCSI stack, then ticks synthetic I/O through its hold window and
-runs the real detach saga, whose ``evict-state`` step keeps conntrack,
-gateway pairs, middle-boxes, and per-tenant metric scopes all
-O(active) under churn.
+TCP/iSCSI stack, then holds the volume for one wake (its synthetic I/O
+is counted, not simulated) and runs the real detach saga, whose
+``evict-state`` step keeps conntrack, gateway pairs, middle-boxes, and
+per-tenant metric scopes all O(active) under churn.
 """
 
 from __future__ import annotations
@@ -37,6 +37,18 @@ from repro.sim import Simulator
 
 #: first ephemeral source port handed to fleet sessions
 _PORT_BASE = 40000
+
+
+def hold_end(start: float, hold: float, ios: int) -> float:
+    """The instant a hold of ``hold`` seconds begun at ``start`` ends:
+    where ``ios + 1`` back-to-back timeouts of ``hold / (ios + 1)`` would
+    land, reached by the same float additions, so a session that counts
+    its I/O detaches at the instant one that ticked it would."""
+    gap = hold / (ios + 1)
+    end = start
+    for _ in range(ios + 1):
+        end += gap
+    return end
 
 
 class _FleetSession:
@@ -234,16 +246,14 @@ class FleetDomain:
             )
         )
 
-        gap = plan.hold / (plan.ios + 1)
-        # the tick counters, bound once per session (the tenant's scope
-        # outlives the session: it is evicted only once the tenant idles)
+        # the hold is one wake; its I/O is counted, not simulated, once
+        # it ends (the tenant's scope outlives the session: it is evicted
+        # only once the tenant idles)
         io_ops = self.metrics.counter("fleet.io.ops")
         tenant_ios = self.metrics.counter("fleet.tenant.ios", scope=state.tenant.name)
-        for _ in range(plan.ios):
-            yield self.sim.timeout(gap)
-            io_ops.inc()
-            tenant_ios.inc()
-        yield self.sim.timeout(gap)
+        yield self.sim.wake_at(hold_end(self.sim.now, plan.hold, plan.ios))
+        io_ops.inc(plan.ios)
+        tenant_ios.inc(plan.ios)
 
         self.storm.detach(flow)
         self._release_port(port)

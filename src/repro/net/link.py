@@ -40,6 +40,9 @@ class Interface:
         #: this direction's horizon and the far interface, set by the link
         self._horizon: Optional[Horizon] = None
         self._peer: Optional[Interface] = None
+        #: ``(link, owner)`` a crashed node's NIC gets back on restart
+        #: (:class:`repro.faults.FaultInjector`); None while it is up
+        self._saved_wiring: Optional[tuple] = None
         self.tx_packets = 0
         self.rx_packets = 0
         self.tx_bytes = 0
@@ -92,6 +95,22 @@ class Interface:
             sim.call_at(start, link._serialize, dst, packet, start, done)
         else:
             link._serialize(dst, packet, start, done)
+
+    def sever(self) -> None:
+        """Cut this NIC off its link for good, because its VM is deleted.
+
+        Both ends drop the link, the far end and their horizon.  This end
+        also drops its owner, its bound landing and any wiring a crash
+        saved.  The deleted VM's graph then holds no cycle through its
+        NICs and is freed by refcount, and a pending restart has nothing
+        left to re-plug."""
+        peer = self._peer
+        if peer is not None:
+            peer.link = peer._peer = peer._horizon = None
+        self.link = self._peer = self._horizon = None
+        self.owner = None
+        self.landing = Interface.land
+        self._saved_wiring = None
 
     def land(self, packet: Packet, start: float, done: float, arrive: float) -> None:
         """Default landing: count the packet and hand it to the owner's

@@ -102,7 +102,9 @@ class NetworkStack:
 
     def __init__(self, sim: Simulator, node: Node):
         self.sim = sim
-        self.node = node
+        #: the node's name only: a stack pointing back at its node would
+        #: keep a deleted VM in a reference cycle
+        self.name = node.name
         self.routes: list[Route] = []
         self.nat = NatTable()
         self.ip_forward = False
@@ -172,7 +174,7 @@ class NetworkStack:
 
     def bind_listener(self, listener: "TcpListener") -> None:
         if listener.port in self._listeners:
-            raise ValueError(f"port {listener.port} already bound on {self.node.name}")
+            raise ValueError(f"port {listener.port} already bound on {self.name}")
         self._listeners[listener.port] = listener
 
     def unbind_listener(self, listener: "TcpListener") -> None:
@@ -200,7 +202,7 @@ class NetworkStack:
                 queue = self._hook_queue
                 if queue is None:
                     queue = self._hook_queue = Store(self.sim)
-                    self.sim.process(self._hook_pump(), name=f"fwd:{self.node.name}")
+                    self.sim.process(self._hook_pump(), name=f"fwd:{self.name}")
                 queue.put(packet)
                 return
             # One slot of forward_delay on the horizon, one scheduled
